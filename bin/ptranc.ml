@@ -14,7 +14,7 @@
      chunks      variance-driven chunk sizes for each loop
      pgo         close the PGO loop: profile, reoptimize, re-run, compare
      batch       checkpointed profiling batch over a crash-safe store
-     serve       spool-directory daemon, or (--tcp) multi-tenant TCP service
+     serve       multi-tenant TCP analysis service (--tcp PORT)
      client      submit/query jobs against a --tcp server
      demo        print one of the built-in demo programs *)
 
@@ -83,6 +83,10 @@ let diag_of_exn : exn -> Diag.t option = function
       Some
         (Diag.errorf ~code:"SRV002" ~hint:"closes on the next success"
            "circuit breaker open for %s" key)
+  | S89_util.Codec.Too_large { size; cap } ->
+      Some
+        (Diag.errorf ~code:"NET002" "request of %d bytes exceeds the %d-byte frame cap"
+           size cap)
   | S89_util.Fault.Bad_spec msg ->
       Some (Diag.error ~code:"CLI001" ~hint:"fix the S89_FAULTS variable" msg)
   | Failure msg -> Some (Diag.error ~code:"CLI001" msg)
@@ -520,8 +524,8 @@ let pgo_cmd =
 
 (* ---------------- batch / serve ----------------
 
-   Graceful shutdown: SIGINT/SIGTERM raise a flag the service polls
-   between runs (and between spool scans).  Completed work is already
+   Graceful shutdown: SIGINT/SIGTERM raise a flag that [batch] polls
+   between runs and [serve] in its main loop.  Completed work is already
    durable in the WAL, so the handler only has to ask the loop to stop;
    the final flush happens on the normal return path. *)
 
@@ -641,19 +645,11 @@ let batch_cmd =
       $ export_arg $ no_fsync_arg $ memo_flag_arg)
 
 let serve_cmd =
-  let spool_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "spool" ] ~docv:"DIR"
-          ~doc:"Spool directory watched for job files (spool mode)")
-  in
   let tcp_arg =
     Arg.(
-      value & opt (some int) None
+      required & opt (some int) None
       & info [ "tcp" ] ~docv:"PORT"
-          ~doc:
-            "Serve the multi-tenant TCP protocol on PORT (0 = ephemeral) \
-             instead of watching a spool directory")
+          ~doc:"Serve the multi-tenant TCP protocol on PORT (0 = ephemeral)")
   in
   let workers_arg =
     Arg.(
@@ -734,21 +730,6 @@ let serve_cmd =
             "Absolute per-frame read deadline — a client dripping bytes \
              slower than this is disconnected (TCP mode)")
   in
-  let poll_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "poll-interval" ] ~docv:"SECONDS" ~doc:"Spool scan interval")
-  in
-  let max_jobs_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-jobs" ] ~docv:"N" ~doc:"Exit after processing N jobs")
-  in
-  let idle_exit_arg =
-    Arg.(
-      value & flag
-      & info [ "idle-exit" ] ~doc:"Exit when the spool is empty instead of polling")
-  in
   let parse_weights specs =
     List.map
       (fun spec ->
@@ -765,81 +746,58 @@ let serve_cmd =
             fail_diag (Diag.errorf ~code:"CLI001" "bad --tenant-weight %S" spec))
       specs
   in
-  let run runs seed tcp workers capacity weights spool store_root poll max_jobs
-      idle_exit no_fsync rate burst max_tenant_bytes max_tenant_jobs max_conns
-      retain_done max_store_bytes recv_timeout =
+  let run port workers capacity weights store_root no_fsync rate burst
+      max_tenant_bytes max_tenant_jobs max_conns retain_done max_store_bytes
+      recv_timeout =
     guard @@ fun () ->
     install_signal_handlers ();
-    match tcp with
-    | Some port ->
-        let config =
-          { Server.default_config with
-            Server.port; workers; queue_capacity = capacity;
-            tenant_weights = parse_weights weights; fsync = not no_fsync;
-            quota =
-              { S89_net.Quota.rate; burst; max_bytes = max_tenant_bytes;
-                max_jobs = max_tenant_jobs };
-            max_connections = max_conns; retain_done; max_store_bytes;
-            recv_timeout }
+    let config =
+      { Server.default_config with
+        Server.port; workers; queue_capacity = capacity;
+        tenant_weights = parse_weights weights; fsync = not no_fsync;
+        quota =
+          { S89_net.Quota.rate; burst; max_bytes = max_tenant_bytes;
+            max_jobs = max_tenant_jobs };
+        max_connections = max_conns; retain_done; max_store_bytes;
+        recv_timeout }
+    in
+    (* S89_FAULTS_PULSE arms a runtime fault toggle for chaos soaks:
+       SIGUSR1 activates the pulse spec (opening a disk-fault
+       window), SIGUSR2 deactivates it.  Unlike S89_FAULTS — which
+       is static for the process lifetime — this gives an external
+       soak script deterministic fault WINDOWS against a live server. *)
+    (match Sys.getenv_opt "S89_FAULTS_PULSE" with
+    | None | Some "" -> ()
+    | Some spec_str ->
+        let spec =
+          match S89_util.Fault.parse spec_str with
+          | Ok s -> s
+          | Error msg -> fail_diag (Diag.errorf ~code:"CLI001" "%s" msg)
         in
-        (* S89_FAULTS_PULSE arms a runtime fault toggle for chaos soaks:
-           SIGUSR1 activates the pulse spec (opening a disk-fault
-           window), SIGUSR2 deactivates it.  Unlike S89_FAULTS — which
-           is static for the process lifetime — this gives an external
-           driver deterministic fault WINDOWS against a live server. *)
-        (match Sys.getenv_opt "S89_FAULTS_PULSE" with
-        | None | Some "" -> ()
-        | Some spec_str ->
-            let spec =
-              match S89_util.Fault.parse spec_str with
-              | Ok s -> s
-              | Error msg -> fail_diag (Diag.errorf ~code:"CLI001" "%s" msg)
-            in
-            Sys.set_signal Sys.sigusr1
-              (Sys.Signal_handle (fun _ -> S89_util.Fault.set (Some spec)));
-            Sys.set_signal Sys.sigusr2
-              (Sys.Signal_handle (fun _ -> S89_util.Fault.set None)));
-        let srv = Server.start ~config ~store_root () in
-        Fmt.pr "serving on 127.0.0.1:%d@." (Server.port srv);
-        while not !stop_requested do
-          try Unix.sleepf 0.1
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done;
-        Server.stop srv;
-        print_string (Server.metrics_text srv);
-        Fmt.epr "ptranc: %a@." Diag.pp
-          (Diag.v ~severity:Diag.Info ~code:"SRV001"
-             "shutdown requested; in-flight work is checkpointed")
-    | None -> (
-        match spool with
-        | None ->
-            fail_diag
-              (Diag.error ~code:"CLI001"
-                 ~hint:"pass --spool DIR for spool mode or --tcp PORT for TCP mode"
-                 "serve needs either --spool or --tcp")
-        | Some spool ->
-            let stats =
-              Service.serve ~fsync:(not no_fsync) ~poll_interval:poll ?max_jobs
-                ~idle_exit
-                ~should_stop:(fun () -> !stop_requested)
-                ~runs ~seed ~spool ~store_root ()
-            in
-            Fmt.pr "serve: %d jobs completed, %d failed@." stats.Service.jobs_done
-              stats.Service.jobs_failed;
-            if !stop_requested then
-              Fmt.epr "ptranc: %a@." Diag.pp
-                (Diag.v ~severity:Diag.Info ~code:"SRV001"
-                   "shutdown requested; in-flight work is checkpointed"))
+        Sys.set_signal Sys.sigusr1
+          (Sys.Signal_handle (fun _ -> S89_util.Fault.set (Some spec)));
+        Sys.set_signal Sys.sigusr2
+          (Sys.Signal_handle (fun _ -> S89_util.Fault.set None)));
+    let srv = Server.start ~config ~store_root () in
+    Fmt.pr "serving on 127.0.0.1:%d@." (Server.port srv);
+    while not !stop_requested do
+      try Unix.sleepf 0.1
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done;
+    Server.stop srv;
+    print_string (Server.metrics_text srv);
+    Fmt.epr "ptranc: %a@." Diag.pp
+      (Diag.v ~severity:Diag.Info ~code:"SRV001"
+         "shutdown requested; in-flight work is checkpointed")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run batches as jobs arrive: from a spool directory (--spool) or as \
-          a multi-tenant TCP service (--tcp)")
+         "Run batches as jobs arrive over the multi-tenant TCP protocol \
+          (submit them with 'ptranc client submit')")
     Term.(
-      const run $ runs_arg $ seed_arg $ tcp_arg $ workers_arg $ capacity_arg
-      $ weight_arg $ spool_arg $ store_root_arg $ poll_arg $ max_jobs_arg
-      $ idle_exit_arg $ no_fsync_arg $ rate_arg $ burst_arg
+      const run $ tcp_arg $ workers_arg $ capacity_arg $ weight_arg
+      $ store_root_arg $ no_fsync_arg $ rate_arg $ burst_arg
       $ max_tenant_bytes_arg $ max_tenant_jobs_arg $ max_conns_arg
       $ retain_done_arg $ max_store_bytes_arg $ recv_timeout_arg)
 

@@ -26,6 +26,13 @@
                 program totals) and no MEMO002 determinism violation
                 may fire.
 
+   A sixth class per seed exercises the record codec's four decoders:
+   - codec:     WAL records, net frames, v2 profile databases and
+                feedback profiles are encoded, round-tripped, then fed
+                garbage, truncated and single-byte-flipped; every
+                decoder must answer with its structured error and never
+                raise anything else.
+
    The invariants checked for every input:
    - no uncaught exception anywhere in parse → analyze → plan → profile →
      estimate: inputs are either accepted or rejected with a structured
@@ -53,7 +60,7 @@ type mode =
   | Corrupted
   | Store_recovery
   | Memo_consistency
-  | Net_proto
+  | Codec
 
 let mode_name = function
   | Valid -> "valid"
@@ -61,7 +68,7 @@ let mode_name = function
   | Corrupted -> "corrupted"
   | Store_recovery -> "store-recovery"
   | Memo_consistency -> "memo-consistency"
-  | Net_proto -> "net-proto"
+  | Codec -> "codec"
 
 (* ---------------- input generation ---------------- *)
 
@@ -111,7 +118,7 @@ let gen_input mode seed =
   | Corrupted -> corrupt seed src
   | Store_recovery -> invalid_arg "store-recovery takes no source input"
   | Memo_consistency -> invalid_arg "memo-consistency generates its own edit stream"
-  | Net_proto -> invalid_arg "net-proto generates wire frames, not source"
+  | Codec -> invalid_arg "codec generates record images, not source"
 
 (* ---------------- the oracle ---------------- *)
 
@@ -430,34 +437,70 @@ let check_memo_consistency seed : verdict =
   done;
   match !rejected with Some code -> Rejected code | None -> Accepted
 
-(* ---------------- net-proto mode ---------------- *)
+(* ---------------- codec mode ---------------- *)
 
 module Proto = S89_net.Proto
+module Feedback = S89_profiling.Feedback
 
-(* the wire codecs are documented total: arbitrary bytes must come back
-   as [Error] (NET002 material), never as an exception; well-formed
-   frames and requests must roundtrip exactly *)
-let check_net_proto seed : verdict =
+(* The four decoders over the shared record codec are documented total:
+   garbage, truncations and single-byte flips come back as their
+   structured error ([Error], [Load_error], a shorter WAL prefix), never
+   as any other exception.  Well-formed images must round-trip exactly,
+   and a mangled image that still decodes must decode to the original
+   (the only harmless flips are a checksum digit's case and trailing
+   whitespace). *)
+let check_codec seed : verdict =
   let rng = Prng.create ~seed:(seed lxor 0x9e70) in
   let total what f =
-    try ignore (f ()) with e -> failf "%s raised: %s" what (Printexc.to_string e)
+    try f () with
+    | Fuzz_failure _ as e -> raise e
+    | e -> failf "%s raised: %s" what (Printexc.to_string e)
   in
-  (* 1. garbage in: total, no exceptions *)
-  for _ = 1 to 8 do
-    let len = Prng.int rng 256 in
-    let s = String.init len (fun _ -> Char.chr (Prng.int rng 256)) in
-    total "unframe" (fun () -> Proto.unframe s);
-    total "decode_request" (fun () -> Proto.decode_request s);
-    total "decode_response" (fun () -> Proto.decode_response s)
-  done;
-  (* 2. well-formed requests roundtrip through encode/frame exactly *)
+  let bytes n = String.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+  (* a truncation and a single-byte flip of [image]; [garbage] is
+     unrelated to any image *)
+  let damaged image =
+    let n = String.length image in
+    let b = Bytes.of_string image in
+    let i = Prng.int rng n in
+    Bytes.set b i (Char.chr (Char.code image.[i] lxor (1 + Prng.int rng 255)));
+    [ String.sub image 0 (Prng.int rng n); Bytes.to_string b ]
+  in
+  let garbage () = bytes (Prng.int rng 256) in
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a', y :: b' -> x = y && is_prefix a' b'
+    | _ -> false
+  in
+  (* 1. WAL records: payloads with newlines and header look-alikes *)
+  let payloads =
+    List.init (1 + Prng.int rng 4) (fun _ ->
+        if Prng.int rng 4 = 0 then "rec 3 0\n" ^ bytes (Prng.int rng 16)
+        else bytes (Prng.int rng 64))
+  in
+  let image = String.concat "" (List.map Wal.frame payloads) in
+  let r = Wal.recover_string image in
+  if r.Wal.payloads <> payloads || r.Wal.dropped_bytes <> 0 then
+    failf "WAL image did not round-trip";
+  total "Wal.recover_string" (fun () -> ignore (Wal.recover_string (garbage ())));
+  List.iter
+    (fun m ->
+      total "Wal.recover_string" (fun () ->
+          let r = Wal.recover_string m in
+          if r.Wal.valid_bytes + r.Wal.dropped_bytes <> String.length m then
+            failf "WAL recovery lost track of bytes";
+          if not (is_prefix r.Wal.payloads payloads) then
+            failf "WAL recovery invented a record"))
+    (damaged image);
+  (* 2. net frames and payloads *)
   let name () =
     let alphabet = "abcwXYZ019_.-" in
     String.init
       (1 + Prng.int rng 12)
       (fun _ -> alphabet.[Prng.int rng (String.length alphabet)])
   in
-  let request () =
+  let req =
     match Prng.int rng 4 with
     | 0 ->
         let source =
@@ -474,24 +517,87 @@ let check_net_proto seed : verdict =
     | 2 -> Proto.Result { tenant = name (); job = name () }
     | _ -> Proto.Metrics
   in
-  for _ = 1 to 8 do
-    let req = request () in
-    let payload = Proto.encode_request req in
-    (match Proto.unframe (Proto.frame payload) with
-    | Ok p when p = payload -> ()
-    | Ok _ -> failf "frame/unframe changed the payload"
-    | Error e -> failf "unframe rejected its own frame: %s" e);
-    (match Proto.decode_request payload with
-    | Ok r when r = req -> ()
-    | Ok _ -> failf "request roundtrip changed the request"
-    | Error e -> failf "decode_request rejected its own encoding: %s" e);
-    (* 3. a flipped byte anywhere in the frame: Ok or Error, no raise *)
-    let frame = Bytes.of_string (Proto.frame payload) in
-    Bytes.set frame
-      (Prng.int rng (Bytes.length frame))
-      (Char.chr (Prng.int rng 256));
-    total "unframe(corrupted)" (fun () -> Proto.unframe (Bytes.to_string frame))
+  let payload = Proto.encode_request req in
+  let frame = Proto.frame payload in
+  (match Result.bind (Proto.unframe frame) Proto.decode_request with
+  | Ok r when r = req -> ()
+  | Ok _ -> failf "request changed in a frame round-trip"
+  | Error e -> failf "request frame rejected by its own decoder: %s" e);
+  List.iter
+    (fun m ->
+      total "Proto.unframe" (fun () ->
+          match Proto.unframe m with
+          | Ok p when p <> payload -> failf "a damaged frame decoded to another payload"
+          | _ -> ()))
+    (damaged frame);
+  List.iter
+    (fun m ->
+      total "Proto.unframe" (fun () -> ignore (Proto.unframe m));
+      total "Proto.decode_request" (fun () -> ignore (Proto.decode_request m));
+      total "Proto.decode_response" (fun () -> ignore (Proto.decode_response m)))
+    (garbage () :: damaged payload);
+  (* 3. v2 profile databases (loaded from a file, with and without repair) *)
+  let db = Database.create () in
+  for _ = 0 to Prng.int rng 3 do
+    let per_proc = Hashtbl.create 2 in
+    for p = 0 to Prng.int rng 3 do
+      let tbl = Hashtbl.create 4 in
+      for node = 0 to Prng.int rng 5 do
+        let label =
+          match Prng.int rng 5 with
+          | 0 -> Label.T
+          | 1 -> Label.F
+          | 2 -> Label.U
+          | 3 -> Label.Case (Prng.int rng 9)
+          | _ -> Label.Pseudo (Prng.int rng 9)
+        in
+        Hashtbl.replace tbl (node, label) (Prng.int rng 100_000)
+      done;
+      Hashtbl.replace per_proc (Printf.sprintf "P%d" p) tbl
+    done;
+    Database.accumulate db per_proc
   done;
+  let image = Database.to_string db in
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "profile.db" in
+      let load_string ?repair s =
+        write_file path s;
+        Database.load ?repair path
+      in
+      if Database.to_string (load_string image) <> image then
+        failf "database image did not round-trip";
+      let garbled = garbage () in
+      total "Database.load" (fun () ->
+          try ignore (load_string garbled) with Database.Load_error _ -> ());
+      total "Database.load ~repair" (fun () -> ignore (load_string ~repair:true garbled));
+      List.iter
+        (fun m ->
+          total "Database.load" (fun () ->
+              match load_string m with
+              | loaded ->
+                  if Database.to_string loaded <> image then
+                    failf "a damaged database loaded as a different one"
+              | exception Database.Load_error _ -> ());
+          total "Database.load ~repair" (fun () -> ignore (load_string ~repair:true m)))
+        (damaged image));
+  (* 4. feedback profiles *)
+  let fb =
+    Feedback.make ~source:(bytes (Prng.int rng 64)) ~seed:(Prng.int rng 1000)
+      (List.init (Prng.int rng 4) (fun i ->
+           (Printf.sprintf "P%d" i, Array.init (Prng.int rng 6) (fun _ -> Prng.int rng 1000))))
+  in
+  let image = Feedback.to_string fb in
+  if Feedback.of_string image <> fb then failf "feedback image did not round-trip";
+  total "Feedback.of_string" (fun () ->
+      try ignore (Feedback.of_string (garbage ())) with Feedback.Load_error _ -> ());
+  List.iter
+    (fun m ->
+      total "Feedback.of_string" (fun () ->
+          match Feedback.of_string m with
+          | loaded ->
+              if loaded <> fb then failf "a damaged feedback file decoded as another"
+          | exception Feedback.Load_error _ -> ()))
+    (damaged image);
   Accepted
 
 (* ---------------- driver ---------------- *)
@@ -586,7 +692,7 @@ let () =
              { mode = Memo_consistency; seed; what;
                src = Gen.gen_source seed (* the edit stream's base version *) }
              :: !failures);
-       (match check_net_proto seed with
+       (match check_codec seed with
        | Accepted -> incr accepted
        | Rejected code ->
            Hashtbl.replace rejected code
@@ -598,8 +704,8 @@ let () =
              | e -> "uncaught exception: " ^ Printexc.to_string e
            in
            failures :=
-             { mode = Net_proto; seed; what;
-               src = "(no source: net-proto fuzzes wire frames)" }
+             { mode = Codec; seed; what;
+               src = "(no source: codec fuzzes record images)" }
              :: !failures);
        incr completed
      done

@@ -36,10 +36,9 @@ module Program = S89_frontend.Program
 module Ast = S89_frontend.Ast
 module Sema = S89_frontend.Sema
 module Analysis = S89_profiling.Analysis
-module Database = S89_profiling.Database
 module Diag = S89_diag.Diag
 
-let fnv64 = Database.fnv64
+let fnv64 = S89_util.Codec.fnv64
 
 type stats = {
   mutable hits : int;
@@ -115,8 +114,7 @@ let locked t f =
    it. *)
 let body_fp (p : Program.proc) : int64 =
   (* [Digest] first: MD5 runs at C speed, while [fnv64] is a per-byte
-     OCaml loop over boxed [Int64]s — fine for 16 bytes, painful for a
-     whole marshaled unit. *)
+     OCaml loop — fine for 16 bytes, slow for a whole marshaled unit. *)
   fnv64
     (Digest.string
        (Marshal.to_string

@@ -1,5 +1,6 @@
-(* Batch/daemon service layer: checkpointed profiling batches over the
-   crash-safe store, and a spool-directory daemon driving them.
+(* Batch service layer: checkpointed profiling batches over the
+   crash-safe store, run by the CLI's [batch] and by the TCP server's
+   workers.
 
    A batch profiles one program [runs] times with seeds
    [seed .. seed+runs-1], appending each completed run's totals to the
@@ -28,11 +29,9 @@ module Placement = S89_profiling.Placement
 module Cost_model = S89_vm.Cost_model
 module Diag = S89_diag.Diag
 
-let log_src = Logs.Src.create "s89.service" ~doc:"batch/daemon service"
+let log_src = Logs.Src.create "s89.service" ~doc:"batch service"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-type progress = { completed : int; total : int }
 
 type outcome =
   | Completed of { runs : int; report : string }
@@ -40,7 +39,7 @@ type outcome =
 
 (* ---------------- batch ---------------- *)
 
-let source_fnv source = Printf.sprintf "%016Lx" (Database.fnv64 source)
+let source_fnv = S89_util.Codec.fnv64_hex
 
 (* validate (or install) the batch metadata; [Error DB004/DB005] when the
    store belongs to a different batch or resume was not requested *)
@@ -194,147 +193,3 @@ let batch ?(policy = Supervise.default_policy) ?(on_event = log_event)
                 memo;
               Ok (Completed { runs = Store.runs store; report })
             end)
-
-(* ---------------- serve ---------------- *)
-
-(* One job = one MF77 source file dropped into the spool directory.  A
-   processed job moves to [spool/done/] (or [spool/failed/] with a
-   [.err] next to it); its report and store live under
-   [store_root/<job>/].  Jobs always run with [~resume:true], so a
-   daemon killed mid-job finishes that job's batch on restart. *)
-
-type serve_stats = { jobs_done : int; jobs_failed : int }
-
-let job_name file = Filename.remove_extension (Filename.basename file)
-
-let mkdir_p dir =
-  let rec go d =
-    if d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go dir
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  really_input_string ic (in_channel_length ic)
-
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
-let spool_jobs spool =
-  match Sys.readdir spool with
-  | exception Sys_error msg -> Error msg
-  | files ->
-      Ok
-        (Array.to_list files
-        |> List.filter (fun f ->
-               String.length f > 0
-               && f.[0] <> '.'
-               (* a file may vanish between readdir and stat; skip it *)
-               && (try not (Sys.is_directory (Filename.concat spool f))
-                   with Sys_error _ -> false))
-        |> List.sort compare)
-
-let serve ?policy ?(fsync = true) ?(cost_model = Cost_model.optimized)
-    ?(poll_interval = 0.2) ?max_jobs ?(idle_exit = false)
-    ?(should_stop = fun () -> false) ?memo
-    ?(on_diag = fun d -> Log.warn (fun m -> m "%a" Diag.pp d)) ~runs ~seed
-    ~spool ~store_root () : serve_stats =
-  (* one memo shared across every job the daemon processes: resubmitted
-     or lightly-edited programs only recompute their dirty cone *)
-  let memo = match memo with Some m -> m | None -> Memo.create () in
-  mkdir_p spool;
-  mkdir_p (Filename.concat spool "done");
-  mkdir_p (Filename.concat spool "failed");
-  mkdir_p store_root;
-  let stats = ref { jobs_done = 0; jobs_failed = 0 } in
-  let budget_left () =
-    match max_jobs with
-    | Some n -> !stats.jobs_done + !stats.jobs_failed < n
-    | None -> true
-  in
-  let finish file ~ok =
-    let dest = Filename.concat spool (if ok then "done" else "failed") in
-    Sys.rename (Filename.concat spool file) (Filename.concat dest file)
-  in
-  let process file =
-    let name = job_name file in
-    let dir = Filename.concat store_root name in
-    Log.info (fun m -> m "job %s: profiling %d runs into %s" name runs dir);
-    match
-      batch ?policy ~fsync ~cost_model ~should_stop ~memo ~resume:true ~runs
-        ~seed ~dir
-        (read_file (Filename.concat spool file))
-    with
-    | Ok (Completed { runs; report }) ->
-        write_file (Filename.concat store_root (name ^ ".report")) report;
-        finish file ~ok:true;
-        stats := { !stats with jobs_done = !stats.jobs_done + 1 };
-        Log.info (fun m -> m "job %s: completed (%d runs)" name runs)
-    | Ok (Interrupted { completed; total; _ }) ->
-        (* graceful shutdown mid-job: leave the job spooled; the next
-           serve resumes it from the checkpoint *)
-        Log.info (fun m ->
-            m "[SRV001] job %s interrupted at %d/%d runs; will resume" name
-              completed total)
-    | Error d ->
-        write_file
-          (Filename.concat store_root (name ^ ".err"))
-          (Diag.to_string d ^ "\n");
-        finish file ~ok:false;
-        stats := { !stats with jobs_failed = !stats.jobs_failed + 1 };
-        Log.warn (fun m -> m "job %s: %a" name Diag.pp d)
-    | exception e ->
-        (* a crash in one job must not take the daemon down *)
-        write_file
-          (Filename.concat store_root (name ^ ".err"))
-          (Printexc.to_string e ^ "\n");
-        finish file ~ok:false;
-        stats := { !stats with jobs_failed = !stats.jobs_failed + 1 };
-        Log.err (fun m -> m "job %s: %s" name (Printexc.to_string e))
-  in
-  let running = ref true in
-  (* one-shot: a failing spool scan warns once (SRV005), not once per
-     poll tick; a successful scan re-arms the warning *)
-  let spool_warned = ref false in
-  let nap () =
-    (* sleep in short slices so a signal is honoured promptly *)
-    let slice = Float.min poll_interval 0.05 in
-    let rec go left =
-      if left > 0.0 && not (should_stop ()) then begin
-        (try Unix.sleepf (Float.min slice left)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        go (left -. slice)
-      end
-    in
-    go poll_interval
-  in
-  while !running do
-    if should_stop () || not (budget_left ()) then running := false
-    else
-      match spool_jobs spool with
-      | Error msg ->
-          if not !spool_warned then begin
-            spool_warned := true;
-            on_diag
-              (Diag.warningf ~code:"SRV005"
-                 ~hint:"check that the spool directory exists and is readable"
-                 "spool scan failed: %s" msg)
-          end;
-          if idle_exit then running := false else nap ()
-      | Ok [] ->
-          spool_warned := false;
-          if idle_exit then running := false else nap ()
-      | Ok jobs ->
-          spool_warned := false;
-          List.iter
-            (fun file ->
-              if (not (should_stop ())) && budget_left () then process file)
-            jobs
-  done;
-  !stats

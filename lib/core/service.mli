@@ -1,15 +1,13 @@
-(** Checkpointed profiling batches over the crash-safe {!S89_store.Store}
-    and a spool-directory daemon driving them.  The completed-run count
-    in the store is the checkpoint: a killed batch restarted with
-    [~resume:true] continues at seed [base + completed] and produces
-    byte-identical estimates to an uninterrupted batch (run totals are
-    integers; the conservation laws are linear). *)
+(** Checkpointed profiling batches over the crash-safe {!S89_store.Store},
+    run by [ptranc batch] and by the TCP server's workers.  The
+    completed-run count in the store is the checkpoint: a killed batch
+    restarted with [~resume:true] continues at seed [base + completed]
+    and produces byte-identical estimates to an uninterrupted batch (run
+    totals are integers; the conservation laws are linear). *)
 
 module Supervise = S89_exec.Supervise
 module Cost_model = S89_vm.Cost_model
 module Diag = S89_diag.Diag
-
-type progress = { completed : int; total : int }
 
 type outcome =
   | Completed of { runs : int; report : string }
@@ -65,43 +63,5 @@ val batch :
 
 (** Default [on_event] for {!batch}: logs supervision events as SRV
     diagnostics (SRV002 breaker, SRV003 wedged, SRV006 restarts).
-    Exposed so other service frontends (the TCP server) log through the
-    same vocabulary. *)
+    Exposed so the TCP server logs through the same vocabulary. *)
 val log_event : Supervise.event -> unit
-
-type serve_stats = { jobs_done : int; jobs_failed : int }
-
-(** [serve ~runs ~seed ~spool ~store_root ()] — spool-directory daemon:
-    each non-hidden file in [spool] is one MF77 job, processed in name
-    order with {!batch} (always [~resume:true], so a daemon killed
-    mid-job finishes the job's batch on restart).  Completed jobs move
-    to [spool/done/] with their report at [store_root/<job>.report];
-    failed jobs move to [spool/failed/] with a [.err].  Polls every
-    [poll_interval] seconds until [should_stop] fires, [max_jobs] jobs
-    are processed, or — with [~idle_exit:true] (tests) — the spool is
-    empty.
-
-    One {!Memo.t} (created internally unless [?memo] is given) is shared
-    across every job, so resubmitted or lightly-edited programs only
-    recompute their dirty cone of the call graph.
-
-    A failing spool scan (directory deleted, permissions revoked) is
-    surfaced through [on_diag] as a one-shot [SRV005] warning — once per
-    failure streak, re-armed by the next successful scan — instead of
-    being silently swallowed.  [on_diag] defaults to logging. *)
-val serve :
-  ?policy:Supervise.policy ->
-  ?fsync:bool ->
-  ?cost_model:Cost_model.t ->
-  ?poll_interval:float ->
-  ?max_jobs:int ->
-  ?idle_exit:bool ->
-  ?should_stop:(unit -> bool) ->
-  ?memo:Memo.t ->
-  ?on_diag:(Diag.t -> unit) ->
-  runs:int ->
-  seed:int ->
-  spool:string ->
-  store_root:string ->
-  unit ->
-  serve_stats

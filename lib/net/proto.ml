@@ -5,11 +5,13 @@
 
      s89 <payload-bytes> <fnv64-hex>\n<payload>
 
-   The checksum is the store's FNV-1a/64 (the WAL record checksum), so a
-   frame torn or corrupted in flight is detected the same way a torn WAL
-   record is.  Frames are bounded ([max_frame] bytes of payload): a
-   malformed or oversized header is a NET002 protocol error, never an
-   unbounded allocation driven by untrusted bytes.
+   This is {!S89_util.Codec}'s header frame, the WAL record framing
+   without the trailing newline, so a frame torn or corrupted in flight
+   is detected the same way a torn WAL record is.  Frames are bounded
+   ([max_frame] bytes of payload): a malformed or oversized header is a
+   NET002 protocol error, never an unbounded allocation driven by
+   untrusted bytes, and the encoder refuses ([Codec.Too_large]) to build
+   a frame over the cap.
 
    The payload is line-oriented text.  Requests:
 
@@ -34,11 +36,11 @@
    the path-traversal defence.
 
    The codecs are pure string functions (decode never raises on
-   arbitrary bytes — the fuzzer's net mode feeds it garbage); the
+   arbitrary bytes — the fuzzer's codec mode feeds it garbage); the
    [read_frame]/[write_frame] pair does the blocking socket I/O with
    EINTR retry and short-read handling. *)
 
-module Wal = S89_store.Wal
+module Codec = S89_util.Codec
 
 let max_frame = 4 * 1024 * 1024
 let max_name = 64
@@ -77,29 +79,13 @@ let name_ok s =
 
 (* ---------------- framing ---------------- *)
 
-let frame payload =
-  Printf.sprintf "s89 %d %016Lx\n%s" (String.length payload)
-    (Wal.fnv64 payload) payload
+let magic = "s89"
+
+(* raises [Codec.Too_large] rather than build a frame [unframe] rejects *)
+let frame payload = Codec.frame ~max_len:max_frame ~magic payload
 
 (* split a raw frame image back into its payload; [Error] = NET002 *)
-let unframe raw =
-  match String.index_opt raw '\n' with
-  | None -> Error "missing frame header terminator"
-  | Some nl -> (
-      let header = String.sub raw 0 nl in
-      match String.split_on_char ' ' header with
-      | [ "s89"; len; sum ] -> (
-          match (int_of_string_opt len, Int64.of_string_opt ("0x" ^ sum)) with
-          | Some len, Some sum when len >= 0 && len <= max_frame ->
-              let payload_start = nl + 1 in
-              if String.length raw - payload_start <> len then
-                Error "frame length mismatch"
-              else
-                let payload = String.sub raw payload_start len in
-                if Wal.fnv64 payload <> sum then Error "frame checksum mismatch"
-                else Ok payload
-          | _ -> Error "malformed frame header")
-      | _ -> Error "malformed frame header")
+let unframe raw = Codec.decode ~max_len:max_frame ~magic raw
 
 (* ---------------- payload codecs ---------------- *)
 
@@ -224,40 +210,18 @@ let read_exact ?deadline fd n =
   done;
   Bytes.unsafe_to_string buf
 
-(* the header is tiny ("s89 <len> <sum>\n" ≤ ~40 bytes); read it byte by
-   byte so we never consume payload bytes past the newline *)
-let read_header ?deadline fd =
-  let buf = Buffer.create 32 in
-  let one = Bytes.create 1 in
-  let rec go () =
-    if Buffer.length buf > 64 then Error "frame header too long"
-    else begin
-      ignore (read_some ?deadline fd one 0 1 : int);
-      if Bytes.get one 0 = '\n' then Ok (Buffer.contents buf)
-      else begin
-        Buffer.add_char buf (Bytes.get one 0);
-        go ()
-      end
-    end
-  in
-  go ()
-
 (* [Ok payload] | [Error msg] (NET002 material); raises [Closed] on EOF
    before a full frame, [Timed_out] past the deadline, [Unix.Unix_error]
-   on socket errors *)
+   on socket errors.  The header is read byte by byte so no payload byte
+   past its newline is consumed. *)
 let read_frame ?deadline fd =
-  match read_header ?deadline fd with
-  | Error _ as e -> e
-  | Ok header -> (
-      match String.split_on_char ' ' header with
-      | [ "s89"; len; sum ] -> (
-          match (int_of_string_opt len, Int64.of_string_opt ("0x" ^ sum)) with
-          | Some len, Some sum when len >= 0 && len <= max_frame ->
-              let payload = read_exact ?deadline fd len in
-              if Wal.fnv64 payload <> sum then Error "frame checksum mismatch"
-              else Ok payload
-          | _ -> Error "malformed frame header")
-      | _ -> Error "malformed frame header")
+  let one = Bytes.create 1 in
+  let input_char () =
+    ignore (read_some ?deadline fd one 0 1 : int);
+    Bytes.get one 0
+  in
+  Codec.read ~max_len:max_frame ~magic ~input_char
+    ~really_input:(read_exact ?deadline fd) ()
 
 let write_frame fd payload = write_all fd (frame payload)
 

@@ -1,8 +1,9 @@
 (** Wire protocol of the multi-tenant analysis service: length-prefixed
-    FNV-1a/64-checksummed frames ([s89 <len> <sum-hex>\n<payload>])
+    FNV-1a/64-checksummed frames ([s89 <len> <sum-hex>\n<payload>],
+    {!S89_util.Codec}'s header frame)
     carrying line-oriented request/response payloads.  The codecs are
     pure ({!decode_request}/{!decode_response} never raise on arbitrary
-    bytes — the fuzzer's net mode feeds them garbage); the
+    bytes — the fuzzer's codec mode feeds them garbage); the
     {!read_frame}/{!write_frame} pair does the blocking socket I/O. *)
 
 (** Maximum payload bytes per frame (oversized frames are NET002). *)
@@ -39,7 +40,9 @@ type response =
   | Metrics_text of string
   | Error_resp of { code : string; message : string }
 
-(** Wrap a payload in the on-wire frame. *)
+(** Wrap a payload in the on-wire frame.
+    @raise S89_util.Codec.Too_large when the payload exceeds
+    {!max_frame}: no frame the decoder would reject is ever built. *)
 val frame : string -> string
 
 (** Split a raw frame image back into its payload ([Error] = NET002
@@ -75,7 +78,10 @@ exception Timed_out
     [SO_RCVTIMEO]). *)
 val read_frame : ?deadline:float -> Unix.file_descr -> (string, string) result
 
+(** Frame and write one payload.  @raise S89_util.Codec.Too_large
+    (before any byte is written) when it exceeds {!max_frame}. *)
 val write_frame : Unix.file_descr -> string -> unit
+
 val send_request : Unix.file_descr -> request -> unit
 val send_response : Unix.file_descr -> response -> unit
 val recv_response : Unix.file_descr -> (response, string) result

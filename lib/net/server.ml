@@ -71,7 +71,7 @@ module Supervise = S89_exec.Supervise
 module Histogram = S89_exec.Histogram
 module Service = S89_core.Service
 module Cost_model = S89_vm.Cost_model
-module Database = S89_profiling.Database
+module Codec = S89_util.Codec
 module Diag = S89_diag.Diag
 module Wal = S89_store.Wal
 
@@ -213,7 +213,7 @@ let rec rm_rf path =
 
 let shard_of_source source =
   Printf.sprintf "shard-%02x"
-    (Int64.to_int (Int64.logand (Database.fnv64 source) 0xFFL))
+    (Int64.to_int (Int64.logand (Codec.fnv64 source) 0xFFL))
 
 let job_dir t ~tenant ~name ~source =
   Filename.concat
@@ -806,6 +806,18 @@ let gc_loop t =
    slowloris defence: a client dripping one byte per interval is cut off
    at the deadline instead of holding the thread and fd forever. *)
 let handle_connection t fd =
+  (* a response over the frame cap (a report larger than [max_frame]) is
+     answered with a NET002 naming its size; the connection stays usable *)
+  let respond resp =
+    try Proto.send_response fd resp
+    with Codec.Too_large { size; cap } ->
+      Proto.send_response fd
+        (Proto.Error_resp
+           { code = "NET002";
+             message =
+               Printf.sprintf "response of %d bytes exceeds the %d-byte frame cap"
+                 size cap })
+  in
   let rec loop () =
     let deadline = Unix.gettimeofday () +. t.config.recv_timeout in
     match Proto.read_frame ~deadline fd with
@@ -818,7 +830,7 @@ let handle_connection t fd =
             Proto.send_response fd
               (Proto.Error_resp { code = "NET002"; message = msg })
         | Ok req ->
-            Proto.send_response fd (handle_request t req);
+            respond (handle_request t req);
             loop ())
   in
   (try loop () with

@@ -10,12 +10,14 @@
        total <proc> <node> <label> <sum>
        checksum <16 hex digits>
    which keeps the database human-inspectable and trivially mergeable.
-   The trailing checksum (FNV-1a/64 of every byte before it) detects
-   truncated or bit-flipped files at load time.  Header-less version-1
-   files (no magic, no checksum) are still read. *)
+   The trailing checksum ({!S89_util.Codec}'s trailer: FNV-1a/64 of
+   every byte before it) detects truncated or bit-flipped files at load
+   time.  Header-less version-1 files (no magic, no checksum) are still
+   read. *)
 
 open S89_cfg
 module Fault = S89_util.Fault
+module Codec = S89_util.Codec
 
 type cond = Analysis.cond
 
@@ -72,15 +74,6 @@ exception Load_error of { line : int; msg : string }
 let magic = "s89-profile-db"
 let format_version = 2
 
-(* FNV-1a/64 over a string; printed as 16 hex digits *)
-let fnv64 (s : string) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 let label_to_db = Label.to_string
 
 let label_of_string s : Label.t option =
@@ -111,8 +104,7 @@ let to_string t =
     (fun ((proc, (node, label)), v) ->
       Printf.bprintf buf "total %s %d %s %d\n" proc node (label_to_db label) v)
     entries;
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "checksum %016Lx\n" (fnv64 body)
+  Codec.seal (Buffer.contents buf)
 
 let save t path =
   let full = to_string t in
@@ -149,18 +141,12 @@ let parse_row t lineno line : (unit, int * string) result =
   | _ -> Error (lineno, "unrecognized line: " ^ line)
 
 let load ?(repair = false) path =
-  let ic =
-    try open_in path with Sys_error msg -> raise (Load_error { line = 0; msg })
-  in
-  let lines =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let acc = ref [] in
-    (try
-       while true do
-         acc := input_line ic :: !acc
-       done
-     with End_of_file -> ());
-    List.rev !acc
+  let image =
+    match open_in_bin path with
+    | exception Sys_error msg -> raise (Load_error { line = 0; msg })
+    | ic ->
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+        really_input_string ic (in_channel_length ic)
   in
   let t = create () in
   (* parse rows in order, stopping at the first problem; under
@@ -170,55 +156,27 @@ let load ?(repair = false) path =
     | Ok () -> t
     | Error (line, msg) -> if repair then t else raise (Load_error { line; msg })
   in
-  match lines with
+  let rec rows lineno = function
+    | [] -> Ok ()
+    | line :: rest -> (
+        match parse_row t lineno line with
+        | Ok () -> rows (lineno + 1) rest
+        | Error _ as e -> e)
+  in
+  match Codec.lines image with
   | [] ->
       if repair then t else raise (Load_error { line = 0; msg = "empty database file" })
-  | first :: rest -> (
-      let header =
-        match String.split_on_char ' ' (String.trim first) with
-        | [ m; v ] when m = magic -> (
-            match int_of_string_opt v with
-            | Some n when n = format_version -> Ok true
-            | Some n ->
-                Error (1, Printf.sprintf "unsupported database format version %d" n)
-            | None -> Error (1, "bad database format version: " ^ v))
-        | _ -> Ok false (* header-less version 1 *)
-      in
-      match header with
-      | Error _ as e -> finish (e :> (unit, int * string) result)
-      | Ok false ->
-          (* version 1: no checksum to verify *)
-          let rec go lineno = function
-            | [] -> Ok ()
-            | line :: rest -> (
-                match parse_row t lineno line with
-                | Ok () -> go (lineno + 1) rest
-                | Error _ as e -> e)
-          in
-          finish (go 1 lines)
-      | Ok true ->
-          let body = Buffer.create 256 in
-          Buffer.add_string body first;
-          Buffer.add_char body '\n';
-          let rec go lineno = function
-            | [] -> Error (lineno - 1, "missing checksum (truncated file?)")
-            | line :: rest -> (
-                match String.split_on_char ' ' (String.trim line) with
-                | [ "checksum"; hex ] ->
-                    if List.exists (fun l -> String.trim l <> "") rest then
-                      Error (lineno + 1, "content after the checksum line")
-                    else
-                      let expect =
-                        Printf.sprintf "%016Lx" (fnv64 (Buffer.contents body))
-                      in
-                      if String.lowercase_ascii hex = expect then Ok ()
-                      else Error (lineno, "checksum mismatch (corrupt database?)")
-                | _ -> (
-                    match parse_row t lineno line with
-                    | Ok () ->
-                        Buffer.add_string body line;
-                        Buffer.add_char body '\n';
-                        go (lineno + 1) rest
-                    | Error _ as e -> e))
-          in
-          finish (go 2 rest))
+  | first :: _ as lines -> (
+      match String.split_on_char ' ' (String.trim first) with
+      | [ m; v ] when m = magic -> (
+          match int_of_string_opt v with
+          | Some n when n = format_version ->
+              (* rows first, so a bad row is reported at its own line
+                 even when the trailer is also wrong *)
+              let body, trailer = Codec.unseal ~what:"database" image in
+              finish (Result.bind (rows 2 (List.tl body)) (fun () -> trailer))
+          | Some n ->
+              finish
+                (Error (1, Printf.sprintf "unsupported database format version %d" n))
+          | None -> finish (Error (1, "bad database format version: " ^ v)))
+      | _ -> finish (rows 1 lines) (* header-less version 1: no checksum *))

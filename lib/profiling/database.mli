@@ -42,9 +42,6 @@ val to_string : t -> string
     shared with the WAL store's record rows. *)
 val label_of_string : string -> S89_cfg.Label.t option
 
-(** FNV-1a/64 of a string, as used by the trailing [checksum] line. *)
-val fnv64 : string -> int64
-
 (** Load a database written by {!save} (or the header-less version-1
     format, which has no checksum).  Raises {!Load_error} on unreadable,
     truncated, corrupt or malformed input; [~repair:true] never raises on

@@ -8,7 +8,8 @@
    that a structured PGO001 error instead (same identity discipline as
    the batch store's DB004 check).
 
-   Format (line-oriented, checksummed like the profile database):
+   Format (line-oriented, sealed with {!S89_util.Codec}'s checksum
+   trailer like the profile database):
 
      s89-feedback 1
      source-fnv <16 hex digits>
@@ -19,6 +20,7 @@
 *)
 
 module Diag = S89_diag.Diag
+module Codec = S89_util.Codec
 
 type t = {
   fingerprint : string;  (* FNV-1a/64 of the source text, 16 hex digits *)
@@ -30,7 +32,7 @@ exception Load_error of { line : int; msg : string }
 
 let magic = "s89-feedback"
 let format_version = 1
-let fingerprint_of_source source = Printf.sprintf "%016Lx" (Database.fnv64 source)
+let fingerprint_of_source = Codec.fnv64_hex
 
 let make ~source ~seed freq = { fingerprint = fingerprint_of_source source; seed; freq }
 
@@ -57,8 +59,7 @@ let to_string t =
       Array.iter (fun e -> Printf.bprintf buf " %d" e) execs;
       Buffer.add_char buf '\n')
     t.freq;
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "checksum %016Lx\n" (Database.fnv64 body)
+  Codec.seal (Buffer.contents buf)
 
 let save t path =
   let oc = open_out path in
@@ -67,63 +68,39 @@ let save t path =
 
 let of_string (s : string) : t =
   let err line msg = raise (Load_error { line; msg }) in
-  let lines = String.split_on_char '\n' s in
+  let body, trailer = Codec.unseal ~what:"feedback file" s in
   let fingerprint = ref "" and seed = ref 0 and freq = ref [] in
-  let body = Buffer.create 256 in
-  let seen_checksum = ref false in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
       let row = String.trim line in
-      if !seen_checksum then begin
-        if row <> "" then err lineno "content after the checksum line"
-      end
-      else
-        match String.split_on_char ' ' row with
-        | [ m; v ] when m = magic ->
-            if int_of_string_opt v <> Some format_version then
-              err lineno ("unsupported feedback format version: " ^ v);
-            Buffer.add_string body line;
-            Buffer.add_char body '\n'
-        | [ "source-fnv"; hex ] ->
-            fingerprint := String.lowercase_ascii hex;
-            Buffer.add_string body line;
-            Buffer.add_char body '\n'
-        | [ "seed"; n ] -> (
-            match int_of_string_opt n with
-            | Some n ->
-                seed := n;
-                Buffer.add_string body line;
-                Buffer.add_char body '\n'
-            | None -> err lineno ("bad seed: " ^ n))
-        | "proc" :: name :: n :: counts -> (
-            match int_of_string_opt n with
-            | Some n when n >= 0 && List.length counts = n ->
-                let execs =
-                  Array.of_list
-                    (List.map
-                       (fun c ->
-                         match int_of_string_opt c with
-                         | Some v when v >= 0 -> v
-                         | _ -> err lineno ("bad count: " ^ c))
-                       counts)
-                in
-                freq := (name, execs) :: !freq;
-                Buffer.add_string body line;
-                Buffer.add_char body '\n'
-            | _ -> err lineno ("bad proc row: " ^ row))
-        | [ "checksum"; hex ] ->
-            seen_checksum := true;
-            let expect =
-              Printf.sprintf "%016Lx" (Database.fnv64 (Buffer.contents body))
-            in
-            if String.lowercase_ascii hex <> expect then
-              err lineno "checksum mismatch (corrupt feedback file?)"
-        | [] | [ "" ] -> ()
-        | _ -> err lineno ("unrecognized line: " ^ row))
-    lines;
-  if not !seen_checksum then
-    err (List.length lines) "missing checksum (truncated file?)";
+      match String.split_on_char ' ' row with
+      | [ m; v ] when m = magic ->
+          if int_of_string_opt v <> Some format_version then
+            err lineno ("unsupported feedback format version: " ^ v)
+      | [ "source-fnv"; hex ] -> fingerprint := String.lowercase_ascii hex
+      | [ "seed"; n ] -> (
+          match int_of_string_opt n with
+          | Some n -> seed := n
+          | None -> err lineno ("bad seed: " ^ n))
+      | "proc" :: name :: n :: counts -> (
+          match int_of_string_opt n with
+          | Some n when n >= 0 && List.length counts = n ->
+              let execs =
+                Array.of_list
+                  (List.map
+                     (fun c ->
+                       match int_of_string_opt c with
+                       | Some v when v >= 0 -> v
+                       | _ -> err lineno ("bad count: " ^ c))
+                     counts)
+              in
+              freq := (name, execs) :: !freq
+          | _ -> err lineno ("bad proc row: " ^ row))
+      | [] | [ "" ] -> ()
+      | _ -> err lineno ("unrecognized line: " ^ row))
+    body;
+  (match trailer with Ok () -> () | Error (line, msg) -> err line msg);
   if !fingerprint = "" then err 0 "missing source-fnv line";
   { fingerprint = !fingerprint; seed = !seed; freq = List.rev !freq }
 

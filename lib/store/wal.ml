@@ -1,6 +1,7 @@
 (* Write-ahead log: an append-only file of checksummed records.
 
-   Framing (binary-safe, self-delimiting):
+   Framing ({!S89_util.Codec}'s header frame, binary-safe and
+   self-delimiting):
 
        rec <payload-bytes> <fnv64-hex-of-payload>\n
        <payload bytes>\n
@@ -22,18 +23,10 @@
    or die. *)
 
 module Fault = S89_util.Fault
+module Codec = S89_util.Codec
 
-let fnv64 (s : string) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let frame payload =
-  Printf.sprintf "rec %d %016Lx\n%s\n" (String.length payload) (fnv64 payload)
-    payload
+let magic = "rec"
+let frame payload = Codec.frame ~eol:true ~magic payload
 
 (* ---------------- recovery ---------------- *)
 
@@ -44,33 +37,8 @@ type recovery = {
 }
 
 let recover_string (s : string) : recovery =
-  let n = String.length s in
-  let payloads = ref [] in
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok do
-    match String.index_from_opt s !pos '\n' with
-    | None -> ok := false
-    | Some nl -> (
-        let header = String.sub s !pos (nl - !pos) in
-        match String.split_on_char ' ' header with
-        | [ "rec"; len; hex ] -> (
-            match int_of_string_opt len with
-            | Some len when len >= 0 && nl + 1 + len + 1 <= n ->
-                let payload = String.sub s (nl + 1) len in
-                if
-                  s.[nl + 1 + len] = '\n'
-                  && String.lowercase_ascii hex
-                     = Printf.sprintf "%016Lx" (fnv64 payload)
-                then begin
-                  payloads := payload :: !payloads;
-                  pos := nl + 1 + len + 1
-                end
-                else ok := false
-            | _ -> ok := false)
-        | _ -> ok := false)
-  done;
-  { payloads = List.rev !payloads; valid_bytes = !pos; dropped_bytes = n - !pos }
+  let payloads, valid_bytes = Codec.valid_prefix ~magic s in
+  { payloads; valid_bytes; dropped_bytes = String.length s - valid_bytes }
 
 let read_whole path =
   match open_in_bin path with

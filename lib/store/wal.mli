@@ -19,9 +19,6 @@ val recover : string -> recovery
 (** The on-disk framing of one payload (exposed for tests). *)
 val frame : string -> string
 
-(** FNV-1a/64 as used by the record checksums. *)
-val fnv64 : string -> int64
-
 type t
 
 (** Open for appending: recovers, truncates the file to the valid prefix

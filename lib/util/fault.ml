@@ -221,13 +221,7 @@ let fires spec site ~key ~attempt =
   p > 0.0 && uniform spec site ~key ~attempt < p
 
 (* key for string-keyed sites (procedure names, database paths): FNV-1a *)
-let string_key s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
+let string_key s = Int64.to_int (Int64.logand (Codec.fnv64 s) 0x3fffffffffffffffL)
 
 let slow_seconds spec = spec.slow_seconds
 

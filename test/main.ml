@@ -4,6 +4,7 @@ let () =
   Alcotest.run "sarkar89"
     [
       ("util", Test_util.suite);
+      ("codec", Test_codec.suite);
       ("exec", Test_exec.suite);
       ("graph", Test_graph.suite);
       ("cfg", Test_cfg.suite);

@@ -20,6 +20,7 @@ module Histogram = S89_exec.Histogram
 module Service = S89_core.Service
 module Diag = S89_diag.Diag
 module Fault = S89_util.Fault
+module Codec = S89_util.Codec
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -122,6 +123,22 @@ let proto_rejects_garbage () =
   check cb "oversized name rejected" false (Proto.name_ok (String.make 65 'a'));
   check cb "path traversal rejected" false (Proto.name_ok "../x");
   check cb "slash rejected" false (Proto.name_ok "a/b")
+
+(* the encoder must never build a frame its own decoder rejects: a
+   payload at the cap roundtrips, one byte over is refused up front *)
+let proto_frame_cap () =
+  let at_cap = String.make Proto.max_frame 'r' in
+  (match Proto.unframe (Proto.frame at_cap) with
+  | Ok p -> check cb "payload at the cap roundtrips" true (p = at_cap)
+  | Error e -> Alcotest.failf "frame at the cap rejected: %s" e);
+  match Proto.frame (at_cap ^ "r") with
+  | exception Codec.Too_large { size; cap } ->
+      check ci "size reported" (Proto.max_frame + 1) size;
+      check ci "cap reported" Proto.max_frame cap
+  | f ->
+      Alcotest.failf "built a %d-byte frame over the cap (decoder says %s)"
+        (String.length f)
+        (match Proto.unframe f with Ok _ -> "ok" | Error e -> e)
 
 (* ---------------- admission ---------------- *)
 
@@ -266,6 +283,88 @@ let server_end_to_end () =
       check cb "metrics reports latency" true
         (contains text "s89_job_latency_seconds_count 1")
   | _ -> Alcotest.fail "expected Metrics_text"
+
+(* A valid job and a non-MF77 one through the same server: the first
+   ends done with exactly Service.batch's report, the second ends failed
+   with Service.batch's diagnostic as its result body. *)
+let server_good_and_bad_jobs () =
+  let expected = reference_report ~runs:2 ~seed:1 in
+  let bad_source = "NOT FORTRAN AT ALL" in
+  let expected_err =
+    with_tmp_dir @@ fun root ->
+    match
+      Service.batch ~fsync:false ~resume:false ~runs:2 ~seed:1
+        ~dir:(Filename.concat root "store") bad_source
+    with
+    | Error d -> Diag.to_string d ^ "\n"
+    | Ok _ -> Alcotest.fail "a non-MF77 source must fail"
+  in
+  with_server @@ fun _root t ->
+  List.iter
+    (fun (job, source) ->
+      match
+        rpc t
+          (Proto.Submit
+             { tenant = "spool"; job; runs = 2; seed = 1; deadline = 0.0; source })
+      with
+      | Proto.Accepted _ -> ()
+      | r -> Alcotest.failf "submit %s rejected: %s" job (Proto.encode_response r))
+    [ ("good", fig1); ("bad", bad_source) ];
+  let finished s = s = "done" || s = "failed" in
+  check cs "good job done" "done" (poll_state t ~tenant:"spool" ~job:"good" finished);
+  check cs "bad job failed" "failed" (poll_state t ~tenant:"spool" ~job:"bad" finished);
+  (match rpc t (Proto.Result { tenant = "spool"; job = "good" }) with
+  | Proto.Job_result { state = "done"; body } ->
+      check cs "report = Service.batch" expected body
+  | r -> Alcotest.failf "unexpected result: %s" (Proto.encode_response r));
+  match rpc t (Proto.Result { tenant = "spool"; job = "bad" }) with
+  | Proto.Job_result { state = "failed"; body } ->
+      check cs "diagnostic in the result body" expected_err body
+  | r -> Alcotest.failf "unexpected result: %s" (Proto.encode_response r)
+
+(* A report over the frame cap (a program of a few hundred generated
+   subroutines renders one) must come back as a structured NET002
+   naming its size and the cap, not as a frame the client cannot read.
+   The job runs normally; its report file is then grown past the cap,
+   which is much cheaper than generating and analysing such a
+   program. *)
+let server_oversized_result () =
+  with_server @@ fun root t ->
+  (match
+     rpc t
+       (Proto.Submit
+          { tenant = "big"; job = "r"; runs = 1; seed = 1; deadline = 0.0;
+            source = fig1 })
+   with
+  | Proto.Accepted _ -> ()
+  | r -> Alcotest.failf "submit rejected: %s" (Proto.encode_response r));
+  ignore (poll_state t ~tenant:"big" ~job:"r" (fun s -> s = "done"));
+  let shard =
+    Printf.sprintf "shard-%02Lx" (Int64.logand (Codec.fnv64 fig1) 0xFFL)
+  in
+  let report =
+    List.fold_left Filename.concat root [ "jobs"; shard; "big__r"; "report" ]
+  in
+  check cb "report sharded by source fingerprint" true (Sys.file_exists report);
+  let oc = open_out_bin report in
+  output_string oc (String.make (Proto.max_frame + 1) 'r');
+  close_out oc;
+  let fd = Server.Client.connect ~port:(Server.port t) () in
+  Fun.protect ~finally:(fun () -> Server.Client.close fd) @@ fun () ->
+  (match Server.Client.rpc fd (Proto.Result { tenant = "big"; job = "r" }) with
+  | Ok (Proto.Error_resp { code; message }) ->
+      check cs "NET002" "NET002" code;
+      let payload = String.length "result done\n" + Proto.max_frame + 1 in
+      check cb "message gives the size" true
+        (contains message (string_of_int payload));
+      check cb "message gives the cap" true
+        (contains message (string_of_int Proto.max_frame))
+  | Ok r -> Alcotest.failf "expected NET002, got %s" (Proto.encode_response r)
+  | Error e -> Alcotest.failf "unreadable answer: %s" e);
+  (* the frame stream is intact: the same connection keeps working *)
+  match Server.Client.rpc fd (Proto.Status { tenant = "big"; job = "r" }) with
+  | Ok (Proto.Job_status { state; _ }) -> check cs "still done" "done" state
+  | _ -> Alcotest.fail "connection unusable after the oversized result"
 
 let server_overload_rejects () =
   let config = { quick_config with Server.workers = 1; queue_capacity = 1 } in
@@ -692,6 +791,7 @@ let suite =
   [
     Alcotest.test_case "proto: codecs roundtrip" `Quick proto_roundtrip;
     Alcotest.test_case "proto: garbage rejected (NET002)" `Quick proto_rejects_garbage;
+    Alcotest.test_case "proto: no frame over the cap is built" `Quick proto_frame_cap;
     Alcotest.test_case "admission: bounded per tenant" `Quick admission_bounds;
     Alcotest.test_case "admission: SWRR golden order" `Quick admission_swrr_golden;
     Alcotest.test_case "histogram: bucketed quantiles" `Quick histogram_quantiles;
@@ -720,4 +820,8 @@ let suite =
       proto_read_deadline;
     Alcotest.test_case "client: retry backoff schedule" `Quick
       client_retry_delay_golden;
+    Alcotest.test_case "server: good = batch, non-MF77 fails" `Quick
+      server_good_and_bad_jobs;
+    Alcotest.test_case "server: oversized result is NET002" `Quick
+      server_oversized_result;
   ]

@@ -823,73 +823,6 @@ let store_dir_fsync_fault () =
        0);
   Store.close s2
 
-(* ---------------- serve daemon ---------------- *)
-
-let serve_processes_spool () =
-  with_tmp_dir @@ fun root ->
-  let spool = Filename.concat root "spool" in
-  let store_root = Filename.concat root "stores" in
-  Unix.mkdir spool 0o755;
-  write_file (Filename.concat spool "good.mf") fig1;
-  write_file (Filename.concat spool "bad.mf") "NOT FORTRAN AT ALL";
-  let stats =
-    Service.serve ~fsync:false ~idle_exit:true ~runs:2 ~seed:1 ~spool ~store_root ()
-  in
-  check ci "good job done" 1 stats.Service.jobs_done;
-  check ci "bad job failed" 1 stats.Service.jobs_failed;
-  check cb "report written" true
-    (Sys.file_exists (Filename.concat store_root "good.report"));
-  check cb "error artifact written" true
-    (Sys.file_exists (Filename.concat store_root "bad.err"));
-  check cb "good job archived" true
-    (Sys.file_exists (Filename.concat spool "done/good.mf"));
-  check cb "bad job quarantined" true
-    (Sys.file_exists (Filename.concat spool "failed/bad.mf"))
-
-(* a failing spool scan surfaces ONE SRV005 warning per failure streak
-   (not one per poll tick) and re-arms after a successful scan *)
-let serve_warns_on_spool_failure () =
-  with_tmp_dir @@ fun root ->
-  let spool = Filename.concat root "spool" in
-  let store_root = Filename.concat root "stores" in
-  let dmu = Mutex.create () in
-  let diags = ref [] in
-  let stop = Atomic.make false in
-  let th =
-    Thread.create
-      (fun () ->
-        ignore
-          (Service.serve ~fsync:false ~poll_interval:0.004
-             ~should_stop:(fun () -> Atomic.get stop)
-             ~on_diag:(fun d ->
-               Mutex.lock dmu;
-               diags := d :: !diags;
-               Mutex.unlock dmu)
-             ~runs:1 ~seed:1 ~spool ~store_root ()))
-      ()
-  in
-  Thread.delay 0.05;
-  (* break the spool: many failing polls, ONE warning *)
-  rm_rf spool;
-  Thread.delay 0.15;
-  (* heal it: the next successful scan re-arms the warning *)
-  Unix.mkdir spool 0o755;
-  Thread.delay 0.1;
-  (* break it again: exactly one more warning *)
-  rm_rf spool;
-  Thread.delay 0.15;
-  Atomic.set stop true;
-  Thread.join th;
-  let srv005 =
-    Mutex.lock dmu;
-    let l = List.filter (fun d -> d.Diag.code = "SRV005") !diags in
-    Mutex.unlock dmu;
-    l
-  in
-  check ci "one SRV005 per failure streak" 2 (List.length srv005);
-  check cb "SRV005 is a warning, not an error" true
-    (List.for_all (fun d -> d.Diag.severity = Diag.Warning) srv005)
-
 let suite =
   [
     Alcotest.test_case "WAL roundtrip" `Quick wal_roundtrip;
@@ -936,7 +869,4 @@ let suite =
       batch_torn_append_then_resume;
     Alcotest.test_case "dir-fsync fault fires during compaction" `Quick
       store_dir_fsync_fault;
-    Alcotest.test_case "serve processes a spool" `Quick serve_processes_spool;
-    Alcotest.test_case "serve warns once on spool failure (SRV005)" `Quick
-      serve_warns_on_spool_failure;
   ]
