@@ -22,10 +22,13 @@
    is realized as one bulk add of (trip+1) per loop entry, or eliminated
    entirely when the trip count is a compile-time constant.
 
-   Dropping is greedy with an exit-label-first victim preference; a
-   symbolic solvability fixpoint then re-adds counters one at a time if a
-   combination of drops turned out circular, so the final plan is always
-   reconstructible (Reconstruct replays the same derivations numerically). *)
+   Dropping is greedy.  A node balance drops the first label in
+   [Cfg.out_labels] order that is not a cold loop exit, so exit labels,
+   which fire once per loop entry, stay measured.  A symbolic solvability
+   pass ([settle], by unit propagation) then re-measures drops one at a
+   time if a combination of drops turned out circular, so the final plan
+   is always reconstructible (Reconstruct replays the same derivations
+   numerically). *)
 
 module Ir = S89_frontend.Ir
 module Ast = S89_frontend.Ast
@@ -83,16 +86,8 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* ---------------- per-procedure planning ---------------- *)
 
-let real_parent_conds analysis node =
-  let fcdg = analysis.Analysis.fcdg in
-  List.filter_map
-    (fun (e : Label.t S89_graph.Digraph.edge) ->
-      if Label.is_pseudo e.label then None else Some (e.src, e.label))
-    (Fcdg.in_edges fcdg node)
-  |> List.sort_uniq compare
-
 (* Is the label's FCDG condition one whose children include a postexit?
-   Used as the "cold exit label" victim preference. *)
+   Such a cold exit label is kept measured by node balances. *)
 let is_exit_label analysis (u, l) =
   let fcdg = analysis.Analysis.fcdg in
   List.exists (fun v -> Ecfg.is_postexit analysis.Analysis.ecfg v) (Fcdg.children fcdg u l)
@@ -100,22 +95,40 @@ let is_exit_label analysis (u, l) =
 type plan_state = {
   a : Analysis.t;
   real_conds : cond list;
-  mutable drops : (cond * derivation) list; (* in drop order *)
+  is_real : (cond, unit) Hashtbl.t; (* the members of [real_conds] *)
+  parents : (int, cond list) Hashtbl.t; (* real_parent_conds, once per node *)
+  mutable drops : (cond * derivation) list;
+      (* latest first while dropping, in drop order from [settle] on *)
   dropped : (cond, derivation) Hashtbl.t;
-  mutable bulk : (cond * Ast.expr) list;
+  bulk : (cond, Ast.expr) Hashtbl.t;
 }
 
-let is_cond ps c = List.mem c ps.real_conds
+(* the non-pseudo FCDG in-conditions of a node: NODE_TOTAL is their sum *)
+let real_parent_conds ps node =
+  match Hashtbl.find_opt ps.parents node with
+  | Some cs -> cs
+  | None ->
+      let cs =
+        List.filter_map
+          (fun (e : Label.t S89_graph.Digraph.edge) ->
+            if Label.is_pseudo e.label then None else Some (e.src, e.label))
+          (Fcdg.in_edges ps.a.Analysis.fcdg node)
+        |> List.sort_uniq compare
+      in
+      Hashtbl.replace ps.parents node cs;
+      cs
+
+let is_cond ps c = Hashtbl.mem ps.is_real c
 
 let is_free ps c =
-  is_cond ps c && (not (Hashtbl.mem ps.dropped c)) && not (List.mem_assoc c ps.bulk)
+  is_cond ps c && (not (Hashtbl.mem ps.dropped c)) && not (Hashtbl.mem ps.bulk c)
 
 let try_drop ps c deriv =
   if is_free ps c then begin
     Log.debug (fun m ->
         m "%s: drop %a" ps.a.Analysis.proc.Program.name pp_cond c);
     Hashtbl.replace ps.dropped c deriv;
-    ps.drops <- ps.drops @ [ (c, deriv) ];
+    ps.drops <- (c, deriv) :: ps.drops;
     true
   end
   else false
@@ -130,6 +143,114 @@ let latch_term ps ((u, l) as c) =
   then Some (Tnode_total u)
   else None
 
+(* ---------------- solvability ---------------- *)
+
+(* The conditions a derivation reads; a node total reads the node's real
+   parent conditions. *)
+let derivation_reads ps deriv =
+  let term = function Tcond c -> [ c ] | Tnode_total x -> real_parent_conds ps x in
+  match deriv with
+  | Node_balance { node = x; others } | Exit_balance { ph = x; others } ->
+      real_parent_conds ps x @ others
+  | Latch_balance { ph; header_cond; others } ->
+      (header_cond :: real_parent_conds ps ph) @ List.concat_map term others
+  | Header_from_latches { ph; latches } ->
+      real_parent_conds ps ph @ List.concat_map term latches
+  | Static_trip { ph; _ } | Static_body { ph; _ } -> real_parent_conds ps ph
+
+(* Re-measurement cost heuristic for breaking derivation cycles: exit
+   conditions fire once per loop entry (cheap to measure); everything
+   else fires up to once per iteration at its nesting depth. *)
+let remeasure_cost (a : Analysis.t) ((u, _) as c) =
+  if is_exit_label a c then 0
+  else
+    let ecfg = a.Analysis.ecfg in
+    let interval =
+      if Ecfg.is_preheader ecfg u then Ecfg.header_of_preheader ecfg u
+      else Ecfg.interval_of ecfg u
+    in
+    1 + Intervals.interval_depth (Ecfg.intervals ecfg) interval
+
+let compare_cond ((u1, l1) : cond) ((u2, l2) : cond) =
+  match Int.compare u1 u2 with 0 -> Label.compare l1 l2 | c -> c
+
+(* Re-measure circular drops until every remaining drop is derivable.
+
+   A condition is known when it is measured, or when it is dropped and
+   its derivation reads only known conditions; the known set is the least
+   fixpoint of that rule, found by unit propagation.  [pending.(i)] counts
+   the distinct not-yet-known conditions drop [i] reads and [waiting.(j)]
+   lists the drops that read drop [j]; when [j] becomes known its waiters
+   count down, and a drop reaching zero becomes known in turn.
+
+   Drops left unknown sit on derivation cycles.  The victim is the
+   unknown drop of least [remeasure_cost], the latest drop on ties; it is
+   re-measured (so known) and propagates.  The known set only grows, so
+   the unknown drops are ordered once and each victim is the next entry
+   not yet known: the same victims, in the same order, as re-solving the
+   fixpoint from scratch after each re-measurement would pick (the golden
+   plans in the tests pin this order).  Near-linear in the size of the
+   derivations. *)
+let settle ps =
+  let a = ps.a in
+  let drops = Array.of_list ps.drops in
+  let n = Array.length drops in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i (c, _) -> Hashtbl.replace index c i) drops;
+  let is_condition = Hashtbl.create 64 in
+  List.iter (fun c -> Hashtbl.replace is_condition c ()) a.Analysis.conditions;
+  let known = Array.make n false in
+  let pending = Array.make n 0 in
+  let waiting = Array.make n [] in
+  Array.iteri
+    (fun i (_, deriv) ->
+      List.iter
+        (fun c ->
+          match Hashtbl.find_opt index c with
+          | Some j ->
+              pending.(i) <- pending.(i) + 1;
+              waiting.(j) <- i :: waiting.(j)
+          | None ->
+              (* a measured condition is known; anything else never is *)
+              if not (Hashtbl.mem is_condition c) then pending.(i) <- pending.(i) + 1)
+        (List.sort_uniq compare_cond (derivation_reads ps deriv)))
+    drops;
+  let ready = Stack.create () in
+  let learn i =
+    known.(i) <- true;
+    Stack.push i ready
+  in
+  let propagate () =
+    while not (Stack.is_empty ready) do
+      List.iter
+        (fun i ->
+          if not known.(i) then begin
+            pending.(i) <- pending.(i) - 1;
+            if pending.(i) = 0 then learn i
+          end)
+        waiting.(Stack.pop ready)
+    done
+  in
+  Array.iteri (fun i _ -> if pending.(i) = 0 then learn i) drops;
+  propagate ();
+  let remeasured = Array.make n false in
+  List.filter (fun i -> not known.(i)) (List.init n Fun.id)
+  |> List.map (fun i -> (remeasure_cost a (fst drops.(i)), i))
+  |> List.sort (fun (k1, i1) (k2, i2) ->
+         match Int.compare k1 k2 with 0 -> Int.compare i2 i1 | k -> k)
+  |> List.iter (fun (_, i) ->
+         if not known.(i) then begin
+           let c = fst drops.(i) in
+           Log.debug (fun m ->
+               m "%s: circular derivation, re-measuring %a"
+                 a.Analysis.proc.Program.name pp_cond c);
+           remeasured.(i) <- true;
+           Hashtbl.remove ps.dropped c;
+           learn i;
+           propagate ()
+         end);
+  ps.drops <- List.filteri (fun i _ -> not remeasured.(i)) ps.drops
+
 let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
   let ecfg = a.Analysis.ecfg in
   let cfg = a.Analysis.proc.Program.cfg in
@@ -138,7 +259,13 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
       (fun c -> Analysis.site_of_condition a c <> Analysis.Never)
       a.Analysis.conditions
   in
-  let ps = { a; real_conds; drops = []; dropped = Hashtbl.create 16; bulk = [] } in
+  let n_real = List.length real_conds in
+  let is_real = Hashtbl.create n_real in
+  List.iter (fun c -> Hashtbl.replace is_real c ()) real_conds;
+  let ps =
+    { a; real_conds; is_real; parents = Hashtbl.create n_real; drops = [];
+      dropped = Hashtbl.create 16; bulk = Hashtbl.create 16 }
+  in
   let exit_free = if opt3 then Analysis.exit_free_do_headers a else [] in
   (* --- optimization 3: exit-free DO loops ---
      Both loop conditions are covered: the header-execution condition
@@ -158,14 +285,13 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
               ignore (try_drop ps c_body (Static_body { ph; trip = k }))
           | None ->
               if is_free ps c_body then
-                ps.bulk <- (c_body, Ast.Var meta.Ir.trip_var) :: ps.bulk;
+                Hashtbl.replace ps.bulk c_body (Ast.Var meta.Ir.trip_var);
               (* the header total is cheaper still as NODE_TOTAL(ph) plus the
                  latch totals (observation 2) when optimization 2 is on;
                  otherwise realize it as a bulk add of trip+1 per entry *)
               if (not opt2) && is_free ps c_hdr then
-                ps.bulk <-
-                  (c_hdr, Ast.Binop (Ast.Add, Ast.Var meta.Ir.trip_var, Ast.Int 1))
-                  :: ps.bulk))
+                Hashtbl.replace ps.bulk c_hdr
+                  (Ast.Binop (Ast.Add, Ast.Var meta.Ir.trip_var, Ast.Int 1))))
     exit_free;
   if opt2 then begin
     (* --- header counters derived from latches (observation 2, solved for
@@ -197,7 +323,8 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
             List.length labels >= 2
             && List.for_all (fun l -> is_cond ps (u, l)) labels
           then begin
-            (* victim preference: a cold exit label first, else the last *)
+            (* victim: the first label that is not a cold exit label (exit
+               labels sort last), so exits stay measured *)
             let candidates =
               List.filter (fun l -> is_free ps (u, l)) labels
               |> List.stable_sort (fun l1 l2 ->
@@ -222,7 +349,7 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
       (fun h ->
         let ph = Ecfg.preheader_of_header ecfg h in
         let exits =
-          List.concat_map (real_parent_conds a) (Ecfg.postexits_of_header ecfg h)
+          List.concat_map (real_parent_conds ps) (Ecfg.postexits_of_header ecfg h)
           |> List.sort_uniq compare
         in
         match List.find_opt (is_free ps) exits with
@@ -257,84 +384,8 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
         end)
       (Ecfg.headers ecfg)
   end;
-  (* --- solvability: re-measure circular drops one at a time --- *)
-  let solvable drops =
-    let known = Hashtbl.create 64 in
-    List.iter
-      (fun c ->
-        if not (List.exists (fun (d, _) -> d = c) drops) then
-          Hashtbl.replace known c ())
-      a.Analysis.conditions;
-    let node_total_known x =
-      List.for_all (fun c -> Hashtbl.mem known c) (real_parent_conds a x)
-    in
-    let term_known = function
-      | Tcond c -> Hashtbl.mem known c
-      | Tnode_total x -> node_total_known x
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (c, deriv) ->
-          if not (Hashtbl.mem known c) then
-            let ok =
-              match deriv with
-              | Node_balance { node; others } ->
-                  node_total_known node
-                  && List.for_all (fun c -> Hashtbl.mem known c) others
-              | Exit_balance { ph; others } ->
-                  node_total_known ph
-                  && List.for_all (fun c -> Hashtbl.mem known c) others
-              | Latch_balance { ph; header_cond; others } ->
-                  Hashtbl.mem known header_cond && node_total_known ph
-                  && List.for_all term_known others
-              | Header_from_latches { ph; latches } ->
-                  node_total_known ph && List.for_all term_known latches
-              | Static_trip { ph; _ } | Static_body { ph; _ } -> node_total_known ph
-            in
-            if ok then begin
-              Hashtbl.replace known c ();
-              changed := true
-            end)
-        drops
-    done;
-    List.filter (fun (c, _) -> not (Hashtbl.mem known c)) drops
-  in
-  (* Re-measurement cost heuristic for breaking derivation cycles: exit
-     conditions fire once per loop entry (cheap to measure); everything
-     else fires up to once per iteration at its nesting depth. *)
-  let remeasure_cost ((u, l) as c) =
-    if is_exit_label a c then 0
-    else
-      let iv = Ecfg.intervals ecfg in
-      let interval =
-        if Ecfg.is_preheader ecfg u then Ecfg.header_of_preheader ecfg u
-        else Ecfg.interval_of ecfg u
-      in
-      ignore l;
-      1 + Intervals.interval_depth iv interval
-  in
-  let rec settle () =
-    match solvable ps.drops with
-    | [] -> ()
-    | unsolved ->
-        (* re-measure the cheapest unsolved drop (latest on ties) and retry *)
-        let c, _ =
-          List.fold_left
-            (fun best cand ->
-              if remeasure_cost (fst cand) <= remeasure_cost (fst best) then cand
-              else best)
-            (List.hd unsolved) (List.tl unsolved)
-        in
-        Log.debug (fun m ->
-            m "%s: circular derivation, re-measuring %a"
-              ps.a.Analysis.proc.Program.name pp_cond c);
-        ps.drops <- List.filter (fun (d, _) -> d <> c) ps.drops;
-        Hashtbl.remove ps.dropped c;
-        settle ()
-  in
-  settle ();
+  ps.drops <- List.rev ps.drops;
+  settle ps;
   ps
 
 (* ---------------- probe realization ---------------- *)
@@ -344,7 +395,7 @@ let realize (a : Analysis.t) probes ~counter c bulk_exprs : realization =
   let cfg = proc.Program.cfg in
   let name = proc.Program.name in
   let num_nodes = Cfg.num_nodes cfg in
-  match List.assoc_opt c bulk_exprs with
+  match Hashtbl.find_opt bulk_exprs c with
   | Some expr ->
       (* the loop header: the condition is either the preheader's (ph,U) or
          the header's own body condition (h,T) *)
@@ -392,9 +443,8 @@ let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false)
     (fun name ->
       let a = Hashtbl.find analyses name in
       let ps = plan_proc ~opt2 ~opt3 a in
-      let dropped_conds = List.map fst ps.drops in
       let measured =
-        List.filter (fun c -> not (List.mem c dropped_conds)) ps.real_conds
+        List.filter (fun c -> not (Hashtbl.mem ps.dropped c)) ps.real_conds
         |> List.map (fun c ->
                let id = fresh () in
                let r = realize a probes ~counter:id c ps.bulk in

@@ -12,6 +12,7 @@ let () =
       ("frontend", Test_frontend.suite);
       ("vm", Test_vm.suite);
       ("profiling", Test_profiling.suite);
+      ("placement", Test_placement.suite);
       ("core", Test_core.suite);
       ("sched", Test_sched.suite);
       ("robustness", Test_robustness.suite);
