@@ -14,6 +14,7 @@ let () =
       ("profiling", Test_profiling.suite);
       ("placement", Test_placement.suite);
       ("core", Test_core.suite);
+      ("report", Test_report.suite);
       ("sched", Test_sched.suite);
       ("robustness", Test_robustness.suite);
       ("store", Test_store.suite);
