@@ -356,7 +356,7 @@ let estimate_cmd =
     | Some top -> Fmt.pr "%a@." (Report.pp_hotspots ~top) est
     | None ->
         if flat then Fmt.pr "%a@." Report.flat_profile est
-        else Fmt.pr "%a@." Report.pp est);
+        else Fmt.pr "%s@." (Report.to_string est));
     match csv with
     | Some path ->
         let oc = open_out path in
@@ -382,7 +382,7 @@ let static_cmd =
       Pipeline.estimate_totals ~cost_model:cm t
         ~totals:(S89_core.Static_freq.program_totals t.Pipeline.analyses)
     in
-    Fmt.pr "%a@." Report.pp est;
+    Fmt.pr "%s@." (Report.to_string est);
     Fmt.pr
       "@.note: no profile was used - constant-bound DO loops and foldable@.\
        conditions are exact, everything else is the declared heuristic@.\
@@ -571,7 +571,7 @@ let analyze_cmd =
       Pipeline.estimate_totals ~cost_model:cm ~memo t
         ~totals:(Database.proc_totals profile.Pipeline.database)
     in
-    Fmt.pr "%a@." Report.pp est;
+    Fmt.pr "%s@." (Report.to_string est);
     (* persist whatever this run added or changed, then close cleanly *)
     List.iter
       (fun (fp, name, time, var) -> Store.append_memo store ~fp ~name ~time ~var)

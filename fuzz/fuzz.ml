@@ -350,6 +350,30 @@ let check_store seed : verdict =
 module Memo = S89_core.Memo
 module Report = S89_core.Report
 module Database = S89_profiling.Database
+module Analysis = S89_profiling.Analysis
+module Digraph = S89_graph.Digraph
+
+(* The report's shape, counted from the FCDG graphs and not from the
+   renderer: a headline and a blank line, then per procedure one header
+   line, one line per node and one per edge, with a blank line between
+   procedures.  No line may end in a comma: a statement's arguments never
+   break across lines. *)
+let check_report_shape (est : Interproc.t) report =
+  let procs, expected =
+    Hashtbl.fold
+      (fun _ (pe : Interproc.proc_est) (procs, lines) ->
+        let g = S89_cdg.Fcdg.graph pe.Interproc.analysis.Analysis.fcdg in
+        (procs + 1, lines + 1 + Digraph.num_nodes g + Digraph.num_edges g))
+      est.Interproc.per_proc (0, 2)
+  in
+  let expected = expected + procs - 1 in
+  let lines = String.split_on_char '\n' report in
+  if List.length lines <> expected then
+    failf "report has %d lines, its FCDGs imply %d" (List.length lines) expected;
+  List.iter
+    (fun l ->
+      if String.ends_with ~suffix:"," l then failf "report line ends in a comma: %S" l)
+    lines
 
 (* a procedure-local edit that keeps the program valid: bump one numeric
    literal to the right of an '=' (assignment RHS or DO bound) — labels
@@ -379,6 +403,16 @@ let tweak rng src =
       lines.(i) <- Bytes.to_string b;
       String.concat "\n" (Array.to_list lines)
 
+(* a multi-argument PRINT closing the main program, so that every report
+   holds a statement whose argument list a break hint could split *)
+let with_print src =
+  let rec go = function
+    | [] -> []
+    | "END" :: rest -> "      PRINT *, X, Y, M" :: "END" :: rest
+    | l :: rest -> l :: go rest
+  in
+  String.concat "\n" (go (String.split_on_char '\n' src))
+
 let backend_name = function
   | Interp.Tree -> "tree"
   | Interp.Compiled -> "compiled"
@@ -393,7 +427,7 @@ let check_memo_consistency seed : verdict =
     Memo.create ~on_diag:(fun d -> memo_diag_codes := d.Diag.code :: !memo_diag_codes) ()
   in
   let backends = [| Interp.Tree; Interp.Compiled; Interp.Bytecode |] in
-  let src = ref (Gen.gen_source seed) in
+  let src = ref (with_print (Gen.gen_source seed)) in
   let rejected = ref None in
   for v = 0 to 2 do
     if v > 0 then src := tweak rng !src;
@@ -426,6 +460,7 @@ let check_memo_consistency seed : verdict =
             if rf <> rm then
               failf "memoized report not byte-identical at version %d (%s backend)"
                 v (backend_name backend);
+            check_report_shape fresh rf;
             match !memo_diag_codes with
             | [] -> ()
             | c :: _ -> failf "memo raised %s on a deterministic edit stream" c
@@ -690,7 +725,8 @@ let () =
            in
            failures :=
              { mode = Memo_consistency; seed; what;
-               src = Gen.gen_source seed (* the edit stream's base version *) }
+               (* the edit stream's base version *)
+               src = with_print (Gen.gen_source seed) }
              :: !failures);
        (match check_codec seed with
        | Accepted -> incr accepted

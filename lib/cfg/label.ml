@@ -13,11 +13,24 @@ let compare (a : t) (b : t) = Stdlib.compare a b
 
 let is_pseudo = function Pseudo _ -> true | _ -> false
 
+let add b = function
+  | T -> Buffer.add_char b 'T'
+  | F -> Buffer.add_char b 'F'
+  | U -> Buffer.add_char b 'U'
+  | Case k ->
+      Buffer.add_char b 'C';
+      S89_util.Decimal.add_int b k
+  | Pseudo k ->
+      Buffer.add_char b 'Z';
+      S89_util.Decimal.add_int b k
+
 let to_string = function
   | T -> "T"
   | F -> "F"
   | U -> "U"
-  | Case k -> Printf.sprintf "C%d" k
-  | Pseudo k -> Printf.sprintf "Z%d" k
+  | l ->
+      let b = Buffer.create 4 in
+      add b l;
+      Buffer.contents b
 
 let pp fmt l = Fmt.string fmt (to_string l)

@@ -14,5 +14,10 @@ val compare : t -> t -> int
 (** True exactly for [Pseudo _] labels. *)
 val is_pseudo : t -> bool
 
+(** [T], [F], [U], [C<k>] or [Z<k>]. *)
 val to_string : t -> string
+
+(** [add b l] appends [to_string l] to [b]. *)
+val add : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit

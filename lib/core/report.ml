@@ -8,60 +8,120 @@ module Freq = S89_profiling.Freq
 open S89_cfg
 open S89_cdg
 
-let describe_node (a : Analysis.t) u =
+module Decimal = S89_util.Decimal
+
+(* Every printer below appends to one [Buffer.t]; [Format] appears only
+   in the [pp] wrappers, so no break hint can split a line. *)
+
+let add_node (a : Analysis.t) b u =
   let ecfg = a.Analysis.ecfg in
-  let cfg = Ecfg.cfg ecfg in
-  if u = Ecfg.start ecfg then "START"
-  else if u = Ecfg.stop ecfg then "STOP"
+  let marker name n =
+    Buffer.add_string b name;
+    Buffer.add_char b '(';
+    Decimal.add_int b n;
+    Buffer.add_char b ')'
+  in
+  if u = Ecfg.start ecfg then Buffer.add_string b "START"
+  else if u = Ecfg.stop ecfg then Buffer.add_string b "STOP"
   else if Ecfg.is_preheader ecfg u then
-    Printf.sprintf "PREHEADER(%d)" (Ecfg.header_of_preheader ecfg u)
-  else if Ecfg.is_postexit ecfg u then
-    Printf.sprintf "POSTEXIT(%d)" (Ecfg.exited_interval ecfg u)
-  else Fmt.str "%a" Ir.pp_info (Cfg.info cfg u)
+    marker "PREHEADER" (Ecfg.header_of_preheader ecfg u)
+  else if Ecfg.is_postexit ecfg u then marker "POSTEXIT" (Ecfg.exited_interval ecfg u)
+  else Ir.add_info b (Cfg.info (Ecfg.cfg ecfg) u)
 
-let pp_number fmt x =
-  if Float.is_integer x && Float.abs x < 1e15 then Fmt.pf fmt "%.0f" x
-  else Fmt.pf fmt "%.4g" x
+let describe_node a u =
+  let b = Buffer.create 32 in
+  add_node a b u;
+  Buffer.contents b
 
-let pp_proc fmt (est : Interproc.proc_est) =
+(* ["%.0f"] when integer-valued and below 1e15, ["%.4g"] otherwise *)
+let add_number b x =
+  if Float.is_integer x && Float.abs x < 1e15 then Decimal.add_f0 b x
+  else Decimal.add_g4 b x
+
+let number x =
+  let b = Buffer.create 16 in
+  add_number b x;
+  Buffer.contents b
+
+let add_spaces b n =
+  for _ = 1 to n do
+    Buffer.add_char b ' '
+  done
+
+(* [procedure NAME: TIME(START)=.. STD_DEV(START)=..], then per node in
+   topological order [  %3d %-34s [COST, TIME, E[T²], VAR, STD_DEV]] and
+   per out-edge [        -L-> v  <FREQ, TOTAL_FREQ>] *)
+let add_proc b (est : Interproc.proc_est) =
   let a = est.Interproc.analysis in
   let fcdg = a.Analysis.fcdg in
-  let freq = est.Interproc.freq in
-  Fmt.pf fmt "@[<v>procedure %s: TIME(START)=%a STD_DEV(START)=%a"
-    a.Analysis.proc.Program.name pp_number
-    (Time_est.total_time est.Interproc.time a)
-    pp_number
-    (Variance.total_std_dev est.Interproc.variance a);
+  let freq = est.Interproc.freq and time = est.Interproc.time in
+  let var = est.Interproc.variance in
+  let add_value x =
+    Buffer.add_string b ", ";
+    add_number b x
+  in
+  Buffer.add_string b "procedure ";
+  Buffer.add_string b a.Analysis.proc.Program.name;
+  Buffer.add_string b ": TIME(START)=";
+  add_number b (Time_est.total_time time a);
+  Buffer.add_string b " STD_DEV(START)=";
+  add_number b (Variance.total_std_dev var a);
   Array.iter
     (fun u ->
-      Fmt.pf fmt "@,  %3d %-34s [%a, %a, %a, %a, %a]" u (describe_node a u) pp_number
-        (Time_est.cost est.Interproc.time u)
-        pp_number
-        (Time_est.time est.Interproc.time u)
-        pp_number
-        (Variance.e2 est.Interproc.variance u)
-        pp_number
-        (Variance.var est.Interproc.variance u)
-        pp_number
-        (Variance.std_dev est.Interproc.variance u);
+      Buffer.add_string b "\n  ";
+      add_spaces b (3 - Decimal.width u);
+      Decimal.add_int b u;
+      Buffer.add_char b ' ';
+      let start = Buffer.length b in
+      add_node a b u;
+      add_spaces b (34 - (Buffer.length b - start));
+      Buffer.add_string b " [";
+      add_number b (Time_est.cost time u);
+      add_value (Time_est.time time u);
+      add_value (Variance.e2 var u);
+      add_value (Variance.var var u);
+      add_value (Variance.std_dev var u);
+      Buffer.add_char b ']';
       List.iter
         (fun (e : Label.t S89_graph.Digraph.edge) ->
-          Fmt.pf fmt "@,        -%s-> %d  <%.4g, %d>" (Label.to_string e.label) e.dst
-            (Freq.freq freq (u, e.label))
-            (Freq.total freq (u, e.label)))
+          Buffer.add_string b "\n        -";
+          Label.add b e.label;
+          Buffer.add_string b "-> ";
+          Decimal.add_int b e.dst;
+          Buffer.add_string b "  <";
+          let c = (u, e.label) in
+          Decimal.add_g4 b (Freq.freq freq c);
+          Buffer.add_string b ", ";
+          Decimal.add_int b (Freq.total freq c);
+          Buffer.add_char b '>')
         (Fcdg.out_edges fcdg u))
-    (Fcdg.topological fcdg);
-  Fmt.pf fmt "@]"
+    (Fcdg.topological fcdg)
 
-let pp fmt (t : Interproc.t) =
-  Fmt.pf fmt "@[<v>program estimate: TIME=%a STD_DEV=%a@,@," pp_number
-    (Interproc.program_time t) pp_number
-    (Interproc.program_std_dev t);
-  let names =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.Interproc.per_proc [] |> List.sort compare
+let to_string (t : Interproc.t) =
+  (* about 64 bytes a node line and 32 an edge line: one allocation on
+     typical reports instead of a doubling series *)
+  let size =
+    Hashtbl.fold
+      (fun _ (pe : Interproc.proc_est) n ->
+        let g = Fcdg.graph pe.Interproc.analysis.Analysis.fcdg in
+        n + 128
+        + (64 * S89_graph.Digraph.num_nodes g)
+        + (32 * S89_graph.Digraph.num_edges g))
+      t.Interproc.per_proc 128
   in
-  Fmt.(list ~sep:(any "@,@,") pp_proc) fmt (List.map (Interproc.proc_est t) names);
-  Fmt.pf fmt "@]"
+  let b = Buffer.create size in
+  Buffer.add_string b "program estimate: TIME=";
+  add_number b (Interproc.program_time t);
+  Buffer.add_string b " STD_DEV=";
+  add_number b (Interproc.program_std_dev t);
+  Hashtbl.fold (fun k _ acc -> k :: acc) t.Interproc.per_proc []
+  |> List.sort compare
+  |> List.iter (fun name ->
+         Buffer.add_string b "\n\n";
+         add_proc b (Interproc.proc_est t name));
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* DOT rendering of the annotated FCDG (one procedure) *)
 let fcdg_dot (est : Interproc.proc_est) : string =
@@ -72,12 +132,10 @@ let fcdg_dot (est : Interproc.proc_est) : string =
     ~node_attrs:(fun u ->
       [
         ( "label",
-          Fmt.str "%s\n[%a, %a, %a]" (describe_node a u) pp_number
-            (Time_est.cost est.Interproc.time u)
-            pp_number
-            (Time_est.time est.Interproc.time u)
-            pp_number
-            (Variance.var est.Interproc.variance u) );
+          Fmt.str "%s\n[%s, %s, %s]" (describe_node a u)
+            (number (Time_est.cost est.Interproc.time u))
+            (number (Time_est.time est.Interproc.time u))
+            (number (Variance.var est.Interproc.variance u)) );
       ])
     ~edge_attrs:(fun e ->
       let style = if Label.is_pseudo e.S89_graph.Digraph.label then "dashed" else "solid" in
@@ -169,7 +227,7 @@ let csv (t : Interproc.t) : string =
         (fun u ->
           Buffer.add_string buf
             (Printf.sprintf "%s,%d,%s,%g,%g,%g,%g,%g,%g\n" name u
-               (String.map (function ',' | '\n' -> ' ' | c -> c) (describe_node a u))
+               (String.map (function ',' -> ' ' | c -> c) (describe_node a u))
                (Time_est.cost pe.Interproc.time u)
                (Time_est.time pe.Interproc.time u)
                (Variance.e2 pe.Interproc.variance u)
@@ -264,7 +322,6 @@ let pp_hotspots ?top fmt t =
   List.iter
     (fun (name, u, d, self, share) ->
       let d = if String.length d > 40 then String.sub d 0 40 else d in
-      let d = String.map (function '\n' -> ' ' | c -> c) d in
       Fmt.pf fmt "%-10s %5d  %-40s %14.1f %6.2f%%@," name u d self share)
     (hotspots ?top t);
   Fmt.pf fmt "@]"

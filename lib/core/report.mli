@@ -9,10 +9,13 @@ module Analysis = S89_profiling.Analysis
     or the statement text). *)
 val describe_node : Analysis.t -> int -> string
 
-(** One procedure's annotated FCDG, in topological order. *)
-val pp_proc : Format.formatter -> Interproc.proc_est -> unit
+(** The whole program: headline TIME/STD_DEV, then every procedure's
+    annotated FCDG in topological order, procedures sorted by name and
+    separated by a blank line.  One line per node and per edge, no
+    trailing newline. *)
+val to_string : Interproc.t -> string
 
-(** The whole program: headline TIME/STD_DEV plus every procedure. *)
+(** [to_string] as one [Format] string. *)
 val pp : Format.formatter -> Interproc.t -> unit
 
 (** Annotated FCDG as DOT (Figure 3). *)

@@ -110,7 +110,7 @@ let render_report ?memo ~cost_model pipe db =
     Pipeline.estimate_totals ?memo ~cost_model pipe
       ~totals:(Database.proc_totals db)
   in
-  Fmt.str "%a" Report.pp est
+  Report.to_string est
 
 (* durably record the memo's fresh summaries as memo-%06d records *)
 let persist_memo store memo =

@@ -99,35 +99,70 @@ let binop_prec = function
   | Mul | Div -> 6
   | Pow -> 7
 
-let rec pp_expr_prec prec fmt e =
-  let paren p body =
-    if p < prec then Fmt.pf fmt "(%t)" body else body fmt
-  in
+(* [add_list b add xs] appends [xs] separated by [", "] *)
+let add_list b add = function
+  | [] -> ()
+  | x :: xs ->
+      add b x;
+      List.iter
+        (fun x ->
+          Buffer.add_string b ", ";
+          add b x)
+        xs
+
+(* an operator of precedence [p] inside a context of precedence [prec]
+   is parenthesized when [p < prec] *)
+let open_paren b ~prec p = if p < prec then Buffer.add_char b '('
+let close_paren b ~prec p = if p < prec then Buffer.add_char b ')'
+
+let rec add_expr_prec prec b e =
   match e with
-  | Int i -> Fmt.int fmt i
+  | Int i -> S89_util.Decimal.add_int b i
   | Real r ->
-      let s = Printf.sprintf "%.17g" r in
-      if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
-      then Fmt.string fmt s
-      else Fmt.pf fmt "%s.0" s
-  | Bool true -> Fmt.string fmt ".TRUE."
-  | Bool false -> Fmt.string fmt ".FALSE."
-  | Var v -> Fmt.string fmt v
-  | Index (a, idx) | Call (a, idx) ->
-      Fmt.pf fmt "%s(%a)" a Fmt.(list ~sep:csep (pp_expr_prec 0)) idx
-  | Unop (Neg, e) -> paren 8 (fun fmt -> Fmt.pf fmt "-%a" (pp_expr_prec 8) e)
-  | Unop (Not, e) -> paren 3 (fun fmt -> Fmt.pf fmt ".NOT.%a" (pp_expr_prec 3) e)
-  | Binop (op, a, b) ->
+      let s = S89_util.Decimal.format_float "%.17g" r in
+      Buffer.add_string b s;
+      if not (String.contains s '.' || String.contains s 'e' || String.contains s 'n')
+      then Buffer.add_string b ".0"
+  | Bool true -> Buffer.add_string b ".TRUE."
+  | Bool false -> Buffer.add_string b ".FALSE."
+  | Var v -> Buffer.add_string b v
+  | Index (a, idx) | Call (a, idx) -> add_app b a idx
+  | Unop (op, e) ->
+      let p = match op with Neg -> 8 | Not -> 3 in
+      open_paren b ~prec p;
+      Buffer.add_string b (unop_str op);
+      add_expr_prec p b e;
+      close_paren b ~prec p
+  | Binop (op, l, r) ->
       let p = binop_prec op in
-      paren p (fun fmt ->
-          Fmt.pf fmt "%a %s %a" (pp_expr_prec p) a (binop_str op)
-            (pp_expr_prec (p + 1)) b)
+      open_paren b ~prec p;
+      add_expr_prec p b l;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (binop_str op);
+      Buffer.add_char b ' ';
+      add_expr_prec (p + 1) b r;
+      close_paren b ~prec p
 
-let pp_expr fmt e = pp_expr_prec 0 fmt e
+(* [name(e1, ..., en)] *)
+and add_app b name args =
+  Buffer.add_string b name;
+  Buffer.add_char b '(';
+  add_list b (add_expr_prec 0) args;
+  Buffer.add_char b ')'
 
-let pp_lvalue fmt = function
-  | Lvar v -> Fmt.string fmt v
-  | Larr (a, idx) -> Fmt.pf fmt "%s(%a)" a Fmt.(list ~sep:csep pp_expr) idx
+let add_expr b e = add_expr_prec 0 b e
+
+let add_lvalue b = function
+  | Lvar v -> Buffer.add_string b v
+  | Larr (a, idx) -> add_app b a idx
+
+let pp_via add fmt x =
+  let b = Buffer.create 32 in
+  add b x;
+  Format.pp_print_string fmt (Buffer.contents b)
+
+let pp_expr = pp_via add_expr
+let pp_lvalue = pp_via add_lvalue
 
 let rec pp_stmt fmt = function
   | Assign (lv, e) -> Fmt.pf fmt "%a = %a" pp_lvalue lv pp_expr e

@@ -80,6 +80,26 @@ val binop_str : binop -> string
 (** Operator precedence (used by the printer's parenthesization). *)
 val binop_prec : binop -> int
 
+(** {1 Printing}
+
+    Expressions and lvalues have one printer, which appends to a
+    [Buffer.t] and never breaks a line; [pp_expr] and [pp_lvalue] wrap
+    it as a single [Format] string. *)
+
+(** [add_list b add xs] appends [xs] with [add], separated by [", "]. *)
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+
+(** Appends [e], parenthesized by {!binop_prec}. *)
+val add_expr : Buffer.t -> expr -> unit
+
+val add_lvalue : Buffer.t -> lvalue -> unit
+
+(** [add_app b name args] appends [name(arg1, ..., argn)]. *)
+val add_app : Buffer.t -> string -> expr list -> unit
+
+(** [pp_via add] prints what [add] appends as one [Format] string. *)
+val pp_via : (Buffer.t -> 'a -> unit) -> Format.formatter -> 'a -> unit
+
 val pp_expr : Format.formatter -> expr -> unit
 val pp_lvalue : Format.formatter -> lvalue -> unit
 val pp_stmt : Format.formatter -> stmt -> unit

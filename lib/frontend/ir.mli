@@ -26,6 +26,11 @@ type info = {
   src_label : int option;  (** the statement's numeric label, if any *)
 }
 
+(** [add_info b i] appends the statement text of [i], prefixed by its
+    source label; always one line.  [pp_node] and [pp_info] print the
+    same text through [Format]. *)
+val add_info : Buffer.t -> info -> unit
+
 val pp_node : Format.formatter -> node -> unit
 val pp_info : Format.formatter -> info -> unit
 
