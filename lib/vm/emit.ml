@@ -148,8 +148,8 @@ let default_plan =
     inline_budget = 16;
   }
 
-(* PR6-compatible plan: intrinsic calls escape to FALLBACK (used by the
-   bench to measure what intrinsic lowering and inlining buy) *)
+(* intrinsic calls escape to FALLBACK too: the baseline against which
+   EXPERIMENTS.md X6 counts what intrinsic lowering and inlining save *)
 let conservative_plan = { default_plan with native_intrinsics = false }
 
 let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)

@@ -598,6 +598,70 @@ let server_rate_limit_net004 () =
   | Proto.Accepted _ -> ()
   | _ -> Alcotest.fail "idempotent resubmit must not need a token"
 
+(* Steady state at the default configuration: 48 jobs over 3 tenants
+   (16 each, against a per-tenant queue of 64) are all admitted. *)
+let server_steady_state_admits_all () =
+  with_server ~config:Server.default_config @@ fun _root t ->
+  let tenants = [| "acme"; "bravo"; "corp" |] in
+  for i = 0 to 47 do
+    match
+      rpc t
+        (submit_req ~tenant:tenants.(i mod 3) ~runs:1 (Printf.sprintf "job%02d" i))
+    with
+    | Proto.Accepted _ -> ()
+    | r -> Alcotest.failf "job %d refused: %s" i (Proto.encode_response r)
+  done;
+  match rpc t Proto.Metrics with
+  | Proto.Metrics_text text ->
+      check cb "no rejection counted" true (contains text "s89_jobs_rejected 0")
+  | _ -> Alcotest.fail "expected Metrics_text"
+
+(* A flooding tenant against a well-behaved one, at the governed limits
+   (rate 40/s, burst 8, 16 live jobs) on an injected clock, composed the
+   way the server admits: quota first, then the SWRR queue.  The flood's
+   instant submissions admit exactly [burst], its later ones at most
+   what the bucket refills until the job quota stops it; the other
+   tenant is never refused, and each of its jobs is handed out on its
+   SWRR turn rather than behind the flood's backlog. *)
+let quota_flood_cannot_starve () =
+  let now = ref 0.0 in
+  let limits = { Quota.rate = 40.0; burst = 8; max_bytes = 0; max_jobs = 16 } in
+  let q = Quota.create ~clock:(fun () -> !now) limits in
+  let queue = Admission.create ~weights:[] () in
+  let flood_admitted = ref 0 in
+  let flood_burst tick =
+    for i = 1 to 100 do
+      match Quota.admit q ~tenant:"flood" ~bytes:0 with
+      | Ok () ->
+          incr flood_admitted;
+          ignore (Admission.submit queue ~tenant:"flood" (tick, i))
+      | Error (Quota.Rate_limited { retry_after }) ->
+          check cb "retry-after within one refill" true
+            (retry_after > 0.0 && retry_after <= (1.0 /. limits.rate) +. 1e-9)
+      | Error (Quota.Jobs_exceeded _) -> ()
+      | Error (Quota.Bytes_exceeded _) -> Alcotest.fail "no byte quota is set"
+    done
+  in
+  for tick = 0 to 11 do
+    flood_burst tick;
+    if tick = 0 then check ci "an instant's flood admits burst" limits.burst !flood_admitted;
+    (match Quota.admit q ~tenant:"good" ~bytes:0 with
+    | Ok () -> ignore (Admission.submit queue ~tenant:"good" (tick, 0))
+    | Error _ -> Alcotest.failf "well-behaved submission %d refused" tick);
+    now := !now +. 0.1
+  done;
+  check ci "the job quota caps the flood" limits.max_jobs !flood_admitted;
+  Admission.close queue;
+  let rec drain acc =
+    match Admission.take queue with
+    | Some (tenant, _) -> drain (tenant :: acc)
+    | None -> List.rev acc
+  in
+  check csl "SWRR alternates the tenants until the good one drains"
+    (List.concat (List.init 12 (fun _ -> [ "flood"; "good" ]))
+    @ [ "flood"; "flood"; "flood"; "flood" ])
+    (drain [])
+
 let server_quota_then_gc () =
   let config =
     { quick_config with
@@ -824,4 +888,8 @@ let suite =
       server_good_and_bad_jobs;
     Alcotest.test_case "server: oversized result is NET002" `Quick
       server_oversized_result;
+    Alcotest.test_case "server: steady state admits all 48 jobs" `Quick
+      server_steady_state_admits_all;
+    Alcotest.test_case "quota: a flood cannot starve a good tenant" `Quick
+      quota_flood_cannot_starve;
   ]
