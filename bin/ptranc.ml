@@ -152,8 +152,10 @@ let backend_arg =
     value & opt (some string) None
     & info [ "backend" ] ~docv:"ENGINE"
         ~doc:
-          "Execution engine: tree, compiled or bytecode (default: compiled, \
-           or the $(b,S89_BACKEND) environment variable when set)")
+          (Printf.sprintf
+             "Execution engine: tree, compiled or bytecode (default: %s, or the \
+              $(b,S89_BACKEND) environment variable when set)"
+             (backend_name Interp.default_config.Interp.backend)))
 
 let resolve_backend arg =
   let parse ~source s =

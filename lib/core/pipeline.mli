@@ -76,7 +76,7 @@ val of_source_result :
   (t, Diag.t) result
 
 (** One uninstrumented VM run (its oracle counts serve as exact totals).
-    [backend] selects the execution engine (default {!Interp.Compiled});
+    [backend] selects the execution engine (default {!Interp.Bytecode});
     all backends are observationally identical, so results never depend
     on the choice. *)
 val run_once :

@@ -46,9 +46,17 @@ let table : (string * info) list =
     ("IRAND", f 1 1 Moderate); (* uniform integer in [1,n] *)
   ]
 
-let lookup name = List.assoc_opt name table
+(* Built once.  Sema, the optimizer and COST(u) look names up per
+   expression; the stored values are the options [lookup] returns, so a
+   lookup allocates nothing. *)
+let by_name : (string, info option) Hashtbl.t =
+  let h = Hashtbl.create 64 in
+  List.iter (fun (name, info) -> Hashtbl.replace h name (Some info)) table;
+  h
 
-let is_intrinsic name = lookup name <> None
+let lookup name = try Hashtbl.find by_name name with Not_found -> None
+
+let is_intrinsic name = Hashtbl.mem by_name name
 
 (* Result type, given the argument types (loose Fortran rules). *)
 let result_type name (args : Ast.typ list) : Ast.typ =

@@ -88,3 +88,12 @@ let exprs_of = function
   | Select (e, _) -> [ e ]
   | Call (_, args) -> args
   | Print es -> es
+
+(* [exprs_of] without building the list *)
+let iter_exprs f = function
+  | Entry | Nop _ | Return | Stop | Do_test _ -> ()
+  | Assign (Lvar _, e) | Branch e | Select (e, _) -> f e
+  | Assign (Larr (_, idx), e) ->
+      List.iter f idx;
+      f e
+  | Call (_, es) | Print es -> List.iter f es

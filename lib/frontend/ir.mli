@@ -37,3 +37,7 @@ val pp_info : Format.formatter -> info -> unit
 (** Expressions evaluated when the node executes (cost model and
     interprocedural call scan). *)
 val exprs_of : node -> Ast.expr list
+
+(** [iter_exprs f n] applies [f] to {!exprs_of}[ n] in order, without
+    allocating the list. *)
+val iter_exprs : (Ast.expr -> unit) -> node -> unit

@@ -103,7 +103,7 @@ let empty_sync = { si_slot = [||]; si_reg = [||]; sf_slot = [||]; sf_reg = [||] 
 (* a node the emitter could not lower: the Compile closure, plus the
    promoted slots it may touch and the edge-sequence pc per successor *)
 type fallback = {
-  fb_step : Env.slots -> int;
+  mutable fb_step : Env.slots -> int; (* compiles itself on first use *)
   fb_sync : sync;
   mutable fb_edges : int array; (* successor index -> pc of its EDGE op *)
 }
@@ -135,7 +135,7 @@ type region = {
 type proc = {
   bp_proc : Program.proc;
   layout : Env.layout;
-  code : int array;
+  code : int array; (* may run past the last instruction (unused slack) *)
   fpool : float array;
   entry_pc : int;
   n_iregs : int;

@@ -98,7 +98,10 @@ let static_scalar_ty (lay : Env.layout) s =
   if s < lay.Env.n_params then None
   else
     match lay.Env.kinds.(s) with
-    | Sema.Scalar ty -> Some ty
+    (* constant options: the emitters ask this per variable leaf *)
+    | Sema.Scalar Ast.Tint -> Some Ast.Tint
+    | Sema.Scalar Ast.Treal -> Some Ast.Treal
+    | Sema.Scalar Ast.Tlogical -> Some Ast.Tlogical
     | Sema.Const (Ast.Int _) -> Some Ast.Tint
     | Sema.Const (Ast.Real _) -> Some Ast.Treal
     | Sema.Const (Ast.Bool _) -> Some Ast.Tlogical
@@ -106,7 +109,12 @@ let static_scalar_ty (lay : Env.layout) s =
 
 let static_elt_ty (lay : Env.layout) s =
   if s < lay.Env.n_params then None
-  else match lay.Env.kinds.(s) with Sema.Array (ty, _) -> Some ty | _ -> None
+  else
+    match lay.Env.kinds.(s) with
+    | Sema.Array (Ast.Tint, _) -> Some Ast.Tint
+    | Sema.Array (Ast.Treal, _) -> Some Ast.Treal
+    | Sema.Array (Ast.Tlogical, _) -> Some Ast.Tlogical
+    | _ -> None
 
 (* the numeric type the generic evaluation of [e] is guaranteed to
    yield (it raises exactly where the specialized code raises);

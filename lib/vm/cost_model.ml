@@ -94,31 +94,30 @@ let unoptimized =
     c_counter = 3;
   }
 
-let intrinsic_cost t name =
-  match Intrinsics.lookup name with
-  | Some { cost = Intrinsics.Cheap; _ } -> t.c_intrinsic_cheap
-  | Some { cost = Intrinsics.Moderate; _ } -> t.c_intrinsic_moderate
-  | Some { cost = Intrinsics.Expensive; _ } -> t.c_intrinsic_expensive
-  | None -> 0 (* user function: linkage charged separately, body dynamic *)
+let class_cost t = function
+  | Intrinsics.Cheap -> t.c_intrinsic_cheap
+  | Intrinsics.Moderate -> t.c_intrinsic_moderate
+  | Intrinsics.Expensive -> t.c_intrinsic_expensive
 
 (* Static cost of evaluating an expression, excluding user-function bodies
-   (charged dynamically by the VM and interprocedurally by the estimator).
-   MF77 has no short-circuit evaluation, so this is exact. *)
-let rec expr_cost ?(user_call = fun _ -> 0) t (e : Ast.expr) =
-  let rec_ e = expr_cost ~user_call t e in
+   (charged dynamically by the VM and interprocedurally by the estimator:
+   [Cost] adds callee TIME at the call sites).  MF77 has no short-circuit
+   evaluation, so this is exact.  Plain recursion with an accumulator:
+   COST(u) of every node is computed on each [Interp.create], so the walk
+   allocates nothing. *)
+let rec expr_cost t (e : Ast.expr) =
   match e with
   | Ast.Int _ | Real _ | Bool _ -> t.c_const
   | Var _ -> t.c_var
-  | Index (_, idx) ->
-      List.fold_left (fun acc i -> acc + rec_ i) 0 idx
-      + (t.c_index * List.length idx)
-      + t.c_elem
-  | Call (f, args) ->
-      let argc = List.fold_left (fun acc a -> acc + rec_ a) 0 args in
-      if Intrinsics.is_intrinsic f then argc + intrinsic_cost t f
-      else argc + t.c_call + user_call f
-  | Unop (Ast.Neg, e) -> t.c_neg + rec_ e
-  | Unop (Ast.Not, e) -> t.c_logic + rec_ e
+  | Index (_, idx) -> index_cost t 0 idx + t.c_elem
+  | Call (f, args) -> (
+      exprs_cost t 0 args
+      +
+      match Intrinsics.lookup f with
+      | Some i -> class_cost t i.Intrinsics.cost
+      | None -> t.c_call)
+  | Unop (Ast.Neg, e) -> t.c_neg + expr_cost t e
+  | Unop (Ast.Not, e) -> t.c_logic + expr_cost t e
   | Binop (op, a, b) ->
       let c =
         match op with
@@ -129,28 +128,33 @@ let rec expr_cost ?(user_call = fun _ -> 0) t (e : Ast.expr) =
         | Lt | Le | Gt | Ge | Eq | Ne -> t.c_rel
         | And | Or -> t.c_logic
       in
-      c + rec_ a + rec_ b
+      c + expr_cost t a + expr_cost t b
+
+and exprs_cost t acc = function
+  | [] -> acc
+  | e :: es -> exprs_cost t (acc + expr_cost t e) es
+
+(* subscripts: each dimension's expression plus its address arithmetic *)
+and index_cost t acc = function
+  | [] -> acc
+  | i :: rest -> index_cost t (acc + expr_cost t i + t.c_index) rest
 
 let lvalue_cost t = function
   | Ast.Lvar _ -> t.c_assign
-  | Ast.Larr (_, idx) ->
-      List.fold_left (fun acc i -> acc + expr_cost t i) 0 idx
-      + (t.c_index * List.length idx)
-      + t.c_elem
+  | Ast.Larr (_, idx) -> index_cost t 0 idx + t.c_elem
 
 (* Local cost of one execution of a CFG node — the paper's COST(u), except
    that user-function bodies referenced from expressions are not included
    (rule 2 of §4 adds them). *)
-let node_cost ?user_call t (ir : Ir.node) =
+let node_cost t (ir : Ir.node) =
   match ir with
   | Ir.Entry -> 0
   | Nop _ -> t.c_goto
-  | Assign (lv, e) -> lvalue_cost t lv + expr_cost ?user_call t e
-  | Branch e -> t.c_branch + expr_cost ?user_call t e
+  | Assign (lv, e) -> lvalue_cost t lv + expr_cost t e
+  | Branch e -> t.c_branch + expr_cost t e
   | Do_test _ -> t.c_branch + t.c_var + t.c_rel (* trip > 0 *)
-  | Select (e, _) -> t.c_branch + t.c_goto + expr_cost ?user_call t e
-  | Call (_, args) ->
-      t.c_call + List.fold_left (fun acc a -> acc + expr_cost ?user_call t a) 0 args
+  | Select (e, _) -> t.c_branch + t.c_goto + expr_cost t e
+  | Call (_, args) -> exprs_cost t t.c_call args
   | Return -> t.c_goto
   | Stop -> 0
-  | Print es -> t.c_print + List.fold_left (fun acc e -> acc + expr_cost ?user_call t e) 0 es
+  | Print es -> exprs_cost t t.c_print es

@@ -36,18 +36,15 @@ val optimized : t
 (** "Compiler optimization OFF". *)
 val unoptimized : t
 
-(** Cycles of an intrinsic by its cost class; 0 for user functions. *)
-val intrinsic_cost : t -> string -> int
-
 (** Static cost of evaluating an expression (exact: MF77 has no
-    short-circuit evaluation).  [user_call] prices user-function bodies
-    (default 0 — the VM charges them dynamically; the estimator passes
-    TIME of the callee via rule 2). *)
-val expr_cost : ?user_call:(string -> int) -> t -> Ast.expr -> int
+    short-circuit evaluation).  A user-function call costs its argument
+    evaluation plus [c_call] linkage; its body is charged by the VM when
+    it runs and by the estimator's rule 2 ([S89_core.Cost]). *)
+val expr_cost : t -> Ast.expr -> int
 
 (** Cost of the store side of an assignment target. *)
 val lvalue_cost : t -> Ast.lvalue -> int
 
 (** Local cost of one execution of a CFG node — the paper's COST(u),
     minus callee bodies. *)
-val node_cost : ?user_call:(string -> int) -> t -> Ir.node -> int
+val node_cost : t -> Ir.node -> int

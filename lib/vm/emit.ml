@@ -37,6 +37,7 @@ module Ast = S89_frontend.Ast
 module Ir = S89_frontend.Ir
 module Sema = S89_frontend.Sema
 module Program = S89_frontend.Program
+module Intrinsics = S89_frontend.Intrinsics
 module B = Bytecode
 open S89_cfg
 
@@ -50,26 +51,33 @@ let find_idx (succ : Label.t array) l =
   in
   go 0
 
-(* scalar variable names an expression can read (array names excluded:
-   arrays are never promoted) *)
-let rec names_of acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> acc
-  | Ast.Var v -> v :: acc
-  | Ast.Index (_, idx) -> List.fold_left names_of acc idx
-  | Ast.Call (_, args) -> List.fold_left names_of acc args
-  | Ast.Unop (_, e1) -> names_of acc e1
-  | Ast.Binop (_, a, b) -> names_of (names_of acc a) b
+let require b = if not b then raise Unsupported
 
-(* scalars a node's generic execution can read or write *)
-let node_names (ir : Ir.node) =
-  let extra =
-    match ir with
-    | Ir.Assign (Ast.Lvar v, _) -> [ v ]
-    | Ir.Do_test d -> [ d.Ir.trip_var ]
-    | _ -> []
-  in
-  List.fold_left names_of extra (Ir.exprs_of ir)
+(* Expression context: how the emitters resolve a variable.  The
+   caller's frame has promoted registers and cell loads; an inlined
+   callee body has virtual registers only ([slots = false]: the callee
+   has no frame, so any frame-cell or array access bails out).  All
+   three arrays are indexed by the context layout's slot. *)
+type cx = {
+  cx_lay : Env.layout;
+  cx_ty : Ast.typ option array; (* static INTEGER/REAL type, else None *)
+  cx_ireg : int array; (* int register, or -1 *)
+  cx_freg : int array; (* float register, or -1 *)
+  cx_slots : bool;
+}
+
+(* the probe actions of the first edge labelled [l] ([] if none) *)
+let rec edge_acts l = function
+  | [] -> []
+  | (lbl, acts) :: rest -> if Label.equal lbl l then acts else edge_acts l rest
+
+(* [labels]/[dsts] from a successor edge list, in one pass *)
+let rec fill_succ (labels : Label.t array) dsts k = function
+  | [] -> ()
+  | (e : Label.t S89_graph.Digraph.edge) :: rest ->
+      labels.(k) <- e.label;
+      dsts.(k) <- e.dst;
+      fill_succ labels dsts (k + 1) rest
 
 let jop_ii = function
   | Ast.Lt -> B.op_jlt_ii
@@ -201,7 +209,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
            back and fb_sync covers those names anyway *)
         if not (List.mem i inline_sites) then List.iter mark_by_ref args
     | _ -> ());
-    List.iter scan_refs (Ir.exprs_of ir)
+    Ir.iter_exprs scan_refs ir
   done;
   (match pi with
   | Some pi ->
@@ -225,26 +233,67 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
           incr n_pro_f
       | _ -> ()
   done;
-  let sync_of_slots slots =
-    let si = ref [] and sf = ref [] in
-    List.iter
-      (fun s ->
-        if slot_ireg.(s) >= 0 then si := (s, slot_ireg.(s)) :: !si
-        else if slot_freg.(s) >= 0 then sf := (s, slot_freg.(s)) :: !sf)
-      slots;
-    {
-      B.si_slot = Array.of_list (List.map fst !si);
-      si_reg = Array.of_list (List.map snd !si);
-      sf_slot = Array.of_list (List.map fst !sf);
-      sf_reg = Array.of_list (List.map snd !sf);
-    }
+  (* A sync covers the promoted slots among those marked since the last
+     [take_sync], in descending slot order; taking it clears the marks. *)
+  let marked = Array.make nslots false in
+  let mark_slot s = marked.(s) <- true in
+  (* scalars an expression can read (array names excluded: arrays are
+     never promoted) *)
+  let rec mark_expr (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> ()
+    | Ast.Var v -> mark_slot (Env.slot lay v)
+    | Ast.Index (_, idx) -> List.iter mark_expr idx
+    | Ast.Call (_, args) -> List.iter mark_expr args
+    | Ast.Unop (_, e1) -> mark_expr e1
+    | Ast.Binop (_, a, b) ->
+        mark_expr a;
+        mark_expr b
+  in
+  (* scalars a node's generic execution can read or write *)
+  let mark_node (ir : Ir.node) =
+    (match ir with
+    | Ir.Assign (Ast.Lvar v, _) -> mark_slot (Env.slot lay v)
+    | Ir.Do_test d -> mark_slot (Env.slot lay d.Ir.trip_var)
+    | _ -> ());
+    Ir.iter_exprs mark_expr ir
+  in
+  let take_sync () =
+    let ni = ref 0 and nf = ref 0 in
+    for s = 0 to nslots - 1 do
+      if marked.(s) then
+        if slot_ireg.(s) >= 0 then incr ni else if slot_freg.(s) >= 0 then incr nf
+    done;
+    let sync =
+      {
+        B.si_slot = Array.make !ni 0;
+        si_reg = Array.make !ni 0;
+        sf_slot = Array.make !nf 0;
+        sf_reg = Array.make !nf 0;
+      }
+    in
+    ni := 0;
+    nf := 0;
+    for s = nslots - 1 downto 0 do
+      if marked.(s) then begin
+        marked.(s) <- false;
+        if slot_ireg.(s) >= 0 then begin
+          sync.B.si_slot.(!ni) <- s;
+          sync.B.si_reg.(!ni) <- slot_ireg.(s);
+          incr ni
+        end
+        else if slot_freg.(s) >= 0 then begin
+          sync.B.sf_slot.(!nf) <- s;
+          sync.B.sf_reg.(!nf) <- slot_freg.(s);
+          incr nf
+        end
+      end
+    done;
+    sync
   in
   let all_promoted =
-    sync_of_slots (List.init nslots (fun s -> s))
-  in
-  let sync_of_names names =
-    sync_of_slots
-      (List.sort_uniq compare (List.map (Env.slot lay) names))
+    Array.fill marked 0 nslots true;
+    take_sync ()
   in
 
   (* temp registers: above the promoted ones, reset per node, watermarked *)
@@ -268,26 +317,34 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     r
   in
 
-  (* ---- code buffer ---- *)
-  let buf = ref (Array.make 1024 0) in
+  (* ---- code buffer ----
+
+     Sized for the usual ~12 words per node, so most procedures never
+     grow it; the proc keeps the buffer itself, slack included. *)
+  let buf = ref (Array.make ((16 * n) + 64) 0) in
   let len = ref 0 in
+  let grow a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
   let emit k =
-    if !len = Array.length !buf then begin
-      let nb = Array.make (2 * Array.length !buf) 0 in
-      Array.blit !buf 0 nb 0 !len;
-      buf := nb
-    end;
+    if !len = Array.length !buf then buf := grow !buf;
     !buf.(!len) <- k;
     incr len
   in
   let pos () = !len in
   let patch i v = !buf.(i) <- v in
   let node_start = Array.make n (-1) in
-  (* forward references to node starts: (operand position, node id) *)
-  let fixups = ref [] in
+  (* forward references to node starts: the operand holds the node id
+     until the end, when each recorded position is patched to the node's
+     start *)
+  let fixups = ref (Array.make 64 0) and n_fixups = ref 0 in
   let emit_node_ref nid =
-    emit 0;
-    fixups := (pos () - 1, nid) :: !fixups
+    emit nid;
+    if !n_fixups = Array.length !fixups then fixups := grow !fixups;
+    !fixups.(!n_fixups) <- pos () - 1;
+    incr n_fixups
   in
 
   (* ---- float constant pool (deduplicated by bit pattern) ---- *)
@@ -316,7 +373,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         bk_charge =
           cost_model.Cost_model.c_counter + Cost_model.expr_cost cost_model e;
         bk_expr = Compile.compile_expr rt prog lay e;
-        bk_sync = sync_of_names (names_of [] e);
+        bk_sync =
+          (mark_expr e;
+           take_sync ());
       }
       :: !bulks;
     bi
@@ -340,22 +399,18 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   (* ---- edge bookkeeping: flat (node, successor index) -> counter ---- *)
   let succ_labels = Array.make n [||] in
   let succ_dst = Array.make n [||] in
+  let edge_base = Array.make (n + 1) 0 in
+  let node_cost = Array.make n 0 in
   for i = 0 to n - 1 do
     let edges = Cfg.succ_edges cfg i in
-    succ_labels.(i) <-
-      Array.of_list
-        (List.map (fun (e : Label.t S89_graph.Digraph.edge) -> e.label) edges);
-    succ_dst.(i) <-
-      Array.of_list
-        (List.map (fun (e : Label.t S89_graph.Digraph.edge) -> e.dst) edges)
+    let k = List.length edges in
+    let labels = Array.make k Label.U and dsts = Array.make k 0 in
+    fill_succ labels dsts 0 edges;
+    succ_labels.(i) <- labels;
+    succ_dst.(i) <- dsts;
+    edge_base.(i + 1) <- edge_base.(i) + k;
+    node_cost.(i) <- Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir
   done;
-  let edge_base = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    edge_base.(i + 1) <- edge_base.(i) + Array.length succ_labels.(i)
-  done;
-  let node_cost =
-    Array.init n (fun i -> Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir)
-  in
 
   (* inlined-callee regions extend the exec/sample and edge-count arrays
      past the caller's own nodes/edges; the tops track the next free
@@ -366,44 +421,44 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
 
   (* ---- expression context ----
 
-     The emitters below resolve variables through these three functions
-     so the same code serves the caller's frame (promoted slots, cell
-     loads allowed) and an inlined callee body (virtual registers only).
-     [cx_slots] gates every frame-cell/array access: inside a splice the
-     callee has no frame, so anything unpromotable bails out. *)
-  let caller_ty v =
-    match Compile.static_scalar_ty lay (Env.slot lay v) with
-    | Some (Ast.Tint | Ast.Treal) as t -> t
-    | _ -> None
+     The emitters below resolve variables through [!cx], so the same
+     code serves the caller's frame and an inlined callee body. *)
+  let caller_cx =
+    {
+      cx_lay = lay;
+      cx_ty =
+        Array.init nslots (fun s ->
+            match Compile.static_scalar_ty lay s with
+            | Some (Ast.Tint | Ast.Treal) as t -> t
+            | _ -> None);
+      cx_ireg = slot_ireg;
+      cx_freg = slot_freg;
+      cx_slots = true;
+    }
   in
-  let caller_ireg v = slot_ireg.(Env.slot lay v) in
-  let caller_freg v = slot_freg.(Env.slot lay v) in
-  let cx_ty = ref caller_ty in
-  let cx_ireg = ref caller_ireg in
-  let cx_freg = ref caller_freg in
-  let cx_slots = ref true in
-  let reset_cx () =
-    cx_ty := caller_ty;
-    cx_ireg := caller_ireg;
-    cx_freg := caller_freg;
-    cx_slots := true
-  in
+  let cx = ref caller_cx in
+  let reset_cx () = cx := caller_cx in
+  let cx_slot v = Env.slot !cx.cx_lay v in
 
   (* Static numeric typing: mirrors [Compile.static_num] case for case
      (same judgments => both backends specialize the same expressions),
      extended — when the plan enables it — with intrinsic calls whose
      native lowering below is exact.  A user procedure shadowing an
      intrinsic name keeps the dynamic path. *)
+  let shadowing =
+    List.exists (fun (f, _) -> Hashtbl.mem prog.Program.by_name f) Intrinsics.table
+  in
   let is_native_intrinsic f =
-    plan.native_intrinsics && not (Hashtbl.mem prog.Program.by_name f)
+    plan.native_intrinsics
+    && not (shadowing && Hashtbl.mem prog.Program.by_name f)
   in
   let rec xstatic_num (e : Ast.expr) : Ast.typ option =
     match e with
     | Ast.Int _ -> Some Ast.Tint
     | Ast.Real _ -> Some Ast.Treal
-    | Ast.Var v -> !cx_ty v
+    | Ast.Var v -> !cx.cx_ty.(cx_slot v)
     | Ast.Index (name, _) ->
-        if !cx_slots then
+        if !cx.cx_slots then
           match Compile.static_elt_ty lay (Env.slot lay name) with
           | Some (Ast.Tint | Ast.Treal) as t -> t
           | _ -> None
@@ -459,31 +514,27 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
      every op reads its sources before writing its destination), else
      to a fresh temp — or, for a promoted variable leaf, its own
      register. *)
+  let idest = function Some d -> d | None -> itemp () in
+  let fdest = function Some d -> d | None -> ftemp () in
   let rec emit_int ?dst (e : Ast.expr) : int =
-    let into k =
-      match dst with
-      | Some d ->
-          k d;
-          d
-      | None ->
-          let d = itemp () in
-          k d;
-          d
-    in
     match e with
     | Ast.Int i ->
-        into (fun d ->
-            emit B.op_ldki;
-            emit d;
-            emit i)
+        let d = idest dst in
+        emit B.op_ldki;
+        emit d;
+        emit i;
+        d
     | Ast.Real r ->
         let i = int_of_float r in
-        into (fun d ->
-            emit B.op_ldki;
-            emit d;
-            emit i)
+        let d = idest dst in
+        emit B.op_ldki;
+        emit d;
+        emit i;
+        d
     | Ast.Var v -> (
-        let ri = !cx_ireg v in
+        let c = !cx in
+        let s = cx_slot v in
+        let ri = c.cx_ireg.(s) in
         if ri >= 0 then
           match dst with
           | None -> ri
@@ -495,54 +546,59 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               end;
               d
         else
-          let rf = !cx_freg v in
+          let rf = c.cx_freg.(s) in
           if rf >= 0 then
-            into (fun d ->
-                emit B.op_ftoi;
-                emit d;
-                emit rf)
-          else if !cx_slots then
-            into (fun d ->
-                emit B.op_ldci;
-                emit d;
-                emit (Env.slot lay v))
+            let d = idest dst in
+            emit B.op_ftoi;
+            emit d;
+            emit rf;
+            d
+          else if c.cx_slots then
+            let d = idest dst in
+            emit B.op_ldci;
+            emit d;
+            emit s;
+            d
           else raise Unsupported)
     | Ast.Index (name, idx) -> (
-        if not !cx_slots then raise Unsupported;
+        if not !cx.cx_slots then raise Unsupported;
         let s = Env.slot lay name in
         match (Compile.static_dims lay s, idx) with
         | Some [ d0 ], [ e0 ] ->
             let e0, k0 = index_parts e0 in
             let r0 = emit_int e0 in
-            into (fun d ->
-                emit B.op_lda1i;
-                emit d;
-                emit s;
-                emit d0;
-                emit r0;
-                emit k0)
+            let d = idest dst in
+            emit B.op_lda1i;
+            emit d;
+            emit s;
+            emit d0;
+            emit r0;
+            emit k0;
+            d
         | Some [ d0; d1 ], [ e0; e1 ] ->
             let e0, k0 = index_parts e0 in
             let e1, k1 = index_parts e1 in
             let r0 = emit_int e0 in
             let r1 = emit_int e1 in
-            into (fun d ->
-                emit B.op_lda2i;
-                emit d;
-                emit s;
-                emit d0;
-                emit d1;
-                emit r0;
-                emit r1;
-                emit k0;
-                emit k1)
+            let d = idest dst in
+            emit B.op_lda2i;
+            emit d;
+            emit s;
+            emit d0;
+            emit d1;
+            emit r0;
+            emit r1;
+            emit k0;
+            emit k1;
+            d
         | _ -> raise Unsupported)
     | Ast.Unop (Ast.Neg, e1) when xstatic_int e1 ->
         let r = emit_int e1 in
-        into (fun d ->
-            emit B.op_ineg;
-            emit d;
-            emit r)
+        let d = idest dst in
+        emit B.op_ineg;
+        emit d;
+        emit r;
+        d
     | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) as op), a, b)
       when xstatic_int a && xstatic_int b -> (
         match (op, a, b) with
@@ -550,46 +606,52 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
            constant to the immediate slot is observationally identical *)
         | Ast.Add, _, Ast.Int k ->
             let r = emit_int a in
-            into (fun d ->
-                emit B.op_iaddk;
-                emit d;
-                emit r;
-                emit k)
+            let d = idest dst in
+            emit B.op_iaddk;
+            emit d;
+            emit r;
+            emit k;
+            d
         | Ast.Add, Ast.Int k, _ ->
             let r = emit_int b in
-            into (fun d ->
-                emit B.op_iaddk;
-                emit d;
-                emit r;
-                emit k)
+            let d = idest dst in
+            emit B.op_iaddk;
+            emit d;
+            emit r;
+            emit k;
+            d
         | Ast.Sub, _, Ast.Int k ->
             let r = emit_int a in
-            into (fun d ->
-                emit B.op_iaddk;
-                emit d;
-                emit r;
-                emit (-k))
+            let d = idest dst in
+            emit B.op_iaddk;
+            emit d;
+            emit r;
+            emit (-k);
+            d
         | Ast.Sub, Ast.Int k, _ ->
             let r = emit_int b in
-            into (fun d ->
-                emit B.op_irsubk;
-                emit d;
-                emit r;
-                emit k)
+            let d = idest dst in
+            emit B.op_irsubk;
+            emit d;
+            emit r;
+            emit k;
+            d
         | Ast.Mul, _, Ast.Int k ->
             let r = emit_int a in
-            into (fun d ->
-                emit B.op_imulk;
-                emit d;
-                emit r;
-                emit k)
+            let d = idest dst in
+            emit B.op_imulk;
+            emit d;
+            emit r;
+            emit k;
+            d
         | Ast.Mul, Ast.Int k, _ ->
             let r = emit_int b in
-            into (fun d ->
-                emit B.op_imulk;
-                emit d;
-                emit r;
-                emit k)
+            let d = idest dst in
+            emit B.op_imulk;
+            emit d;
+            emit r;
+            emit k;
+            d
         | _ ->
             let ra = emit_int a in
             let rb = emit_int b in
@@ -600,11 +662,12 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               | Ast.Mul -> B.op_imul
               | _ -> B.op_idiv
             in
-            into (fun d ->
-                emit opc;
-                emit d;
-                emit ra;
-                emit rb))
+            let d = idest dst in
+            emit opc;
+            emit d;
+            emit ra;
+            emit rb;
+            d)
     | Ast.Call (f, args) when is_native_intrinsic f -> (
         (* exact counterparts of the Builtins closures: same coercions,
            same error points/messages, same PRNG draws *)
@@ -614,52 +677,47 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             | Some Ast.Tint -> emit_int ?dst a (* to_int on Int = identity *)
             | Some Ast.Treal ->
                 let r = emit_float a in
-                into (fun d ->
-                    emit B.op_ftoi;
-                    emit d;
-                    emit r)
+                let d = idest dst in
+                emit B.op_ftoi;
+                emit d;
+                emit r;
+                d
             | _ -> raise Unsupported)
         | "IABS", [ a ] ->
             let r = emit_as_int a in
-            into (fun d ->
-                emit B.op_iabs;
-                emit d;
-                emit r)
+            let d = idest dst in
+            emit B.op_iabs;
+            emit d;
+            emit r;
+            d
         | "ABS", [ a ] when xstatic_num a = Some Ast.Tint ->
             let r = emit_int a in
-            into (fun d ->
-                emit B.op_iabs;
-                emit d;
-                emit r)
+            let d = idest dst in
+            emit B.op_iabs;
+            emit d;
+            emit r;
+            d
         | "IRAND", [ a ] ->
             let r = emit_as_int a in
-            into (fun d ->
-                emit B.op_irand;
-                emit d;
-                emit r)
+            let d = idest dst in
+            emit B.op_irand;
+            emit d;
+            emit r;
+            d
         | "MOD", [ a; b ]
           when xstatic_num a = Some Ast.Tint && xstatic_num b = Some Ast.Tint
           ->
             let ra = emit_int a in
             let rb = emit_int b in
-            into (fun d ->
-                emit B.op_imod;
-                emit d;
-                emit ra;
-                emit rb)
+            let d = idest dst in
+            emit B.op_imod;
+            emit d;
+            emit ra;
+            emit rb;
+            d
         | _ -> raise Unsupported)
     | _ -> raise Unsupported
   and emit_float ?dst (e : Ast.expr) : int =
-    let into k =
-      match dst with
-      | Some d ->
-          k d;
-          d
-      | None ->
-          let d = ftemp () in
-          k d;
-          d
-    in
     let lit = function
       | Ast.Real r -> Some r
       | Ast.Int i -> Some (float_of_int i)
@@ -668,12 +726,15 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     match e with
     | Ast.Real r ->
         let k = fconst r in
-        into (fun d ->
-            emit B.op_ldkf;
-            emit d;
-            emit k)
+        let d = fdest dst in
+        emit B.op_ldkf;
+        emit d;
+        emit k;
+        d
     | Ast.Var v -> (
-        let rf = !cx_freg v in
+        let c = !cx in
+        let s = cx_slot v in
+        let rf = c.cx_freg.(s) in
         if rf >= 0 then
           match dst with
           | None -> rf
@@ -685,54 +746,59 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               end;
               d
         else
-          let ri = !cx_ireg v in
+          let ri = c.cx_ireg.(s) in
           if ri >= 0 then
-            into (fun d ->
-                emit B.op_itof;
-                emit d;
-                emit ri)
-          else if !cx_slots then
-            into (fun d ->
-                emit B.op_ldcf;
-                emit d;
-                emit (Env.slot lay v))
+            let d = fdest dst in
+            emit B.op_itof;
+            emit d;
+            emit ri;
+            d
+          else if c.cx_slots then
+            let d = fdest dst in
+            emit B.op_ldcf;
+            emit d;
+            emit s;
+            d
           else raise Unsupported)
     | Ast.Index (name, idx) -> (
-        if not !cx_slots then raise Unsupported;
+        if not !cx.cx_slots then raise Unsupported;
         let s = Env.slot lay name in
         match (Compile.static_dims lay s, idx) with
         | Some [ d0 ], [ e0 ] ->
             let e0, k0 = index_parts e0 in
             let r0 = emit_int e0 in
-            into (fun d ->
-                emit B.op_lda1f;
-                emit d;
-                emit s;
-                emit d0;
-                emit r0;
-                emit k0)
+            let d = fdest dst in
+            emit B.op_lda1f;
+            emit d;
+            emit s;
+            emit d0;
+            emit r0;
+            emit k0;
+            d
         | Some [ d0; d1 ], [ e0; e1 ] ->
             let e0, k0 = index_parts e0 in
             let e1, k1 = index_parts e1 in
             let r0 = emit_int e0 in
             let r1 = emit_int e1 in
-            into (fun d ->
-                emit B.op_lda2f;
-                emit d;
-                emit s;
-                emit d0;
-                emit d1;
-                emit r0;
-                emit r1;
-                emit k0;
-                emit k1)
+            let d = fdest dst in
+            emit B.op_lda2f;
+            emit d;
+            emit s;
+            emit d0;
+            emit d1;
+            emit r0;
+            emit r1;
+            emit k0;
+            emit k1;
+            d
         | _ -> raise Unsupported)
     | Ast.Unop (Ast.Neg, e1) ->
         let r = emit_num e1 in
-        into (fun d ->
-            emit B.op_fneg;
-            emit d;
-            emit r)
+        let d = fdest dst in
+        emit B.op_fneg;
+        emit d;
+        emit r;
+        d
     | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) as op), a, b) -> (
         match (op, lit a, lit b) with
         (* right-hand constants fuse; a left-hand constant only fuses
@@ -740,35 +806,39 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         | Ast.Add, _, Some k ->
             let r = emit_num a in
             let kk = fconst k in
-            into (fun d ->
-                emit B.op_faddk;
-                emit d;
-                emit r;
-                emit kk)
+            let d = fdest dst in
+            emit B.op_faddk;
+            emit d;
+            emit r;
+            emit kk;
+            d
         | Ast.Sub, _, Some k ->
             let r = emit_num a in
             let kk = fconst k in
-            into (fun d ->
-                emit B.op_fsubk;
-                emit d;
-                emit r;
-                emit kk)
+            let d = fdest dst in
+            emit B.op_fsubk;
+            emit d;
+            emit r;
+            emit kk;
+            d
         | Ast.Mul, _, Some k ->
             let r = emit_num a in
             let kk = fconst k in
-            into (fun d ->
-                emit B.op_fmulk;
-                emit d;
-                emit r;
-                emit kk)
+            let d = fdest dst in
+            emit B.op_fmulk;
+            emit d;
+            emit r;
+            emit kk;
+            d
         | Ast.Sub, Some k, _ ->
             let r = emit_num b in
             let kk = fconst k in
-            into (fun d ->
-                emit B.op_frsubk;
-                emit d;
-                emit r;
-                emit kk)
+            let d = fdest dst in
+            emit B.op_frsubk;
+            emit d;
+            emit r;
+            emit kk;
+            d
         | _ ->
             let ra = emit_num a in
             let rb = emit_num b in
@@ -779,20 +849,22 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               | Ast.Mul -> B.op_fmul
               | _ -> B.op_fdiv
             in
-            into (fun d ->
-                emit opc;
-                emit d;
-                emit ra;
-                emit rb))
+            let d = fdest dst in
+            emit opc;
+            emit d;
+            emit ra;
+            emit rb;
+            d)
     | Ast.Call (f, args) when is_native_intrinsic f -> (
         (* unary real intrinsics take to_float of their argument, which
            is exactly emit_num's promotion *)
         let un opc a =
           let r = emit_num a in
-          into (fun d ->
-              emit opc;
-              emit d;
-              emit r)
+          let d = fdest dst in
+          emit opc;
+          emit d;
+          emit r;
+          d
         in
         match (f, args) with
         | "SQRT", [ a ] -> un B.op_fsqrt a
@@ -804,21 +876,27 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         | "ATAN", [ a ] -> un B.op_fatan a
         | "ABS", [ a ] when xstatic_num a = Some Ast.Treal ->
             let r = emit_float a in
-            into (fun d ->
-                emit B.op_fabs;
-                emit d;
-                emit r)
+            let d = fdest dst in
+            emit B.op_fabs;
+            emit d;
+            emit r;
+            d
         | ("REAL" | "FLOAT"), [ a ] -> (
             match xstatic_num a with
             | Some Ast.Treal -> emit_float ?dst a (* to_float on Real = id *)
             | Some Ast.Tint ->
                 let r = emit_int a in
-                into (fun d ->
-                    emit B.op_itof;
-                    emit d;
-                    emit r)
+                let d = fdest dst in
+                emit B.op_itof;
+                emit d;
+                emit r;
+                d
             | _ -> raise Unsupported)
-        | "RAND", [] -> into (fun d -> emit B.op_rand; emit d)
+        | "RAND", [] ->
+            let d = fdest dst in
+            emit B.op_rand;
+            emit d;
+            d
         | _ -> raise Unsupported)
     | _ -> raise Unsupported
   and emit_num ?dst (e : Ast.expr) : int =
@@ -1020,7 +1098,8 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         in
         match arg with
         | Ast.Var v -> (
-            let ri0 = !cx_ireg v and rf0 = !cx_freg v in
+            let s = cx_slot v in
+            let ri0 = !cx.cx_ireg.(s) and rf0 = !cx.cx_freg.(s) in
             match ty with
             | Ast.Tint ->
                 if ri0 >= 0 then creg_i.(j) <- ri0 (* by-ref alias *)
@@ -1097,20 +1176,20 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
       | _ -> () (* arrays/LOGICALs: any use below rejects the splice *)
     done;
     (* switch the expression context to the callee's virtual frame *)
-    cx_ty :=
-      (fun v ->
-        let s = Env.slot clay v in
-        if s < cnp then
-          match clay.Env.param_tys.(s) with
-          | Some ((Ast.Tint | Ast.Treal) as t) -> Some t
-          | _ -> None
-        else
-          match Compile.static_scalar_ty clay s with
-          | Some ((Ast.Tint | Ast.Treal) as t) -> Some t
-          | _ -> None);
-    cx_ireg := (fun v -> creg_i.(Env.slot clay v));
-    cx_freg := (fun v -> creg_f.(Env.slot clay v));
-    cx_slots := false;
+    cx :=
+      {
+        cx_lay = clay;
+        cx_ty =
+          Array.init cnslots (fun s ->
+              let ty =
+                if s < cnp then clay.Env.param_tys.(s)
+                else Compile.static_scalar_ty clay s
+              in
+              match ty with Some (Ast.Tint | Ast.Treal) -> ty | _ -> None);
+        cx_ireg = creg_i;
+        cx_freg = creg_f;
+        cx_slots = false;
+      };
     (* callee entry accounting, like the standalone proc prologue *)
     let centry = List.hd chain in
     emit B.op_acct;
@@ -1131,7 +1210,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         | Ir.Entry | Ir.Nop _ -> ()
         | Ir.Assign (Ast.Lvar v, e) -> (
             let s = Env.slot clay v in
-            match (!cx_ty v, xstatic_num e) with
+            match (!cx.cx_ty.(s), xstatic_num e) with
             | Some Ast.Tint, Some Ast.Tint ->
                 ignore (emit_int ~dst:creg_i.(s) e)
             | Some Ast.Tint, Some Ast.Treal ->
@@ -1204,294 +1283,299 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         if !ok then o else Array.init n (fun i -> i)
     | _ -> Array.init n (fun i -> i)
   in
+  (* ---- per-node emitters ----
+
+     Defined once per procedure and parameterized by the node id, so the
+     node loop below allocates no closures. *)
+
+  (* traversal of successor [k] of node [i]: bump its flat counter, fire
+     its edge probes, account the destination node, jump to its
+     probes+body *)
+  let emit_edge_seq i k =
+    let pc = pos () in
+    let d = succ_dst.(i).(k) in
+    let acts =
+      match pi with
+      | Some pi -> edge_acts succ_labels.(i).(k) pi.Probe.on_edge.(i)
+      | None -> []
+    in
+    (match acts with
+    | [] ->
+        emit B.op_edgea;
+        emit (edge_base.(i) + k);
+        emit d;
+        emit node_cost.(d);
+        emit_node_ref d
+    | acts ->
+        let gid = add_group acts in
+        emit B.op_edgepa;
+        emit (edge_base.(i) + k);
+        emit gid;
+        emit d;
+        emit node_cost.(d);
+        emit_node_ref d);
+    pc
+  in
+  (* node probes run right after the node's (edge-fused) accounting *)
+  let emit_node_probe = function
+    | Probe.Incr c ->
+        emit B.op_probe;
+        emit c
+    | Probe.Bulk_add (c, e) ->
+        emit B.op_probe_bulk;
+        emit (add_bulk c e)
+  in
+  let emit_native i (ir : Ir.node) =
+    let succ = succ_labels.(i) in
+    let u = find_idx succ Label.U in
+    let t_idx = find_idx succ Label.T in
+    let f_idx = find_idx succ Label.F in
+    match ir with
+    | Ir.Entry | Ir.Nop _ ->
+        require (u >= 0);
+        ignore (emit_edge_seq i u)
+    | Ir.Assign (Ast.Lvar v, e) ->
+        require (u >= 0);
+        let s = Env.slot lay v in
+        (match (Compile.static_scalar_ty lay s, xstatic_num e) with
+        | Some Ast.Tint, Some Ast.Tint ->
+            if slot_ireg.(s) >= 0 then ignore (emit_int ~dst:slot_ireg.(s) e)
+            else begin
+              let r = emit_int e in
+              emit B.op_stci;
+              emit s;
+              emit r
+            end
+        | Some Ast.Tint, Some Ast.Treal ->
+            (* coerce Tint (Real r) = Int (int_of_float r) *)
+            let f = emit_float e in
+            if slot_ireg.(s) >= 0 then begin
+              emit B.op_ftoi;
+              emit slot_ireg.(s);
+              emit f
+            end
+            else begin
+              let t = itemp () in
+              emit B.op_ftoi;
+              emit t;
+              emit f;
+              emit B.op_stci;
+              emit s;
+              emit t
+            end
+        | Some Ast.Treal, Some _ ->
+            if slot_freg.(s) >= 0 then ignore (emit_num ~dst:slot_freg.(s) e)
+            else begin
+              let r = emit_num e in
+              emit B.op_stcf;
+              emit s;
+              emit r
+            end
+        | _ -> raise Unsupported);
+        ignore (emit_edge_seq i u)
+    | Ir.Assign (Ast.Larr (name, idx), e) ->
+        require (u >= 0);
+        let s = Env.slot lay name in
+        (* indices (and their bounds checks) evaluate before the RHS,
+           exactly like compile_element's wrapping of the store *)
+        let off =
+          match (Compile.static_dims lay s, idx) with
+          | Some [ d0 ], [ e0 ] ->
+              let e0, k0 = index_parts e0 in
+              let r0 = emit_int e0 in
+              let t = itemp () in
+              emit B.op_aoff1;
+              emit t;
+              emit s;
+              emit d0;
+              emit r0;
+              emit k0;
+              t
+          | Some [ d0; d1 ], [ e0; e1 ] ->
+              let e0, k0 = index_parts e0 in
+              let e1, k1 = index_parts e1 in
+              let r0 = emit_int e0 in
+              let r1 = emit_int e1 in
+              let t = itemp () in
+              emit B.op_aoff2;
+              emit t;
+              emit s;
+              emit d0;
+              emit d1;
+              emit r0;
+              emit r1;
+              emit k0;
+              emit k1;
+              t
+          | _ -> raise Unsupported
+        in
+        (match (Compile.static_elt_ty lay s, xstatic_num e) with
+        | Some Ast.Tint, Some Ast.Tint ->
+            let r = emit_int e in
+            emit B.op_stai;
+            emit s;
+            emit off;
+            emit r
+        | Some Ast.Tint, Some Ast.Treal ->
+            let f = emit_float e in
+            let t = itemp () in
+            emit B.op_ftoi;
+            emit t;
+            emit f;
+            emit B.op_stai;
+            emit s;
+            emit off;
+            emit t
+        | Some Ast.Treal, Some _ ->
+            let r = emit_num e in
+            emit B.op_staf;
+            emit s;
+            emit off;
+            emit r
+        | _ -> raise Unsupported);
+        ignore (emit_edge_seq i u)
+    | Ir.Branch e ->
+        require (t_idx >= 0 && f_idx >= 0);
+        let pt, pf = emit_cond_jump ~neg:false e in
+        let pcT = emit_edge_seq i t_idx in
+        let pcF = emit_edge_seq i f_idx in
+        patch pt pcT;
+        patch pf pcF
+    | Ir.Do_test d ->
+        require (t_idx >= 0 && f_idx >= 0);
+        let s = Env.slot lay d.Ir.trip_var in
+        let pt, pf =
+          if slot_freg.(s) >= 0 then begin
+            (* to_int of a REAL trip counter is int_of_float *)
+            emit B.op_jtrip;
+            emit slot_freg.(s);
+            let pt = pos () in
+            emit 0;
+            let pf = pos () in
+            emit 0;
+            (pt, pf)
+          end
+          else begin
+            let r =
+              if slot_ireg.(s) >= 0 then slot_ireg.(s)
+              else begin
+                let t = itemp () in
+                emit B.op_ldci;
+                emit t;
+                emit s;
+                t
+              end
+            in
+            emit B.op_jgt_ik;
+            emit r;
+            emit 0;
+            let pt = pos () in
+            emit 0;
+            let pf = pos () in
+            emit 0;
+            (pt, pf)
+          end
+        in
+        let pcT = emit_edge_seq i t_idx in
+        let pcF = emit_edge_seq i f_idx in
+        patch pt pcT;
+        patch pf pcF
+    | Ir.Select (e, narms) ->
+        let case_tbl =
+          Array.init narms (fun k -> find_idx succ (Label.Case (k + 1)))
+        in
+        require (f_idx >= 0 && Array.for_all (fun k -> k >= 0) case_tbl);
+        let r = emit_int e in
+        emit B.op_select;
+        emit r;
+        emit narms;
+        let tbl_pos = pos () in
+        for _ = 0 to narms do
+          emit 0
+        done;
+        let seq_pc = Hashtbl.create 8 in
+        let get_seq k =
+          match Hashtbl.find_opt seq_pc k with
+          | Some pc -> pc
+          | None ->
+              let pc = emit_edge_seq i k in
+              Hashtbl.add seq_pc k pc;
+              pc
+        in
+        Array.iteri (fun j k -> patch (tbl_pos + j) (get_seq k)) case_tbl;
+        patch (tbl_pos + narms) (get_seq f_idx)
+    | Ir.Return -> emit B.op_ret
+    | Ir.Stop -> emit B.op_stop
+    | Ir.Call (f, args) when List.mem i inline_sites ->
+        require (u >= 0);
+        emit_inline f args;
+        ignore (emit_edge_seq i u)
+    | Ir.Call _ | Ir.Print _ -> raise Unsupported
+  in
+  let emit_fallback i (ir : Ir.node) =
+    let succ = succ_labels.(i) in
+    let nsucc = Array.length succ in
+    mark_node ir;
+    let sync = take_sync () in
+    let edges = Array.make (max nsucc 1) (-1) in
+    (* the closure is compiled on the node's first execution: about half
+       of a generated program's nodes never run, and compiling is pure *)
+    let rec fb =
+      {
+        B.fb_step =
+          (fun venv ->
+            let step = Compile.compile_node rt prog lay ~node_id:i ~succ ir in
+            fb.B.fb_step <- step;
+            step venv);
+        fb_sync = sync;
+        fb_edges = edges;
+      }
+    in
+    let fi = !n_fallbacks in
+    incr n_fallbacks;
+    fallbacks := fb :: !fallbacks;
+    emit B.op_fallback;
+    emit fi;
+    for k = 0 to nsucc - 1 do
+      fb.B.fb_edges.(k) <- emit_edge_seq i k
+    done
+  in
+
   for oi = 0 to n - 1 do
     let i = order.(oi) in
     node_start.(i) <- pos ();
     reset_temps ();
     let ir = (Cfg.info cfg i).Ir.ir in
-    let succ = succ_labels.(i) in
-    let nsucc = Array.length succ in
-    let node_probes =
-      match pi with Some pi -> pi.Probe.on_node.(i) | None -> []
-    in
-    let edge_probe_assoc =
-      match pi with Some pi -> pi.Probe.on_edge.(i) | None -> []
-    in
-    let edge_probes k =
-      match
-        List.find_opt
-          (fun (lbl, _) -> Label.equal lbl succ.(k))
-          edge_probe_assoc
-      with
-      | Some (_, acts) -> acts
-      | None -> []
-    in
-    (* node probes run right after the node's (edge-fused) accounting *)
-    List.iter
-      (function
-        | Probe.Incr c ->
-            emit B.op_probe;
-            emit c
-        | Probe.Bulk_add (c, e) ->
-            emit B.op_probe_bulk;
-            emit (add_bulk c e))
-      node_probes;
-
-    (* traversal of successor [k]: bump its flat counter, fire its edge
-       probes, account the destination node, jump to its probes+body *)
-    let emit_edge_seq k =
-      let pc = pos () in
-      let d = succ_dst.(i).(k) in
-      (match edge_probes k with
-      | [] ->
-          emit B.op_edgea;
-          emit (edge_base.(i) + k);
-          emit d;
-          emit node_cost.(d);
-          emit_node_ref d
-      | acts ->
-          let gid = add_group acts in
-          emit B.op_edgepa;
-          emit (edge_base.(i) + k);
-          emit gid;
-          emit d;
-          emit node_cost.(d);
-          emit_node_ref d);
-      pc
-    in
-
-    let u = find_idx succ Label.U in
-    let t_idx = find_idx succ Label.T in
-    let f_idx = find_idx succ Label.F in
-    let require b = if not b then raise Unsupported in
-
-    let emit_native () =
-      match ir with
-      | Ir.Entry | Ir.Nop _ ->
-          require (u >= 0);
-          ignore (emit_edge_seq u)
-      | Ir.Assign (Ast.Lvar v, e) ->
-          require (u >= 0);
-          let s = Env.slot lay v in
-          (match (Compile.static_scalar_ty lay s, xstatic_num e) with
-          | Some Ast.Tint, Some Ast.Tint ->
-              if slot_ireg.(s) >= 0 then ignore (emit_int ~dst:slot_ireg.(s) e)
-              else begin
-                let r = emit_int e in
-                emit B.op_stci;
-                emit s;
-                emit r
-              end
-          | Some Ast.Tint, Some Ast.Treal ->
-              (* coerce Tint (Real r) = Int (int_of_float r) *)
-              let f = emit_float e in
-              if slot_ireg.(s) >= 0 then begin
-                emit B.op_ftoi;
-                emit slot_ireg.(s);
-                emit f
-              end
-              else begin
-                let t = itemp () in
-                emit B.op_ftoi;
-                emit t;
-                emit f;
-                emit B.op_stci;
-                emit s;
-                emit t
-              end
-          | Some Ast.Treal, Some _ ->
-              if slot_freg.(s) >= 0 then ignore (emit_num ~dst:slot_freg.(s) e)
-              else begin
-                let r = emit_num e in
-                emit B.op_stcf;
-                emit s;
-                emit r
-              end
-          | _ -> raise Unsupported);
-          ignore (emit_edge_seq u)
-      | Ir.Assign (Ast.Larr (name, idx), e) ->
-          require (u >= 0);
-          let s = Env.slot lay name in
-          (* indices (and their bounds checks) evaluate before the RHS,
-             exactly like compile_element's wrapping of the store *)
-          let off =
-            match (Compile.static_dims lay s, idx) with
-            | Some [ d0 ], [ e0 ] ->
-                let e0, k0 = index_parts e0 in
-                let r0 = emit_int e0 in
-                let t = itemp () in
-                emit B.op_aoff1;
-                emit t;
-                emit s;
-                emit d0;
-                emit r0;
-                emit k0;
-                t
-            | Some [ d0; d1 ], [ e0; e1 ] ->
-                let e0, k0 = index_parts e0 in
-                let e1, k1 = index_parts e1 in
-                let r0 = emit_int e0 in
-                let r1 = emit_int e1 in
-                let t = itemp () in
-                emit B.op_aoff2;
-                emit t;
-                emit s;
-                emit d0;
-                emit d1;
-                emit r0;
-                emit r1;
-                emit k0;
-                emit k1;
-                t
-            | _ -> raise Unsupported
-          in
-          (match (Compile.static_elt_ty lay s, xstatic_num e) with
-          | Some Ast.Tint, Some Ast.Tint ->
-              let r = emit_int e in
-              emit B.op_stai;
-              emit s;
-              emit off;
-              emit r
-          | Some Ast.Tint, Some Ast.Treal ->
-              let f = emit_float e in
-              let t = itemp () in
-              emit B.op_ftoi;
-              emit t;
-              emit f;
-              emit B.op_stai;
-              emit s;
-              emit off;
-              emit t
-          | Some Ast.Treal, Some _ ->
-              let r = emit_num e in
-              emit B.op_staf;
-              emit s;
-              emit off;
-              emit r
-          | _ -> raise Unsupported);
-          ignore (emit_edge_seq u)
-      | Ir.Branch e ->
-          require (t_idx >= 0 && f_idx >= 0);
-          let pt, pf = emit_cond_jump ~neg:false e in
-          let pcT = emit_edge_seq t_idx in
-          let pcF = emit_edge_seq f_idx in
-          patch pt pcT;
-          patch pf pcF
-      | Ir.Do_test d ->
-          require (t_idx >= 0 && f_idx >= 0);
-          let s = Env.slot lay d.Ir.trip_var in
-          let pt, pf =
-            if slot_freg.(s) >= 0 then begin
-              (* to_int of a REAL trip counter is int_of_float *)
-              emit B.op_jtrip;
-              emit slot_freg.(s);
-              let pt = pos () in
-              emit 0;
-              let pf = pos () in
-              emit 0;
-              (pt, pf)
-            end
-            else begin
-              let r =
-                if slot_ireg.(s) >= 0 then slot_ireg.(s)
-                else begin
-                  let t = itemp () in
-                  emit B.op_ldci;
-                  emit t;
-                  emit s;
-                  t
-                end
-              in
-              emit B.op_jgt_ik;
-              emit r;
-              emit 0;
-              let pt = pos () in
-              emit 0;
-              let pf = pos () in
-              emit 0;
-              (pt, pf)
-            end
-          in
-          let pcT = emit_edge_seq t_idx in
-          let pcF = emit_edge_seq f_idx in
-          patch pt pcT;
-          patch pf pcF
-      | Ir.Select (e, narms) ->
-          let case_tbl =
-            Array.init narms (fun k -> find_idx succ (Label.Case (k + 1)))
-          in
-          require (f_idx >= 0 && Array.for_all (fun k -> k >= 0) case_tbl);
-          let r = emit_int e in
-          emit B.op_select;
-          emit r;
-          emit narms;
-          let tbl_pos = pos () in
-          for _ = 0 to narms do
-            emit 0
-          done;
-          let seq_pc = Hashtbl.create 8 in
-          let get_seq k =
-            match Hashtbl.find_opt seq_pc k with
-            | Some pc -> pc
-            | None ->
-                let pc = emit_edge_seq k in
-                Hashtbl.add seq_pc k pc;
-                pc
-          in
-          Array.iteri (fun j k -> patch (tbl_pos + j) (get_seq k)) case_tbl;
-          patch (tbl_pos + narms) (get_seq f_idx)
-      | Ir.Return -> emit B.op_ret
-      | Ir.Stop -> emit B.op_stop
-      | Ir.Call (f, args) when List.mem i inline_sites ->
-          require (u >= 0);
-          emit_inline f args;
-          ignore (emit_edge_seq u)
-      | Ir.Call _ | Ir.Print _ -> raise Unsupported
-    in
-
-    let emit_fallback () =
-      let fb =
-        {
-          B.fb_step =
-            Compile.compile_node rt prog lay ~node_id:i ~succ ir;
-          fb_sync = sync_of_names (node_names ir);
-          fb_edges = Array.make (max nsucc 1) (-1);
-        }
-      in
-      let fi = !n_fallbacks in
-      incr n_fallbacks;
-      fallbacks := fb :: !fallbacks;
-      emit B.op_fallback;
-      emit fi;
-      for k = 0 to nsucc - 1 do
-        fb.B.fb_edges.(k) <- emit_edge_seq k
-      done
-    in
-
-    let mark = pos () and saved_fixups = !fixups in
+    (match pi with
+    | Some pi -> List.iter emit_node_probe pi.Probe.on_node.(i)
+    | None -> ());
+    let mark = pos () and saved_fixups = !n_fixups in
     let saved_exec = !exec_top and saved_edge = !edge_top in
     let saved_regions = !regions and saved_nregions = !n_regions in
-    try emit_native ()
+    try emit_native i ir
     with Unsupported ->
       (* roll back everything a partial lowering (or aborted inline
          splice) may have touched, then take the exact fallback path *)
       len := mark;
-      fixups := saved_fixups;
+      n_fixups := saved_fixups;
       exec_top := saved_exec;
       edge_top := saved_edge;
       regions := saved_regions;
       n_regions := saved_nregions;
       reset_cx ();
       reset_temps ();
-      emit_fallback ()
+      emit_fallback i ir
   done;
 
-  List.iter (fun (p, nid) -> patch p node_start.(nid)) !fixups;
+  for f = 0 to !n_fixups - 1 do
+    let p = !fixups.(f) in
+    patch p node_start.(!buf.(p))
+  done;
 
   {
     B.bp_proc = p;
     layout = lay;
-    code = Array.sub !buf 0 !len;
+    code = !buf;
     fpool = Array.of_list (List.rev !fpool);
     entry_pc;
     n_iregs = !max_ti;

@@ -129,24 +129,6 @@ type layout = {
   index : (string, int) Hashtbl.t;  (* compile-time only *)
 }
 
-(* every variable name an expression can touch at runtime *)
-let rec expr_names acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> acc
-  | Ast.Var v -> v :: acc
-  | Ast.Index (name, idx) -> List.fold_left expr_names (name :: acc) idx
-  | Ast.Call (_, args) -> List.fold_left expr_names acc args
-  | Ast.Unop (_, e) -> expr_names acc e
-  | Ast.Binop (_, a, b) -> expr_names (expr_names acc a) b
-
-let node_names acc (n : Ir.node) =
-  let acc = List.fold_left expr_names acc (Ir.exprs_of n) in
-  match n with
-  | Ir.Assign (Ast.Lvar v, _) -> v :: acc
-  | Ir.Assign (Ast.Larr (name, _), _) -> name :: acc
-  | Ir.Do_test d -> d.Ir.trip_var :: d.Ir.do_var :: acc
-  | _ -> acc
-
 let layout (p : Program.proc) : layout =
   let env = p.Program.env in
   let index = Hashtbl.create 32 in
@@ -169,12 +151,33 @@ let layout (p : Program.proc) : layout =
   let n_params = !n in
   Hashtbl.iter (fun name _ -> add name) env.Sema.vars;
   (match env.Sema.result_var with Some rv -> add rv | None -> ());
-  let names_in_body = ref [] in
+  (* then every name the body can touch at runtime, in order of first
+     occurrence: a node's expressions left to right, then its targets *)
+  let rec add_expr (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> ()
+    | Ast.Var v -> add v
+    | Ast.Index (name, idx) ->
+        add name;
+        List.iter add_expr idx
+    | Ast.Call (_, args) -> List.iter add_expr args
+    | Ast.Unop (_, e) -> add_expr e
+    | Ast.Binop (_, a, b) ->
+        add_expr a;
+        add_expr b
+  in
   Cfg.iter_nodes
     (fun i ->
-      names_in_body := node_names !names_in_body (Cfg.info p.Program.cfg i).Ir.ir)
+      let ir = (Cfg.info p.Program.cfg i).Ir.ir in
+      Ir.iter_exprs add_expr ir;
+      match ir with
+      | Ir.Assign (Ast.Lvar v, _) -> add v
+      | Ir.Assign (Ast.Larr (name, _), _) -> add name
+      | Ir.Do_test d ->
+          add d.Ir.do_var;
+          add d.Ir.trip_var
+      | _ -> ())
     p.Program.cfg;
-  List.iter add (List.rev !names_in_body);
   let names = Array.of_list (List.rev !rev_names) in
   let kind_of name =
     match Hashtbl.find_opt env.Sema.vars name with
@@ -196,9 +199,9 @@ let layout (p : Program.proc) : layout =
   { lproc = p; names; kinds; param_tys; n_params; result_slot; index }
 
 let slot (l : layout) name =
-  match Hashtbl.find_opt l.index name with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find l.index name with
+  | i -> i
+  | exception Not_found ->
       invalid_arg
         (Printf.sprintf "Env.slot: %s has no slot in %s" name l.lproc.Program.name)
 

@@ -15,10 +15,14 @@
      reproduce §3's argument that sampling is too coarse for
      statement-level frequencies.
 
-   Two execution backends share all of the bookkeeping:
-   - [Compiled] (default): expressions and nodes are compiled once into
-     OCaml closures over slot-resolved frames (see Env and Compile) —
-     no AST walking, no string hashing, O(1) successor dispatch;
+   Three execution backends share all of the bookkeeping:
+   - [Bytecode] (default): each procedure is emitted once to flat
+     register bytecode run by one dispatch loop (see Emit and Bytecode);
+     a node the emitter cannot type statically escapes through FALLBACK
+     to its [Compiled] closure;
+   - [Compiled]: expressions and nodes are compiled once into OCaml
+     closures over slot-resolved frames (see Env and Compile) — no AST
+     walking, no string hashing, O(1) successor dispatch;
    - [Tree]: the original tree-walking evaluator over per-frame hash
      tables, kept as the semantic reference for differential testing. *)
 
@@ -107,7 +111,7 @@ let default_config =
     max_cycles = max_int;
     max_call_depth = 10_000;
     sample_interval = None;
-    backend = Compiled;
+    backend = Bytecode;
     emit_plan = None;
   }
 

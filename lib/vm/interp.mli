@@ -20,12 +20,13 @@ exception Out_of_cycles
 (** Recursion exceeded [max_call_depth] (runaway recursion). *)
 exception Call_depth_exceeded of int
 
-(** Execution backend.  [Compiled] (the default) runs closures compiled
-    once per procedure over slot-resolved frames ({!Env}, {!Compile});
-    [Bytecode] compiles each procedure further, to a flat register
-    bytecode with a single dispatch loop ({!Bytecode}, {!Emit}) — the
-    fastest engine; [Tree] is the original AST-walking evaluator over
-    hashed frames, kept as the semantic reference for differential
+(** Execution backend.  [Bytecode] (the default, and the fastest engine)
+    compiles each procedure to a flat register bytecode with a single
+    dispatch loop ({!Bytecode}, {!Emit}); nodes it cannot type statically
+    escape to [Compiled]'s closure for that node.  [Compiled] runs
+    closures compiled once per procedure over slot-resolved frames
+    ({!Env}, {!Compile}); [Tree] is the original AST-walking evaluator
+    over hashed frames, kept as the semantic reference for differential
     testing.  All backends share all accounting (cycles, oracle counts,
     probes, sampling) and must be observationally identical. *)
 type backend = Tree | Compiled | Bytecode
@@ -38,7 +39,7 @@ type config = {
   max_cycles : int;  (** cycle fuel ([max_int] = unlimited, the default) *)
   max_call_depth : int;  (** recursion guard ({!Call_depth_exceeded}) *)
   sample_interval : int option;  (** simulated PC sampling every N cycles *)
-  backend : backend;  (** execution engine (default [Compiled]) *)
+  backend : backend;  (** execution engine (default [Bytecode]) *)
   emit_plan : Emit.plan option;
       (** bytecode emission plan — profile-guided inlining/layout/
           intrinsic budgets ([None] = {!Emit.default_plan}).  Any plan

@@ -382,11 +382,9 @@ let cost_model_expr () =
   (* SQRT(X) expensive intrinsic *)
   let e = Ast.Call ("SQRT", [ Ast.Var "X" ]) in
   check ci "sqrt" (cm.CM.c_var + cm.CM.c_intrinsic_expensive) (CM.expr_cost cm e);
-  (* user call: linkage + user_call hook *)
+  (* user call: argument + linkage; the callee body is charged elsewhere *)
   let e = Ast.Call ("F", [ Ast.Var "X" ]) in
-  check ci "user call"
-    (cm.CM.c_var + cm.CM.c_call + 100)
-    (CM.expr_cost ~user_call:(fun _ -> 100) cm e)
+  check ci "user call" (cm.CM.c_var + cm.CM.c_call) (CM.expr_cost cm e)
 
 let suite =
   [
@@ -780,4 +778,173 @@ let suite =
         pgo_plan_reports_identical;
       Alcotest.test_case "pgo: prediction exact on demos" `Quick
         pgo_loop_exact_prediction;
+    ]
+
+(* ---------------- COST(u) golden digests ----------------
+
+   Every CFG node's [Cost_model.node_cost] under both presets, for each
+   program unoptimized and [Optimize.program]'d, rendered as one line per
+   node and pinned by FNV-1a/64 digest.  The digests were captured from
+   the list-based intrinsic lookup and closure-passing cost walk; any
+   change to a charge moves them. *)
+
+module Codec = S89_util.Codec
+
+let cost_digest sources =
+  let b = Buffer.create 65536 in
+  let nodes = ref 0 in
+  List.iter
+    (fun src ->
+      let prog = Program.of_source src in
+      List.iter
+        (fun prog ->
+          List.iter
+            (fun (cm : CM.t) ->
+              List.iter
+                (fun (p : Program.proc) ->
+                  let cfg = p.Program.cfg in
+                  for u = 0 to Cfg.num_nodes cfg - 1 do
+                    incr nodes;
+                    Printf.bprintf b "%s %s %d %d\n" cm.CM.name p.Program.name u
+                      (CM.node_cost cm (Cfg.info cfg u).Ir.ir)
+                  done)
+                (Program.procs prog))
+            [ CM.optimized; CM.unoptimized ])
+        [ prog; Optimize.program prog ])
+    sources;
+  (Codec.fnv64_hex (Buffer.contents b), !nodes)
+
+let cost_golden_corpus () =
+  let open S89_workloads in
+  check
+    Alcotest.(pair string int)
+    "demos, LOOPS, SIMPLE, Linpack, wide 1100" ("8d7895299f1d50c4", 8190)
+    (cost_digest
+       [ Demos.fig1 (); Demos.branchy (); Demos.chunky (); Demos.nested_random ();
+         Demos.recursive (); Demos.irreducible (); Demos.computed_goto ();
+         Demos.sort (); Demos.sieve (); Livermore.source; Simple_code.source ();
+         Linpack_like.source (); Gen_prog.gen_wide_cfg_source ~nodes:1100 () ])
+
+let cost_golden_random () =
+  check
+    Alcotest.(pair string int)
+    "random programs, seeds 1-100" ("00fefccf7d7b7c04", 19392)
+    (cost_digest (List.init 100 (fun i -> Gen_prog.gen_source (i + 1))))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "cost model: golden COST(u), corpus" `Quick cost_golden_corpus;
+      Alcotest.test_case "cost model: golden COST(u), seeds 1-100" `Quick
+        cost_golden_random;
+    ]
+
+(* The table-backed intrinsic lookup answers exactly the table. *)
+let intrinsics_lookup () =
+  let module I = S89_frontend.Intrinsics in
+  check ci "26 intrinsics" 26 (List.length I.table);
+  List.iter
+    (fun (name, info) ->
+      check cb (Printf.sprintf "lookup %s" name) true (I.lookup name = Some info);
+      check cb (Printf.sprintf "is_intrinsic %s" name) true (I.is_intrinsic name))
+    I.table;
+  List.iter
+    (fun name ->
+      check cb (Printf.sprintf "lookup %s" name) true (I.lookup name = None);
+      check cb (Printf.sprintf "is_intrinsic %s" name) false (I.is_intrinsic name))
+    [ "P3"; "HELPER"; "sqrt"; "Sqrt"; ""; "SQRTX" ]
+
+(* ---------------- the default engine ----------------
+
+   Bytecode is the default backend, so every caller that does not pin one
+   (the pipeline, the CLI, the service, the benchmark) runs it.  Profiling
+   through the default must reproduce the Tree oracle exactly: counters,
+   cycles, reconstructed totals and PRINT output. *)
+
+let sorted_totals (totals : (string, (S89_profiling.Analysis.cond, int) Hashtbl.t) Hashtbl.t) =
+  List.sort compare
+    (Hashtbl.fold
+       (fun name tbl acc -> Hashtbl.fold (fun c v acc -> (name, c, v) :: acc) tbl acc)
+       totals [])
+
+(* None of the demo or Table-1 programs prints, so a PRINT of the main
+   program's scalars goes in before its first bare STOP or END: output
+   parity is then not vacuous. *)
+let with_final_print src =
+  let main = Program.main_proc (Program.of_source src) in
+  let lay = S89_vm.Env.layout main in
+  (* source-level scalars: lowering's own temporaries start with '%' *)
+  let scalars =
+    List.filter
+      (fun s ->
+        let name = lay.S89_vm.Env.names.(s) in
+        name.[0] <> '%'
+        && match lay.S89_vm.Env.kinds.(s) with S89_frontend.Sema.Scalar _ -> true | _ -> false)
+      (List.init (Array.length lay.S89_vm.Env.names) Fun.id)
+  in
+  let print =
+    "      PRINT *, "
+    ^
+    match scalars with
+    | [] -> "0"
+    | _ -> String.concat ", " (List.map (fun s -> lay.S89_vm.Env.names.(s)) scalars)
+  in
+  let rec go = function
+    | [] -> []
+    | l :: rest when List.mem (String.trim l) [ "STOP"; "END" ] -> print :: l :: rest
+    | l :: rest -> l :: go rest
+  in
+  String.concat "\n" (go (String.split_on_char '\n' src))
+
+(* one smart profile through the default engine against one instrumented
+   Tree run under the same plan and seed *)
+let default_matches_tree what cost_model prog =
+  let module Placement = S89_profiling.Placement in
+  let t = Pipeline.create prog in
+  let p = Pipeline.profile_smart ~cost_model ~runs:1 ~seed:3 t in
+  let run backend =
+    let config =
+      { Interp.default_config with cost_model; seed = 3; backend;
+        instr = Placement.probes p.Pipeline.plan }
+    in
+    let vm = Interp.create ~config prog in
+    ignore (Interp.run vm);
+    vm
+  in
+  let vt = run Interp.Tree and vd = run Interp.default_config.Interp.backend in
+  let counters = Array.sub (Interp.counters vt) 0 (Placement.n_counters p.Pipeline.plan) in
+  check Alcotest.(array int) (what ^ ": counters") counters p.Pipeline.counters;
+  check (Alcotest.float 0.) (what ^ ": cycles")
+    (float_of_int (Interp.cycles vt)) p.Pipeline.avg_cycles;
+  check cb (what ^ ": reconstructed totals") true
+    (sorted_totals (S89_profiling.Reconstruct.totals p.Pipeline.plan ~counters)
+    = sorted_totals p.Pipeline.totals);
+  check cb (what ^ ": prints") true (Interp.output vt <> "");
+  check Alcotest.string (what ^ ": PRINT output") (Interp.output vt) (Interp.output vd)
+
+let default_backend_parity () =
+  check cb "default backend is Bytecode" true
+    (Interp.default_config.Interp.backend = Interp.Bytecode);
+  let open S89_workloads in
+  List.iter
+    (fun (name, src) ->
+      default_matches_tree name CM.optimized (Program.of_source (with_final_print src)))
+    [ ("fig1", Demos.fig1 ()); ("branchy", Demos.branchy ()); ("chunky", Demos.chunky ());
+      ("nested_random", Demos.nested_random ()); ("recursive", Demos.recursive ());
+      ("irreducible", Demos.irreducible ()); ("computed_goto", Demos.computed_goto ());
+      ("sort", Demos.sort ()); ("sieve", Demos.sieve ()) ];
+  (* the four Table-1 rows *)
+  List.iter
+    (fun (name, src) ->
+      let base = Program.of_source (with_final_print src) in
+      default_matches_tree (name ^ " opt-ON") CM.optimized (Optimize.program base);
+      default_matches_tree (name ^ " opt-OFF") CM.unoptimized base)
+    [ ("LOOPS", Livermore.source); ("SIMPLE", Simple_code.source ()) ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "intrinsics: table-backed lookup" `Quick intrinsics_lookup;
+      Alcotest.test_case "default backend: Bytecode, profiles = Tree" `Quick
+        default_backend_parity;
     ]
