@@ -132,9 +132,9 @@ let runs_arg =
 let opt_arg =
   Arg.(value & flag & info [ "O"; "optimize" ] ~doc:"Apply the scalar optimizer first")
 
-(* Backend selection: --backend beats S89_BACKEND beats the library
-   default.  Parsed by hand (not Arg.enum) so an unknown name leaves
-   through the usual diagnostic path with a stable code (CLI002). *)
+(* Backend selection: --backend, else the library default.  Parsed by
+   hand (not Arg.enum) so an unknown name leaves through the usual
+   diagnostic path with a stable code (CLI002). *)
 let backend_of_string s =
   match String.lowercase_ascii s with
   | "tree" -> Some Interp.Tree
@@ -152,26 +152,18 @@ let backend_arg =
     value & opt (some string) None
     & info [ "backend" ] ~docv:"ENGINE"
         ~doc:
-          (Printf.sprintf
-             "Execution engine: tree, compiled or bytecode (default: %s, or the \
-              $(b,S89_BACKEND) environment variable when set)"
+          (Printf.sprintf "Execution engine: tree, compiled or bytecode (default: %s)"
              (backend_name Interp.default_config.Interp.backend)))
 
-let resolve_backend arg =
-  let parse ~source s =
-    match backend_of_string s with
-    | Some b -> b
-    | None ->
-        fail_diag
-          (Diag.errorf ~code:"CLI002" ~hint:"valid backends: tree, compiled, bytecode"
-             "unknown backend %S (from %s)" s source)
-  in
-  match arg with
-  | Some s -> parse ~source:"--backend" s
-  | None -> (
-      match Sys.getenv_opt "S89_BACKEND" with
-      | Some s -> parse ~source:"S89_BACKEND" s
-      | None -> Interp.default_config.Interp.backend)
+let resolve_backend = function
+  | None -> Interp.default_config.Interp.backend
+  | Some s -> (
+      match backend_of_string s with
+      | Some b -> b
+      | None ->
+          fail_diag
+            (Diag.errorf ~code:"CLI002" ~hint:"valid backends: tree, compiled, bytecode"
+               "unknown backend %S (from --backend)" s))
 
 let cost_model_of_opt opt = if opt then CM.optimized else CM.unoptimized
 
@@ -453,13 +445,6 @@ let chunks_cmd =
     Term.(const run $ file_arg $ runs_arg $ seed_arg $ p_arg $ h_arg $ n_arg)
 
 let pgo_cmd =
-  let budget_arg =
-    Arg.(
-      value
-      & opt int S89_vm.Emit.default_plan.S89_vm.Emit.inline_budget
-      & info [ "pgo-inline-budget" ] ~docv:"NODES"
-          ~doc:"Largest callee CFG (in nodes) considered for inline splicing")
-  in
   let hot_arg =
     Arg.(
       value & opt float 0.9
@@ -479,10 +464,10 @@ let pgo_cmd =
       value & opt (some string) None
       & info [ "profile-in" ] ~docv:"PATH"
           ~doc:
-            "Plan from a saved feedback profile instead of the collected one \
-             (must fingerprint-match this exact source)")
+            "Rank hot procedures by a saved feedback profile instead of the \
+             collected one (must fingerprint-match this exact source)")
   in
-  let run file seed optimize budget hot_fraction profile_out profile_in =
+  let run file seed optimize hot_fraction profile_out profile_in =
     guard @@ fun () ->
     let source = read_file file in
     let prog =
@@ -504,10 +489,7 @@ let pgo_cmd =
           | Ok () -> Some fb.Feedback.freq
           | Error d -> fail_diag ~path d)
     in
-    let r =
-      Pipeline.pgo ~cost_model:cm ~seed ~inline_budget:budget ~hot_fraction ?freq
-        t
-    in
+    let r = Pipeline.pgo ~cost_model:cm ~seed ~hot_fraction ?freq t in
     (match profile_out with
     | None -> ()
     | Some path ->
@@ -518,11 +500,11 @@ let pgo_cmd =
   Cmd.v
     (Cmd.info "pgo"
        ~doc:
-         "Close the PGO loop: profile one run, reoptimize and re-lower from \
-          the frequencies, re-run, and report predicted vs. measured cycles")
+         "Close the PGO loop: profile one run, reoptimize the hot procedures, \
+          re-run, and report predicted vs. measured cycles")
     Term.(
-      const run $ file_arg $ seed_arg $ opt_arg $ budget_arg $ hot_arg
-      $ profile_out_arg $ profile_in_arg)
+      const run $ file_arg $ seed_arg $ opt_arg $ hot_arg $ profile_out_arg
+      $ profile_in_arg)
 
 (* ---------------- batch / serve ----------------
 

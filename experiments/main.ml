@@ -8,12 +8,11 @@
    and simulated makespans), so the output is the same on any host.
 
    The claims the tables only illustrate are assertions: the three
-   backends agree on every Table-1 cycle count, emission plans leave
-   cycles unchanged, Figure 3 gives TIME = 920 and STD_DEV = 300 exactly,
-   X3's estimated TIME equals the measured mean, the PGO prediction equals
-   the measured delta and never costs cycles, and the bytecode engine's
-   allocation stays within its bounds.  A failed assertion, an unknown
-   block and a missing block each exit 1. *)
+   backends agree on every Table-1 cycle count, Figure 3 gives TIME = 920
+   and STD_DEV = 300 exactly, X3's estimated TIME equals the measured
+   mean, the PGO prediction equals the measured delta and never costs
+   cycles, and the bytecode engine's allocation stays within its bounds.
+   A failed assertion, an unknown block and a missing block each exit 1. *)
 
 module Interp = S89_vm.Interp
 module CM = S89_vm.Cost_model
@@ -89,10 +88,9 @@ let backends = [ ("tree", Interp.Tree); ("compiled", Interp.Compiled);
    allocated.  The count repeats exactly only from the same heap state:
    without the compaction it drifts by up to a fifth between identical
    runs in one process. *)
-let run ?(instr = Probe.empty) ?plan ~backend ~cm prog =
+let run ?(instr = Probe.empty) ~backend ~cm prog =
   let config =
-    { Interp.default_config with cost_model = cm; instr; seed = 42; backend;
-      emit_plan = plan }
+    { Interp.default_config with cost_model = cm; instr; seed = 42; backend }
   in
   Gc.compact ();
   let a0 = Gc.allocated_bytes () in
@@ -111,9 +109,7 @@ type t1_row = {
   smart : int;
   naive : int;
   pgo : Pipeline.pgo_result;
-  fallback_conservative : int;
-  fallback_default : int;
-  fallback_pgo : int;
+  fallback : int;
 }
 
 (* Every configuration runs on all three backends, which must agree on
@@ -147,13 +143,6 @@ let t1_row program mode prog cm =
     "%s: smart probes raise bytecode allocation from %.0f to %.0f bytes (> 1%%)" where
     bc0 (alloc runs1 "bytecode");
   let p = Pipeline.pgo ~cost_model:cm ~seed:42 (Pipeline.create prog) in
-  let fallback plan =
-    let vm, _ = run ~plan ~backend:Interp.Bytecode ~cm prog in
-    check (Interp.cycles vm = original)
-      "%s: an emission plan changed cycles to %d from %d" where (Interp.cycles vm)
-      original;
-    Interp.fallback_execs vm
-  in
   check (p.Pipeline.pgo_cycles_before = original)
     "%s: PGO baseline %d cycles, original %d" where p.Pipeline.pgo_cycles_before original;
   check (p.Pipeline.pgo_cycles_after <= original) "%s: PGO costs cycles (%d > %d)" where
@@ -163,9 +152,7 @@ let t1_row program mode prog cm =
     p.Pipeline.pgo_measured_delta;
   {
     program; mode; original; smart; naive; pgo = p;
-    fallback_conservative = fallback S89_vm.Emit.conservative_plan;
-    fallback_default = Interp.fallback_execs (fst (List.assoc "bytecode" runs0));
-    fallback_pgo = fallback p.Pipeline.pgo_plan;
+    fallback = Interp.fallback_execs (fst (List.assoc "bytecode" runs0));
   }
 
 let t1_rows =
@@ -192,13 +179,13 @@ let table1 () =
 let pgo_table () =
   table
     [ "Program"; "Compiler"; "predicted Δ"; "measured Δ"; "cycles after PGO";
-      "FALLBACK conservative"; "default plan"; "PGO plan" ]
+      "FALLBACK" ]
     (List.map
        (fun r ->
          let p = r.pgo in
          [ r.program; r.mode; int p.Pipeline.pgo_predicted_delta;
            int p.Pipeline.pgo_measured_delta; int p.Pipeline.pgo_cycles_after;
-           int r.fallback_conservative; int r.fallback_default; int r.fallback_pgo ])
+           int r.fallback ])
        (Lazy.force t1_rows))
 
 (* ------------------------------------------------------------------ *)

@@ -196,17 +196,13 @@ let check mode src : verdict =
                      measured predicted;
                  let profile = Pipeline.profile_smart ~runs:2 t in
                  ignore (Pipeline.estimate_profiled t profile);
-                 (* the PGO leg: profile -> plan -> reoptimize.  The plan
-                    is observationally invisible and reoptimization
+                 (* the PGO leg: profile -> reoptimize.  Reoptimization
                     preserves control flow, so all three backends must
                     agree on the PGO'd program, reproduce the original
                     output and step count, and never cost more cycles *)
                  let pr = Pipeline.pgo t in
                  let run_pgo backend =
-                   let config =
-                     { (bounded backend) with
-                       Interp.emit_plan = Some pr.Pipeline.pgo_plan }
-                   in
+                   let config = bounded backend in
                    let vm = Interp.create ~config pr.Pipeline.pgo_prog in
                    match Interp.run_result vm with
                    | Ok _ -> Ok (Interp.cycles vm, Interp.steps vm, Interp.output vm)

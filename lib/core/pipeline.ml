@@ -318,14 +318,12 @@ let estimate_totals ?(cost_model = Cost_model.optimized) ?(freq_var = Interproc.
 
 (* ---------------- the PGO loop ---------------- *)
 
-module Emit = S89_vm.Emit
 module Optimize = S89_vm.Optimize
 module Ir = S89_frontend.Ir
 module Cfg = S89_cfg.Cfg
 
 type pgo_result = {
   pgo_prog : Program.t;
-  pgo_plan : Emit.plan;
   pgo_freq : (string * int array) list;
   pgo_hot : string list;
   pgo_cycles_before : int;
@@ -344,48 +342,13 @@ let pgo_accuracy r =
       (float_of_int (r.pgo_predicted_delta - r.pgo_measured_delta)
       /. float_of_int r.pgo_measured_delta)
 
-(* Build the emission plan from per-procedure node frequencies:
-   - inline every *executed* CALL-statement site whose callee is a user
-     procedure (the emitter re-checks leaf/size/type legality per site
-     and falls back when it doesn't hold);
-   - lay each procedure's nodes out hottest-first (stable on ties), so
-     hot bodies pack together and cold paths move out of line. *)
-let plan_of_freq ?(inline_budget = Emit.default_plan.Emit.inline_budget)
-    (prog : Program.t) (freq : (string * int array) list) : Emit.plan =
-  let inline_sites = Hashtbl.create 8 and layout = Hashtbl.create 8 in
-  List.iter
-    (fun (name, execs) ->
-      match Hashtbl.find_opt prog.Program.by_name name with
-      | None -> ()
-      | Some p ->
-          let cfg = p.Program.cfg in
-          let n = Cfg.num_nodes cfg in
-          if Array.length execs = n then begin
-            let sites = ref [] in
-            for u = n - 1 downto 0 do
-              match (Cfg.info cfg u).Ir.ir with
-              | Ir.Call (f, _)
-                when Hashtbl.mem prog.Program.by_name f && execs.(u) > 0 ->
-                  sites := u :: !sites
-              | _ -> ()
-            done;
-            if !sites <> [] then Hashtbl.replace inline_sites name !sites;
-            let order = Array.init n (fun i -> i) in
-            Array.stable_sort (fun a b -> compare execs.(b) execs.(a)) order;
-            Hashtbl.replace layout name order
-          end)
-    freq;
-  { Emit.native_intrinsics = true; inline_sites; layout; inline_budget }
-
-(* Close the loop: profile -> plan -> reoptimize -> re-run -> compare.
+(* Close the loop: profile -> reoptimize -> re-run -> compare.
 
    One uninstrumented bytecode run collects exact per-node frequencies
-   (the oracle counts).  They feed (a) the emission plan (inline sites +
-   hot-first layout — observationally invisible, pure wall-clock) and
-   (b) {!Optimize.reoptimize} gated on the hottest procedures covering
-   [hot_fraction] of the cycle weight.  Because reoptimization is
-   node-id-preserving and frequency-preserving, the estimator predicts
-   its cycle delta in closed form,
+   (the oracle counts).  They gate {!Optimize.reoptimize} on the hottest
+   procedures covering [hot_fraction] of the cycle weight.  Because
+   reoptimization is node-id-preserving and frequency-preserving, the
+   estimator predicts its cycle delta in closed form,
 
      predicted = sum_u execs0(u) * (cost_old(u) - cost_new(u)),
 
@@ -394,8 +357,8 @@ let plan_of_freq ?(inline_budget = Emit.default_plan.Emit.inline_budget)
    [freq] overrides the collected frequencies (a profile loaded from a
    feedback file); the baseline run still happens — it anchors the
    measured delta. *)
-let pgo ?(cost_model = Cost_model.optimized) ?(seed = 42) ?inline_budget
-    ?(hot_fraction = 0.9) ?freq t : pgo_result =
+let pgo ?(cost_model = Cost_model.optimized) ?(seed = 42) ?(hot_fraction = 0.9)
+    ?freq t : pgo_result =
   let prog = t.prog in
   let config =
     { Interp.default_config with cost_model; seed; backend = Interp.Bytecode }
@@ -413,7 +376,6 @@ let pgo ?(cost_model = Cost_model.optimized) ?(seed = 42) ?inline_budget
       (Program.procs prog)
   in
   let freq = match freq with Some f -> f | None -> collected in
-  let plan = plan_of_freq ?inline_budget prog freq in
   (* hot = smallest set of heaviest procedures covering [hot_fraction]
      of the total cycle weight (weight = sum execs * COST) *)
   let weights =
@@ -473,8 +435,7 @@ let pgo ?(cost_model = Cost_model.optimized) ?(seed = 42) ?inline_budget
             execs
       | _ -> ())
     collected;
-  let config' = { config with Interp.emit_plan = Some plan } in
-  let vm1 = Interp.create ~config:config' pgo_prog in
+  let vm1 = Interp.create ~config pgo_prog in
   ignore (Interp.run vm1);
   let cycles_after = Interp.cycles vm1 in
   let fallback_after = Interp.fallback_execs vm1 in
@@ -484,7 +445,6 @@ let pgo ?(cost_model = Cost_model.optimized) ?(seed = 42) ?inline_budget
         fallback_before fallback_after);
   {
     pgo_prog;
-    pgo_plan = plan;
     pgo_freq = freq;
     pgo_hot = List.map fst hot;
     pgo_cycles_before = cycles_before;

@@ -177,16 +177,13 @@ val estimate_totals :
 
 (** {1 The PGO loop} *)
 
-module Emit = S89_vm.Emit
-
 (** Result of one {!pgo} round trip. *)
 type pgo_result = {
   pgo_prog : Program.t;
       (** the reoptimized program (node-id-preserving: profiles of the
           input index it node-for-node) *)
-  pgo_plan : Emit.plan;  (** frequency-derived emission plan *)
   pgo_freq : (string * int array) list;
-      (** per-procedure node frequencies the plan was built from *)
+      (** per-procedure node frequencies the hot set was ranked by *)
   pgo_hot : string list;  (** hot procedures, heaviest first *)
   pgo_cycles_before : int;  (** simulated cycles of the baseline run *)
   pgo_cycles_after : int;  (** simulated cycles of the PGO'd run *)
@@ -202,28 +199,18 @@ type pgo_result = {
     |measured|] (0 when both are 0, 1 when only measured is). *)
 val pgo_accuracy : pgo_result -> float
 
-(** Derive an emission plan from per-procedure node frequencies: inline
-    every executed user-CALL statement site (the emitter re-checks
-    legality per site and falls back when it doesn't hold) and lay nodes
-    out hottest-first.  Plans are observationally invisible — they change
-    wall-clock speed only. *)
-val plan_of_freq :
-  ?inline_budget:int -> Program.t -> (string * int array) list -> Emit.plan
-
 (** Close the loop: one uninstrumented bytecode run collects exact node
-    frequencies, which feed the emission plan (hot leaf-call inlining +
-    hot-first layout) and gate {!S89_vm.Optimize.reoptimize} on the
+    frequencies, which gate {!S89_vm.Optimize.reoptimize} on the
     procedures covering [hot_fraction] (default 0.9) of the cycle
     weight; the program is then re-run under the same seed.  Because
     reoptimization preserves node identity and frequencies, the
     estimator predicts its own cycle delta in closed form — the
     predicted/measured pair in the result is the reproduction's new
     self-accuracy metric.  [freq] substitutes loaded frequencies (a
-    feedback file) for the collected ones when building the plan. *)
+    feedback file) for the collected ones when ranking the hot set. *)
 val pgo :
   ?cost_model:Cost_model.t ->
   ?seed:int ->
-  ?inline_budget:int ->
   ?hot_fraction:float ->
   ?freq:(string * int array) list ->
   t ->

@@ -1,4 +1,5 @@
-(* Flat register-bytecode backend: the execution engine.
+(* Flat register bytecode: the execution engine of the [Bytecode] and
+   [Compiled] backends.
 
    Each procedure is compiled (by Emit) to one contiguous [int array] of
    int-coded instructions plus a float constant pool.  Execution is a
@@ -11,12 +12,13 @@
 
    Anything the emitter cannot prove statically falls back, per node, to
    the closure compiled by {!Compile.compile_node} (the [FALLBACK]
-   opcode), so observational parity with the Tree and Compiled backends
-   is preserved exactly: same evaluation order, same coercions, same
-   runtime-error points and messages, same PRNG consumption, same cycle
-   and step accounting, same probe charges and same guard-trip points.
-   The differential tests in test/test_vm.ml and fuzz/fuzz.ml enforce
-   this three ways. *)
+   opcode).  Under [Compiled] every node is emitted that way, so the same
+   loop then runs nothing but closures.  Observational parity with the
+   Tree backend is preserved exactly: same evaluation order, same
+   coercions, same runtime-error points and messages, same PRNG
+   consumption, same cycle and step accounting, same probe charges and
+   same guard-trip points.  The differential tests in test/test_vm.ml
+   and fuzz/fuzz.ml enforce this three ways. *)
 
 module Ast = S89_frontend.Ast
 module Program = S89_frontend.Program
@@ -26,7 +28,6 @@ open S89_cfg
    re-exports them under the historical names. *)
 exception Out_of_fuel
 exception Out_of_cycles
-exception Call_depth_exceeded of int
 exception Stopped (* STOP statement unwinding *)
 
 (* ---- shared run accounting ----
@@ -119,19 +120,6 @@ type bulk = {
 (* an edge-probe group entry: plain increment or bulk-table reference *)
 type pact = PIncr of int | PBulk of int
 
-(* An inlined-callee region: a leaf procedure's body spliced into this
-   procedure's code by the PGO emitter.  The callee's oracle counts live
-   in the host's [execs]/[samples]/[edge_counts] arrays at the region's
-   base offsets, so inlining never loses a node execution or an edge
-   traversal — the interpreter's read-side accessors sum them back into
-   the callee's totals. *)
-type region = {
-  rg_callee : string;
-  rg_node_base : int; (* offset of callee node 0 in host execs/samples *)
-  rg_edge_base : int; (* offset of callee flat edge 0 in host edge_counts *)
-  mutable rg_invocations : int;
-}
-
 type proc = {
   bp_proc : Program.proc;
   layout : Env.layout;
@@ -146,10 +134,8 @@ type proc = {
   fallbacks : fallback array;
   bulks : bulk array;
   groups : pact array array; (* edge-probe groups *)
-  regions : region array; (* inlined callee regions, in IENTER order *)
   (* oracle meta, indexed by CFG node id (execs/samples) or flat edge
-     index (edge_base.(nid) + successor position); inlined regions extend
-     both past the procedure's own nodes/edges *)
+     index (edge_base.(nid) + successor position) *)
   execs : int array;
   samples : int array;
   edge_counts : int array;
@@ -267,14 +253,6 @@ let op_iabs = 80 (* rd ra *)
 let op_rand = 81 (* fd *)
 let op_irand = 82 (* rd ra *)
 let op_imod = 83 (* rd ra rb *)
-
-(* inlined-call bookkeeping: IENTER counts the region invocation and
-   checks the depth guard (invocation is counted before the guard can
-   trip, matching call_proc's enter order); IEXIT pops the depth *)
-let op_ienter = 84 (* ri *)
-let op_iexit = 85
-
-let num_opcodes = 86
 
 (* ---- runtime helpers (cold paths of the dispatch loop) ---- *)
 
@@ -857,15 +835,6 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         if y = 0 then Value.err "MOD by zero";
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x mod y);
         loop (pc + 4)
-    | 84 (* IENTER ri *) ->
-        let r = p.regions.(Array.unsafe_get code (pc + 1)) in
-        r.rg_invocations <- r.rg_invocations + 1;
-        a.depth <- a.depth + 1;
-        if a.depth > a.max_depth then raise (Call_depth_exceeded a.depth);
-        loop (pc + 2)
-    | 85 (* IEXIT *) ->
-        a.depth <- a.depth - 1;
-        loop (pc + 1)
     | op -> Value.err "corrupt bytecode: opcode %d at pc %d" op pc
   in
   loop p.entry_pc

@@ -651,15 +651,3 @@ let compile_node rt prog (lay : Env.layout) ~node_id ~(succ : Label.t array)
         take Label.U u
   | Ir.Return -> fun _ -> ret_code
   | Ir.Stop -> fun _ -> stop_code
-
-(* ---- probe actions ---- *)
-
-type caction =
-  | CIncr of int
-  | CBulk of int * int * cexpr
-
-let compile_action rt prog lay (cm : Cost_model.t) (a : Probe.action) : caction =
-  match a with
-  | Probe.Incr c -> CIncr c
-  | Probe.Bulk_add (c, e) ->
-      CBulk (c, Cost_model.expr_cost cm e, compile_expr rt prog lay e)

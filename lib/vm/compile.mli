@@ -1,9 +1,11 @@
-(** Compile-once, run-many backend: MF77 expressions and IR nodes are
-    compiled to OCaml closures over integer slot indices.  Variable
-    resolution, intrinsic dispatch, successor lookup, constant folding of
-    literal operands and array stride/bounds precomputation all happen
-    once, at compile time; the hot path is closure calls over a
-    {!Env.slots} frame. *)
+(** Closure compilation: MF77 expressions and IR nodes are compiled to
+    OCaml closures over integer slot indices.  Variable resolution,
+    intrinsic dispatch, successor lookup, constant folding of literal
+    operands and array stride/bounds precomputation all happen once, at
+    compile time; running a node is closure calls over a {!Env.slots}
+    frame.  The bytecode engine runs a node this way whenever it cannot
+    lower it natively (its FALLBACK op), and for every node under the
+    [Compiled] backend. *)
 
 module Ast = S89_frontend.Ast
 module Ir = S89_frontend.Ir
@@ -74,12 +76,3 @@ val compile_node :
   Ir.node ->
   Env.slots ->
   int
-
-(** A probe action with its cycle charge and bulk expression compiled. *)
-type caction =
-  | CIncr of int  (** counter id; charges [c_counter] *)
-  | CBulk of int * int * cexpr
-      (** counter id, precomputed expression cost, compiled expression *)
-
-val compile_action :
-  rt -> Program.t -> Env.layout -> Cost_model.t -> Probe.action -> caction

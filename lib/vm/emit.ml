@@ -19,6 +19,11 @@
    by-reference aliasing is impossible for promoted slots by
    construction.
 
+   [~all_fallback] is the [Compiled] backend's lowering mode: no slot is
+   promoted and every node becomes a FALLBACK, so the dispatch loop runs
+   each node as its closure.  Accounting and probes are emitted exactly
+   as in the default mode.
+
    Parity fine print encoded here:
    - conditionals/selects never bump edge counts themselves; every
      traversal runs the successor's EDGE/EDGEP op, so fused jumps cannot
@@ -35,7 +40,6 @@
 
 module Ast = S89_frontend.Ast
 module Ir = S89_frontend.Ir
-module Sema = S89_frontend.Sema
 module Program = S89_frontend.Program
 module Intrinsics = S89_frontend.Intrinsics
 module B = Bytecode
@@ -52,19 +56,6 @@ let find_idx (succ : Label.t array) l =
   go 0
 
 let require b = if not b then raise Unsupported
-
-(* Expression context: how the emitters resolve a variable.  The
-   caller's frame has promoted registers and cell loads; an inlined
-   callee body has virtual registers only ([slots = false]: the callee
-   has no frame, so any frame-cell or array access bails out).  All
-   three arrays are indexed by the context layout's slot. *)
-type cx = {
-  cx_lay : Env.layout;
-  cx_ty : Ast.typ option array; (* static INTEGER/REAL type, else None *)
-  cx_ireg : int array; (* int register, or -1 *)
-  cx_freg : int array; (* float register, or -1 *)
-  cx_slots : bool;
-}
 
 (* the probe actions of the first edge labelled [l] ([] if none) *)
 let rec edge_acts l = function
@@ -124,55 +115,14 @@ let flip_rel = function
   | Ast.Ge -> Ast.Le
   | op -> op (* Eq/Ne symmetric *)
 
-(* ---- emission plan (profile-guided) ----
-
-   The plan steers code generation without changing semantics:
-   - [native_intrinsics]: lower statically-typed intrinsic calls (SQRT,
-     EXP, RAND, INT, ...) to dedicated opcodes instead of escaping the
-     whole node to FALLBACK;
-   - [inline_sites]: CALL statement nodes (per procedure) where a hot
-     leaf callee should be spliced into the caller's frame — attempted,
-     with full rollback to FALLBACK when any legality condition fails;
-   - [layout]: per-procedure node emission order (hot-first), legal for
-     any permutation because every control transfer carries an explicit
-     destination pc;
-   - [inline_budget]: maximum callee CFG size considered for splicing.
-
-   All observable accounting (cycles, steps, oracle counts, probes, PRNG
-   stream, error points) is preserved exactly under any plan; the
-   differential suites enforce this. *)
-type plan = {
-  native_intrinsics : bool;
-  inline_sites : (string, int list) Hashtbl.t;
-  layout : (string, int array) Hashtbl.t;
-  inline_budget : int;
-}
-
-let default_plan =
-  {
-    native_intrinsics = true;
-    inline_sites = Hashtbl.create 1;
-    layout = Hashtbl.create 1;
-    inline_budget = 16;
-  }
-
-(* intrinsic calls escape to FALLBACK too: the baseline against which
-   EXPERIMENTS.md X6 counts what intrinsic lowering and inlining save *)
-let conservative_plan = { default_plan with native_intrinsics = false }
-
 let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
-    ?(plan = default_plan) (rt : Compile.rt) (prog : Program.t)
+    ~(all_fallback : bool) (rt : Compile.rt) (prog : Program.t)
     (p : Program.proc) : B.proc =
   let cfg = p.Program.cfg in
   let n = Cfg.num_nodes cfg in
   let pi = Probe.find_proc instr p.Program.name in
   let lay = Env.layout p in
   let nslots = Env.n_slots lay in
-  let inline_sites =
-    match Hashtbl.find_opt plan.inline_sites p.Program.name with
-    | Some l -> l
-    | None -> []
-  in
 
   (* ---- promotion analysis ---- *)
   let by_ref = Array.make nslots false in
@@ -203,11 +153,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     let ir = (Cfg.info cfg i).Ir.ir in
     (match ir with
     | Ir.Call (f, args) when Hashtbl.mem prog.Program.by_name f ->
-        (* at a planned inline site the bare-variable args bind to the
-           caller's own registers (exact by-reference aliasing), so they
-           may stay promoted; if the splice is rejected the node falls
-           back and fb_sync covers those names anyway *)
-        if not (List.mem i inline_sites) then List.iter mark_by_ref args
+        List.iter mark_by_ref args
     | _ -> ());
     Ir.iter_exprs scan_refs ir
   done;
@@ -223,7 +169,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   let slot_freg = Array.make nslots (-1) in
   let n_pro_i = ref 0 and n_pro_f = ref 0 in
   for s = lay.Env.n_params to nslots - 1 do
-    if not by_ref.(s) then
+    if not (all_fallback || by_ref.(s)) then
       match Compile.static_scalar_ty lay s with
       | Some Ast.Tint ->
           slot_ireg.(s) <- !n_pro_i;
@@ -412,57 +358,29 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     node_cost.(i) <- Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir
   done;
 
-  (* inlined-callee regions extend the exec/sample and edge-count arrays
-     past the caller's own nodes/edges; the tops track the next free
-     index and size the arrays at the end *)
-  let exec_top = ref n in
-  let edge_top = ref edge_base.(n) in
-  let regions = ref [] and n_regions = ref 0 in
-
-  (* ---- expression context ----
-
-     The emitters below resolve variables through [!cx], so the same
-     code serves the caller's frame and an inlined callee body. *)
-  let caller_cx =
-    {
-      cx_lay = lay;
-      cx_ty =
-        Array.init nslots (fun s ->
-            match Compile.static_scalar_ty lay s with
-            | Some (Ast.Tint | Ast.Treal) as t -> t
-            | _ -> None);
-      cx_ireg = slot_ireg;
-      cx_freg = slot_freg;
-      cx_slots = true;
-    }
-  in
-  let cx = ref caller_cx in
-  let reset_cx () = cx := caller_cx in
-  let cx_slot v = Env.slot !cx.cx_lay v in
-
   (* Static numeric typing: mirrors [Compile.static_num] case for case
      (same judgments => both backends specialize the same expressions),
-     extended — when the plan enables it — with intrinsic calls whose
-     native lowering below is exact.  A user procedure shadowing an
-     intrinsic name keeps the dynamic path. *)
+     extended with intrinsic calls whose native lowering below is exact.
+     A user procedure shadowing an intrinsic name keeps the dynamic
+     path. *)
   let shadowing =
     List.exists (fun (f, _) -> Hashtbl.mem prog.Program.by_name f) Intrinsics.table
   in
   let is_native_intrinsic f =
-    plan.native_intrinsics
-    && not (shadowing && Hashtbl.mem prog.Program.by_name f)
+    not (shadowing && Hashtbl.mem prog.Program.by_name f)
   in
   let rec xstatic_num (e : Ast.expr) : Ast.typ option =
     match e with
     | Ast.Int _ -> Some Ast.Tint
     | Ast.Real _ -> Some Ast.Treal
-    | Ast.Var v -> !cx.cx_ty.(cx_slot v)
-    | Ast.Index (name, _) ->
-        if !cx.cx_slots then
-          match Compile.static_elt_ty lay (Env.slot lay name) with
-          | Some (Ast.Tint | Ast.Treal) as t -> t
-          | _ -> None
-        else None
+    | Ast.Var v -> (
+        match Compile.static_scalar_ty lay (Env.slot lay v) with
+        | Some (Ast.Tint | Ast.Treal) as t -> t
+        | _ -> None)
+    | Ast.Index (name, _) -> (
+        match Compile.static_elt_ty lay (Env.slot lay name) with
+        | Some (Ast.Tint | Ast.Treal) as t -> t
+        | _ -> None)
     | Ast.Unop (Ast.Neg, e1) -> xstatic_num e1
     | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), a, b) -> (
         match (xstatic_num a, xstatic_num b) with
@@ -532,9 +450,8 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         emit i;
         d
     | Ast.Var v -> (
-        let c = !cx in
-        let s = cx_slot v in
-        let ri = c.cx_ireg.(s) in
+        let s = Env.slot lay v in
+        let ri = slot_ireg.(s) in
         if ri >= 0 then
           match dst with
           | None -> ri
@@ -546,22 +463,21 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               end;
               d
         else
-          let rf = c.cx_freg.(s) in
-          if rf >= 0 then
+          let rf = slot_freg.(s) in
+          if rf >= 0 then begin
             let d = idest dst in
             emit B.op_ftoi;
             emit d;
             emit rf;
             d
-          else if c.cx_slots then
+          end
+          else
             let d = idest dst in
             emit B.op_ldci;
             emit d;
             emit s;
-            d
-          else raise Unsupported)
+            d)
     | Ast.Index (name, idx) -> (
-        if not !cx.cx_slots then raise Unsupported;
         let s = Env.slot lay name in
         match (Compile.static_dims lay s, idx) with
         | Some [ d0 ], [ e0 ] ->
@@ -732,9 +648,8 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         emit k;
         d
     | Ast.Var v -> (
-        let c = !cx in
-        let s = cx_slot v in
-        let rf = c.cx_freg.(s) in
+        let s = Env.slot lay v in
+        let rf = slot_freg.(s) in
         if rf >= 0 then
           match dst with
           | None -> rf
@@ -746,22 +661,21 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               end;
               d
         else
-          let ri = c.cx_ireg.(s) in
-          if ri >= 0 then
+          let ri = slot_ireg.(s) in
+          if ri >= 0 then begin
             let d = fdest dst in
             emit B.op_itof;
             emit d;
             emit ri;
             d
-          else if c.cx_slots then
+          end
+          else
             let d = fdest dst in
             emit B.op_ldcf;
             emit d;
             emit s;
-            d
-          else raise Unsupported)
+            d)
     | Ast.Index (name, idx) -> (
-        if not !cx.cx_slots then raise Unsupported;
         let s = Env.slot lay name in
         match (Compile.static_dims lay s, idx) with
         | Some [ d0 ], [ e0 ] ->
@@ -997,262 +911,6 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | _ -> raise Unsupported
   in
 
-  (* ---- hot leaf-call inlining ----
-
-     Splices a straight-line leaf callee (Entry -> scalar assigns ->
-     Return, no branches/arrays/calls/PRINT, <= inline_budget nodes)
-     into the caller's frame.  All accounting is preserved exactly:
-     the callee's nodes and flat edges get a fresh block of the host's
-     exec/sample/edge-count arrays (a [region] records the bases and
-     the per-site invocation count, bumped by IENTER together with the
-     call-depth guard), every transition charges the same node costs
-     through EDGEA/EDGEPA, and Incr probes fire in compiled order.
-     Argument binding reproduces [Compile.eval_bindings]: a bare
-     promoted variable of the declared type aliases the caller's own
-     register (true by-reference semantics, including CALL FOO(M,M));
-     a promoted variable of the other numeric type, or any statically
-     typed expression, is copied into a fresh register with the exact
-     [Value.coerce] conversion; anything else rejects the splice. *)
-  let emit_inline f (args : Ast.expr list) =
-    let callee =
-      match Hashtbl.find_opt prog.Program.by_name f with
-      | Some c -> c
-      | None -> raise Unsupported
-    in
-    let ccfg = callee.Program.cfg in
-    let cn = Cfg.num_nodes ccfg in
-    if cn > plan.inline_budget then raise Unsupported;
-    let clay = Env.layout callee in
-    let cnp = clay.Env.n_params in
-    if List.length args <> cnp then raise Unsupported;
-    let cnslots = Env.n_slots clay in
-    (* the callee must be a straight-line leaf chain ending in RETURN *)
-    let chain = ref [] and steps = ref 0 in
-    let rec walk u =
-      incr steps;
-      if !steps > cn then raise Unsupported;
-      chain := u :: !chain;
-      match (Cfg.info ccfg u).Ir.ir with
-      | Ir.Return -> (
-          match Cfg.succ_edges ccfg u with
-          | [] -> ()
-          | _ -> raise Unsupported)
-      | Ir.Entry | Ir.Nop _ | Ir.Assign (Ast.Lvar _, _) -> (
-          match Cfg.succ_edges ccfg u with
-          | [ (e : Label.t S89_graph.Digraph.edge) ]
-            when Label.equal e.label Label.U ->
-              walk e.dst
-          | _ -> raise Unsupported)
-      | _ -> raise Unsupported
-    in
-    walk (Cfg.entry ccfg);
-    let chain = List.rev !chain in
-    let cpi = Probe.find_proc instr callee.Program.name in
-    let cnode_probes u =
-      match cpi with Some q -> q.Probe.on_node.(u) | None -> []
-    in
-    let cedge_probes u =
-      match cpi with
-      | Some q -> (
-          match
-            List.find_opt
-              (fun (l, _) -> Label.equal l Label.U)
-              q.Probe.on_edge.(u)
-          with
-          | Some (_, acts) -> acts
-          | None -> [])
-      | None -> []
-    in
-    (* flat edge indexing identical to the callee's standalone emission,
-       so the interpreter can sum host and standalone counters *)
-    let cedge_base = Array.make (cn + 1) 0 in
-    for u = 0 to cn - 1 do
-      cedge_base.(u + 1) <- cedge_base.(u) + List.length (Cfg.succ_edges ccfg u)
-    done;
-    let ccost u = Cost_model.node_cost cost_model (Cfg.info ccfg u).Ir.ir in
-    let ri = !n_regions in
-    incr n_regions;
-    let rg =
-      {
-        B.rg_callee = callee.Program.name;
-        rg_node_base = !exec_top;
-        rg_edge_base = !edge_top;
-        rg_invocations = 0;
-      }
-    in
-    regions := rg :: !regions;
-    exec_top := !exec_top + cn;
-    edge_top := !edge_top + cedge_base.(cn);
-    (* virtual callee registers, indexed by callee slot *)
-    let creg_i = Array.make (max cnslots 1) (-1) in
-    let creg_f = Array.make (max cnslots 1) (-1) in
-    (* bind arguments left-to-right in the caller context (argument
-       evaluation precedes the invocation count / depth guard, exactly
-       like eval_bindings before enter_call) *)
-    List.iteri
-      (fun j arg ->
-        let ty =
-          match clay.Env.param_tys.(j) with
-          | Some ((Ast.Tint | Ast.Treal) as t) -> t
-          | _ -> raise Unsupported
-        in
-        match arg with
-        | Ast.Var v -> (
-            let s = cx_slot v in
-            let ri0 = !cx.cx_ireg.(s) and rf0 = !cx.cx_freg.(s) in
-            match ty with
-            | Ast.Tint ->
-                if ri0 >= 0 then creg_i.(j) <- ri0 (* by-ref alias *)
-                else if rf0 >= 0 then begin
-                  let t = itemp () in
-                  emit B.op_ftoi;
-                  emit t;
-                  emit rf0;
-                  creg_i.(j) <- t
-                end
-                else raise Unsupported
-            | Ast.Treal ->
-                if rf0 >= 0 then creg_f.(j) <- rf0 (* by-ref alias *)
-                else if ri0 >= 0 then begin
-                  let t = ftemp () in
-                  emit B.op_itof;
-                  emit t;
-                  emit ri0;
-                  creg_f.(j) <- t
-                end
-                else raise Unsupported
-            | _ -> raise Unsupported)
-        | Ast.Index _ ->
-            (* array-element by-reference binding: not modeled *)
-            raise Unsupported
-        | e -> (
-            match (ty, xstatic_num e) with
-            | Ast.Tint, Some Ast.Tint ->
-                let t = itemp () in
-                ignore (emit_int ~dst:t e);
-                creg_i.(j) <- t
-            | Ast.Tint, Some Ast.Treal ->
-                let r = emit_float e in
-                let t = itemp () in
-                emit B.op_ftoi;
-                emit t;
-                emit r;
-                creg_i.(j) <- t
-            | Ast.Treal, Some _ ->
-                let t = ftemp () in
-                ignore (emit_num ~dst:t e);
-                creg_f.(j) <- t
-            | _ -> raise Unsupported))
-      args;
-    (* count the invocation and check the call-depth guard *)
-    emit B.op_ienter;
-    emit ri;
-    (* fresh locals per invocation, exactly as make_frame initializes
-       them: scalars to zero, literal PARAMETERs to their value *)
-    for s = cnp to cnslots - 1 do
-      match Compile.static_scalar_ty clay s with
-      | Some Ast.Tint ->
-          let t = itemp () in
-          creg_i.(s) <- t;
-          let k =
-            match clay.Env.kinds.(s) with
-            | Sema.Const (Ast.Int k) -> k
-            | _ -> 0
-          in
-          emit B.op_ldki;
-          emit t;
-          emit k
-      | Some Ast.Treal ->
-          let t = ftemp () in
-          creg_f.(s) <- t;
-          let r =
-            match clay.Env.kinds.(s) with
-            | Sema.Const (Ast.Real r) -> r
-            | _ -> 0.0
-          in
-          emit B.op_ldkf;
-          emit t;
-          emit (fconst r)
-      | _ -> () (* arrays/LOGICALs: any use below rejects the splice *)
-    done;
-    (* switch the expression context to the callee's virtual frame *)
-    cx :=
-      {
-        cx_lay = clay;
-        cx_ty =
-          Array.init cnslots (fun s ->
-              let ty =
-                if s < cnp then clay.Env.param_tys.(s)
-                else Compile.static_scalar_ty clay s
-              in
-              match ty with Some (Ast.Tint | Ast.Treal) -> ty | _ -> None);
-        cx_ireg = creg_i;
-        cx_freg = creg_f;
-        cx_slots = false;
-      };
-    (* callee entry accounting, like the standalone proc prologue *)
-    let centry = List.hd chain in
-    emit B.op_acct;
-    emit (rg.B.rg_node_base + centry);
-    emit (ccost centry);
-    List.iter
-      (fun u ->
-        let ir = (Cfg.info ccfg u).Ir.ir in
-        (* node probes fire right after the node's accounting *)
-        List.iter
-          (function
-            | Probe.Incr c ->
-                emit B.op_probe;
-                emit c
-            | Probe.Bulk_add _ -> raise Unsupported)
-          (cnode_probes u);
-        (match ir with
-        | Ir.Entry | Ir.Nop _ -> ()
-        | Ir.Assign (Ast.Lvar v, e) -> (
-            let s = Env.slot clay v in
-            match (!cx.cx_ty.(s), xstatic_num e) with
-            | Some Ast.Tint, Some Ast.Tint ->
-                ignore (emit_int ~dst:creg_i.(s) e)
-            | Some Ast.Tint, Some Ast.Treal ->
-                let r = emit_float e in
-                emit B.op_ftoi;
-                emit creg_i.(s);
-                emit r
-            | Some Ast.Treal, Some _ -> ignore (emit_num ~dst:creg_f.(s) e)
-            | _ -> raise Unsupported)
-        | Ir.Return -> emit B.op_iexit
-        | _ -> raise Unsupported);
-        match ir with
-        | Ir.Return -> () (* falls through to the caller's edge sequence *)
-        | _ -> (
-            match Cfg.succ_edges ccfg u with
-            | [ (e : Label.t S89_graph.Digraph.edge) ] -> (
-                let d = e.dst in
-                match cedge_probes u with
-                | [] ->
-                    emit B.op_edgea;
-                    emit (rg.B.rg_edge_base + cedge_base.(u));
-                    emit (rg.B.rg_node_base + d);
-                    emit (ccost d);
-                    emit (pos () + 1) (* next chain node follows *)
-                | acts ->
-                    List.iter
-                      (function
-                        | Probe.Incr _ -> ()
-                        | Probe.Bulk_add _ -> raise Unsupported)
-                      acts;
-                    let gid = add_group acts in
-                    emit B.op_edgepa;
-                    emit (rg.B.rg_edge_base + cedge_base.(u));
-                    emit gid;
-                    emit (rg.B.rg_node_base + d);
-                    emit (ccost d);
-                    emit (pos () + 1))
-            | _ -> raise Unsupported))
-      chain;
-    reset_cx ()
-  in
-
   (* Node accounting is fused into the incoming edge (EDGEA/EDGEPA), so
      [node_start] points at a node's probes+body and only the procedure
      entry — which no edge reaches — needs a standalone ACCT prologue. *)
@@ -1264,25 +922,6 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   emit B.op_jmp;
   emit_node_ref entry;
 
-  (* ---- per-node emission ----
-
-     [order] is the emission (memory-layout) order; any permutation is
-     legal because every control transfer goes through an explicit
-     destination operand, so only instruction-cache locality changes.
-     A malformed plan entry silently degrades to the natural order. *)
-  let order =
-    match Hashtbl.find_opt plan.layout p.Program.name with
-    | Some o when Array.length o = n ->
-        let seen = Array.make n false in
-        let ok = ref true in
-        Array.iter
-          (fun i ->
-            if i < 0 || i >= n || seen.(i) then ok := false
-            else seen.(i) <- true)
-          o;
-        if !ok then o else Array.init n (fun i -> i)
-    | _ -> Array.init n (fun i -> i)
-  in
   (* ---- per-node emitters ----
 
      Defined once per procedure and parameterized by the node id, so the
@@ -1506,10 +1145,6 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         patch (tbl_pos + narms) (get_seq f_idx)
     | Ir.Return -> emit B.op_ret
     | Ir.Stop -> emit B.op_stop
-    | Ir.Call (f, args) when List.mem i inline_sites ->
-        require (u >= 0);
-        emit_inline f args;
-        ignore (emit_edge_seq i u)
     | Ir.Call _ | Ir.Print _ -> raise Unsupported
   in
   let emit_fallback i (ir : Ir.node) =
@@ -1541,30 +1176,24 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     done
   in
 
-  for oi = 0 to n - 1 do
-    let i = order.(oi) in
+  for i = 0 to n - 1 do
     node_start.(i) <- pos ();
     reset_temps ();
     let ir = (Cfg.info cfg i).Ir.ir in
     (match pi with
     | Some pi -> List.iter emit_node_probe pi.Probe.on_node.(i)
     | None -> ());
-    let mark = pos () and saved_fixups = !n_fixups in
-    let saved_exec = !exec_top and saved_edge = !edge_top in
-    let saved_regions = !regions and saved_nregions = !n_regions in
-    try emit_native i ir
-    with Unsupported ->
-      (* roll back everything a partial lowering (or aborted inline
-         splice) may have touched, then take the exact fallback path *)
-      len := mark;
-      n_fixups := saved_fixups;
-      exec_top := saved_exec;
-      edge_top := saved_edge;
-      regions := saved_regions;
-      n_regions := saved_nregions;
-      reset_cx ();
-      reset_temps ();
-      emit_fallback i ir
+    if all_fallback then emit_fallback i ir
+    else
+      let mark = pos () and saved_fixups = !n_fixups in
+      try emit_native i ir
+      with Unsupported ->
+        (* roll back everything a partial lowering may have touched, then
+           take the exact fallback path *)
+        len := mark;
+        n_fixups := saved_fixups;
+        reset_temps ();
+        emit_fallback i ir
   done;
 
   for f = 0 to !n_fixups - 1 do
@@ -1586,10 +1215,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     fallbacks = Array.of_list (List.rev !fallbacks);
     bulks = Array.of_list (List.rev !bulks);
     groups = Array.of_list (List.rev !groups);
-    regions = Array.of_list (List.rev !regions);
-    execs = Array.make (max !exec_top 1) 0;
-    samples = Array.make (max !exec_top 1) 0;
-    edge_counts = Array.make (max !edge_top 1) 0;
+    execs = Array.make (max n 1) 0;
+    samples = Array.make (max n 1) 0;
+    edge_counts = Array.make (max edge_base.(n) 1) 0;
     edge_base;
     succ_labels;
     invocations = 0;

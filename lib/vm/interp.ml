@@ -15,14 +15,13 @@
      reproduce §3's argument that sampling is too coarse for
      statement-level frequencies.
 
-   Three execution backends share all of the bookkeeping:
-   - [Bytecode] (default): each procedure is emitted once to flat
-     register bytecode run by one dispatch loop (see Emit and Bytecode);
-     a node the emitter cannot type statically escapes through FALLBACK
-     to its [Compiled] closure;
-   - [Compiled]: expressions and nodes are compiled once into OCaml
-     closures over slot-resolved frames (see Env and Compile) — no AST
-     walking, no string hashing, O(1) successor dispatch;
+   Two drivers share all of the bookkeeping:
+   - bytecode: each procedure is emitted once to flat register bytecode
+     run by one dispatch loop (see Emit and Bytecode).  Under [Bytecode]
+     (the default) a node the emitter cannot type statically escapes
+     through FALLBACK to its closure from Compile; under [Compiled]
+     every node is a FALLBACK, so the same loop runs nothing but
+     closures over slot-resolved frames (see Env and Compile);
    - [Tree]: the original tree-walking evaluator over per-frame hash
      tables, kept as the semantic reference for differential testing. *)
 
@@ -34,11 +33,12 @@ module Program = S89_frontend.Program
 module Prng = S89_util.Prng
 open S89_cfg
 
-(* The guard exceptions are defined in Bytecode — the lowest layer that
-   raises them — and re-exported here under their historical names. *)
+(* The step and cycle guards are defined in Bytecode — the lowest layer
+   that raises them — and re-exported here under their historical names;
+   only procedure calls, made here, check the depth guard. *)
 exception Out_of_fuel = Bytecode.Out_of_fuel
 exception Out_of_cycles = Bytecode.Out_of_cycles
-exception Call_depth_exceeded = Bytecode.Call_depth_exceeded
+exception Call_depth_exceeded of int
 exception Stopped = Bytecode.Stopped (* internal: STOP statement unwinding *)
 
 type binding = Env.binding =
@@ -73,15 +73,11 @@ type cnode = {
   mutable execs : int; (* oracle: node executions *)
   node_probes : Probe.action list;
   edge_probes : Probe.action list array; (* parallel to succ_labels *)
-  cnode_probes : Compile.caction array; (* compiled backend's node probes *)
-  cedge_probes : Compile.caction array array; (* parallel to succ_labels *)
-  step : Env.slots -> int; (* compiled step: successor index or sentinel *)
   mutable samples : int; (* PC-sampling hits *)
 }
 
 type cproc = {
   cp_proc : Program.proc;
-  layout : Env.layout;
   code : cnode array;
   centry : int;
   mutable invocations : int;
@@ -98,8 +94,6 @@ type config = {
   max_call_depth : int; (* guards runaway recursion from blowing the stack *)
   sample_interval : int option;
   backend : backend;
-  emit_plan : Emit.plan option;
-      (* bytecode emission plan (PGO); None = Emit.default_plan *)
 }
 
 let default_config =
@@ -112,36 +106,29 @@ let default_config =
     max_call_depth = 10_000;
     sample_interval = None;
     backend = Bytecode;
-    emit_plan = None;
   }
 
 type t = {
   config : config;
   prog : Program.t;
-  cprocs : (string, cproc) Hashtbl.t; (* Tree/Compiled backends *)
-  bprocs : (string, Bytecode.proc) Hashtbl.t; (* Bytecode backend *)
+  cprocs : (string, cproc) Hashtbl.t; (* Tree backend *)
+  bprocs : (string, Bytecode.proc) Hashtbl.t; (* Compiled/Bytecode backends *)
   acct : Bytecode.acct;
-      (* cycles, steps, sampling clock and instrumentation counters,
-         shared by all three backends *)
+      (* cycles, steps, call depth, sampling clock and instrumentation
+         counters, shared by all backends *)
   rng : Prng.t;
   out : Buffer.t;
-  rt : Compile.rt; (* hooks captured by the compiled closures *)
 }
-
-(* the call depth lives in the shared acct ([acct.depth]) so the IENTER/
-   IEXIT opcodes of inlined bytecode regions and the closure backends
-   guard the same counter *)
 
 (* checked counter arithmetic: saturate at max_int with a diagnostic,
    never wrap around (the reconstruction laws assume exact sums) *)
 let counter_incr st c = Bytecode.counter_incr st.acct c
 let counter_add st c v = Bytecode.counter_add st.acct c v
 
-let compile_proc config rt (prog : Program.t) (p : Program.proc) : cproc =
+let compile_proc config (p : Program.proc) : cproc =
   let cfg = p.Program.cfg in
   let n = Cfg.num_nodes cfg in
   let pi = Probe.find_proc config.instr p.Program.name in
-  let lay = Env.layout p in
   let code =
     Array.init n (fun i ->
         let info = Cfg.info cfg i in
@@ -186,7 +173,6 @@ let compile_proc config rt (prog : Program.t) (p : Program.proc) : cproc =
               | None -> [])
             succ_labels
         in
-        let caction = Compile.compile_action rt prog lay config.cost_model in
         {
           ir = info.Ir.ir;
           cost = Cost_model.node_cost config.cost_model info.Ir.ir;
@@ -197,13 +183,10 @@ let compile_proc config rt (prog : Program.t) (p : Program.proc) : cproc =
           execs = 0;
           node_probes;
           edge_probes;
-          cnode_probes = Array.of_list (List.map caction node_probes);
-          cedge_probes = Array.map (fun acts -> Array.of_list (List.map caction acts)) edge_probes;
-          step = Compile.compile_node rt prog lay ~node_id:i ~succ:succ_labels info.Ir.ir;
           samples = 0;
         })
   in
-  { cp_proc = p; layout = lay; code; centry = Cfg.entry cfg; invocations = 0 }
+  { cp_proc = p; code; centry = Cfg.entry cfg; invocations = 0 }
 
 (* ---- frames and bindings (tree backend) ---- *)
 
@@ -439,91 +422,6 @@ and fire_actions st frame (acts : Probe.action list) =
           counter_add st c (Value.to_int (eval st frame e)))
     acts
 
-(* ---- compiled backend ---- *)
-
-let fire_cactions st venv (acts : Compile.caction array) =
-  Array.iter
-    (fun (a : Compile.caction) ->
-      match a with
-      | Compile.CIncr c ->
-          charge st st.config.cost_model.Cost_model.c_counter;
-          counter_incr st c
-      | Compile.CBulk (c, xcost, f) ->
-          charge st (st.config.cost_model.Cost_model.c_counter + xcost);
-          counter_add st c (Value.to_int (f venv)))
-    acts
-
-let rec call_proc_compiled st (callee : Program.proc) (args : binding list) :
-    Value.t option =
-  let cp = find_cproc st callee.Program.name in
-  enter_call st cp;
-  let lay = cp.layout in
-  let venv = Env.make_frame lay in
-  (try
-     let n_params = lay.Env.n_params in
-     let rec bind i = function
-       | [] -> if i <> n_params then raise (Invalid_argument "arity")
-       | b :: rest ->
-           if i >= n_params then raise (Invalid_argument "arity");
-           let b =
-             match (b, lay.Env.param_tys.(i)) with
-             | Cell c, Some ty when c.ty <> ty -> Cell { v = Value.coerce ty c.v; ty }
-             | _ -> b
-           in
-           venv.(i) <- b;
-           bind (i + 1) rest
-     in
-     bind 0 args
-   with Invalid_argument _ ->
-     Value.err "arity mismatch calling %s" callee.Program.name);
-  (try run_frame_compiled st cp venv
-   with e ->
-     st.acct.Bytecode.depth <- st.acct.Bytecode.depth - 1;
-     raise e);
-  st.acct.Bytecode.depth <- st.acct.Bytecode.depth - 1;
-  match lay.Env.result_slot with
-  | Some s -> (
-      match venv.(s) with
-      | Cell c -> Some c.v
-      | Elem (a, off) -> Some (Env.get a off)
-      | Arr _ -> Value.err "array %s used as a scalar" lay.Env.names.(s)
-      | Poison m -> Value.err "%s" m)
-  | None -> None
-
-and run_frame_compiled st (cp : cproc) (venv : Env.slots) : unit =
-  let code = cp.code in
-  let a = st.acct in
-  let max_steps = st.config.max_steps in
-  let max_cycles = st.config.max_cycles in
-  let pc = ref cp.centry in
-  let running = ref true in
-  while !running do
-    let n = code.(!pc) in
-    (* [account], open-coded: this is the per-node hot path.  Both budget
-       checks share one branch: the remaining-budget differences are both
-       non-negative iff neither limit is exceeded, so [lor]-ing them and
-       testing the sign bit keeps the loop at a single guard branch *)
-    let steps = a.Bytecode.steps + 1 in
-    a.Bytecode.steps <- steps;
-    let cycles = a.Bytecode.cycles + n.cost in
-    a.Bytecode.cycles <- cycles;
-    if (max_steps - steps) lor (max_cycles - cycles) < 0 then
-      if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
-    n.execs <- n.execs + 1;
-    if cycles >= a.Bytecode.next_sample then take_samples st n;
-    if Array.length n.cnode_probes > 0 then fire_cactions st venv n.cnode_probes;
-    let k = n.step venv in
-    if k >= 0 then begin
-      n.edge_counts.(k) <- n.edge_counts.(k) + 1;
-      (match n.cedge_probes.(k) with
-      | [||] -> ()
-      | acts -> fire_cactions st venv acts);
-      pc := n.succ_dst.(k)
-    end
-    else if k = Compile.ret_code then running := false
-    else raise Stopped
-  done
-
 (* ---- bytecode backend ---- *)
 
 let find_bproc st name =
@@ -531,8 +429,8 @@ let find_bproc st name =
   | Some bp -> bp
   | None -> Value.err "uncompiled procedure %s" name
 
-(* mirrors [call_proc_compiled]: same invocation counting, depth guard,
-   parameter binding and result read; only the frame execution differs *)
+(* the bytecode driver, for [Compiled] and [Bytecode] alike: invocation
+   count, depth guard, parameter binding, frame execution, result read *)
 let call_proc_bytecode st (callee : Program.proc) (args : binding list) :
     Value.t option =
   let bp = find_bproc st callee.Program.name in
@@ -576,6 +474,10 @@ let call_proc_bytecode st (callee : Program.proc) (args : binding list) :
 
 (* ---- construction ---- *)
 
+let driver = function
+  | Tree -> call_proc
+  | Compiled | Bytecode -> call_proc_bytecode
+
 let create ?(config = default_config) (prog : Program.t) : t =
   let rng = Prng.create ~seed:config.seed in
   let out = Buffer.create 256 in
@@ -583,17 +485,18 @@ let create ?(config = default_config) (prog : Program.t) : t =
   let cprocs = Hashtbl.create 8 in
   let bprocs = Hashtbl.create 8 in
   (match config.backend with
-  | Bytecode ->
+  | Tree ->
+      List.iter
+        (fun p -> Hashtbl.replace cprocs p.Program.name (compile_proc config p))
+        (Program.procs prog)
+  | Compiled | Bytecode ->
+      (* [Compiled] is the same bytecode with every node a FALLBACK *)
+      let all_fallback = config.backend = Compiled in
       List.iter
         (fun p ->
           Hashtbl.replace bprocs p.Program.name
             (Emit.emit_proc ~cost_model:config.cost_model ~instr:config.instr
-               ?plan:config.emit_plan rt prog p))
-        (Program.procs prog)
-  | Tree | Compiled ->
-      List.iter
-        (fun p ->
-          Hashtbl.replace cprocs p.Program.name (compile_proc config rt prog p))
+               ~all_fallback rt prog p))
         (Program.procs prog));
   let acct =
     Bytecode.make_acct ~max_steps:config.max_steps ~max_cycles:config.max_cycles
@@ -602,11 +505,9 @@ let create ?(config = default_config) (prog : Program.t) : t =
       ~c_counter:config.cost_model.Cost_model.c_counter
       ~n_counters:config.instr.Probe.n_counters
   in
-  let st = { config; prog; cprocs; bprocs; acct; rng; out; rt } in
-  (rt.Compile.call <-
-     (match config.backend with
-     | Bytecode -> fun callee args -> call_proc_bytecode st callee args
-     | Tree | Compiled -> fun callee args -> call_proc_compiled st callee args));
+  let st = { config; prog; cprocs; bprocs; acct; rng; out } in
+  let call = driver config.backend in
+  rt.Compile.call <- (fun callee args -> call st callee args);
   st
 
 (* ---- entry points and results ---- *)
@@ -615,13 +516,7 @@ type outcome = Normal_stop | Fell_off_end
 
 let run (st : t) : outcome =
   let main = Program.main_proc st.prog in
-  let call =
-    match st.config.backend with
-    | Tree -> call_proc
-    | Compiled -> call_proc_compiled
-    | Bytecode -> call_proc_bytecode
-  in
-  match call st main [] with
+  match driver st.config.backend st main [] with
   | exception Stopped -> Normal_stop
   | _ -> Fell_off_end
 
@@ -640,74 +535,44 @@ let bproc st name =
   | Some bp -> bp
   | None -> invalid_arg (Printf.sprintf "Interp.bproc: unknown procedure %s" name)
 
-(* Sum a per-region quantity over every inlined copy of [name] across
-   all host procedures.  Inlined callees (Emit's leaf-call splicing)
-   keep their counters in a dedicated block of the host's arrays, at
-   the offsets recorded in the region; the oracle accessors below add
-   those blocks to the callee's standalone counters so inlining is
-   invisible to every reader (Analysis.oracle_totals in particular). *)
-let region_sum st name (f : Bytecode.proc -> Bytecode.region -> int) =
-  Hashtbl.fold
-    (fun _ (host : Bytecode.proc) acc ->
-      Array.fold_left
-        (fun acc (r : Bytecode.region) ->
-          if String.equal r.Bytecode.rg_callee name then acc + f host r else acc)
-        acc host.Bytecode.regions)
-    st.bprocs 0
-
 let invocations st name =
   match st.config.backend with
-  | Bytecode ->
-      (bproc st name).Bytecode.invocations
-      + region_sum st name (fun _ r -> r.Bytecode.rg_invocations)
-  | Tree | Compiled -> (cproc st name).invocations
+  | Tree -> (cproc st name).invocations
+  | Compiled | Bytecode -> (bproc st name).Bytecode.invocations
 
 (* oracle: executions of a node *)
 let node_execs st name node =
   match st.config.backend with
-  | Bytecode ->
-      (bproc st name).Bytecode.execs.(node)
-      + region_sum st name (fun host r ->
-            host.Bytecode.execs.(r.Bytecode.rg_node_base + node))
-  | Tree | Compiled -> (cproc st name).code.(node).execs
+  | Tree -> (cproc st name).code.(node).execs
+  | Compiled | Bytecode -> (bproc st name).Bytecode.execs.(node)
 
 (* oracle: traversals of the CFG edge (node, label) *)
 let edge_count st name node label =
+  let sum labels count =
+    let total = ref 0 in
+    Array.iteri
+      (fun k l -> if Label.equal l label then total := !total + count k)
+      labels;
+    !total
+  in
   match st.config.backend with
-  | Bytecode ->
-      let bp = bproc st name in
-      let labels = bp.Bytecode.succ_labels.(node) in
-      let base = bp.Bytecode.edge_base.(node) in
-      let total = ref 0 in
-      Array.iteri
-        (fun k l ->
-          if Label.equal l label then
-            total :=
-              !total
-              + bp.Bytecode.edge_counts.(base + k)
-              + region_sum st name (fun host r ->
-                    host.Bytecode.edge_counts.(r.Bytecode.rg_edge_base + base + k)))
-        labels;
-      !total
-  | Tree | Compiled ->
+  | Tree ->
       let cn = (cproc st name).code.(node) in
-      let total = ref 0 in
-      Array.iteri
-        (fun k l -> if Label.equal l label then total := !total + cn.edge_counts.(k))
-        cn.succ_labels;
-      !total
+      sum cn.succ_labels (Array.get cn.edge_counts)
+  | Compiled | Bytecode ->
+      let bp = bproc st name in
+      let base = bp.Bytecode.edge_base.(node) in
+      sum bp.Bytecode.succ_labels.(node) (fun k ->
+          bp.Bytecode.edge_counts.(base + k))
 
 (* PC-sampling hits of a node *)
 let node_samples st name node =
   match st.config.backend with
-  | Bytecode ->
-      (bproc st name).Bytecode.samples.(node)
-      + region_sum st name (fun host r ->
-            host.Bytecode.samples.(r.Bytecode.rg_node_base + node))
-  | Tree | Compiled -> (cproc st name).code.(node).samples
+  | Tree -> (cproc st name).code.(node).samples
+  | Compiled | Bytecode -> (bproc st name).Bytecode.samples.(node)
 
 (* FALLBACK escapes executed across all bytecode procs (perf telemetry;
-   0 under the closure backends, which have no fallback path) *)
+   0 under Tree, which has no bytecode, and every step under Compiled) *)
 let fallback_execs st =
   Hashtbl.fold
     (fun _ (bp : Bytecode.proc) acc -> acc + bp.Bytecode.fb_execs)

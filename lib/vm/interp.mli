@@ -23,12 +23,14 @@ exception Call_depth_exceeded of int
 (** Execution backend.  [Bytecode] (the default, and the fastest engine)
     compiles each procedure to a flat register bytecode with a single
     dispatch loop ({!Bytecode}, {!Emit}); nodes it cannot type statically
-    escape to [Compiled]'s closure for that node.  [Compiled] runs
-    closures compiled once per procedure over slot-resolved frames
-    ({!Env}, {!Compile}); [Tree] is the original AST-walking evaluator
-    over hashed frames, kept as the semantic reference for differential
-    testing.  All backends share all accounting (cycles, oracle counts,
-    probes, sampling) and must be observationally identical. *)
+    escape through a FALLBACK op to a closure from {!Compile}.
+    [Compiled] is a lowering mode of the same engine: every node is a
+    FALLBACK and no scalar is promoted to a register, so each node runs
+    as its closure over a slot-resolved frame ({!Env}).  [Tree] is the
+    original AST-walking evaluator over hashed frames, kept as the
+    semantic reference for differential testing.  All backends share all
+    accounting (cycles, oracle counts, probes, sampling) and must be
+    observationally identical. *)
 type backend = Tree | Compiled | Bytecode
 
 type config = {
@@ -40,11 +42,6 @@ type config = {
   max_call_depth : int;  (** recursion guard ({!Call_depth_exceeded}) *)
   sample_interval : int option;  (** simulated PC sampling every N cycles *)
   backend : backend;  (** execution engine (default [Bytecode]) *)
-  emit_plan : Emit.plan option;
-      (** bytecode emission plan — profile-guided inlining/layout/
-          intrinsic budgets ([None] = {!Emit.default_plan}).  Any plan
-          is observationally invisible: cycles, counters and oracle
-          counts are identical, only wall-clock speed changes. *)
 }
 
 val default_config : config
@@ -87,10 +84,11 @@ val edge_count : t -> string -> int -> Label.t -> int
 (** PC-sampling hits attributed to a node (0 unless sampling is on). *)
 val node_samples : t -> string -> int -> int
 
-(** FALLBACK escapes executed across all bytecode procedures (0 under
-    the closure backends).  Perf telemetry: each escape syncs promoted
-    registers around a compiled-closure call, so the PGO pass targets
-    the sites that dominate this count. *)
+(** FALLBACK escapes executed across all bytecode procedures.  Perf
+    telemetry: each escape syncs promoted registers around a closure
+    call.  It is 0 under [Tree], which runs no bytecode, and equals
+    {!steps} under [Compiled], where every node is a FALLBACK (unless a
+    guard trips between a node's accounting and its FALLBACK). *)
 val fallback_execs : t -> int
 
 (** Instrumentation counters that saturated at [max_int] during the run

@@ -492,9 +492,10 @@ let interp_call_depth_guard () =
 let suite =
   suite @ [ Alcotest.test_case "interp: call depth guard" `Quick interp_call_depth_guard ]
 
-(* ---------------- Differential: Tree vs Compiled backends ----------------
+(* ---------------- Differential: Tree vs Compiled vs Bytecode ----------------
 
-   The compiled backend (slot frames + closure code) must be
+   The bytecode engine, both with native ops ([Bytecode]) and with every
+   node a closure over a slot frame ([Compiled]), must be
    observationally identical to the tree walker: same cycles, steps,
    output, probe counters, invocation counts and oracle node/edge counts
    on every program.  We check this on every generated program (which
@@ -648,19 +649,17 @@ let suite =
         select_edge_bookkeeping;
     ]
 
-(* ---------------- PGO: reoptimization and emission plans ----------------
+(* ---------------- PGO: reoptimization ----------------
 
    Two invariants behind the PGO loop.  (1) Idempotence: optimizing an
    already-optimized program is the identity (folding, propagation and
    dead-code reach a fixpoint on the first application) — both for the
    structural [Optimize.program] and the node-id-preserving
-   [Optimize.reoptimize].  (2) Plan invisibility: an emission plan
-   (hot leaf-call inlining, hot-first layout, native intrinsics) changes
-   wall-clock speed only, so the analysis report estimated from a
-   PGO-planned bytecode run is byte-identical to the non-PGO one. *)
+   [Optimize.reoptimize].  (2) Exact prediction: reoptimization keeps
+   node frequencies, so the predicted cycle delta equals the measured
+   one. *)
 
 module Pipeline = S89_core.Pipeline
-module Report = S89_core.Report
 module Optimize = S89_vm.Optimize
 
 let cfg_equal (c1 : Ir.info Cfg.t) (c2 : Ir.info Cfg.t) =
@@ -709,46 +708,6 @@ let optimize_twice_idempotent () =
       (Program.procs prog) (Program.procs r1)
   done
 
-(* One uninstrumented bytecode run collects exact node frequencies; the
-   derived plan re-runs the *same* IR.  Oracle totals (via the inlined
-   regions' read-side summation) and hence the full estimated report
-   must match byte for byte. *)
-let pgo_plan_reports_identical () =
-  for seed = 0 to 59 do
-    let prog = Gen_prog.gen_program seed in
-    let t = Pipeline.create prog in
-    let vm0 = Pipeline.run_once ~backend:Interp.Bytecode t in
-    let freq =
-      List.map
-        (fun (p : Program.proc) ->
-          let name = p.Program.name in
-          ( name,
-            Array.init
-              (Cfg.num_nodes p.Program.cfg)
-              (Interp.node_execs vm0 name) ))
-        (Program.procs prog)
-    in
-    let plan = Pipeline.plan_of_freq prog freq in
-    let config =
-      {
-        Interp.default_config with
-        Interp.cost_model = CM.optimized;
-        backend = Interp.Bytecode;
-        emit_plan = Some plan;
-      }
-    in
-    let vm1 = Interp.create ~config prog in
-    ignore (Interp.run vm1);
-    check ci
-      (Printf.sprintf "pgo plan cycles agree on gen %d" seed)
-      (Interp.cycles vm0) (Interp.cycles vm1);
-    let r0 = Fmt.str "%a" Report.pp (Pipeline.estimate_oracle t vm0) in
-    let r1 = Fmt.str "%a" Report.pp (Pipeline.estimate_oracle t vm1) in
-    check cb
-      (Printf.sprintf "pgo plan report byte-identical on gen %d" seed)
-      true (String.equal r0 r1)
-  done
-
 let pgo_loop_exact_prediction () =
   List.iter
     (fun (name, src) ->
@@ -774,8 +733,6 @@ let suite =
   @ [
       Alcotest.test_case "pgo: optimize twice is identity" `Quick
         optimize_twice_idempotent;
-      Alcotest.test_case "pgo: plan-only reports byte-identical" `Quick
-        pgo_plan_reports_identical;
       Alcotest.test_case "pgo: prediction exact on demos" `Quick
         pgo_loop_exact_prediction;
     ]
@@ -922,24 +879,54 @@ let default_matches_tree what cost_model prog =
   check cb (what ^ ": prints") true (Interp.output vt <> "");
   check Alcotest.string (what ^ ": PRINT output") (Interp.output vt) (Interp.output vd)
 
-let default_backend_parity () =
-  check cb "default backend is Bytecode" true
-    (Interp.default_config.Interp.backend = Interp.Bytecode);
+(* [f name cost_model prog] on the 9 demos and the four Table-1 rows,
+   each with a final PRINT *)
+let on_demos_and_table1 f =
   let open S89_workloads in
   List.iter
-    (fun (name, src) ->
-      default_matches_tree name CM.optimized (Program.of_source (with_final_print src)))
+    (fun (name, src) -> f name CM.optimized (Program.of_source (with_final_print src)))
     [ ("fig1", Demos.fig1 ()); ("branchy", Demos.branchy ()); ("chunky", Demos.chunky ());
       ("nested_random", Demos.nested_random ()); ("recursive", Demos.recursive ());
       ("irreducible", Demos.irreducible ()); ("computed_goto", Demos.computed_goto ());
       ("sort", Demos.sort ()); ("sieve", Demos.sieve ()) ];
-  (* the four Table-1 rows *)
   List.iter
     (fun (name, src) ->
       let base = Program.of_source (with_final_print src) in
-      default_matches_tree (name ^ " opt-ON") CM.optimized (Optimize.program base);
-      default_matches_tree (name ^ " opt-OFF") CM.unoptimized base)
+      f (name ^ " opt-ON") CM.optimized (Optimize.program base);
+      f (name ^ " opt-OFF") CM.unoptimized base)
     [ ("LOOPS", Livermore.source); ("SIMPLE", Simple_code.source ()) ]
+
+let default_backend_parity () =
+  check cb "default backend is Bytecode" true
+    (Interp.default_config.Interp.backend = Interp.Bytecode);
+  on_demos_and_table1 default_matches_tree
+
+(* [Compiled] is the bytecode engine with every node lowered to FALLBACK:
+   each executed node escapes to its closure, and a smart-profiled run
+   still equals the Tree oracle in cycles, counters and reconstructed
+   totals. *)
+let compiled_matches_tree what cost_model prog =
+  let module Placement = S89_profiling.Placement in
+  let plan = Placement.plan (S89_profiling.Analysis.of_program prog) in
+  let run backend =
+    let config =
+      { Interp.default_config with cost_model; seed = 3; backend;
+        instr = Placement.probes plan }
+    in
+    let vm = Interp.create ~config prog in
+    ignore (Interp.run vm);
+    vm
+  in
+  let vt = run Interp.Tree and vc = run Interp.Compiled in
+  check cb (what ^ ": runs") true (Interp.steps vc > 0);
+  check ci (what ^ ": every step a FALLBACK") (Interp.steps vc) (Interp.fallback_execs vc);
+  check ci (what ^ ": Tree runs no FALLBACK") 0 (Interp.fallback_execs vt);
+  check ci (what ^ ": cycles") (Interp.cycles vt) (Interp.cycles vc);
+  let counters vm = Array.sub (Interp.counters vm) 0 (Placement.n_counters plan) in
+  check Alcotest.(array int) (what ^ ": counters") (counters vt) (counters vc);
+  let totals vm = sorted_totals (S89_profiling.Reconstruct.totals plan ~counters:(counters vm)) in
+  check cb (what ^ ": reconstructed totals") true (totals vt = totals vc);
+  check Alcotest.string (what ^ ": PRINT output") (Interp.output vt) (Interp.output vc)
 
 let suite =
   suite
@@ -947,4 +934,6 @@ let suite =
       Alcotest.test_case "intrinsics: table-backed lookup" `Quick intrinsics_lookup;
       Alcotest.test_case "default backend: Bytecode, profiles = Tree" `Quick
         default_backend_parity;
+      Alcotest.test_case "Compiled lowers every node to FALLBACK" `Quick
+        (fun () -> on_demos_and_table1 compiled_matches_tree);
     ]
