@@ -37,8 +37,9 @@
    - no uncaught exception anywhere in parse → analyze → plan → profile →
      estimate: inputs are either accepted or rejected with a structured
      diagnostic;
-   - the tree-walking and compiled backends agree exactly (cycles,
-     statements, output — or the same diagnostic code on failure);
+   - the three VM backends (tree, compiled, bytecode) agree exactly:
+     cycles, statements and output, or on failure the same diagnostic
+     code and message at the same statement and cycle count;
    - estimates from oracle counts reproduce the measured cycle count
      (reconstruction exactness) on programs that run to completion.
 
@@ -142,6 +143,38 @@ let runtime_reject : exn -> string option = function
   | Interproc.Recursion_unsupported _ -> Some "EST001"
   | _ -> None
 
+(* one bounded run: its outcome (Ok, or the diagnostic's code and
+   message), where it stopped, and what it printed *)
+type run = {
+  result : (unit, string * string) result;
+  cycles : int;
+  steps : int;
+  output : string;
+}
+
+let run_bounded prog backend =
+  let vm = Interp.create ~config:(bounded backend) prog in
+  let result =
+    match Interp.run_result vm with
+    | Ok _ -> Ok ()
+    | Error d -> Error (d.Diag.code, d.Diag.message)
+  in
+  { result; cycles = Interp.cycles vm; steps = Interp.steps vm; output = Interp.output vm }
+
+let describe r =
+  match r.result with
+  | Ok () -> Printf.sprintf "runs, %d cycles/%d steps" r.cycles r.steps
+  | Error (code, msg) ->
+      Printf.sprintf "rejects %s (%S) at %d cycles/%d steps" code msg r.cycles r.steps
+
+(* two backends agree exactly: same outcome, same error message, same
+   steps, cycles and PRINT output *)
+let agree (n1, r1) (n2, r2) =
+  if r1 <> r2 then
+    if r1.result = r2.result && r1.cycles = r2.cycles && r1.steps = r2.steps then
+      failf "backend divergence: %s and %s PRINT output differs" n1 n2
+    else failf "backend divergence: %s %s, %s %s" n1 (describe r1) n2 (describe r2)
+
 let check mode src : verdict =
   match Program.of_source_result src with
   | Error d -> Rejected d.Diag.code
@@ -152,36 +185,15 @@ let check mode src : verdict =
           failf "analysis diagnostic on a valid program: %s" d.Diag.code
       | d :: _ -> Rejected d.Diag.code
       | [] -> (
-          (* all three backends, bounded: exact agreement or same
-             rejection *)
-          let run backend =
-            let vm = Interp.create ~config:(bounded backend) prog in
-            match Interp.run_result vm with
-            | Ok _ -> Ok (Interp.cycles vm, Interp.steps vm, Interp.output vm)
-            | Error d -> Error d.Diag.code
-          in
-          (match (run Interp.Compiled, run Interp.Bytecode) with
-          | Ok (c1, s1, o1), Ok (c3, s3, o3) ->
-              if c1 <> c3 || s1 <> s3 then
-                failf
-                  "backend divergence: compiled %d cycles/%d steps, bytecode %d/%d"
-                  c1 s1 c3 s3;
-              if o1 <> o3 then
-                failf "backend divergence: bytecode PRINT output differs"
-          | Error d1, Error d3 ->
-              if d1 <> d3 then
-                failf "backend divergence: compiled rejects %s, bytecode rejects %s"
-                  d1 d3
-          | Ok _, Error d ->
-              failf "backend divergence: bytecode rejects %s, compiled runs" d
-          | Error d, Ok _ ->
-              failf "backend divergence: compiled rejects %s, bytecode runs" d);
-          match (run Interp.Compiled, run Interp.Tree) with
-          | Ok (c1, s1, o1), Ok (c2, s2, o2) ->
-              if c1 <> c2 || s1 <> s2 then
-                failf "backend divergence: compiled %d cycles/%d steps, tree %d/%d"
-                  c1 s1 c2 s2;
-              if o1 <> o2 then failf "backend divergence: PRINT output differs";
+          (* all three backends, bounded: exact agreement, or the same
+             rejection (code and message) at the same steps and cycles *)
+          let tree = run_bounded prog Interp.Tree in
+          let compiled = run_bounded prog Interp.Compiled in
+          agree ("compiled", compiled) ("bytecode", run_bounded prog Interp.Bytecode);
+          agree ("compiled", compiled) ("tree", tree);
+          match tree.result with
+          | Ok () ->
+              let c1 = tree.cycles and s1 = tree.steps and o1 = tree.output in
               (* reconstruction exactness from oracle counts, then smart
                  profiling + estimation; deep layers may legitimately
                  reject semantically broken (non-valid) inputs *)
@@ -201,33 +213,17 @@ let check mode src : verdict =
                     agree on the PGO'd program, reproduce the original
                     output and step count, and never cost more cycles *)
                  let pr = Pipeline.pgo t in
-                 let run_pgo backend =
-                   let config = bounded backend in
-                   let vm = Interp.create ~config pr.Pipeline.pgo_prog in
-                   match Interp.run_result vm with
-                   | Ok _ -> Ok (Interp.cycles vm, Interp.steps vm, Interp.output vm)
-                   | Error d -> Error d.Diag.code
-                 in
-                 match
-                   (run_pgo Interp.Tree, run_pgo Interp.Compiled,
-                    run_pgo Interp.Bytecode)
-                 with
-                 | Ok (ct, st, ot), Ok (cc, sc, oc), Ok (cb, sb, ob) ->
-                     if ct <> cc || ct <> cb || st <> sc || st <> sb then
-                       failf
-                         "pgo divergence: tree %d/%d, compiled %d/%d, bytecode %d/%d"
-                         ct st cc sc cb sb;
-                     if ot <> oc || ot <> ob then
-                       failf "pgo divergence: PRINT output differs";
-                     if ot <> o1 then failf "pgo changed program output";
-                     if st <> s1 then
-                       failf "pgo changed step count: %d vs %d" st s1;
-                     if ct > c1 then
-                       failf "pgo increased cycles: %d vs %d" ct c1
-                 | Error d1, Error d2, Error d3 ->
-                     if d1 <> d2 || d1 <> d3 then
-                       failf "pgo divergence: rejects %s / %s / %s" d1 d2 d3
-                 | _ -> failf "pgo divergence: backends disagree on acceptance"
+                 let run_pgo = run_bounded pr.Pipeline.pgo_prog in
+                 let pt = run_pgo Interp.Tree in
+                 agree ("tree", pt) ("compiled", run_pgo Interp.Compiled);
+                 agree ("tree", pt) ("bytecode", run_pgo Interp.Bytecode);
+                 if pt.result = Ok () then begin
+                   if pt.output <> o1 then failf "pgo changed program output";
+                   if pt.steps <> s1 then
+                     failf "pgo changed step count: %d vs %d" pt.steps s1;
+                   if pt.cycles > c1 then
+                     failf "pgo increased cycles: %d vs %d" pt.cycles c1
+                 end
                with
               | () -> ()
               | exception e -> (
@@ -235,13 +231,7 @@ let check mode src : verdict =
                   | Some code when mode <> Valid -> ignore code
                   | _ -> raise e));
               Accepted
-          | Error d1, Error d2 ->
-              if d1 <> d2 then
-                failf "backend divergence: compiled rejects %s, tree rejects %s" d1 d2;
-              Rejected d1
-          | Ok _, Error d -> failf "backend divergence: tree rejects %s, compiled runs" d
-          | Error d, Ok _ -> failf "backend divergence: compiled rejects %s, tree runs" d)
-      )
+          | Error (code, _) -> Rejected code))
 
 (* ---------------- store recovery fuzzing ---------------- *)
 
@@ -637,21 +627,12 @@ type failure = { mode : mode; seed : int; what : string; src : string }
 
 let usage () =
   prerr_endline
-    "usage: fuzz [--seeds N] [--start-seed N] [--budget SECS[s]] [--out DIR]";
+    "usage: fuzz [--seeds N] [--start-seed N] [--out DIR]";
   exit 2
-
-let parse_budget s =
-  let s =
-    if String.length s > 0 && s.[String.length s - 1] = 's' then
-      String.sub s 0 (String.length s - 1)
-    else s
-  in
-  match float_of_string_opt s with Some b when b > 0.0 -> b | _ -> usage ()
 
 let () =
   let seeds = ref 200
   and start = ref 1
-  and budget = ref infinity
   and out_dir = ref "fuzz-crashes" in
   let rec parse = function
     | [] -> ()
@@ -661,9 +642,6 @@ let () =
     | "--start-seed" :: v :: rest ->
         (match int_of_string_opt v with Some n -> start := n | _ -> usage ());
         parse rest
-    | "--budget" :: v :: rest ->
-        budget := parse_budget v;
-        parse rest
     | "--out" :: v :: rest ->
         out_dir := v;
         parse rest
@@ -672,79 +650,41 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let t0 = Unix.gettimeofday () in
   let failures = ref [] in
-  let completed = ref 0 in
   let accepted = ref 0 in
   let rejected = Hashtbl.create 16 in
-  (try
-     for seed = !start to !start + !seeds - 1 do
-       if Unix.gettimeofday () -. t0 > !budget then raise Exit;
-       List.iter
-         (fun mode ->
-           let src = gen_input mode seed in
-           match check mode src with
-           | Accepted -> incr accepted
-           | Rejected code ->
-               Hashtbl.replace rejected code
-                 (1 + Option.value ~default:0 (Hashtbl.find_opt rejected code))
-           | exception e ->
-               let what =
-                 match e with
-                 | Fuzz_failure m -> m
-                 | e -> "uncaught exception: " ^ Printexc.to_string e
-               in
-               failures := { mode; seed; what; src } :: !failures)
-         [ Valid; Mutated; Corrupted ];
-       (match check_store seed with
-       | Accepted -> incr accepted
-       | Rejected code ->
-           Hashtbl.replace rejected code
-             (1 + Option.value ~default:0 (Hashtbl.find_opt rejected code))
-       | exception e ->
-           let what =
-             match e with
-             | Fuzz_failure m -> m
-             | e -> "uncaught exception: " ^ Printexc.to_string e
-           in
-           failures :=
-             { mode = Store_recovery; seed; what; src = "(no source: store-recovery mangles on-disk store files)" }
-             :: !failures);
-       (match check_memo_consistency seed with
-       | Accepted -> incr accepted
-       | Rejected code ->
-           Hashtbl.replace rejected code
-             (1 + Option.value ~default:0 (Hashtbl.find_opt rejected code))
-       | exception e ->
-           let what =
-             match e with
-             | Fuzz_failure m -> m
-             | e -> "uncaught exception: " ^ Printexc.to_string e
-           in
-           failures :=
-             { mode = Memo_consistency; seed; what;
-               (* the edit stream's base version *)
-               src = with_print (Gen.gen_source seed) }
-             :: !failures);
-       (match check_codec seed with
-       | Accepted -> incr accepted
-       | Rejected code ->
-           Hashtbl.replace rejected code
-             (1 + Option.value ~default:0 (Hashtbl.find_opt rejected code))
-       | exception e ->
-           let what =
-             match e with
-             | Fuzz_failure m -> m
-             | e -> "uncaught exception: " ^ Printexc.to_string e
-           in
-           failures :=
-             { mode = Codec; seed; what;
-               src = "(no source: codec fuzzes record images)" }
-             :: !failures);
-       incr completed
-     done
-   with Exit -> ());
+  let record mode seed (src : string Lazy.t) check =
+    match check () with
+    | Accepted -> incr accepted
+    | Rejected code ->
+        Hashtbl.replace rejected code
+          (1 + Option.value ~default:0 (Hashtbl.find_opt rejected code))
+    | exception e ->
+        let what =
+          match e with
+          | Fuzz_failure m -> m
+          | e -> "uncaught exception: " ^ Printexc.to_string e
+        in
+        failures := { mode; seed; what; src = Lazy.force src } :: !failures
+  in
+  for seed = !start to !start + !seeds - 1 do
+    List.iter
+      (fun mode ->
+        let src = gen_input mode seed in
+        record mode seed (Lazy.from_val src) (fun () -> check mode src))
+      [ Valid; Mutated; Corrupted ];
+    record Store_recovery seed
+      (lazy "(no source: store-recovery mangles on-disk store files)")
+      (fun () -> check_store seed);
+    (* the edit stream's base version *)
+    record Memo_consistency seed
+      (lazy (with_print (Gen.gen_source seed)))
+      (fun () -> check_memo_consistency seed);
+    record Codec seed (lazy "(no source: codec fuzzes record images)") (fun () ->
+        check_codec seed)
+  done;
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf "fuzz: %d seeds x 6 modes in %.1fs — %d accepted, %d rejected, %d failures\n"
-    !completed elapsed !accepted
+    !seeds elapsed !accepted
     (Hashtbl.fold (fun _ n acc -> acc + n) rejected 0)
     (List.length !failures);
   let codes =

@@ -11,9 +11,10 @@
    bump instead of a closure wrapper.
 
    Anything the emitter cannot prove statically falls back, per node, to
-   the closure compiled by {!Compile.compile_node} (the [FALLBACK]
-   opcode).  Under [Compiled] every node is emitted that way, so the same
-   loop then runs nothing but closures.  Observational parity with the
+   the generic closure compiled by {!Compile.compile_node} (the
+   [FALLBACK] opcode), which evaluates on boxed values exactly as the
+   tree walker does.  Under [Compiled] every node is emitted that way, so
+   the same loop then runs nothing but closures.  Observational parity with the
    Tree backend is preserved exactly: same evaluation order, same
    coercions, same runtime-error points and messages, same PRNG
    consumption, same cycle and step accounting, same probe charges and
@@ -123,7 +124,7 @@ type pact = PIncr of int | PBulk of int
 type proc = {
   bp_proc : Program.proc;
   layout : Env.layout;
-  code : int array; (* may run past the last instruction (unused slack) *)
+  code : int array;
   fpool : float array;
   entry_pc : int;
   n_iregs : int;
@@ -254,6 +255,11 @@ let op_rand = 81 (* fd *)
 let op_irand = 82 (* rd ra *)
 let op_imod = 83 (* rd ra rb *)
 
+(* INTEGER MAX0/MIN0: Emit chains one per argument after the first, once
+   every argument is in a register *)
+let op_imax = 84 (* rd ra rb *)
+let op_imin = 85 (* rd ra rb *)
+
 (* ---- runtime helpers (cold paths of the dispatch loop) ---- *)
 
 let read_cell_int (names : string array) s (venv : Env.slots) =
@@ -280,7 +286,7 @@ let check_dim name k d i =
   if i < 1 || i > d then
     Value.err "%s: subscript %d of dimension %d out of bounds [1,%d]" name i (k + 1) d
 
-(* the generic scalar store (Compile.write_scalar), for STCI/STCF slots
+(* the generic scalar store (as in Compile.compile_node), for STCI/STCF slots
    whose binding turned out not to be a plain Cell (e.g. Poison) *)
 let write_scalar_generic (names : string array) s v (venv : Env.slots) =
   match venv.(s) with
@@ -834,6 +840,16 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
         if y = 0 then Value.err "MOD by zero";
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x mod y);
+        loop (pc + 4)
+    | 84 (* IMAX rd ra rb *) ->
+        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
+        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
+        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y > x then y else x);
+        loop (pc + 4)
+    | 85 (* IMIN rd ra rb *) ->
+        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
+        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
+        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y < x then y else x);
         loop (pc + 4)
     | op -> Value.err "corrupt bytecode: opcode %d at pc %d" op pc
   in

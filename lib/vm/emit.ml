@@ -5,10 +5,10 @@
    lowered to native register ops only when every fact it depends on is
    static (slot types, array dimensions, successor edges); anything else
    becomes a [FALLBACK] op wrapping the closure from
-   {!Compile.compile_node}, which is semantically exact by construction.
-   The static-typing judgments are shared with compile.ml
-   ([Compile.static_num] and friends) so both backends specialize — and
-   therefore agree — on exactly the same expressions.
+   {!Compile.compile_node}, the generic evaluator, which is exact by
+   construction.  This module alone decides what is statically typed
+   ([xstatic_num] and the slot facts below); compile.ml never
+   specializes, so there is one judgment to keep sound, not two.
 
    Scalar promotion: every non-dummy slot of static INTEGER/REAL type
    that is never passed by reference to a user procedure lives in an
@@ -28,22 +28,62 @@
    - conditionals/selects never bump edge counts themselves; every
      traversal runs the successor's EDGE/EDGEP op, so fused jumps cannot
      double-count and probed edges fire after the bump (compiled order);
-   - evaluation order inside expressions is left-to-right as in
-     compile.ml; hoisting the array lookup of a statically-dimensioned
-     array past index evaluation is unobservable (the binding is always
-     [Arr], so the lookup cannot raise);
+   - evaluation order inside expressions is left-to-right as in the
+     generic evaluator; hoisting the array lookup of a
+     statically-dimensioned array past index evaluation is unobservable
+     (the binding is always [Arr], so the lookup cannot raise);
    - float const-op fusions keep the constant on the side it appears on
      (FADDK/FMULK only fold a right-hand constant; FRSUBK handles
      [k - x]) so NaN propagation is bit-identical to the generic path;
    - no emit-time constant folding: [1/0] must raise each time it
-     executes, exactly like the closure backend. *)
+     executes, exactly like the generic evaluator. *)
 
 module Ast = S89_frontend.Ast
 module Ir = S89_frontend.Ir
 module Program = S89_frontend.Program
 module Intrinsics = S89_frontend.Intrinsics
+module Sema = S89_frontend.Sema
 module B = Bytecode
 open S89_cfg
+
+(* ---- static slot facts ----
+
+   A slot's value type is static when its binding is fixed at frame
+   creation (not a dummy argument: callers can bind those to anything)
+   and every store coerces to the declared type. *)
+
+(* declared dimensions of a non-dummy array slot, when none is -1
+   (assumed-size) *)
+let static_dims (lay : Env.layout) s =
+  if s < lay.Env.n_params then None
+  else
+    match lay.Env.kinds.(s) with
+    | Sema.Array (_, dims) when not (List.mem (-1) dims) -> Some dims
+    | _ -> None
+
+(* value type of a non-dummy scalar or PARAMETER slot *)
+let static_scalar_ty (lay : Env.layout) s =
+  if s < lay.Env.n_params then None
+  else
+    match lay.Env.kinds.(s) with
+    (* constant options: the emitters ask this per variable leaf *)
+    | Sema.Scalar Ast.Tint -> Some Ast.Tint
+    | Sema.Scalar Ast.Treal -> Some Ast.Treal
+    | Sema.Scalar Ast.Tlogical -> Some Ast.Tlogical
+    | Sema.Const (Ast.Int _) -> Some Ast.Tint
+    | Sema.Const (Ast.Real _) -> Some Ast.Treal
+    | Sema.Const (Ast.Bool _) -> Some Ast.Tlogical
+    | _ -> None
+
+(* element type of a non-dummy array slot *)
+let static_elt_ty (lay : Env.layout) s =
+  if s < lay.Env.n_params then None
+  else
+    match lay.Env.kinds.(s) with
+    | Sema.Array (Ast.Tint, _) -> Some Ast.Tint
+    | Sema.Array (Ast.Treal, _) -> Some Ast.Treal
+    | Sema.Array (Ast.Tlogical, _) -> Some Ast.Tlogical
+    | _ -> None
 
 (* raised (emit-time only) when a node has no native lowering *)
 exception Unsupported
@@ -62,13 +102,18 @@ let rec edge_acts l = function
   | [] -> []
   | (lbl, acts) :: rest -> if Label.equal lbl l then acts else edge_acts l rest
 
-(* [labels]/[dsts] from a successor edge list, in one pass *)
-let rec fill_succ (labels : Label.t array) dsts k = function
+(* [labels.(k)] and [dsts.(base + k)] from a successor edge list *)
+let rec fill_succ (labels : Label.t array) dsts base k = function
   | [] -> ()
   | (e : Label.t S89_graph.Digraph.edge) :: rest ->
       labels.(k) <- e.label;
-      dsts.(k) <- e.dst;
-      fill_succ labels dsts (k + 1) rest
+      dsts.(base + k) <- e.dst;
+      fill_succ labels dsts base (k + 1) rest
+
+(* The emission buffer, shared by all [emit_proc] calls.  A call takes it
+   (leaving [[||]]) and puts back the possibly grown buffer, so a
+   concurrent call on another domain or thread starts its own. *)
+let code_buffer : int array Atomic.t = Atomic.make [||]
 
 let jop_ii = function
   | Ast.Lt -> B.op_jlt_ii
@@ -170,7 +215,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   let n_pro_i = ref 0 and n_pro_f = ref 0 in
   for s = lay.Env.n_params to nslots - 1 do
     if not (all_fallback || by_ref.(s)) then
-      match Compile.static_scalar_ty lay s with
+      match static_scalar_ty lay s with
       | Some Ast.Tint ->
           slot_ireg.(s) <- !n_pro_i;
           incr n_pro_i
@@ -263,19 +308,40 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     r
   in
 
+  (* ---- edge bookkeeping: flat (node, successor index) -> counter ----
+
+     [edge_base.(i) + k] indexes successor [k] of node [i] in the flat
+     [edge_dst] (and in the proc's edge counters) *)
+  let g = Cfg.graph cfg in
+  let edge_base = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    edge_base.(i + 1) <- edge_base.(i) + S89_graph.Digraph.out_degree g i
+  done;
+  let succ_labels = Array.make n [||] in
+  let edge_dst = Array.make (max edge_base.(n) 1) 0 in
+  let node_cost = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let labels = Array.make (edge_base.(i + 1) - edge_base.(i)) Label.U in
+    fill_succ labels edge_dst edge_base.(i) 0 (Cfg.succ_edges cfg i);
+    succ_labels.(i) <- labels;
+    node_cost.(i) <- Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir
+  done;
+
   (* ---- code buffer ----
 
-     Sized for the usual ~12 words per node, so most procedures never
-     grow it; the proc keeps the buffer itself, slack included. *)
-  let buf = ref (Array.make ((16 * n) + 64) 0) in
+     Borrowed from [code_buffer] and given back at the end, when the
+     proc takes an exact-length copy: emission allocates only that copy.
+     Code size per node varies too much to presize without slack (about
+     12 to 23 words on generated programs), and [Interp.create] is on
+     every profiled run's path. *)
+  let buf = ref (Atomic.exchange code_buffer [||]) in
   let len = ref 0 in
-  let grow a =
-    let b = Array.make (2 * Array.length a) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
   let emit k =
-    if !len = Array.length !buf then buf := grow !buf;
+    if !len = Array.length !buf then begin
+      let b = Array.make (max (24 * n + 64) (2 * !len)) 0 in
+      Array.blit !buf 0 b 0 !len;
+      buf := b
+    end;
     !buf.(!len) <- k;
     incr len
   in
@@ -284,12 +350,11 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   let node_start = Array.make n (-1) in
   (* forward references to node starts: the operand holds the node id
      until the end, when each recorded position is patched to the node's
-     start *)
-  let fixups = ref (Array.make 64 0) and n_fixups = ref 0 in
+     start.  There is one per edge sequence, plus the entry's JMP. *)
+  let fixups = Array.make (edge_base.(n) + 1) 0 and n_fixups = ref 0 in
   let emit_node_ref nid =
     emit nid;
-    if !n_fixups = Array.length !fixups then fixups := grow !fixups;
-    !fixups.(!n_fixups) <- pos () - 1;
+    fixups.(!n_fixups) <- pos () - 1;
     incr n_fixups
   in
 
@@ -342,27 +407,12 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   in
   let fallbacks = ref [] and n_fallbacks = ref 0 in
 
-  (* ---- edge bookkeeping: flat (node, successor index) -> counter ---- *)
-  let succ_labels = Array.make n [||] in
-  let succ_dst = Array.make n [||] in
-  let edge_base = Array.make (n + 1) 0 in
-  let node_cost = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let edges = Cfg.succ_edges cfg i in
-    let k = List.length edges in
-    let labels = Array.make k Label.U and dsts = Array.make k 0 in
-    fill_succ labels dsts 0 edges;
-    succ_labels.(i) <- labels;
-    succ_dst.(i) <- dsts;
-    edge_base.(i + 1) <- edge_base.(i) + k;
-    node_cost.(i) <- Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir
-  done;
-
-  (* Static numeric typing: mirrors [Compile.static_num] case for case
-     (same judgments => both backends specialize the same expressions),
-     extended with intrinsic calls whose native lowering below is exact.
-     A user procedure shadowing an intrinsic name keeps the dynamic
-     path. *)
+  (* Static numeric typing: the type the generic evaluation of [e] is
+     guaranteed to yield (raising exactly where the native code below
+     raises); None = unknown, LOGICAL, or involves user calls or dummy
+     arguments.  Intrinsic calls are typed when their native lowering is
+     exact; a user procedure shadowing an intrinsic name keeps the
+     generic path. *)
   let shadowing =
     List.exists (fun (f, _) -> Hashtbl.mem prog.Program.by_name f) Intrinsics.table
   in
@@ -374,11 +424,11 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | Ast.Int _ -> Some Ast.Tint
     | Ast.Real _ -> Some Ast.Treal
     | Ast.Var v -> (
-        match Compile.static_scalar_ty lay (Env.slot lay v) with
+        match static_scalar_ty lay (Env.slot lay v) with
         | Some (Ast.Tint | Ast.Treal) as t -> t
         | _ -> None)
     | Ast.Index (name, _) -> (
-        match Compile.static_elt_ty lay (Env.slot lay name) with
+        match static_elt_ty lay (Env.slot lay name) with
         | Some (Ast.Tint | Ast.Treal) as t -> t
         | _ -> None)
     | Ast.Unop (Ast.Neg, e1) -> xstatic_num e1
@@ -408,6 +458,12 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
                 Some Ast.Tint
             | _ -> None)
         | "RAND" -> ( match args with [] -> Some Ast.Treal | _ -> None)
+        | "MAX0" | "MIN0" -> (
+            match args with
+            | _ :: _ :: _
+              when List.for_all (fun a -> xstatic_num a = Some Ast.Tint) args ->
+                Some Ast.Tint
+            | _ -> None)
         | _ -> None)
     | _ -> None
   in
@@ -427,11 +483,11 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | _ -> (e, 0)
   in
 
-  (* expression emitters, mirroring compile_int/compile_float/
-     compile_num case for case.  Results go to [dst] when given (safe:
-     every op reads its sources before writing its destination), else
-     to a fresh temp — or, for a promoted variable leaf, its own
-     register. *)
+  (* expression emitters over [xstatic_num]-typed expressions: emit_int
+     for Some Tint, emit_float for Some Treal, emit_num for either (as a
+     float).  Results go to [dst] when given (safe: every op reads its
+     sources before writing its destination), else to a fresh temp — or,
+     for a promoted variable leaf, its own register. *)
   let idest = function Some d -> d | None -> itemp () in
   let fdest = function Some d -> d | None -> ftemp () in
   let rec emit_int ?dst (e : Ast.expr) : int =
@@ -479,7 +535,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             d)
     | Ast.Index (name, idx) -> (
         let s = Env.slot lay name in
-        match (Compile.static_dims lay s, idx) with
+        match (static_dims lay s, idx) with
         | Some [ d0 ], [ e0 ] ->
             let e0, k0 = index_parts e0 in
             let r0 = emit_int e0 in
@@ -631,6 +687,30 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             emit ra;
             emit rb;
             d
+        | ("MAX0" | "MIN0"), (a0 :: (_ :: _ as rest) as args)
+          when List.for_all xstatic_int args ->
+            (* every argument, left to right, before the first write: the
+               destination may be a register an argument reads.  On INTEGER
+               values the tie rule (keep the first) is unobservable. *)
+            let opc = if f = "MAX0" then B.op_imax else B.op_imin in
+            let rec regs = function
+              | [] -> []
+              | a :: rest ->
+                  let r = emit_int a in
+                  r :: regs rest
+            in
+            let rec fold acc = function
+              | [] -> acc
+              | r :: rest ->
+                  let d = if rest = [] then idest dst else itemp () in
+                  emit opc;
+                  emit d;
+                  emit acc;
+                  emit r;
+                  fold d rest
+            in
+            let r0 = emit_int a0 in
+            fold r0 (regs rest)
         | _ -> raise Unsupported)
     | _ -> raise Unsupported
   and emit_float ?dst (e : Ast.expr) : int =
@@ -677,7 +757,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             d)
     | Ast.Index (name, idx) -> (
         let s = Env.slot lay name in
-        match (Compile.static_dims lay s, idx) with
+        match (static_dims lay s, idx) with
         | Some [ d0 ], [ e0 ] ->
             let e0, k0 = index_parts e0 in
             let r0 = emit_int e0 in
@@ -932,7 +1012,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
      probes+body *)
   let emit_edge_seq i k =
     let pc = pos () in
-    let d = succ_dst.(i).(k) in
+    let d = edge_dst.(edge_base.(i) + k) in
     let acts =
       match pi with
       | Some pi -> edge_acts succ_labels.(i).(k) pi.Probe.on_edge.(i)
@@ -976,7 +1056,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | Ir.Assign (Ast.Lvar v, e) ->
         require (u >= 0);
         let s = Env.slot lay v in
-        (match (Compile.static_scalar_ty lay s, xstatic_num e) with
+        (match (static_scalar_ty lay s, xstatic_num e) with
         | Some Ast.Tint, Some Ast.Tint ->
             if slot_ireg.(s) >= 0 then ignore (emit_int ~dst:slot_ireg.(s) e)
             else begin
@@ -1018,7 +1098,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         (* indices (and their bounds checks) evaluate before the RHS,
            exactly like compile_element's wrapping of the store *)
         let off =
-          match (Compile.static_dims lay s, idx) with
+          match (static_dims lay s, idx) with
           | Some [ d0 ], [ e0 ] ->
               let e0, k0 = index_parts e0 in
               let r0 = emit_int e0 in
@@ -1048,7 +1128,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               t
           | _ -> raise Unsupported
         in
-        (match (Compile.static_elt_ty lay s, xstatic_num e) with
+        (match (static_elt_ty lay s, xstatic_num e) with
         | Some Ast.Tint, Some Ast.Tint ->
             let r = emit_int e in
             emit B.op_stai;
@@ -1197,14 +1277,16 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   done;
 
   for f = 0 to !n_fixups - 1 do
-    let p = !fixups.(f) in
+    let p = fixups.(f) in
     patch p node_start.(!buf.(p))
   done;
+  let code = Array.sub !buf 0 !len in
+  Atomic.set code_buffer !buf;
 
   {
     B.bp_proc = p;
     layout = lay;
-    code = !buf;
+    code;
     fpool = Array.of_list (List.rev !fpool);
     entry_pc;
     n_iregs = !max_ti;

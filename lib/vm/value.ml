@@ -67,7 +67,14 @@ let div a b =
       if d = 0.0 then err "REAL division by zero" else Real (to_float a /. d)
   | _ -> err "LOGICAL operand of /"
 
-let rec int_pow base exp = if exp = 0 then 1 else base * int_pow base (exp - 1)
+(* exponentiation by squaring, O(log exp) and constant stack; int
+   multiplication wraps mod 2^63 and is associative, so the result equals
+   the repeated product [base * base * ... * base] bit for bit *)
+let int_pow base exp =
+  let rec go acc b e =
+    if e = 0 then acc else go (if e land 1 = 1 then acc * b else acc) (b * b) (e lsr 1)
+  in
+  go 1 base exp
 
 let pow a b =
   match (a, b) with

@@ -649,6 +649,358 @@ let suite =
         select_edge_bookkeeping;
     ]
 
+(* ---------------- Differential: the generic evaluator ----------------
+
+   Gen_prog emits rank-1 arrays only, no [**], no .AND./.OR., and MAX0/
+   MIN0 with two arguments and a constant second.  These programs cover
+   the rest of what the generic closures (every node under [Compiled],
+   FALLBACK nodes under [Bytecode]) and the native MAX0/MIN0 opcodes must
+   evaluate exactly as the tree walker does. *)
+
+let generic_arrays_src =
+  {|      PROGRAM ARRS
+      INTEGER A(3, 4), B(2, 3, 4), W(10), I, J, K, S
+      REAL X(2, 2, 2), T
+      LOGICAL L(6), P, Q
+      S = 0
+      T = 0.0
+      DO I = 1, 3
+        DO J = 1, 4
+          A(I, J) = I ** 2 + J * 2 ** I
+          DO K = 1, 2
+            B(K, I, J) = A(I, J) * K - (-2) ** K
+          ENDDO
+        ENDDO
+      ENDDO
+      DO I = 1, 2
+        DO J = 1, 2
+          DO K = 1, 2
+            X(I, J, K) = REAL(I) ** 2 + 0.5 ** J - K ** 0.5 + 2.0 ** (-K)
+          ENDDO
+        ENDDO
+      ENDDO
+      DO I = 1, 6
+        L(I) = MOD(I, 3) .EQ. 0 .OR. I .EQ. 1
+      ENDDO
+      DO I = 1, 6
+        P = L(I) .AND. I .GT. 2
+        Q = .NOT. L(I) .OR. P
+        IF (P .OR. .NOT. Q) THEN
+          S = S + B(2, 3, 4) - A(3, MOD(I, 4) + 1)
+        ELSE IF (.NOT. P .AND. L(7 - I)) THEN
+          S = S - B(1, MOD(I, 3) + 1, 2)
+        ENDIF
+        IF (L(I) .AND. .NOT. (X(1, 2, 1) .GT. T)) S = S + 1
+        T = T + X(MOD(I, 2) + 1, 2, MOD(I + 1, 2) + 1) ** 2
+      ENDDO
+      DO I = 1, 10
+        W(I) = I * I
+      ENDDO
+      CALL FILL(A, 3, 4)
+      CALL FLAT(W, 10, L)
+      PRINT *, S, T, A(2, 3), B(2, 3, 4), L(3), X(2, 2, 2), W(7)
+      END
+
+      SUBROUTINE FILL(M, NR, NC)
+      INTEGER NR, NC, M(3, 4)
+      DO J = 1, NC
+        DO I = 1, NR
+          M(I, J) = M(I, J) + MAX0(I, J, NR) * (I - J) ** 2
+        ENDDO
+      ENDDO
+      END
+
+      SUBROUTINE FLAT(V, N, F)
+      INTEGER N, V(*)
+      LOGICAL F(*)
+      DO I = 2, N
+        V(I) = V(I - 1) + MIN0(V(I), N, I * 3)
+        IF (F(MOD(I, 6) + 1) .OR. V(I) .GT. 50) V(I) = V(I) - 1
+      ENDDO
+      END
+|}
+
+let generic_minmax_src =
+  {|      PROGRAM MM
+      INTEGER I, J, K, M, S, N(5)
+      REAL X, Y
+      S = 0
+      X = 2.5
+      Y = -1.5
+      DO I = 1, 5
+        N(I) = IRAND(9) - 5
+      ENDDO
+      DO I = -3, 3
+        J = 2 - I
+        K = I * I - 4
+        M = MAX0(I, -J, 3, K)
+        S = S + M
+        M = MIN0(-I, -I, J - 7, -2)
+        S = S + M * 3
+        M = MAX0(I, I)
+        S = S + MIN0(J, J, J) - M
+        K = MAX0(J, K - 1, K)
+        S = S + K * 1000
+        K = MIN0(K + 1, J + 3, K)
+        S = S + K * 10000
+        S = S + MAX0(IRAND(10), IRAND(10), IRAND(10)) * 100
+        S = S + MIN0(IRAND(5) - 3, -1, IRAND(7), N(MOD(I + 5, 5) + 1))
+        M = MAX0(X, 2.5, Y + I)
+        S = S + M + MIN0(X * I, Y, -0.5)
+        IF (MAX0(I, J, K) .GT. MIN0(I, J, K) + 4) S = S + 7
+        GOTO (10, 20, 30), MIN0(MAX0(I, 0), 3, K + 5)
+        S = S - 1
+        GOTO 40
+   10   S = S + 10
+        GOTO 40
+   20   S = S + 20
+        GOTO 40
+   30   S = S + 30
+   40   CONTINUE
+      ENDDO
+      PRINT *, S, M, K, MAX0(-7, -9, -8), MIN0(4, 4, 5), MAX(2, 2.0)
+      END
+|}
+
+(* Sema refuses a unit named like an intrinsic and a subroutine called as
+   a function, but the VM must still run such programs exactly: build
+   them by rewriting call sites (and unit names) after lowering.  (A
+   user MAX0 would also capture the trip counts lowering gives DO loops,
+   so the shadowing program loops with GOTO.) *)
+let rewrite_calls ~from ~to_ (prog : Program.t) =
+  let rec ex (e : Ast.expr) : Ast.expr =
+    match e with
+    | Ast.Call (f, args) -> Ast.Call ((if f = from then to_ else f), List.map ex args)
+    | Ast.Index (n, idx) -> Ast.Index (n, List.map ex idx)
+    | Ast.Unop (o, a) -> Ast.Unop (o, ex a)
+    | Ast.Binop (o, a, b) -> Ast.Binop (o, ex a, ex b)
+    | Ast.Int _ | Ast.Real _ | Ast.Bool _ | Ast.Var _ -> e
+  in
+  let node (ir : Ir.node) : Ir.node =
+    match ir with
+    | Ir.Assign (lv, e) -> Ir.Assign (lv, ex e)
+    | Ir.Branch e -> Ir.Branch (ex e)
+    | Ir.Select (e, n) -> Ir.Select (ex e, n)
+    | Ir.Print es -> Ir.Print (List.map ex es)
+    | ir -> ir
+  in
+  let procs =
+    Array.map
+      (fun (p : Program.proc) ->
+        let cfg = p.Program.cfg in
+        for u = 0 to Cfg.num_nodes cfg - 1 do
+          let info = Cfg.info cfg u in
+          Cfg.set_info cfg u { info with Ir.ir = node info.Ir.ir }
+        done;
+        if p.Program.name = from then { p with Program.name = to_ } else p)
+      prog.Program.procs
+  in
+  let by_name = Hashtbl.create 8 and index = Hashtbl.create 8 in
+  Array.iteri
+    (fun i (p : Program.proc) ->
+      Hashtbl.replace by_name p.Program.name p;
+      Hashtbl.replace index p.Program.name i)
+    procs;
+  { prog with Program.procs; by_name; index }
+
+let shadow_max0_src =
+  {|      PROGRAM SHADOW
+      INTEGER I, K
+      K = 0
+      I = 1
+   10 K = K + MAXZ(I, 3, K)
+      IF (MAXZ(I, K, 1) .GT. 100) K = K - 1
+      I = I + 1
+      IF (I .LE. 5) GOTO 10
+      PRINT *, K
+      END
+
+      INTEGER FUNCTION MAXZ(A, B, C)
+      INTEGER A, B, C
+      MAXZ = A * 10 + B - MOD(C, 7)
+      END
+|}
+
+let diff_generic_path () =
+  List.iter
+    (fun (what, prog) ->
+      check_backends_agree what prog;
+      check_backends_agree ~instr:(placement_probes prog) (what ^ " probed") prog)
+    [
+      ("arrays/**/logic", Program.of_source generic_arrays_src);
+      ("MAX0/MIN0", Program.of_source generic_minmax_src);
+      ( "user FUNCTION MAX0",
+        rewrite_calls ~from:"MAXZ" ~to_:"MAX0" (Program.of_source shadow_max0_src) );
+    ];
+  (* the user FUNCTION, not the intrinsic, answers every MAX0 call *)
+  let prog = rewrite_calls ~from:"MAXZ" ~to_:"MAX0" (Program.of_source shadow_max0_src) in
+  List.iter
+    (fun backend ->
+      let vm, _ = run_backend ~instr:Probe.empty ~seed:42 backend prog in
+      check ci "MAX0 invocations" 10 (Interp.invocations vm "MAX0"))
+    [ Interp.Tree; Interp.Compiled; Interp.Bytecode ]
+
+(* A runtime error is part of the observable behaviour: every backend must
+   fail with the same message after the same steps and cycles. *)
+let error_cases =
+  let main body = "      PROGRAM E\n" ^ body ^ "      END\n" in
+  let prog src () = Program.of_source src in
+  let rank_sub =
+    {|
+      SUBROUTINE S(V, N)
+      INTEGER V(*), N
+      V(N) = 1
+      END
+|}
+  in
+  [
+    ( "rank-1 bounds",
+      prog (main "      INTEGER A(5), I\n      DO I = 1, 6\n        A(I) = I\n      ENDDO\n"),
+      "A: subscript 6 of dimension 1 out of bounds [1,5]" );
+    ( "rank-2 bounds",
+      prog
+        (main
+           "      REAL G(3, 4), X\n      INTEGER J\n      X = 0.0\n      DO J = 1, 5\n        X = X + G(2, J)\n      ENDDO\n"),
+      "G: subscript 5 of dimension 2 out of bounds [1,4]" );
+    ( "rank-3 bounds",
+      prog
+        (main
+           "      INTEGER C(2, 2, 2), K\n      DO K = 1, 3\n        C(1, K, 2) = K\n      ENDDO\n"),
+      "C: subscript 3 of dimension 2 out of bounds [1,2]" );
+    ( "rank mismatch",
+      prog (main "      INTEGER G(2, 3)\n      CALL S(G, 2)\n" ^ rank_sub),
+      "V: rank mismatch" );
+    ( "assumed-size bound",
+      prog (main "      INTEGER W(4)\n      CALL S(W, 5)\n" ^ rank_sub),
+      "V: subscript 5 of dimension 1 out of bounds [1,4]" );
+    ( "INTEGER / 0 in MAX0",
+      prog
+        (main
+           "      INTEGER I, J, M\n      J = 3\n      DO I = 1, 5\n        J = J - 1\n        M = MAX0(I, 10 / J, 2)\n      ENDDO\n"),
+      "INTEGER division by zero" );
+    ( "REAL / 0 in MIN0",
+      prog
+        (main
+           "      INTEGER I, M\n      REAL Y\n      Y = 2.0\n      DO I = 1, 4\n        Y = Y - 1.0\n        M = MIN0(I, INT(1.0 / Y), 7)\n      ENDDO\n"),
+      "REAL division by zero" );
+    ( "MOD by zero",
+      prog
+        (main
+           "      INTEGER I, J, M\n      J = 2\n      DO I = 1, 3\n        J = J - 1\n        M = MOD(I, J)\n      ENDDO\n"),
+      "MOD by zero" );
+    ( "IRAND(0)",
+      prog
+        (main
+           "      INTEGER I, J, M\n      J = 2\n      DO I = 1, 3\n        J = J - 1\n        M = MAX0(1, IRAND(J))\n      ENDDO\n"),
+      "IRAND bound must be positive" );
+    ( "negative exponent",
+      prog
+        (main
+           "      INTEGER I, J, M\n      J = 2\n      DO I = 1, 4\n        J = J - 1\n        M = I ** J\n      ENDDO\n"),
+      "negative INTEGER exponent" );
+    ( "LOGICAL into INTEGER",
+      prog (main "      LOGICAL P\n      INTEGER M\n      P = .TRUE.\n      M = P\n"),
+      "cannot store LOGICAL in arithmetic variable" );
+    ( "subroutine as function",
+      (fun () ->
+        rewrite_calls ~from:"F" ~to_:"SUBR"
+          (Program.of_source
+             (main "      INTEGER M\n      M = F(1)\n" ^ {|
+      INTEGER FUNCTION F(K)
+      INTEGER K
+      F = K
+      END
+
+      SUBROUTINE SUBR(K)
+      INTEGER K
+      K = K + 1
+      END
+|}))),
+      "subroutine SUBR used as a function" );
+    ( "array as scalar",
+      prog
+        (main "      REAL A(4)\n      CALL S(A)\n" ^ {|
+      SUBROUTINE S(X)
+      REAL X, Y
+      Y = X + 1.0
+      END
+|}),
+      "array X used as a scalar" );
+  ]
+
+let diff_runtime_errors () =
+  List.iter
+    (fun (what, prog, msg) ->
+      let prog = prog () in
+      let run backend =
+        let config = { Interp.default_config with backend } in
+        let vm = Interp.create ~config prog in
+        match Interp.run_result vm with
+        | Ok _ -> Alcotest.failf "%s: expected a runtime error" what
+        | Error d -> (d.S89_diag.Diag.code, d.S89_diag.Diag.message, Interp.steps vm,
+                      Interp.cycles vm)
+      in
+      let code, m, steps, cycles = run Interp.Tree in
+      check Alcotest.string (what ^ ": code") "RUN001" code;
+      check Alcotest.string (what ^ ": message") msg m;
+      List.iter
+        (fun (tag, backend) ->
+          let code', m', steps', cycles' = run backend in
+          let what = Printf.sprintf "%s [%s]" what tag in
+          check Alcotest.string (what ^ ": code") code code';
+          check Alcotest.string (what ^ ": message") m m';
+          check ci (what ^ ": steps") steps steps';
+          check ci (what ^ ": cycles") cycles cycles')
+        [ ("compiled", Interp.Compiled); ("bytecode", Interp.Bytecode) ])
+    error_cases
+
+(* [**] on INTEGERs is exponentiation by squaring: equal to the repeated
+   (wrapping) product, and a huge exponent neither overflows the stack
+   nor takes linear time *)
+let int_pow_by_squaring () =
+  for base = -3 to 3 do
+    let prod = ref 1 in
+    for e = 0 to 64 do
+      check cb
+        (Printf.sprintf "%d ** %d" base e)
+        true
+        (Value.pow (Value.Int base) (Value.Int e) = Value.Int !prod);
+      prod := !prod * base
+    done
+  done;
+  let n = 100_000_000 in
+  let r = ref 1 in
+  for _ = 1 to n do
+    r := !r * 3
+  done;
+  check cb "3 ** 10^8" true (Value.pow (Value.Int 3) (Value.Int n) = Value.Int !r);
+  let src =
+    Printf.sprintf
+      "      PROGRAM POW\n      INTEGER N, K\n      N = %d\n      K = 3 ** N\n      PRINT *, K\n      END\n"
+      n
+  in
+  let expect = Printf.sprintf "%d \n" !r in
+  let prog = Program.of_source src in
+  List.iter
+    (fun (tag, backend, prog) ->
+      let vm, _ = run_backend ~instr:Probe.empty ~seed:42 backend prog in
+      check Alcotest.string ("3 ** N printed, " ^ tag) expect (Interp.output vm))
+    [
+      ("tree", Interp.Tree, prog);
+      ("compiled", Interp.Compiled, prog);
+      ("bytecode", Interp.Bytecode, prog);
+      ("-O", Interp.Bytecode, S89_vm.Optimize.program prog);
+    ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "backends: generic path beyond Gen_prog" `Quick
+        diff_generic_path;
+      Alcotest.test_case "backends: runtime errors agree" `Quick diff_runtime_errors;
+      Alcotest.test_case "value: INTEGER ** by squaring" `Quick int_pow_by_squaring;
+    ]
+
 (* ---------------- PGO: reoptimization ----------------
 
    Two invariants behind the PGO loop.  (1) Idempotence: optimizing an
