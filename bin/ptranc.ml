@@ -12,7 +12,6 @@
      estimate    estimate TIME/VAR from a database or from fresh runs
      analyze     like estimate, memoizing per-procedure results in a store
      chunks      variance-driven chunk sizes for each loop
-     pgo         close the PGO loop: profile, reoptimize, re-run, compare
      batch       checkpointed profiling batch over a crash-safe store
      serve       multi-tenant TCP analysis service (--tcp PORT)
      client      submit/query jobs against a --tcp server
@@ -26,7 +25,6 @@ module Analysis = S89_profiling.Analysis
 module Placement = S89_profiling.Placement
 module Naive = S89_profiling.Naive
 module Database = S89_profiling.Database
-module Feedback = S89_profiling.Feedback
 module Pipeline = S89_core.Pipeline
 module Interproc = S89_core.Interproc
 module Report = S89_core.Report
@@ -53,8 +51,6 @@ let fail_diag ?path (d : Diag.t) : 'a =
 let diag_of_exn : exn -> Diag.t option = function
   | Sys_error msg -> Some (Diag.error ~code:"IO001" msg)
   | Database.Load_error { line; msg } ->
-      Some (Diag.error ?line:(if line > 0 then Some line else None) ~code:"DB001" msg)
-  | Feedback.Load_error { line; msg } ->
       Some (Diag.error ?line:(if line > 0 then Some line else None) ~code:"DB001" msg)
   | Analysis.Unanalyzable { proc; reason } ->
       Some (Diag.error ~proc ~code:"ANA001" reason)
@@ -443,68 +439,6 @@ let chunks_cmd =
     (Cmd.info "chunks"
        ~doc:"Variance-driven Kruskal-Weiss chunk sizes for every loop")
     Term.(const run $ file_arg $ runs_arg $ seed_arg $ p_arg $ h_arg $ n_arg)
-
-let pgo_cmd =
-  let hot_arg =
-    Arg.(
-      value & opt float 0.9
-      & info [ "hot-fraction" ] ~docv:"F"
-          ~doc:
-            "Reoptimize the smallest set of procedures covering this fraction \
-             of the profiled cycle weight at full effort")
-  in
-  let profile_out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "profile-out" ] ~docv:"PATH"
-          ~doc:"Write the collected node frequencies as a feedback profile")
-  in
-  let profile_in_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "profile-in" ] ~docv:"PATH"
-          ~doc:
-            "Rank hot procedures by a saved feedback profile instead of the \
-             collected one (must fingerprint-match this exact source)")
-  in
-  let run file seed optimize hot_fraction profile_out profile_in =
-    guard @@ fun () ->
-    let source = read_file file in
-    let prog =
-      match Program.of_source_result source with
-      | Ok prog -> prog
-      | Error d -> fail_diag ~path:file d
-    in
-    let prog = maybe_optimize optimize prog in
-    (* -O changes every CFG, so profiles are keyed on source + the flag *)
-    let fkey = if optimize then source ^ "\n! -O\n" else source in
-    let cm = cost_model_of_opt optimize in
-    let t = Pipeline.create prog in
-    let freq =
-      match profile_in with
-      | None -> None
-      | Some path -> (
-          let fb = Feedback.load path in
-          match Feedback.check fb ~source:fkey with
-          | Ok () -> Some fb.Feedback.freq
-          | Error d -> fail_diag ~path d)
-    in
-    let r = Pipeline.pgo ~cost_model:cm ~seed ~hot_fraction ?freq t in
-    (match profile_out with
-    | None -> ()
-    | Some path ->
-        Feedback.save (Feedback.make ~source:fkey ~seed r.Pipeline.pgo_freq) path;
-        Fmt.pr "feedback profile written to %s@." path);
-    Fmt.pr "%a@." Report.pp_pgo r
-  in
-  Cmd.v
-    (Cmd.info "pgo"
-       ~doc:
-         "Close the PGO loop: profile one run, reoptimize the hot procedures, \
-          re-run, and report predicted vs. measured cycles")
-    Term.(
-      const run $ file_arg $ seed_arg $ opt_arg $ hot_arg $ profile_out_arg
-      $ profile_in_arg)
 
 (* ---------------- batch / serve ----------------
 
@@ -985,7 +919,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [ parse_cmd; cfg_cmd; ecfg_cmd; fcdg_cmd; plan_cmd; run_cmd; profile_cmd;
-           estimate_cmd; analyze_cmd; static_cmd; chunks_cmd; pgo_cmd; batch_cmd;
+           estimate_cmd; analyze_cmd; static_cmd; chunks_cmd; batch_cmd;
            serve_cmd; client_cmd; demo_cmd ])
   in
   (* usage errors land in the same exit-code family as IO errors (2) *)

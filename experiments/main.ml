@@ -10,9 +10,10 @@
    The claims the tables only illustrate are assertions: the three
    backends agree on every Table-1 cycle count, Figure 3 gives TIME = 920
    and STD_DEV = 300 exactly, X3's estimated TIME equals the measured
-   mean, the PGO prediction equals the measured delta and never costs
-   cycles, and the bytecode engine's allocation stays within its bounds.
-   A failed assertion, an unknown block and a missing block each exit 1. *)
+   mean, X7's held-out runs carry no probes and use seeds disjoint from
+   the profile's, and the bytecode engine's allocation stays within its
+   bounds.  A failed assertion, an unknown block and a missing block each
+   exit 1. *)
 
 module Interp = S89_vm.Interp
 module CM = S89_vm.Cost_model
@@ -99,7 +100,7 @@ let run ?(instr = Probe.empty) ~backend ~cm prog =
   (vm, Gc.allocated_bytes () -. a0)
 
 (* ------------------------------------------------------------------ *)
-(* T1 and X6: Table 1's programs, opt ON and OFF                       *)
+(* T1: Table 1's programs, opt ON and OFF                              *)
 (* ------------------------------------------------------------------ *)
 
 type t1_row = {
@@ -108,7 +109,6 @@ type t1_row = {
   original : int;
   smart : int;
   naive : int;
-  pgo : Pipeline.pgo_result;
   fallback : int;
 }
 
@@ -142,16 +142,8 @@ let t1_row program mode prog cm =
   check (alloc runs1 "bytecode" <= bc0 *. 1.01)
     "%s: smart probes raise bytecode allocation from %.0f to %.0f bytes (> 1%%)" where
     bc0 (alloc runs1 "bytecode");
-  let p = Pipeline.pgo ~cost_model:cm ~seed:42 (Pipeline.create prog) in
-  check (p.Pipeline.pgo_cycles_before = original)
-    "%s: PGO baseline %d cycles, original %d" where p.Pipeline.pgo_cycles_before original;
-  check (p.Pipeline.pgo_cycles_after <= original) "%s: PGO costs cycles (%d > %d)" where
-    p.Pipeline.pgo_cycles_after original;
-  check (p.Pipeline.pgo_predicted_delta = p.Pipeline.pgo_measured_delta)
-    "%s: PGO predicted %d, measured %d" where p.Pipeline.pgo_predicted_delta
-    p.Pipeline.pgo_measured_delta;
   {
-    program; mode; original; smart; naive; pgo = p;
+    program; mode; original; smart; naive;
     fallback = Interp.fallback_execs (fst (List.assoc "bytecode" runs0));
   }
 
@@ -166,25 +158,14 @@ let t1_rows =
          ("SIMPLE", S89_workloads.Simple_code.source ()) ])
 
 let table1 () =
-  table [ "Program"; "Compiler"; "Original"; "Smart"; "Naive" ]
+  table [ "Program"; "Compiler"; "Original"; "Smart"; "Naive"; "FALLBACK" ]
     (List.map
        (fun r ->
          let cell c =
            let overhead = float_of_int (c - r.original) /. float_of_int r.original in
            Printf.sprintf "%s (%s)" (int c) (pct overhead)
          in
-         [ r.program; r.mode; int r.original; cell r.smart; cell r.naive ])
-       (Lazy.force t1_rows))
-
-let pgo_table () =
-  table
-    [ "Program"; "Compiler"; "predicted Δ"; "measured Δ"; "cycles after PGO";
-      "FALLBACK" ]
-    (List.map
-       (fun r ->
-         let p = r.pgo in
-         [ r.program; r.mode; int p.Pipeline.pgo_predicted_delta;
-           int p.Pipeline.pgo_measured_delta; int p.Pipeline.pgo_cycles_after;
+         [ r.program; r.mode; int r.original; cell r.smart; cell r.naive;
            int r.fallback ])
        (Lazy.force t1_rows))
 
@@ -305,43 +286,102 @@ let sampling () =
        [ 10; 100; 1_000; 10_000; 100_000 ])
 
 (* ------------------------------------------------------------------ *)
-(* X3: estimated TIME / STD_DEV vs measured mean / std-dev             *)
+(* X3 and X7: one profile per program                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* TIME comes from an accumulated smart-counter profile over seeds
-   1001.., the measurement from uninstrumented runs with the same seeds *)
-let accuracy () =
-  table
-    [ "Program"; "runs"; "est TIME"; "measured mean"; "SD (paper)"; "SD (independent)";
-      "SD measured" ]
+(* X3's and X7's programs with their run counts, each profiled once
+   with smart counters over seeds 1001.. and estimated under the paper's
+   Case 1 (FREQ², iterations fully correlated) and the Wald-identity
+   variant (independent iterations), both with callee-variance
+   propagation *)
+type estimated = {
+  name : string;
+  runs : int;
+  t : Pipeline.t;
+  est : Interproc.t;
+  est_ind : Interproc.t;
+}
+
+let profile_seed = 1001
+let held_out_seed = 2001
+
+let estimated =
+  lazy
     (List.map
        (fun (name, src, runs) ->
          let t = Pipeline.of_source src in
-         let st =
-           Stats.of_list
-             (List.init runs (fun s ->
-                  float_of_int (Interp.cycles (Pipeline.run_once ~seed:(1001 + s) t))))
-         in
-         let profile = Pipeline.profile_smart ~runs ~seed:1001 t in
-         (* the paper's Case 1 (FREQ², iterations fully correlated) and the
-            Wald-identity variant (independent iterations), both with
-            callee-variance propagation *)
+         let profile = Pipeline.profile_smart ~runs ~seed:profile_seed t in
          let est = Pipeline.estimate_profiled ~call_variance:true t profile in
          let est_ind =
            Pipeline.estimate_profiled ~call_variance:true
              ~iteration_model:Variance.Independent t profile
          in
-         let time = Interproc.program_time est in
-         check (Float.abs (time -. Stats.mean st) <= 1e-9 *. Stats.mean st)
-           "X3 %s: estimated TIME %.6f, measured mean %.6f" name time (Stats.mean st);
-         [ name; string_of_int runs; fixed 1 time; fixed 1 (Stats.mean st);
-           fixed 0 (Interproc.program_std_dev est);
-           fixed 0 (Interproc.program_std_dev est_ind); fixed 0 (Stats.std_dev st) ])
+         { name; runs; t; est; est_ind })
        [ ("BRANCHY", W.branchy (), 60); ("CHUNKY", W.chunky (), 60);
          ("NESTED", W.nested_random (), 60); ("CGOTO", W.computed_goto (), 60);
          ("SORT", W.sort (), 60); ("SIEVE", W.sieve (), 60);
          ("LINPACK", S89_workloads.Linpack_like.source (), 30);
          ("LOOPS", S89_workloads.Livermore.source, 8) ])
+
+(* uninstrumented cycles of [e.runs] runs on seeds [seed].. *)
+let measured e ~seed =
+  List.init e.runs (fun s ->
+      let vm = Pipeline.run_once ~seed:(seed + s) e.t in
+      check
+        (Array.for_all (( = ) 0) (Interp.counters vm))
+        "%s: the uninstrumented run on seed %d fired a probe" e.name (seed + s);
+      float_of_int (Interp.cycles vm))
+
+(* ------------------------------------------------------------------ *)
+(* X3: estimated TIME / STD_DEV vs measured mean / std-dev             *)
+(* ------------------------------------------------------------------ *)
+
+(* the measurement: uninstrumented runs with the profile's own seeds *)
+let accuracy () =
+  table
+    [ "Program"; "runs"; "est TIME"; "measured mean"; "SD (paper)"; "SD (independent)";
+      "SD measured" ]
+    (List.map
+       (fun e ->
+         let st = Stats.of_list (measured e ~seed:profile_seed) in
+         let time = Interproc.program_time e.est in
+         check (Float.abs (time -. Stats.mean st) <= 1e-9 *. Stats.mean st)
+           "X3 %s: estimated TIME %.6f, measured mean %.6f" e.name time (Stats.mean st);
+         [ e.name; string_of_int e.runs; fixed 1 time; fixed 1 (Stats.mean st);
+           fixed 0 (Interproc.program_std_dev e.est);
+           fixed 0 (Interproc.program_std_dev e.est_ind); fixed 0 (Stats.std_dev st) ])
+       (Lazy.force estimated))
+
+(* ------------------------------------------------------------------ *)
+(* X7: TIME ± STD_DEV on held-out runs                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* X3's profile predicts uninstrumented runs on seeds it never saw *)
+let held_out () =
+  table
+    [ "Program"; "runs"; "est TIME"; "held-out mean"; "TIME error"; "SD (paper)";
+      "±1σ"; "±2σ"; "SD (independent)"; "±1σ"; "±2σ" ]
+    (List.map
+       (fun e ->
+         check
+           (profile_seed + e.runs <= held_out_seed
+           || held_out_seed + e.runs <= profile_seed)
+           "X7 %s: profile seeds %d.. and held-out seeds %d.. overlap" e.name
+           profile_seed held_out_seed;
+         let xs = measured e ~seed:held_out_seed in
+         let mean = Stats.mean (Stats.of_list xs) in
+         let time = Interproc.program_time e.est in
+         let within est k =
+           let sd = Interproc.program_std_dev est in
+           let n = List.length (List.filter (fun x -> Float.abs (x -. time) <= k *. sd) xs) in
+           Printf.sprintf "%d / %d" n e.runs
+         in
+         [ e.name; string_of_int e.runs; fixed 1 time; fixed 1 mean;
+           pct ((time -. mean) /. mean);
+           fixed 0 (Interproc.program_std_dev e.est); within e.est 1.0; within e.est 2.0;
+           fixed 0 (Interproc.program_std_dev e.est_ind); within e.est_ind 1.0;
+           within e.est_ind 2.0 ])
+       (Lazy.force estimated))
 
 (* ------------------------------------------------------------------ *)
 (* X4: variance-driven chunk size (Kruskal-Weiss)                      *)
@@ -429,7 +469,7 @@ let static_analysis () =
 let experiments =
   [ ("T1", table1); ("F3", figure3); ("X1", counters); ("X2", sampling);
     ("X3", accuracy); ("X4", chunks); ("X4-CHUNKY", chunky); ("X5", static_analysis);
-    ("X6", pgo_table) ]
+    ("X7", held_out) ]
 
 let opening line =
   let prefix = "<!-- experiment:" and suffix = " -->" in

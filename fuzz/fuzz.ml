@@ -26,12 +26,11 @@
                 program totals) and no MEMO002 determinism violation
                 may fire.
 
-   A sixth class per seed exercises the record codec's four decoders:
-   - codec:     WAL records, net frames, v2 profile databases and
-                feedback profiles are encoded, round-tripped, then fed
-                garbage, truncated and single-byte-flipped; every
-                decoder must answer with its structured error and never
-                raise anything else.
+   A sixth class per seed exercises the record codec's three decoders:
+   - codec:     WAL records, net frames and v2 profile databases are
+                encoded, round-tripped, then fed garbage, truncated and
+                single-byte-flipped; every decoder must answer with its
+                structured error and never raise anything else.
 
    The invariants checked for every input:
    - no uncaught exception anywhere in parse → analyze → plan → profile →
@@ -40,6 +39,9 @@
    - the three VM backends (tree, compiled, bytecode) agree exactly:
      cycles, statements and output, or on failure the same diagnostic
      code and message at the same statement and cycle count;
+   - the three backends agree exactly on the [Optimize.program]'d
+     program too; where the original runs to completion, the optimized
+     one does as well, prints the same and costs no more cycles;
    - estimates from oracle counts reproduce the measured cycle count
      (reconstruction exactness) on programs that run to completion.
 
@@ -51,6 +53,7 @@ module Program = S89_frontend.Program
 module Pipeline = S89_core.Pipeline
 module Interproc = S89_core.Interproc
 module Interp = S89_vm.Interp
+module Optimize = S89_vm.Optimize
 module Diag = S89_diag.Diag
 module Prng = S89_util.Prng
 module Gen = S89_testgen.Gen_prog
@@ -191,9 +194,22 @@ let check mode src : verdict =
           let compiled = run_bounded prog Interp.Compiled in
           agree ("compiled", compiled) ("bytecode", run_bounded prog Interp.Bytecode);
           agree ("compiled", compiled) ("tree", tree);
+          (* the optimizer leg: [Optimize.program] elides nodes, so steps
+             may differ, but the backends must agree on its output, and
+             a run that completed must still complete, print the same
+             and cost no more cycles *)
+          let opt = Optimize.program prog in
+          let ot = run_bounded opt Interp.Tree in
+          agree ("optimized tree", ot) ("optimized compiled", run_bounded opt Interp.Compiled);
+          agree ("optimized tree", ot) ("optimized bytecode", run_bounded opt Interp.Bytecode);
+          if tree.result = Ok () then begin
+            if ot.result <> Ok () then failf "optimized program %s" (describe ot);
+            if ot.output <> tree.output then failf "optimization changed program output";
+            if ot.cycles > tree.cycles then
+              failf "optimization increased cycles: %d vs %d" ot.cycles tree.cycles
+          end;
           match tree.result with
           | Ok () ->
-              let c1 = tree.cycles and s1 = tree.steps and o1 = tree.output in
               (* reconstruction exactness from oracle counts, then smart
                  profiling + estimation; deep layers may legitimately
                  reject semantically broken (non-valid) inputs *)
@@ -207,23 +223,7 @@ let check mode src : verdict =
                    failf "reconstruction inexact: measured %.3f, predicted %.3f"
                      measured predicted;
                  let profile = Pipeline.profile_smart ~runs:2 t in
-                 ignore (Pipeline.estimate_profiled t profile);
-                 (* the PGO leg: profile -> reoptimize.  Reoptimization
-                    preserves control flow, so all three backends must
-                    agree on the PGO'd program, reproduce the original
-                    output and step count, and never cost more cycles *)
-                 let pr = Pipeline.pgo t in
-                 let run_pgo = run_bounded pr.Pipeline.pgo_prog in
-                 let pt = run_pgo Interp.Tree in
-                 agree ("tree", pt) ("compiled", run_pgo Interp.Compiled);
-                 agree ("tree", pt) ("bytecode", run_pgo Interp.Bytecode);
-                 if pt.result = Ok () then begin
-                   if pt.output <> o1 then failf "pgo changed program output";
-                   if pt.steps <> s1 then
-                     failf "pgo changed step count: %d vs %d" pt.steps s1;
-                   if pt.cycles > c1 then
-                     failf "pgo increased cycles: %d vs %d" pt.cycles c1
-                 end
+                 ignore (Pipeline.estimate_profiled t profile)
                with
               | () -> ()
               | exception e -> (
@@ -461,9 +461,8 @@ let check_memo_consistency seed : verdict =
 (* ---------------- codec mode ---------------- *)
 
 module Proto = S89_net.Proto
-module Feedback = S89_profiling.Feedback
 
-(* The four decoders over the shared record codec are documented total:
+(* The three decoders over the shared record codec are documented total:
    garbage, truncations and single-byte flips come back as their
    structured error ([Error], [Load_error], a shorter WAL prefix), never
    as any other exception.  Well-formed images must round-trip exactly,
@@ -601,24 +600,6 @@ let check_codec seed : verdict =
               | exception Database.Load_error _ -> ());
           total "Database.load ~repair" (fun () -> ignore (load_string ~repair:true m)))
         (damaged image));
-  (* 4. feedback profiles *)
-  let fb =
-    Feedback.make ~source:(bytes (Prng.int rng 64)) ~seed:(Prng.int rng 1000)
-      (List.init (Prng.int rng 4) (fun i ->
-           (Printf.sprintf "P%d" i, Array.init (Prng.int rng 6) (fun _ -> Prng.int rng 1000))))
-  in
-  let image = Feedback.to_string fb in
-  if Feedback.of_string image <> fb then failf "feedback image did not round-trip";
-  total "Feedback.of_string" (fun () ->
-      try ignore (Feedback.of_string (garbage ())) with Feedback.Load_error _ -> ());
-  List.iter
-    (fun m ->
-      total "Feedback.of_string" (fun () ->
-          match Feedback.of_string m with
-          | loaded ->
-              if loaded <> fb then failf "a damaged feedback file decoded as another"
-          | exception Feedback.Load_error _ -> ()))
-    (damaged image);
   Accepted
 
 (* ---------------- driver ---------------- *)

@@ -315,142 +315,3 @@ let estimate_totals ?(cost_model = Cost_model.optimized) ?(freq_var = Interproc.
   let memo = Option.map Memo.hooks memo in
   Interproc.estimate ~cost_model ~freq_var ~iteration_model ~call_variance ~recursion
     ?cost_override ?memo t.prog t.analyses ~totals
-
-(* ---------------- the PGO loop ---------------- *)
-
-module Optimize = S89_vm.Optimize
-module Ir = S89_frontend.Ir
-module Cfg = S89_cfg.Cfg
-
-type pgo_result = {
-  pgo_prog : Program.t;
-  pgo_freq : (string * int array) list;
-  pgo_hot : string list;
-  pgo_cycles_before : int;
-  pgo_cycles_after : int;
-  pgo_fallback_before : int;
-  pgo_fallback_after : int;
-  pgo_predicted_delta : int;
-  pgo_measured_delta : int;
-}
-
-let pgo_accuracy r =
-  if r.pgo_measured_delta = 0 then
-    if r.pgo_predicted_delta = 0 then 0.0 else 1.0
-  else
-    Float.abs
-      (float_of_int (r.pgo_predicted_delta - r.pgo_measured_delta)
-      /. float_of_int r.pgo_measured_delta)
-
-(* Close the loop: profile -> reoptimize -> re-run -> compare.
-
-   One uninstrumented bytecode run collects exact per-node frequencies
-   (the oracle counts).  They gate {!Optimize.reoptimize} on the hottest
-   procedures covering [hot_fraction] of the cycle weight.  Because
-   reoptimization is node-id-preserving and frequency-preserving, the
-   estimator predicts its cycle delta in closed form,
-
-     predicted = sum_u execs0(u) * (cost_old(u) - cost_new(u)),
-
-   and the re-run under the same seed measures it; the pair is the new
-   self-accuracy metric (the estimator predicting its own speedup).
-   [freq] overrides the collected frequencies (a profile loaded from a
-   feedback file); the baseline run still happens — it anchors the
-   measured delta. *)
-let pgo ?(cost_model = Cost_model.optimized) ?(seed = 42) ?(hot_fraction = 0.9)
-    ?freq t : pgo_result =
-  let prog = t.prog in
-  let config =
-    { Interp.default_config with cost_model; seed; backend = Interp.Bytecode }
-  in
-  let vm0 = Interp.create ~config prog in
-  ignore (Interp.run vm0);
-  let cycles_before = Interp.cycles vm0 in
-  let fallback_before = Interp.fallback_execs vm0 in
-  let collected =
-    List.map
-      (fun (p : Program.proc) ->
-        let n = Cfg.num_nodes p.Program.cfg in
-        ( p.Program.name,
-          Array.init n (fun u -> Interp.node_execs vm0 p.Program.name u) ))
-      (Program.procs prog)
-  in
-  let freq = match freq with Some f -> f | None -> collected in
-  (* hot = smallest set of heaviest procedures covering [hot_fraction]
-     of the total cycle weight (weight = sum execs * COST) *)
-  let weights =
-    List.filter_map
-      (fun (name, execs) ->
-        match Hashtbl.find_opt prog.Program.by_name name with
-        | None -> None
-        | Some p when Array.length execs = Cfg.num_nodes p.Program.cfg ->
-            let w = ref 0 in
-            Array.iteri
-              (fun u e ->
-                w :=
-                  !w
-                  + e
-                    * Cost_model.node_cost cost_model
-                        (Cfg.info p.Program.cfg u).Ir.ir)
-              execs;
-            Some (name, !w)
-        | Some _ -> None)
-      freq
-  in
-  let total_w = List.fold_left (fun a (_, w) -> a + w) 0 weights in
-  let ranked = List.sort (fun (_, a) (_, b) -> compare b a) weights in
-  let hot_set = Hashtbl.create 8 in
-  let acc = ref 0 in
-  List.iter
-    (fun (name, w) ->
-      if w > 0 && float_of_int !acc < hot_fraction *. float_of_int total_w
-      then begin
-        Hashtbl.replace hot_set name ();
-        acc := !acc + w
-      end)
-    ranked;
-  let hot = List.filter (fun (n, _) -> Hashtbl.mem hot_set n) ranked in
-  let pgo_prog = Optimize.reoptimize ~hot:(Hashtbl.mem hot_set) prog in
-  (* closed-form prediction over the profiled frequencies *)
-  let predicted = ref 0 in
-  List.iter
-    (fun (name, execs) ->
-      match
-        ( Hashtbl.find_opt prog.Program.by_name name,
-          Hashtbl.find_opt pgo_prog.Program.by_name name )
-      with
-      | Some p0, Some p1
-        when Array.length execs = Cfg.num_nodes p0.Program.cfg ->
-          Array.iteri
-            (fun u e ->
-              if e > 0 then
-                let co =
-                  Cost_model.node_cost cost_model
-                    (Cfg.info p0.Program.cfg u).Ir.ir
-                and cn =
-                  Cost_model.node_cost cost_model
-                    (Cfg.info p1.Program.cfg u).Ir.ir
-                in
-                predicted := !predicted + (e * (co - cn)))
-            execs
-      | _ -> ())
-    collected;
-  let vm1 = Interp.create ~config pgo_prog in
-  ignore (Interp.run vm1);
-  let cycles_after = Interp.cycles vm1 in
-  let fallback_after = Interp.fallback_execs vm1 in
-  Log.info (fun m ->
-      m "pgo: cycles %d -> %d (predicted delta %d, measured %d), fallbacks %d -> %d"
-        cycles_before cycles_after !predicted (cycles_before - cycles_after)
-        fallback_before fallback_after);
-  {
-    pgo_prog;
-    pgo_freq = freq;
-    pgo_hot = List.map fst hot;
-    pgo_cycles_before = cycles_before;
-    pgo_cycles_after = cycles_after;
-    pgo_fallback_before = fallback_before;
-    pgo_fallback_after = fallback_after;
-    pgo_predicted_delta = !predicted;
-    pgo_measured_delta = cycles_before - cycles_after;
-  }

@@ -174,44 +174,3 @@ val estimate_totals :
   t ->
   totals:(string -> (Analysis.cond, int) Hashtbl.t) ->
   Interproc.t
-
-(** {1 The PGO loop} *)
-
-(** Result of one {!pgo} round trip. *)
-type pgo_result = {
-  pgo_prog : Program.t;
-      (** the reoptimized program (node-id-preserving: profiles of the
-          input index it node-for-node) *)
-  pgo_freq : (string * int array) list;
-      (** per-procedure node frequencies the hot set was ranked by *)
-  pgo_hot : string list;  (** hot procedures, heaviest first *)
-  pgo_cycles_before : int;  (** simulated cycles of the baseline run *)
-  pgo_cycles_after : int;  (** simulated cycles of the PGO'd run *)
-  pgo_fallback_before : int;  (** bytecode FALLBACK escapes, baseline *)
-  pgo_fallback_after : int;  (** bytecode FALLBACK escapes, PGO'd *)
-  pgo_predicted_delta : int;
-      (** estimator's closed-form prediction of the cycle delta:
-          [sum execs(u) * (cost_old(u) - cost_new(u))] *)
-  pgo_measured_delta : int;  (** [pgo_cycles_before - pgo_cycles_after] *)
-}
-
-(** Relative error of the prediction: [|predicted - measured| /
-    |measured|] (0 when both are 0, 1 when only measured is). *)
-val pgo_accuracy : pgo_result -> float
-
-(** Close the loop: one uninstrumented bytecode run collects exact node
-    frequencies, which gate {!S89_vm.Optimize.reoptimize} on the
-    procedures covering [hot_fraction] (default 0.9) of the cycle
-    weight; the program is then re-run under the same seed.  Because
-    reoptimization preserves node identity and frequencies, the
-    estimator predicts its own cycle delta in closed form — the
-    predicted/measured pair in the result is the reproduction's new
-    self-accuracy metric.  [freq] substitutes loaded frequencies (a
-    feedback file) for the collected ones when ranking the hot set. *)
-val pgo :
-  ?cost_model:Cost_model.t ->
-  ?seed:int ->
-  ?hot_fraction:float ->
-  ?freq:(string * int array) list ->
-  t ->
-  pgo_result

@@ -293,29 +293,6 @@ let hotspots ?(top = 10) (t : Interproc.t) =
       (name, u, d, self, if total > 0.0 then 100.0 *. self /. total else 0.0))
     (take top sorted)
 
-(* PGO self-accuracy: the estimator predicting the cycle delta of its
-   own profile-guided reoptimization, against the measured re-run.  The
-   predicted/measured pair is the PGO loop's accuracy metric, in the
-   same spirit as Table 1's estimated-vs-measured TIME columns. *)
-let pp_pgo fmt (r : Pipeline.pgo_result) =
-  let reduction b a =
-    if a = 0 then if b = 0 then 1.0 else Float.infinity
-    else float_of_int b /. float_of_int a
-  in
-  Fmt.pf fmt "@[<v>PGO loop:@,";
-  Fmt.pf fmt "  cycles            %12d -> %-12d@," r.Pipeline.pgo_cycles_before
-    r.Pipeline.pgo_cycles_after;
-  Fmt.pf fmt "  FALLBACK execs    %12d -> %-12d (%.1fx fewer)@,"
-    r.Pipeline.pgo_fallback_before r.Pipeline.pgo_fallback_after
-    (reduction r.Pipeline.pgo_fallback_before r.Pipeline.pgo_fallback_after);
-  Fmt.pf fmt "  predicted delta   %12d@," r.Pipeline.pgo_predicted_delta;
-  Fmt.pf fmt "  measured delta    %12d@," r.Pipeline.pgo_measured_delta;
-  Fmt.pf fmt "  prediction error  %11.2f%%@," (100.0 *. Pipeline.pgo_accuracy r);
-  Fmt.pf fmt "  hot procedures    %s@]"
-    (match r.Pipeline.pgo_hot with
-    | [] -> "(none)"
-    | hs -> String.concat " " hs)
-
 let pp_hotspots ?top fmt t =
   Fmt.pf fmt "@[<v>%-10s %5s  %-40s %14s %7s@," "procedure" "node" "statement"
     "self time" "share";

@@ -35,11 +35,6 @@ val flat_profile : Format.formatter -> Interproc.t -> unit
     ([procedure,node,kind,cost,time,e_t2,var,std_dev,node_freq]). *)
 val csv : Interproc.t -> string
 
-(** PGO self-accuracy summary: cycles and FALLBACK escapes before/after,
-    the predicted vs. measured cycle delta and the relative prediction
-    error — the estimator predicting its own reoptimization speedup. *)
-val pp_pgo : Format.formatter -> Pipeline.pgo_result -> unit
-
 (** Statement-level hotspots: self time = COST × NODE_FREQ × relative
     invocations, per main-program run.  Returns the top-[top] rows
     [(procedure, node, description, self_time, share%)]. *)

@@ -66,7 +66,7 @@ let family d =
 
 let exit_code d =
   match family d with
-  | "IO" | "DB" | "CLI" | "PGO" | "MEMO" -> exit_io
+  | "IO" | "DB" | "CLI" | "MEMO" -> exit_io
   | "LEX" | "PAR" | "SEM" | "LOW" -> exit_frontend
   | "ANA" | "EST" -> exit_analysis
   | "RUN" | "FLT" | "SRV" | "NET" -> exit_runtime

@@ -17,7 +17,7 @@
          checksum <fnv64-hex>\n
 
      where the hash covers every byte before the trailer line.  The
-     profile database (v2) and feedback profiles use it.
+     profile database (v2) uses it.
 
    Decoders are total: arbitrary bytes come back as [Error], never as an
    exception.  Encoders never produce an image their decoder rejects —

@@ -5,7 +5,7 @@
       ([rec], plus a trailing newline, longest-valid-prefix recovery)
       and the wire protocol ([s89], size-capped, read from a socket).
     - Trailers, [checksum <fnv64-hex>\n] after a text body: the profile
-      database (v2) and feedback profiles.
+      database (v2).
 
     Decoders are total ([Error], never an exception, on arbitrary
     bytes); encoders never write an image their decoder rejects. *)

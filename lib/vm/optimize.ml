@@ -423,42 +423,3 @@ let copy_cfg (p : Program.proc) =
 let program (prog : Program.t) : Program.t =
   let prog' = Program.map_cfgs prog copy_cfg in
   Program.map_cfgs prog' (fun p -> optimize_cfg ~program:prog p)
-
-(* ---- profile-guided reoptimization ----
-
-   Like {!program} but node-id-preserving: dead assignments are rewritten
-   to [Nop "DEAD"] and never elided, and control flow is untouched, so a
-   frequency profile collected on the input program indexes the output
-   node-for-node.  The estimator can then predict the cycle delta of the
-   pass exactly:
-
-     delta = sum over (proc, node u) of execs(u) * (cost_old(u) - cost_new(u))
-
-   Frequencies are invariant under the rewrite because RAND/IRAND are
-   treated as impure (never folded: the random stream is undisturbed) and
-   no edge is added or removed.  [hot] gates effort per procedure —
-   profile-hot procedures get the full 3-round fold/propagate/dead-code
-   pipeline, cold ones a single folding pass — which is where the PGO
-   driver spends its frequency information. *)
-
-let reoptimize ?(hot = fun _ -> true) (prog : Program.t) : Program.t =
-  let prog' = Program.map_cfgs prog copy_cfg in
-  Program.map_cfgs prog' (fun p ->
-      let cfg = p.Program.cfg in
-      let fold_pass () =
-        Cfg.iter_nodes
-          (fun u ->
-            let info = Cfg.info cfg u in
-            Cfg.set_info cfg u
-              { info with Ir.ir = fold_node (Some prog') info.Ir.ir })
-          cfg
-      in
-      if hot p.Program.name then
-        for _round = 1 to 3 do
-          fold_pass ();
-          ignore (propagate (Some prog') p cfg);
-          refine_do_metadata cfg;
-          ignore (kill_dead_assigns (Some prog') p cfg)
-        done
-      else fold_pass ();
-      cfg)

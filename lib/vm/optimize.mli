@@ -21,13 +21,3 @@ val optimize_cfg : ?program:Program.t -> Program.proc -> Ir.info S89_cfg.Cfg.t
 
 (** Whole-program optimization; the input program is left untouched. *)
 val program : Program.t -> Program.t
-
-(** Node-id-preserving reoptimization for the PGO loop: same folding /
-    propagation / dead-code passes as {!program} but no-op nodes are kept
-    (as [Nop]) rather than elided and control flow is untouched, so a
-    frequency profile of the input indexes the output node-for-node and
-    the cycle delta is exactly [sum execs(u) * (cost_old(u) -
-    cost_new(u))].  [hot] gates effort per procedure (default: every
-    procedure is hot): hot procedures get the full 3-round pipeline,
-    cold ones a single folding pass.  The input program is untouched. *)
-val reoptimize : ?hot:(string -> bool) -> Program.t -> Program.t

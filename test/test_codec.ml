@@ -1,7 +1,7 @@
 (* The record codec: FNV-1a/64 test vectors and golden bytes for every
    format built on it.  The literal images were produced by the encoders
    that predate [Codec]; a change to any of them would orphan existing
-   stores, memo records, databases, feedback files or clients, and a
+   stores, memo records, databases or clients, and a
    change to the hash would move memo fingerprints, shard placement and
    seeded fault decisions. *)
 
@@ -10,7 +10,6 @@ module Fault = S89_util.Fault
 module Wal = S89_store.Wal
 module Proto = S89_net.Proto
 module Database = S89_profiling.Database
-module Feedback = S89_profiling.Feedback
 module Memo = S89_core.Memo
 module Label = S89_cfg.Label
 
@@ -34,7 +33,7 @@ let with_file contents f =
 let fnv_vectors () =
   check cs "fnv64 \"\"" "cbf29ce484222325" (Codec.fnv64_hex "");
   check cs "fnv64 \"a\"" "af63dc4c8601ec8c" (Codec.fnv64_hex "a");
-  check cs "fnv64 source (shard 0xb6, feedback fingerprint)" "42763149792f9ab6"
+  check cs "fnv64 source (shard 0xb6)" "42763149792f9ab6"
     (Codec.fnv64_hex source);
   check ci "fault key \"\"" 860922984064492325 (Fault.string_key "");
   check ci "fault key \"a\"" 3414815163700866188 (Fault.string_key "a");
@@ -98,26 +97,12 @@ let golden_database () =
   with_file db_image @@ fun p ->
   check cs "loads and re-encodes" db_image (Database.to_string (Database.load p))
 
-let feedback_image =
-  "s89-feedback 1\nsource-fnv 42763149792f9ab6\nseed 7\nproc MAIN 3 1 2 3\n\
-   proc SUB 0\nchecksum 887a2f39c9231890\n"
-
-let golden_feedback () =
-  let fb = Feedback.make ~source ~seed:7 [ ("MAIN", [| 1; 2; 3 |]); ("SUB", [||]) ] in
-  check cs "feedback bytes" feedback_image (Feedback.to_string fb);
-  check cb "decodes" true (Feedback.of_string feedback_image = fb)
-
 (* ---------------- trailer verdicts ---------------- *)
 
 let db_error image =
   with_file image @@ fun p ->
   match Database.load p with
   | exception Database.Load_error { line; msg } -> (line, msg)
-  | _ -> Alcotest.failf "loaded %S" image
-
-let fb_error image =
-  match Feedback.of_string image with
-  | exception Feedback.Load_error { line; msg } -> (line, msg)
   | _ -> Alcotest.failf "loaded %S" image
 
 let trailer_errors () =
@@ -144,13 +129,7 @@ let trailer_errors () =
     (db_error
        (String.concat "\n"
           [ "s89-profile-db 2"; "run-count 2"; "total MAIN 0 U x";
-            "checksum 0000000000000000\n" ]));
-  check line_msg "feedback mismatch at the trailer"
-    (6, "checksum mismatch (corrupt feedback file?)")
-    (fb_error (String.sub feedback_image 0 (String.length feedback_image - 2) ^ "1\n"));
-  check line_msg "feedback truncated"
-    (3, "missing checksum (truncated file?)")
-    (fb_error (String.sub feedback_image 0 50))
+            "checksum 0000000000000000\n" ]))
 
 let suite =
   [
@@ -158,6 +137,5 @@ let suite =
     Alcotest.test_case "golden WAL record" `Quick golden_wal;
     Alcotest.test_case "golden net frame" `Quick golden_net;
     Alcotest.test_case "golden v2 database" `Quick golden_database;
-    Alcotest.test_case "golden feedback file" `Quick golden_feedback;
     Alcotest.test_case "trailer errors are located" `Quick trailer_errors;
   ]

@@ -1001,15 +1001,11 @@ let suite =
       Alcotest.test_case "value: INTEGER ** by squaring" `Quick int_pow_by_squaring;
     ]
 
-(* ---------------- PGO: reoptimization ----------------
+(* ---------------- optimizer idempotence ----------------
 
-   Two invariants behind the PGO loop.  (1) Idempotence: optimizing an
-   already-optimized program is the identity (folding, propagation and
-   dead-code reach a fixpoint on the first application) — both for the
-   structural [Optimize.program] and the node-id-preserving
-   [Optimize.reoptimize].  (2) Exact prediction: reoptimization keeps
-   node frequencies, so the predicted cycle delta equals the measured
-   one. *)
+   Optimizing an already-optimized program is the identity: folding,
+   propagation and dead-code elimination reach a fixpoint on the first
+   application. *)
 
 module Pipeline = S89_core.Pipeline
 module Optimize = S89_vm.Optimize
@@ -1043,50 +1039,14 @@ let optimize_twice_idempotent () =
     let twice = Optimize.program once in
     check cb
       (Printf.sprintf "Optimize.program idempotent on gen %d" seed)
-      true (progs_equal once twice);
-    let r1 = Optimize.reoptimize prog in
-    let r2 = Optimize.reoptimize r1 in
-    check cb
-      (Printf.sprintf "Optimize.reoptimize idempotent on gen %d" seed)
-      true (progs_equal r1 r2);
-    (* node-id preservation: same node count per procedure as the input *)
-    List.iter2
-      (fun (a : Program.proc) (b : Program.proc) ->
-        check ci
-          (Printf.sprintf "reoptimize preserves nodes of %s (gen %d)"
-             a.Program.name seed)
-          (Cfg.num_nodes a.Program.cfg)
-          (Cfg.num_nodes b.Program.cfg))
-      (Program.procs prog) (Program.procs r1)
+      true (progs_equal once twice)
   done
-
-let pgo_loop_exact_prediction () =
-  List.iter
-    (fun (name, src) ->
-      let t = Pipeline.of_source src in
-      let pr = Pipeline.pgo ~seed:7 t in
-      (* reoptimize preserves frequencies, so the closed-form prediction
-         is exact, and a reoptimized fixpoint costs no more than before *)
-      check ci
-        (Printf.sprintf "pgo predicted = measured on %s" name)
-        pr.Pipeline.pgo_measured_delta pr.Pipeline.pgo_predicted_delta;
-      check cb
-        (Printf.sprintf "pgo never regresses cycles on %s" name)
-        true
-        (pr.Pipeline.pgo_cycles_after <= pr.Pipeline.pgo_cycles_before))
-    [
-      ("branchy", S89_workloads.Demos.branchy ());
-      ("chunky", S89_workloads.Demos.chunky ());
-      ("sort", S89_workloads.Demos.sort ());
-    ]
 
 let suite =
   suite
   @ [
-      Alcotest.test_case "pgo: optimize twice is identity" `Quick
+      Alcotest.test_case "optimize: twice is identity" `Quick
         optimize_twice_idempotent;
-      Alcotest.test_case "pgo: prediction exact on demos" `Quick
-        pgo_loop_exact_prediction;
     ]
 
 (* ---------------- COST(u) golden digests ----------------
