@@ -26,53 +26,25 @@ let compute (ecfg : 'a Ecfg.t) =
   let cfg = Ecfg.cfg ecfg in
   let graph = Cfg.graph cfg in
   let stop = Ecfg.stop ecfg in
+  let c = Digraph.csr graph in
   let pdom = Postdom.compute graph ~exit_:stop in
-  let n = Digraph.num_nodes graph in
+  let n = c.n in
   let stuck = ref [] in
   for v = n - 1 downto 0 do
     if not (Postdom.reachable pdom v) then stuck := v :: !stuck
   done;
   if !stuck <> [] then raise (Cannot_reach_stop !stuck);
   (* Strong-control-dependence formulation (Chalupa et al., arXiv
-     2011.01564): flatten the postdominator tree once into an [ipdom]
-     array plus a tin/tout interval numbering, so the per-edge strict
-     postdominance test and every ancestor-walk step are O(1) array reads
-     instead of depth-lifting walks with per-step option and tuple-key
-     allocations.  Node and out-edge order below replicates
-     [Digraph.iter_edges] exactly, so the CDG edge sequence — and
-     everything ordered downstream of it (FCDG labels, children,
-     topological order, golden reports) — is unchanged. *)
-  let ipdom = Array.make n (-1) in
-  for v = 0 to n - 1 do
-    match Postdom.ipostdom pdom v with
-    | Some p -> ipdom.(v) <- p
-    | None -> ()
-  done;
-  let tin = Array.make n 0 and tout = Array.make n 0 in
-  let clock = ref 0 in
-  let stack = Stack.create () in
-  Stack.push (stop, false) stack;
-  while not (Stack.is_empty stack) do
-    let v, exiting = Stack.pop stack in
-    if exiting then begin
-      tout.(v) <- !clock;
-      incr clock
-    end
-    else begin
-      tin.(v) <- !clock;
-      incr clock;
-      Stack.push (v, true) stack;
-      List.iter (fun c -> Stack.push (c, false) stack) (Postdom.children pdom v)
-    end
-  done;
-  (* [s] is an ancestor of [x] in the postdominator tree iff its DFS
-     interval contains [x]'s; strict postdominance additionally needs
-     [s <> x]. *)
+     2011.01564): the per-edge strict postdominance test is the
+     postdominator tree's O(1) range check, and every ancestor-walk step
+     is an array read of the immediate postdominator.  Node and out-edge
+     order below follows the ECFG's CSR slots, i.e. [Digraph.iter_edges]
+     exactly, so the CDG edge sequence — and everything ordered downstream
+     of it (FCDG labels, children, topological order, golden reports) — is
+     fixed. *)
   let not_strictly_postdominates s x =
-    s = x || not (tin.(s) <= tin.(x) && tout.(x) <= tout.(s))
+    s = x || not (Postdom.postdominates pdom s x)
   in
-  let cdg = Digraph.create () in
-  ignore (Digraph.add_nodes cdg n);
   (* The walk for edge (x,s,l) emits the postdominator-tree ancestors of
      [s] (inclusive) strictly below ipdom(x).  A single walk never
      revisits a node (strict ascent), so (x,t,l) duplicates can only
@@ -83,38 +55,38 @@ let compute (ecfg : 'a Ecfg.t) =
      everything above is already present.  Total work is linear in the
      size of the CDG. *)
   let seen = Hashtbl.create 16 in
+  let out_ = Array.make n [] in
   for x = 0 to n - 1 do
-    match Digraph.succ_edges graph x with
-    | [] -> ()
-    | edges ->
-        let limit = ipdom.(x) in
-        let rec has_dup_label = function
-          | [] | [ _ ] -> false
-          | (e : Label.t Digraph.edge) :: rest ->
-              List.exists
-                (fun (e' : Label.t Digraph.edge) -> Label.equal e.label e'.label)
-                rest
-              || has_dup_label rest
-        in
-        let dedup = has_dup_label edges in
-        if dedup then Hashtbl.reset seen;
-        List.iter
-          (fun (e : Label.t Digraph.edge) ->
-            let s = e.dst in
-            if not_strictly_postdominates s x then begin
-              let t = ref s and walking = ref true in
-              while !walking && !t <> limit do
-                if dedup && Hashtbl.mem seen (!t, e.label) then walking := false
-                else begin
-                  if dedup then Hashtbl.replace seen (!t, e.label) ();
-                  ignore (Digraph.add_edge cdg ~src:x ~dst:!t ~label:e.label);
-                  let t' = ipdom.(!t) in
-                  if t' < 0 then walking := false else t := t'
-                end
-              done
-            end)
-          edges
+    let lo = c.succ_off.(x) and hi = c.succ_off.(x + 1) in
+    let limit = Postdom.ipostdom_id pdom x in
+    let dedup = ref false in
+    for i = lo to hi - 1 do
+      for j = i + 1 to hi - 1 do
+        if Label.equal c.succ_lbl.(i) c.succ_lbl.(j) then dedup := true
+      done
+    done;
+    let dedup = !dedup in
+    if dedup then Hashtbl.reset seen;
+    (* x's CDG out-edges, newest first *)
+    let acc = ref [] in
+    for i = lo to hi - 1 do
+      let s = c.succ_dst.(i) and label = c.succ_lbl.(i) in
+      if not_strictly_postdominates s x then begin
+        let t = ref s and walking = ref true in
+        while !walking && !t <> limit do
+          if dedup && Hashtbl.mem seen (!t, label) then walking := false
+          else begin
+            if dedup then Hashtbl.replace seen (!t, label) ();
+            acc := { Digraph.src = x; dst = !t; label } :: !acc;
+            let t' = Postdom.ipostdom_id pdom !t in
+            if t' < 0 then walking := false else t := t'
+          end
+        done
+      end
+    done;
+    out_.(x) <- List.rev !acc
   done;
+  let cdg = Digraph.of_succ_lists out_ in
   { g = cdg; pdom }
 
 let graph t = t.g

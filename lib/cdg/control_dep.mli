@@ -15,7 +15,8 @@ type t
     Edge [(x, y, l)] means: [y] is control dependent on condition [(x,l)]. *)
 val compute : 'a Ecfg.t -> t
 
-(** The CDG as a labelled multigraph (same node ids as the ECFG). *)
+(** The CDG as a frozen labelled multigraph (same node ids as the
+    ECFG). *)
 val graph : t -> Label.t Digraph.t
 
 (** The postdominator tree of the ECFG used in the construction. *)

@@ -22,66 +22,63 @@ type t = {
   back : Label.t Digraph.edge list; (* the removed CDG back edges *)
 }
 
-let prune_by_rpo ~rpo cdg =
-  let g = Digraph.create () in
-  ignore (Digraph.add_nodes g (Digraph.num_nodes cdg));
-  let back = ref [] in
-  Digraph.iter_edges
-    (fun (e : Label.t Digraph.edge) ->
-      if rpo.(e.dst) > rpo.(e.src) then
-        ignore (Digraph.add_edge g ~src:e.src ~dst:e.dst ~label:e.label)
-      else back := e :: !back)
-    cdg;
-  (g, List.rev !back)
-
-let prune_by_dfs ~start cdg =
-  let num = Dfs.number cdg ~root:start in
-  let g = Digraph.create () in
-  ignore (Digraph.add_nodes g (Digraph.num_nodes cdg));
-  let back = ref [] in
-  Digraph.iter_edges
-    (fun (e : Label.t Digraph.edge) ->
-      if
-        Dfs.reachable num e.Digraph.src
-        && Dfs.reachable num e.dst
-        && Dfs.classify num e = Dfs.Back
-      then back := e :: !back
-      else ignore (Digraph.add_edge g ~src:e.src ~dst:e.dst ~label:e.label))
-    cdg;
-  (g, List.rev !back)
-
 (* Well-formedness from §2: the FCDG "is rooted and connected" — every node
-   except STOP hangs under START — and acyclic. *)
+   except STOP hangs under START — and acyclic.  In a DAG every node is
+   reachable from some source, so with no source other than START (STOP
+   may be one too, if it has no out-edges) it is rooted.  Returns the
+   topological order of a well-formed graph. *)
 let well_formed ~start ~stop g =
   match Topo.sort_opt g with
-  | None -> false
-  | Some _ ->
-      let num = Dfs.number g ~root:start in
+  | None -> None
+  | Some topo ->
+      let c = Digraph.csr g in
       let ok = ref true in
-      Digraph.iter_nodes
-        (fun v -> if v <> stop && not (Dfs.reachable num v) then ok := false)
-        g;
-      !ok
+      for v = 0 to c.n - 1 do
+        if
+          v <> start
+          && c.pred_off.(v + 1) = c.pred_off.(v)
+          && (v <> stop || c.succ_off.(v + 1) > c.succ_off.(v))
+        then ok := false
+      done;
+      if !ok then Some topo else None
+
+(* The CDG without the edges [is_back] selects, and those edges in edge
+   order. *)
+let prune ~is_back cdg =
+  let n = Digraph.num_nodes cdg in
+  let keep = Array.make n [] and back = ref [] in
+  for u = n - 1 downto 0 do
+    let b, k = List.partition is_back (Digraph.succ_edges cdg u) in
+    keep.(u) <- k;
+    back := b @ !back
+  done;
+  (Digraph.of_succ_lists keep, !back)
 
 let of_cdg (cd : Control_dep.t) (ecfg : 'a Ecfg.t) =
   let start = Ecfg.start ecfg and stop = Ecfg.stop ecfg in
-  let ecfg_graph = Cfg.graph (Ecfg.cfg ecfg) in
-  let rpo = Dfs.rpo_index ecfg_graph ~root:start in
+  let rpo = Dfs.rpo_index (Cfg.graph (Ecfg.cfg ecfg)) ~root:start in
   let cdg = Control_dep.graph cd in
-  let g, back = prune_by_rpo ~rpo cdg in
-  let g, back =
-    if well_formed ~start ~stop g then (g, back)
-    else begin
-      let g', back' = prune_by_dfs ~start cdg in
-      if well_formed ~start ~stop g' then (g', back')
-      else
-        raise
-          (Malformed
-             "FCDG is not a rooted DAG after back-edge removal; input CFG is \
-              not in the form the paper assumes")
-    end
+  let g, back = prune ~is_back:(fun e -> rpo.(e.dst) <= rpo.(e.src)) cdg in
+  let g, back, topo =
+    match well_formed ~start ~stop g with
+    | Some topo -> (g, back, topo)
+    | None -> (
+        let num = Dfs.number cdg ~root:start in
+        let g', back' =
+          prune
+            ~is_back:(fun e ->
+              Dfs.reachable num e.src && Dfs.reachable num e.dst
+              && Dfs.classify num e = Dfs.Back)
+            cdg
+        in
+        match well_formed ~start ~stop g' with
+        | Some topo -> (g', back', topo)
+        | None ->
+            raise
+              (Malformed
+                 "FCDG is not a rooted DAG after back-edge removal; input CFG \
+                  is not in the form the paper assumes"))
   in
-  let topo = Topo.sort g in
   { g; start; stop; topo; back }
 
 let compute ecfg = of_cdg (Control_dep.compute ecfg) ecfg

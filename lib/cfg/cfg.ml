@@ -29,6 +29,16 @@ let create ~dummy =
 
 let graph t = t.g
 
+let copy ~dummy t =
+  {
+    g = Digraph.copy t.g;
+    types = Vec.copy t.types;
+    info = Vec.copy t.info;
+    entry = t.entry;
+    exits = t.exits;
+    dummy;
+  }
+
 let num_nodes t = Digraph.num_nodes t.g
 
 let add_node ?(ty = Node_type.Other) t info =
@@ -51,6 +61,8 @@ let entry t =
 let set_entry t n = t.entry <- n
 let exits t = t.exits
 let set_exits t ns = t.exits <- ns
+
+let freeze t = Digraph.freeze t.g
 
 let succ_edges t n = Digraph.succ_edges t.g n
 let pred_edges t n = Digraph.pred_edges t.g n
@@ -117,10 +129,10 @@ let validate t =
         with
         | Some n -> Error (Exit_has_successor n)
         | None ->
-            let num = Dfs.number t.g ~root:t.entry in
+            let seen = Digraph.reachable t.g ~root:t.entry in
             let unreachable = ref [] in
             for n = num_nodes t - 1 downto 0 do
-              if not (Dfs.reachable num n) then unreachable := n :: !unreachable
+              if not seen.(n) then unreachable := n :: !unreachable
             done;
             if !unreachable <> [] then Error (Unreachable !unreachable) else Ok ())
 

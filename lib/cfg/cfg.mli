@@ -17,6 +17,11 @@ val graph : 'a t -> Label.t Digraph.t
 
 val num_nodes : 'a t -> int
 
+(** A copy still being built ({!S89_graph.Digraph.copy}: edge records
+    are shared), with the same payloads, node types, entry and exits;
+    [dummy] is the copy's placeholder payload. *)
+val copy : dummy:'a -> 'a t -> 'a t
+
 (** Allocate a node with a payload; [ty] defaults to [Other]. *)
 val add_node : ?ty:Node_type.t -> 'a t -> 'a -> int
 
@@ -35,6 +40,12 @@ val set_entry : 'a t -> int -> unit
 val exits : 'a t -> int list
 
 val set_exits : 'a t -> int list -> unit
+
+(** Freeze the graph ({!S89_graph.Digraph.freeze}): no more nodes or
+    edges; {!succ_edges} and {!pred_edges} then return lists built once.
+    Payloads, node types, entry and exits stay settable. *)
+val freeze : 'a t -> unit
+
 val succ_edges : 'a t -> int -> Label.t Digraph.edge list
 val pred_edges : 'a t -> int -> Label.t Digraph.edge list
 val iter_nodes : (int -> unit) -> 'a t -> unit

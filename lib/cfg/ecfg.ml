@@ -12,6 +12,9 @@
    4-5. add START/STOP nodes wired to the first/last nodes;
    6. add the pseudo edge START -> STOP.
 
+   The finished graph is frozen (Cfg.freeze): every later reader gets
+   array reads and prebuilt edge lists.
+
    The pseudo edges guarantee that in the control dependence graph computed
    next, every node of an interval hangs (directly or transitively) under
    that interval's preheader, and everything hangs under START.
@@ -28,6 +31,8 @@ open S89_graph
 exception Nonterminating_interval of int
 (* a loop with no exit edges cannot reach STOP; the paper assumes all
    executions terminate normally *)
+
+exception Invalid_cfg of Cfg.error
 
 type 'a t = {
   ext : 'a Cfg.t; (* the extended graph; original ids are preserved *)
@@ -46,26 +51,19 @@ let body_label = Label.U
 (* the label connecting a preheader to its header node (Definition 3 case 1) *)
 
 let extend ?(empty : 'a option) (cfg : 'a Cfg.t) : 'a t =
-  (match Cfg.validate cfg with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Fmt.str "Ecfg.extend: invalid CFG: %a" Cfg.pp_error e));
+  (match Cfg.validate cfg with Ok () -> () | Error e -> raise (Invalid_cfg e));
   let intervals = Intervals.compute cfg in
   (* every interval must have a way out *)
   List.iter
     (fun h ->
-      if Intervals.exit_edges intervals cfg h = [] then
-        raise (Nonterminating_interval h))
+      if Intervals.exit_edges intervals h = [] then raise (Nonterminating_interval h))
     (Intervals.headers intervals);
   let orig_count = Cfg.num_nodes cfg in
   let empty = match empty with Some e -> e | None -> Cfg.info cfg (Cfg.entry cfg) in
-  let ext = Cfg.create ~dummy:empty in
-  Cfg.iter_nodes
-    (fun n -> ignore (Cfg.add_node ~ty:(Cfg.node_type cfg n) ext (Cfg.info cfg n)))
-    cfg;
-  Cfg.iter_edges (fun e -> Cfg.add_edge ext ~src:e.src ~dst:e.dst ~label:e.label) cfg;
-  let ivl = Vec.create ~dummy:(-1) in
+  let ext = Cfg.copy ~dummy:empty cfg in
+  let ivl = Vec.make orig_count (-1) ~dummy:(-1) in
   for n = 0 to orig_count - 1 do
-    Vec.push ivl (Intervals.hdr intervals n)
+    Vec.set ivl n (Intervals.hdr intervals n)
   done;
   let root = Intervals.root intervals in
   let parent_of i =
@@ -138,6 +136,7 @@ let extend ?(empty : 'a option) (cfg : 'a Cfg.t) : 'a t =
             (Cfg.succ_edges ext pe)
         end
   done;
+  Cfg.freeze ext;
   {
     ext;
     start;

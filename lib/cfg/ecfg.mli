@@ -8,6 +8,9 @@ open S89_graph
     terminate normally); carries the loop header. *)
 exception Nonterminating_interval of int
 
+(** {!extend} was given a CFG that fails {!Cfg.validate}. *)
+exception Invalid_cfg of Cfg.error
+
 type 'a t
 
 (** The label connecting a preheader to its header node ([U]); Definition 3
@@ -18,10 +21,11 @@ val body_label : Label.t
     payload [empty] (default: the entry node's payload).
     @raise Intervals.Irreducible on irreducible input
     @raise Nonterminating_interval on an exitless loop
-    @raise Invalid_argument if {!Cfg.validate} fails. *)
+    @raise Invalid_cfg if {!Cfg.validate} fails. *)
 val extend : ?empty:'a -> 'a Cfg.t -> 'a t
 
-(** The extended graph.  Entry is START, the only exit is STOP. *)
+(** The extended graph, frozen ({!Cfg.freeze}).  Entry is START, the only
+    exit is STOP. *)
 val cfg : 'a t -> 'a Cfg.t
 
 val start : 'a t -> int

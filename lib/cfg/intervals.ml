@@ -9,169 +9,230 @@
    the natural loops of all back edges into [h]; the whole procedure body is
    the outermost interval, headed by the entry node (the paper's
    HDR_PARENT(h) = 0 case).  The entry must have no predecessors
-   (Cfg.normalize_entry) so it can never itself be a loop header. *)
+   (Cfg.normalize_entry) so it can never itself be a loop header.
+
+   One DFS and one dominator tree do all the work:
+   - reducibility (Hecht–Ullman): the graph is reducible iff every
+     retreating edge of the DFS is a back edge, i.e. its target dominates
+     its source;
+   - the loop forest (Tarjan/Havlak): headers are taken in decreasing DFS
+     preorder, so inner loops come first, and each natural loop is found
+     by a backward walk from its back-edge sources over a union-find that
+     has already collapsed every inner loop into its header — O(n α(n));
+   - membership: ordering the nodes by the header-tree preorder of their
+     innermost header makes every interval one contiguous slice, and
+     "v is in the interval of h" is the O(1) test [encloses h (hdr v)]. *)
 
 open S89_graph
 
 exception Irreducible of (int * int) list
 exception Entry_has_preds of int
 
-module IS = Set.Make (Int)
-
-type loop_info = {
-  header : int;
-  members : IS.t; (* includes the header and all nested loops' nodes *)
-  back_srcs : int list; (* sources of back edges into the header *)
-}
-
 type t = {
   root : int; (* entry node; id of the outermost interval *)
-  hdr : int array; (* innermost interval header per node *)
-  parent : int array; (* per header: enclosing interval header; -1 for root *)
-  depth_lca : Lca.t;
-  loops : (int, loop_info) Hashtbl.t; (* real loops, keyed by header *)
+  hid : int array; (* per node: its interval id if it heads one (root 0), else -1 *)
+  ivid : int array; (* per node: the id of its innermost interval *)
+  hnode : int array; (* per interval id: the heading node *)
+  tree : Lca.t; (* the header tree over interval ids *)
   header_list : int list; (* real headers, outermost-first *)
-  n : int;
+  back_srcs : int list array; (* per interval id: sources of its back edges *)
+  exits : Label.t Digraph.edge list array; (* per interval id: its exit edges *)
+  order : int array; (* nodes by the header-tree preorder of their interval *)
+  start : int array; (* per preorder index: its first slot in [order] *)
 }
 
 let compute (type a) (cfg : a Cfg.t) =
   let g = Cfg.graph cfg in
   let entry = Cfg.entry cfg in
-  if Digraph.in_degree g entry > 0 then raise (Entry_has_preds entry);
-  (match Reducibility.back_edges_if_reducible g ~root:entry with
-  | None ->
-      let off =
-        List.map
-          (fun (e : Label.t Digraph.edge) -> (e.src, e.dst))
-          (Reducibility.offending_edges g ~root:entry)
-      in
-      raise (Irreducible off)
-  | Some _ -> ());
-  let back = Reducibility.natural_back_edges g ~root:entry in
-  let n = Digraph.num_nodes g in
-  (* group back edges by header *)
-  let by_hdr = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Label.t Digraph.edge) ->
-      Hashtbl.replace by_hdr e.dst (e.src :: (try Hashtbl.find by_hdr e.dst with Not_found -> [])))
-    back;
-  (* natural loop membership: backwards closure from back-edge sources,
-     stopping at the header *)
-  let loop_of header srcs =
-    let members = ref (IS.singleton header) in
-    let stack = ref [] in
-    List.iter
-      (fun s ->
-        if not (IS.mem s !members) then begin
-          members := IS.add s !members;
-          stack := s :: !stack
-        end)
-      srcs;
-    while !stack <> [] do
-      match !stack with
-      | [] -> assert false
-      | v :: rest ->
-          stack := rest;
-          List.iter
-            (fun p ->
-              if not (IS.mem p !members) then begin
-                members := IS.add p !members;
-                stack := p :: !stack
-              end)
-            (Digraph.preds g v)
-    done;
-    { header; members = !members; back_srcs = List.rev srcs }
-  in
-  let loops = Hashtbl.create 8 in
-  Hashtbl.iter (fun h srcs -> Hashtbl.replace loops h (loop_of h srcs)) by_hdr;
-  (* innermost header per node: smallest containing loop *)
-  let loop_list =
-    Hashtbl.fold (fun _ l acc -> l :: acc) loops []
-    |> List.sort (fun a b ->
-           compare (IS.cardinal a.members, a.header) (IS.cardinal b.members, b.header))
-  in
-  let hdr = Array.make n entry in
-  for v = 0 to n - 1 do
-    match List.find_opt (fun l -> IS.mem v l.members) loop_list with
-    | Some l -> hdr.(v) <- l.header
-    | None -> hdr.(v) <- entry
+  let c = Digraph.csr g in
+  let n = c.n in
+  let num = Dfs.number_csr c ~root:entry in
+  let dom = Dominator.of_dfs c num in
+  (* back-edge sources per header, in edge order (by source, then slot);
+     a retreating edge whose target does not dominate its source makes
+     the graph irreducible *)
+  let back = Array.make n [] in
+  let reducible = ref true in
+  for u = n - 1 downto 0 do
+    if Dfs.reachable num u then
+      for i = c.succ_off.(u + 1) - 1 downto c.succ_off.(u) do
+        let v = c.succ_dst.(i) in
+        if Dfs.is_ancestor num v u then
+          if Dominator.dominates dom v u then back.(v) <- u :: back.(v)
+          else reducible := false
+      done
   done;
-  (* parent of each real header: smallest loop properly containing it *)
-  let parent = Array.make n (-1) in
-  List.iter
-    (fun l ->
-      let h = l.header in
-      match
-        List.find_opt (fun l' -> l'.header <> h && IS.mem h l'.members) loop_list
-      with
-      | Some l' -> parent.(h) <- l'.header
-      | None -> parent.(h) <- entry)
-    loop_list;
-  parent.(entry) <- -1;
-  let depth_lca = Lca.of_parents parent in
-  let header_list =
-    List.sort
-      (fun a b -> compare (Lca.depth depth_lca a, a) (Lca.depth depth_lca b, b))
-      (List.map (fun l -> l.header) loop_list)
+  if not !reducible then
+    raise
+      (Irreducible
+         (List.map
+            (fun (e : Label.t Digraph.edge) -> (e.src, e.dst))
+            (Reducibility.offending_edges g ~root:entry)));
+  if c.pred_off.(entry + 1) > c.pred_off.(entry) then raise (Entry_has_preds entry);
+  let is_hdr v = back.(v) <> [] in
+  (* union-find: [uf] links each collapsed node to the header of the loop
+     that absorbed it; [find] returns the outermost collapsed header *)
+  let uf = Array.init n Fun.id in
+  let find v =
+    let r = ref v in
+    while uf.(!r) <> !r do
+      r := uf.(!r)
+    done;
+    let x = ref v in
+    while uf.(!x) <> !r do
+      let next = uf.(!x) in
+      uf.(!x) <- !r;
+      x := next
+    done;
+    !r
   in
-  { root = entry; hdr = Array.copy hdr; parent; depth_lca; loops; header_list; n }
+  (* [hdr]: innermost header per node; [up]: enclosing header per header.
+     A node joins the loop being collapsed when the backward walk first
+     finds it; the union makes [find] skip it from then on. *)
+  let hdr = Array.make n entry and up = Array.make n entry in
+  let work = Array.make n 0 and sp = ref 0 and w = ref 0 in
+  let visit y =
+    let y = find y in
+    if y <> !w then begin
+      uf.(y) <- !w;
+      if is_hdr y then up.(y) <- !w else hdr.(y) <- !w;
+      work.(!sp) <- y;
+      incr sp
+    end
+  in
+  for i = num.count - 1 downto 0 do
+    w := num.order.(i);
+    if is_hdr !w then begin
+      hdr.(!w) <- !w;
+      List.iter visit back.(!w);
+      while !sp > 0 do
+        decr sp;
+        let x = work.(!sp) in
+        for j = c.pred_off.(x) to c.pred_off.(x + 1) - 1 do
+          let y = c.pred_src.(j) in
+          if Dfs.reachable num y then visit y
+        done
+      done
+    end
+  done;
+  (* compact interval ids: the root is 0, headers follow in id order *)
+  let headers = ref [] in
+  for v = n - 1 downto 0 do
+    if is_hdr v then headers := v :: !headers
+  done;
+  let hid = Array.make n (-1) in
+  hid.(entry) <- 0;
+  List.iteri (fun i h -> hid.(h) <- i + 1) !headers;
+  let k = List.length !headers + 1 in
+  let hnode = Array.make k entry and parent = Array.make k (-1) in
+  let back_srcs = Array.make k [] in
+  List.iter
+    (fun h ->
+      hnode.(hid.(h)) <- h;
+      parent.(hid.(h)) <- hid.(up.(h));
+      back_srcs.(hid.(h)) <- back.(h))
+    !headers;
+  let tree = Lca.of_parents parent in
+  let header_list =
+    List.stable_sort
+      (fun a b -> compare (Lca.depth tree hid.(a)) (Lca.depth tree hid.(b)))
+      !headers
+  in
+  let ivid = Array.map (fun h -> hid.(h)) hdr in
+  (* counting sort of the nodes by the preorder of their interval *)
+  let start = Array.make (k + 1) 0 in
+  Array.iter
+    (fun i ->
+      let p = Lca.preorder tree i in
+      start.(p + 1) <- start.(p + 1) + 1)
+    ivid;
+  for p = 0 to k - 1 do
+    start.(p + 1) <- start.(p + 1) + start.(p)
+  done;
+  let fill = Array.sub start 0 k and order = Array.make n 0 in
+  Array.iteri
+    (fun v i ->
+      let p = Lca.preorder tree i in
+      order.(fill.(p)) <- v;
+      fill.(p) <- fill.(p) + 1)
+    ivid;
+  (* exit edges: an edge (u,v) leaves every interval from HDR(u) up to,
+     but excluding, the first one that encloses v *)
+  let exits = Array.make k [] in
+  for u = n - 1 downto 0 do
+    for i = c.succ_off.(u + 1) - 1 downto c.succ_off.(u) do
+      let iv = ivid.(c.succ_dst.(i)) in
+      let h = ref ivid.(u) in
+      while not (Lca.is_ancestor tree !h iv) do
+        exits.(!h) <-
+          { Digraph.src = u; dst = c.succ_dst.(i); label = c.succ_lbl.(i) } :: exits.(!h);
+        h := parent.(!h)
+      done
+    done
+  done;
+  { root = entry; hid; ivid; hnode; tree; header_list; back_srcs; exits; order; start }
 
 let root t = t.root
 
 let headers t = t.header_list
 
-let is_header t h = Hashtbl.mem t.loops h
+let is_header t h = t.hid.(h) > 0
 
-let hdr t v = t.hdr.(v)
+let hdr t v = t.hnode.(t.ivid.(v))
+
+(* the interval id of a header or the root *)
+let id fn t h =
+  let i = t.hid.(h) in
+  if i < 0 then invalid_arg (Printf.sprintf "Intervals.%s: %d is not a header" fn h);
+  i
 
 (* HDR_PARENT: None encodes the paper's "0" (outermost interval). *)
 let hdr_parent t h =
   if h = t.root then None
-  else if not (is_header t h) then
-    invalid_arg (Printf.sprintf "Intervals.hdr_parent: %d is not a header" h)
-  else Some t.parent.(h)
+  else
+    match Lca.parent t.tree (id "hdr_parent" t h) with
+    | Some p -> Some t.hnode.(p)
+    | None -> None
 
-let hdr_lca t h1 h2 = Lca.lca t.depth_lca h1 h2
+let hdr_lca t h1 h2 = t.hnode.(Lca.lca t.tree (id "hdr_lca" t h1) (id "hdr_lca" t h2))
 
-let interval_depth t h = Lca.depth t.depth_lca h
+let interval_depth t h = Lca.depth t.tree (id "interval_depth" t h)
 
 (* [encloses t a b]: interval headed by [a] contains (reflexively) the
    interval headed by [b] in the header tree. *)
-let encloses t a b = Lca.is_ancestor t.depth_lca a b
+let encloses t a b =
+  a = b || (t.hid.(a) >= 0 && t.hid.(b) >= 0 && Lca.is_ancestor t.tree t.hid.(a) t.hid.(b))
+
+let mem t h v = Lca.is_ancestor t.tree (id "mem" t h) t.ivid.(v)
+
+(* the slice of [order] holding the members of interval [h] *)
+let bounds fn t h =
+  let i = id fn t h in
+  let p = Lca.preorder t.tree i in
+  (t.start.(p), t.start.(p + Lca.subtree_size t.tree i))
 
 let members t h =
-  if h = t.root then
-    List.init t.n Fun.id |> IS.of_list
-  else
-    match Hashtbl.find_opt t.loops h with
-    | Some l -> l.members
-    | None -> invalid_arg (Printf.sprintf "Intervals.members: %d is not a header" h)
+  let lo, hi = bounds "members" t h in
+  Array.sub t.order lo (hi - lo)
 
-let back_edge_sources t h =
-  match Hashtbl.find_opt t.loops h with
-  | Some l -> l.back_srcs
-  | None -> invalid_arg (Printf.sprintf "Intervals.back_edge_sources: %d is not a header" h)
+let real fn t h =
+  if h = t.root then invalid_arg (Printf.sprintf "Intervals.%s: %d is not a header" fn h);
+  id fn t h
 
-(* Exit edges of a real loop: edges from a member to a non-member. *)
-let exit_edges (type a) t (cfg : a Cfg.t) h =
-  let ms = members t h in
-  IS.fold
-    (fun u acc ->
-      List.fold_left
-        (fun acc (e : Label.t Digraph.edge) ->
-          if not (IS.mem e.dst ms) then e :: acc else acc)
-        acc (Cfg.succ_edges cfg u))
-    ms []
-  |> List.rev
+let back_edge_sources t h = t.back_srcs.(real "back_edge_sources" t h)
+
+let exit_edges t h = t.exits.(real "exit_edges" t h)
 
 let pp fmt t =
   Fmt.pf fmt "@[<v>intervals: root=%d" t.root;
   List.iter
     (fun h ->
-      let l = Hashtbl.find t.loops h in
-      Fmt.pf fmt "@,  header %d (parent %d, depth %d): {%a}" h t.parent.(h)
+      let ms = members t h in
+      Array.sort compare ms;
+      Fmt.pf fmt "@,  header %d (parent %d, depth %d): {%a}" h
+        (Option.value ~default:(-1) (hdr_parent t h))
         (interval_depth t h)
-        Fmt.(list ~sep:comma int)
-        (IS.elements l.members))
+        Fmt.(array ~sep:comma int)
+        ms)
     t.header_list;
   Fmt.pf fmt "@]"

@@ -2,7 +2,16 @@
     forest plus the paper's [HDR] / [HDR_PARENT] / [HDR_LCA] mappings.
 
     The whole procedure body is the outermost interval, headed by the entry
-    node.  The entry must have no predecessors ({!Cfg.normalize_entry}). *)
+    node.  The entry must have no predecessors ({!Cfg.normalize_entry}).
+
+    {!compute} takes one DFS and one dominator tree: reducibility is the
+    Hecht–Ullman test (every DFS retreating edge must be a back edge), and
+    the loop forest comes from collapsing natural loops into their headers
+    with a union-find, inner loops first, in O((n + m) α(n)); listing the
+    exit edges costs their total number.  The nodes are stored ordered by the header-tree preorder
+    of their innermost header, so each interval is one contiguous slice of
+    that order, and membership is an O(1) test: [v] is in the interval of
+    [h] iff [encloses h (hdr v)]. *)
 
 open S89_graph
 
@@ -12,12 +21,11 @@ exception Irreducible of (int * int) list
 (** The entry node has predecessors; normalize first. *)
 exception Entry_has_preds of int
 
-module IS : Set.S with type elt = int
-
 type t
 
 (** Compute the interval structure.
-    @raise Irreducible if the CFG is not reducible.
+    @raise Irreducible if the CFG is not reducible (checked first); the
+      witnesses are {!S89_graph.Reducibility.offending_edges}.
     @raise Entry_has_preds if the entry node has in-edges. *)
 val compute : 'a Cfg.t -> t
 
@@ -46,17 +54,26 @@ val hdr_lca : t -> int -> int -> int
 (** Depth in the header tree (root = 0). *)
 val interval_depth : t -> int -> int
 
-(** [encloses t a b] — interval [a] (reflexively) contains interval [b]. *)
+(** [encloses t a b] — interval [a] (reflexively) contains interval [b];
+    O(1). *)
 val encloses : t -> int -> int -> bool
 
-(** Nodes of the interval headed by [h], including nested loops; for the
-    root this is every node. *)
-val members : t -> int -> IS.t
+(** [mem t h v] — node [v] belongs to the interval headed by [h] (a header
+    or the root), i.e. [encloses t h (hdr t v)]; O(1). *)
+val mem : t -> int -> int -> bool
 
-(** Sources of the back edges into a real header. *)
+(** Nodes of the interval headed by [h], including nested loops; for the
+    root this is every node.  A fresh copy of the interval's slice, in
+    slice order (by innermost header, then by id).  Raises
+    [Invalid_argument] if [h] is neither a header nor the root. *)
+val members : t -> int -> int array
+
+(** Sources of the back edges into a real header, in edge order (by
+    source id), with multiplicity. *)
 val back_edge_sources : t -> int -> int list
 
-(** Exit edges of a real loop: edges from a member to a non-member. *)
-val exit_edges : t -> 'a Cfg.t -> int -> Label.t Digraph.edge list
+(** Exit edges of a real loop: edges from a member to a non-member, by
+    source id, then in adjacency order.  Computed once by {!compute}. *)
+val exit_edges : t -> int -> Label.t Digraph.edge list
 
 val pp : Format.formatter -> t -> unit

@@ -3,11 +3,8 @@
 (** DFS numbering of the nodes reachable from a root. *)
 type numbering = {
   order : int array;  (** nodes in preorder (indices [0..count-1] valid) *)
-  visited : bool array;  (** reachability from the root *)
   pre : int array;  (** preorder index, [-1] if unreachable *)
   post : int array;  (** postorder index, [-1] if unreachable *)
-  entry : int array;  (** DFS interval entry time *)
-  exit_ : int array;  (** DFS interval exit time *)
   parent : int array;  (** DFS tree parent, [-1] for root/unreachable *)
   count : int;  (** number of reachable nodes *)
 }
@@ -16,6 +13,12 @@ type edge_kind = Tree | Back | Forward | Cross
 
 (** Run an iterative DFS from [root] (successors in adjacency order). *)
 val number : 'l Digraph.t -> root:int -> numbering
+
+(** {!number} over CSR arrays (e.g. a {!Digraph.reverse_csr} view). *)
+val number_csr : 'l Digraph.csr -> root:int -> numbering
+
+(** The numbering's reachable nodes in reverse postorder (root first). *)
+val rev_postorder_of : numbering -> int array
 
 (** Is the node reachable from the DFS root? *)
 val reachable : numbering -> int -> bool
@@ -26,9 +29,6 @@ val is_ancestor : numbering -> int -> int -> bool
 (** Classify an edge between reachable nodes.
     Raises [Invalid_argument] on unreachable endpoints. *)
 val classify : numbering -> 'l Digraph.edge -> edge_kind
-
-(** Reachable nodes in postorder. *)
-val postorder : 'l Digraph.t -> root:int -> int array
 
 (** Reachable nodes in reverse postorder (root first). *)
 val rev_postorder : 'l Digraph.t -> root:int -> int array

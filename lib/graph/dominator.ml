@@ -1,30 +1,31 @@
 (* Dominator trees via the Cooper–Harvey–Kennedy iterative algorithm
    ("A Simple, Fast Dominance Algorithm", 2001).
 
-   Runs on arbitrary flowgraphs (not just reducible ones) and is fast enough
-   at CFG scale.  Postdominators reuse this module on the reversed graph
-   (see Postdom). *)
+   Runs on arbitrary flowgraphs (not just reducible ones) and reads the
+   predecessor side of the graph's CSR arrays directly, so a pass over a
+   node's predecessors allocates nothing.  Postdominators run the same
+   code on the swapped view of the arrays (see Postdom).  The finished
+   tree is kept as an Lca forest, which makes dominance an O(1) range
+   check. *)
 
 type t = {
   root : int;
-  idom : int array; (* immediate dominator; root maps to itself; -1 unreachable *)
-  depth : int array; (* depth in the dominator tree, root = 0, -1 unreachable *)
-  children : int list array; (* dominator tree children *)
-  rpo : int array; (* reachable nodes in reverse postorder *)
+  idom : int array; (* immediate dominator; -1 for the root and unreachable nodes *)
+  tree : Lca.t; (* the dominator tree over [idom]; unreachable nodes are singletons *)
 }
 
-let compute g ~root =
-  let n = Digraph.num_nodes g in
-  let rpo = Dfs.rev_postorder g ~root in
-  let rpo_idx = Array.make n max_int in
-  Array.iteri (fun i v -> rpo_idx.(v) <- i) rpo;
+let of_dfs (c : 'l Digraph.csr) (num : Dfs.numbering) =
+  let n = c.n in
+  let root = num.order.(0) in
+  let rpo = Dfs.rev_postorder_of num in
+  let rpo_idx v = num.count - 1 - num.post.(v) in
   let idom = Array.make n (-1) in
   idom.(root) <- root;
   (* Walk the two candidates up the (partially built) dominator tree until
      they meet; comparisons use RPO indices. *)
   let rec intersect u v =
     if u = v then u
-    else if rpo_idx.(u) > rpo_idx.(v) then intersect idom.(u) v
+    else if rpo_idx u > rpo_idx v then intersect idom.(u) v
     else intersect u idom.(v)
   in
   let changed = ref true in
@@ -33,61 +34,44 @@ let compute g ~root =
     Array.iter
       (fun b ->
         if b <> root then begin
-          let new_idom =
-            List.fold_left
-              (fun acc p ->
-                if idom.(p) = -1 then acc
-                else match acc with None -> Some p | Some a -> Some (intersect a p))
-              None (Digraph.preds g b)
-          in
-          match new_idom with
-          | None -> () (* no processed predecessor yet *)
-          | Some d ->
-              if idom.(b) <> d then begin
-                idom.(b) <- d;
-                changed := true
-              end
+          let d = ref (-1) in
+          for i = c.pred_off.(b) to c.pred_off.(b + 1) - 1 do
+            let p = c.pred_src.(i) in
+            (* skip predecessors not processed yet (or unreachable) *)
+            if idom.(p) <> -1 then d := if !d = -1 then p else intersect !d p
+          done;
+          if !d <> -1 && idom.(b) <> !d then begin
+            idom.(b) <- !d;
+            changed := true
+          end
         end)
       rpo
   done;
-  let depth = Array.make n (-1) in
-  let children = Array.make n [] in
-  Array.iter
-    (fun v ->
-      if v = root then depth.(v) <- 0
-      else begin
-        depth.(v) <- depth.(idom.(v)) + 1;
-        children.(idom.(v)) <- v :: children.(idom.(v))
-      end)
-    rpo;
-  Array.iteri (fun i c -> children.(i) <- List.rev c) children;
-  { root; idom; depth; children; rpo }
+  idom.(root) <- -1;
+  { root; idom; tree = Lca.of_parents idom }
 
-let idom t n = if n = t.root then None else if t.idom.(n) = -1 then None else Some t.idom.(n)
+let of_csr c ~root = of_dfs c (Dfs.number_csr c ~root)
+
+let compute g ~root = of_csr (Digraph.csr g) ~root
+
+let idom t n = if t.idom.(n) = -1 then None else Some t.idom.(n)
+
+let idom_id t n = t.idom.(n)
 
 let reachable t n = n = t.root || t.idom.(n) <> -1
 
-let depth t n = t.depth.(n)
+let depth t n = if reachable t n then Lca.depth t.tree n else -1
 
-let children t n = t.children.(n)
+let children t n = Lca.children t.tree n
 
-(* Reflexive dominance: walk the shallower node's ancestor chain is wrong —
-   instead lift the deeper node up to the depth of [u] and compare. *)
-let dominates t u v =
-  if not (reachable t u && reachable t v) then false
-  else begin
-    let x = ref v in
-    while t.depth.(!x) > t.depth.(u) do
-      x := t.idom.(!x)
-    done;
-    !x = u
-  end
+(* Reflexive dominance: [u] is an ancestor of [v] in the tree. *)
+let dominates t u v = reachable t u && reachable t v && Lca.is_ancestor t.tree u v
 
 let strictly_dominates t u v = u <> v && dominates t u v
 
 let dominators t v =
   if not (reachable t v) then []
   else begin
-    let rec go x acc = if x = t.root then t.root :: acc else go t.idom.(x) (x :: acc) in
+    let rec go x acc = if x = t.root then x :: acc else go t.idom.(x) (x :: acc) in
     go v []
   end

@@ -1,15 +1,27 @@
 (** Dominator trees (Cooper–Harvey–Kennedy iterative algorithm).
 
     Works on arbitrary flowgraphs.  Nodes unreachable from the root are
-    reported unreachable and dominate nothing. *)
+    reported unreachable and dominate nothing.  Dominance queries are
+    O(1). *)
 
 type t
 
 (** Compute the dominator tree of the nodes reachable from [root]. *)
 val compute : 'l Digraph.t -> root:int -> t
 
+(** {!compute} over CSR arrays; reads only their predecessor side and the
+    successor side's DFS.  Postdominators pass a {!Digraph.reverse_csr}. *)
+val of_csr : 'l Digraph.csr -> root:int -> t
+
+(** {!of_csr} reusing a {!Dfs.number_csr} of the same arrays; its root is
+    the dominator tree's root. *)
+val of_dfs : 'l Digraph.csr -> Dfs.numbering -> t
+
 (** Immediate dominator; [None] for the root and unreachable nodes. *)
 val idom : t -> int -> int option
+
+(** {!idom} without the option: [-1] for the root and unreachable nodes. *)
+val idom_id : t -> int -> int
 
 (** Is the node reachable from the root? *)
 val reachable : t -> int -> bool
@@ -17,7 +29,7 @@ val reachable : t -> int -> bool
 (** Depth in the dominator tree (root = 0); [-1] if unreachable. *)
 val depth : t -> int -> int
 
-(** Dominator-tree children. *)
+(** Dominator-tree children, in increasing id order. *)
 val children : t -> int -> int list
 
 (** [dominates t u v] — reflexive dominance of [v] by [u]. *)

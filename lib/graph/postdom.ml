@@ -2,13 +2,17 @@
 
    The control-dependence construction (Definition 2 of the paper) is stated
    in terms of postdominance in the ECFG, whose unique exit is the STOP
-   node. *)
+   node.  The reversed graph is the swapped view of the CSR arrays, not a
+   copy. *)
 
 type t = { dom : Dominator.t }
 
-let compute g ~exit_ = { dom = Dominator.compute (Digraph.reverse g) ~root:exit_ }
+let compute g ~exit_ =
+  { dom = Dominator.of_csr (Digraph.reverse_csr (Digraph.csr g)) ~root:exit_ }
 
 let ipostdom t n = Dominator.idom t.dom n
+
+let ipostdom_id t n = Dominator.idom_id t.dom n
 
 let reachable t n = Dominator.reachable t.dom n
 

@@ -35,10 +35,10 @@ let forward_part g ~root =
 
 let is_reducible g ~root = Topo.is_acyclic (forward_part g ~root)
 
-(* Retreating edges of some DFS that are not natural back edges — the
-   witnesses of irreducibility that Node_split removes.  May be empty even
-   for an irreducible graph under an unlucky DFS order, in which case the
-   caller should consult [forward_part] cycles instead. *)
+(* Retreating edges of the DFS that are not natural back edges — the
+   witnesses of irreducibility that Node_split removes.  By Hecht–Ullman
+   a graph is reducible iff every retreating edge of a DFS (any DFS) is a
+   natural back edge, so the list is empty exactly on reducible graphs. *)
 let offending_edges g ~root =
   let dom = Dominator.compute g ~root in
   let num = Dfs.number g ~root in

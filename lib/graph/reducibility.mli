@@ -11,9 +11,9 @@ val forward_part : 'l Digraph.t -> root:int -> unit Digraph.t
 (** A flowgraph is reducible iff {!forward_part} is acyclic. *)
 val is_reducible : 'l Digraph.t -> root:int -> bool
 
-(** Retreating edges of a DFS that are not natural back edges — witnesses of
-    irreducibility.  May be empty for an irreducible graph under an unlucky
-    DFS order. *)
+(** Retreating edges of the {!Dfs.number} DFS that are not natural back
+    edges — witnesses of irreducibility.  Empty iff the graph is reducible
+    (Hecht–Ullman). *)
 val offending_edges : 'l Digraph.t -> root:int -> 'l Digraph.edge list
 
 (** [Some back_edges] when reducible, [None] otherwise. *)

@@ -6,27 +6,56 @@
 
 exception Cycle of int list
 
-(* Kahn's algorithm over the whole node set.  Nodes are emitted smallest-id
-   first among the ready set, which keeps the order deterministic. *)
+(* Kahn's algorithm over the whole node set, reading the CSR arrays.
+   Nodes are emitted smallest-id first among the ready set, which keeps
+   the order deterministic; the ready set is a binary min-heap of ids. *)
 let sort g =
-  let n = Digraph.num_nodes g in
-  let indeg = Array.init n (fun v -> Digraph.in_degree g v) in
-  let module IS = Set.Make (Int) in
-  let ready = ref IS.empty in
+  let c = Digraph.csr g in
+  let n = c.n in
+  let indeg = Array.init n (fun v -> c.pred_off.(v + 1) - c.pred_off.(v)) in
+  let heap = Array.make (max 1 n) 0 and size = ref 0 in
+  let push v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) > v do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) in
+    let i = ref 0 and sifting = ref (!size > 0) in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= !size then sifting := false
+      else begin
+        let m = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(m) < last then begin
+          heap.(!i) <- heap.(m);
+          i := m
+        end
+        else sifting := false
+      end
+    done;
+    if !size > 0 then heap.(!i) <- last;
+    top
+  in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then ready := IS.add v !ready
+    if indeg.(v) = 0 then push v
   done;
-  let out = ref [] and emitted = ref 0 in
-  while not (IS.is_empty !ready) do
-    let v = IS.min_elt !ready in
-    ready := IS.remove v !ready;
-    out := v :: !out;
+  let out = Array.make n 0 and emitted = ref 0 in
+  while !size > 0 do
+    let v = pop () in
+    out.(!emitted) <- v;
     incr emitted;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then ready := IS.add w !ready)
-      (Digraph.succs g v)
+    for i = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
+      let w = c.succ_dst.(i) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then push w
+    done
   done;
   if !emitted < n then begin
     let stuck = ref [] in
@@ -35,7 +64,7 @@ let sort g =
     done;
     raise (Cycle !stuck)
   end;
-  Array.of_list (List.rev !out)
+  out
 
 let sort_opt g = try Some (sort g) with Cycle _ -> None
 

@@ -87,6 +87,12 @@ let to_list t =
 
 let to_array t = Array.sub t.data 0 t.len
 
+(* room for half as many again before the first regrowth *)
+let copy t =
+  let data = Array.make (t.len + (t.len / 2) + 8) t.dummy in
+  Array.blit t.data 0 data 0 t.len;
+  { t with data }
+
 let of_list xs ~dummy =
   let t = create ~dummy in
   List.iter (push t) xs;

@@ -37,6 +37,10 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
+
+(** An independent vector with the same elements and room to grow by
+    half before it reallocates. *)
+val copy : 'a t -> 'a t
 val of_list : 'a list -> dummy:'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> dummy:'b -> 'b t
 

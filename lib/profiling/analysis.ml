@@ -51,56 +51,69 @@ exception Unanalyzable of { proc : string; reason : string }
 let check_body_conditions name (proc : Program.proc) (ecfg : _ Ecfg.t)
     (cdg : Control_dep.t) : unit =
   let module Digraph = S89_graph.Digraph in
-  let cfg = proc.Program.cfg in
   let ivs = Ecfg.intervals ecfg in
-  let cd = Control_dep.graph cdg in
-  List.iter
-    (fun h ->
-      let ph = Ecfg.preheader_of_header ecfg h in
-      let members = Intervals.members ivs h in
-      let sinks = Hashtbl.create 8 in
+  match Intervals.headers ivs with
+  | [] -> ()
+  | headers ->
+      let cfg = Cfg.graph proc.Program.cfg and n = Cfg.num_nodes proc.Program.cfg in
+      let cd = Digraph.csr (Control_dep.graph cdg) in
+      (* the original CFG's arrays, built only if some loop needs a walk *)
+      let c = lazy (Digraph.csr cfg) in
+      (* per-node stamps instead of per-walk tables: [sink.(v) = h] marks
+         where a pass through [h]'s loop may end, [seen.(v) = walk] the
+         nodes the current walk reached *)
+      let sink = Array.make n (-1) and seen = Array.make n (-1) in
+      let stack = Array.make n 0 and walk = ref 0 in
       List.iter
-        (fun s -> Hashtbl.replace sinks s ())
-        (Intervals.back_edge_sources ivs h);
-      List.iter
-        (fun (e : Label.t Digraph.edge) -> Hashtbl.replace sinks e.src ())
-        (Intervals.exit_edges ivs cfg h);
-      List.iter
-        (fun (e : Label.t Digraph.edge) ->
-          if e.label = Ecfg.body_label && Ecfg.is_original ecfg e.dst && e.dst <> h
-          then begin
-            let x = e.dst in
-            (* can a pass through the loop complete without touching x? *)
-            let seen = Hashtbl.create 16 in
-            let rec bypasses v =
-              (not (Hashtbl.mem seen v))
-              && begin
-                   Hashtbl.replace seen v ();
-                   Hashtbl.mem sinks v
-                   || List.exists
-                        (fun w ->
-                          w <> h && w <> x
-                          && Intervals.IS.mem w members
-                          && bypasses w)
-                        (Digraph.succs (Cfg.graph cfg) v)
-                 end
-            in
-            if bypasses h then
-              raise
-                (Unanalyzable
-                   {
-                     proc = name;
-                     reason =
-                       Printf.sprintf
-                         "loop at node %d re-entered around its header: node \
-                          %d postdominates the header but is bypassed by some \
-                          iteration, so the interval frequency laws do not \
-                          apply"
-                         h x;
-                   })
-          end)
-        (Digraph.succ_edges cd ph))
-    (Intervals.headers ivs)
+        (fun h ->
+          let ph = Ecfg.preheader_of_header ecfg h in
+          List.iter (fun s -> sink.(s) <- h) (Intervals.back_edge_sources ivs h);
+          List.iter
+            (fun (e : Label.t Digraph.edge) -> sink.(e.src) <- h)
+            (Intervals.exit_edges ivs h);
+          for i = cd.succ_off.(ph) to cd.succ_off.(ph + 1) - 1 do
+            let x = cd.succ_dst.(i) in
+            if
+              Label.equal cd.succ_lbl.(i) Ecfg.body_label
+              && Ecfg.is_original ecfg x && x <> h
+            then begin
+              (* can a pass through the loop complete without touching x? *)
+              let c = Lazy.force c in
+              incr walk;
+              seen.(h) <- !walk;
+              stack.(0) <- h;
+              let sp = ref 1 and bypassed = ref false in
+              while !sp > 0 && not !bypassed do
+                decr sp;
+                let v = stack.(!sp) in
+                if sink.(v) = h then bypassed := true
+                else
+                  for j = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
+                    let w = c.succ_dst.(j) in
+                    if w <> h && w <> x && seen.(w) <> !walk && Intervals.mem ivs h w
+                    then begin
+                      seen.(w) <- !walk;
+                      stack.(!sp) <- w;
+                      incr sp
+                    end
+                  done
+              done;
+              if !bypassed then
+                raise
+                  (Unanalyzable
+                     {
+                       proc = name;
+                       reason =
+                         Printf.sprintf
+                           "loop at node %d re-entered around its header: node \
+                            %d postdominates the header but is bypassed by some \
+                            iteration, so the interval frequency laws do not \
+                            apply"
+                           h x;
+                     })
+            end
+          done)
+        headers
 
 let of_proc (proc : Program.proc) : t =
   let name = proc.Program.name in
@@ -115,25 +128,20 @@ let of_proc (proc : Program.proc) : t =
            (S89_util.Fault.injected_msg S89_util.Fault.Analysis_raise
               ~key:(S89_util.Fault.string_key name)))
   | _ -> ());
-  (* the interval/ECFG pipeline assumes reducibility (the paper does too);
-     turn a violated assumption into a structured failure up front instead
-     of undefined behaviour deep inside interval analysis *)
-  (match Cfg.validate proc.Program.cfg with
-  | Ok () ->
-      if
-        not
-          (S89_graph.Reducibility.is_reducible
-             (Cfg.graph proc.Program.cfg)
-             ~root:(Cfg.entry proc.Program.cfg))
-      then
+  (* the interval/ECFG pipeline assumes a valid, reducible CFG (the paper
+     does too); Ecfg.extend checks both up front, and a violated
+     assumption becomes a structured failure *)
+  let ecfg =
+    try Ecfg.extend ~empty:synthetic_info proc.Program.cfg with
+    | Ecfg.Invalid_cfg e ->
+        raise
+          (Unanalyzable
+             { proc = name; reason = Fmt.str "invalid CFG: %a" Cfg.pp_error e })
+    | Intervals.Irreducible _ ->
         raise
           (Unanalyzable
              { proc = name; reason = "control flow graph is irreducible" })
-  | Error e ->
-      raise
-        (Unanalyzable
-           { proc = name; reason = Fmt.str "invalid CFG: %a" Cfg.pp_error e }));
-  let ecfg = Ecfg.extend ~empty:synthetic_info proc.Program.cfg in
+  in
   let cdg = Control_dep.compute ecfg in
   check_body_conditions name proc ecfg cdg;
   let fcdg = Fcdg.of_cdg cdg ecfg in
@@ -216,7 +224,6 @@ let do_meta t h : Ir.do_meta option =
    interval (these were redirected to the preheader in the ECFG). *)
 let entry_edges t h =
   let iv = Ecfg.intervals t.ecfg in
-  let members = Intervals.members iv h in
   List.filter
-    (fun (e : Label.t S89_graph.Digraph.edge) -> not (Intervals.IS.mem e.src members))
+    (fun (e : Label.t S89_graph.Digraph.edge) -> not (Intervals.mem iv h e.src))
     (Cfg.pred_edges t.proc.Program.cfg h)

@@ -122,11 +122,10 @@ let intervals_fig1 () =
   check ci "depth" 1 (Intervals.interval_depth iv if_m);
   check cb "encloses root->loop" true (Intervals.encloses iv entry if_m);
   check cb "not encloses loop->root" false (Intervals.encloses iv if_m entry);
-  let members = Intervals.members iv if_m in
-  check cb "members" true
-    (Intervals.IS.equal members (Intervals.IS.of_list [ if_m; if_nlt; if_nge; call ]));
+  let members = List.sort compare (Array.to_list (Intervals.members iv if_m)) in
+  check cil "members" (List.sort compare [ if_m; if_nlt; if_nge; call ]) members;
   check cil "back edge sources" [ call ] (Intervals.back_edge_sources iv if_m);
-  check ci "exit edges" 2 (List.length (Intervals.exit_edges iv cfg if_m))
+  check ci "exit edges" 2 (List.length (Intervals.exit_edges iv if_m))
 
 let intervals_nested () =
   (* entry -> h1 -> h2 -> b -> h2(back) ; b -> l1 -> h1(back); l1 -> exit *)
@@ -152,7 +151,7 @@ let intervals_nested () =
   check ci "depth h2" 2 (Intervals.interval_depth iv h2);
   check cb "h1 encloses h2" true (Intervals.encloses iv h1 h2);
   check cb "h2 members subset h1" true
-    (Intervals.IS.subset (Intervals.members iv h2) (Intervals.members iv h1))
+    (Array.for_all (Intervals.mem iv h1) (Intervals.members iv h2))
 
 let intervals_entry_preds () =
   let cfg = Cfg.create ~dummy:() in
@@ -420,5 +419,170 @@ let ecfg_invariants_random_prop =
               !ok))
         (S89_frontend.Program.procs prog))
 
+(* ---------------- loop-forest oracle ---------------- *)
+
+(* The interval structure by brute force, straight from the definitions:
+   [h] dominates [s] iff no entry-to-[s] path avoids [h]; a back edge is
+   an edge whose target dominates its source; the natural loop of a back
+   edge (s, h) is h plus every node that reaches s without passing
+   through h; loops with the same header are merged; HDR(v) is the
+   smallest merged loop containing v (the entry when there is none), and
+   a header's parent is the smallest other merged loop containing it. *)
+type 'a brute = {
+  b_headers : int list; (* outermost-first, then by id *)
+  b_hdr : int array;
+  b_parent : (int * int option) list;
+  b_members : (int * int list) list; (* sorted *)
+  b_back : (int * int list) list; (* sources, edge order *)
+  b_exits : (int * (int * int * Label.t) list) list;
+}
+
+let brute_intervals (cfg : 'a Cfg.t) =
+  let n = Cfg.num_nodes cfg and entry = Cfg.entry cfg in
+  let succs u = List.map (fun (e : Label.t Digraph.edge) -> e.dst) (Cfg.succ_edges cfg u) in
+  let preds u = List.map (fun (e : Label.t Digraph.edge) -> e.src) (Cfg.pred_edges cfg u) in
+  (* nodes reachable from [src] along [next], never entering [avoid] *)
+  let closure next src ~avoid =
+    let seen = Array.make n false in
+    let rec go u =
+      if u <> avoid && not seen.(u) then begin
+        seen.(u) <- true;
+        List.iter go (next u)
+      end
+    in
+    go src;
+    seen
+  in
+  let dominates h s = h = s || not (closure succs entry ~avoid:h).(s) in
+  let edges = ref [] in
+  for u = n - 1 downto 0 do
+    List.iter
+      (fun (e : Label.t Digraph.edge) -> edges := (u, e.dst, e.label) :: !edges)
+      (List.rev (Cfg.succ_edges cfg u))
+  done;
+  let back = List.filter (fun (s, h, _) -> dominates h s) !edges in
+  let headers = List.sort_uniq compare (List.map (fun (_, h, _) -> h) back) in
+  let loop h =
+    let inl = Array.make n false in
+    inl.(h) <- true;
+    List.iter
+      (fun (s, h', _) ->
+        if h' = h && s <> h then
+          Array.iteri (fun v r -> if r then inl.(v) <- true) (closure preds s ~avoid:h))
+      back;
+    inl
+  in
+  let loops = List.map (fun h -> (h, loop h)) headers in
+  let size (_, inl) = Array.fold_left (fun a b -> if b then a + 1 else a) 0 inl in
+  let smallest cands =
+    match List.sort (fun a b -> compare (size a) (size b)) cands with
+    | (h, _) :: _ -> Some h
+    | [] -> None
+  in
+  let b_hdr =
+    Array.init n (fun v ->
+        Option.value ~default:entry (smallest (List.filter (fun (_, inl) -> inl.(v)) loops)))
+  in
+  let parent h =
+    Option.value ~default:entry
+      (smallest (List.filter (fun (h', inl) -> h' <> h && inl.(h)) loops))
+  in
+  let depth h = List.length (List.filter (fun (_, inl) -> inl.(h)) loops) in
+  let members inl = List.filter (fun v -> inl.(v)) (List.init n Fun.id) in
+  {
+    b_headers = List.stable_sort (fun a b -> compare (depth a) (depth b)) headers;
+    b_hdr;
+    b_parent = List.map (fun h -> (h, Some (parent h))) headers;
+    b_members = List.map (fun (h, inl) -> (h, members inl)) loops;
+    b_back =
+      List.map
+        (fun h -> (h, List.filter_map (fun (s, h', _) -> if h' = h then Some s else None) back))
+        headers;
+    b_exits =
+      List.map
+        (fun (h, inl) -> (h, List.filter (fun (u, v, _) -> inl.(u) && not inl.(v)) !edges))
+        loops;
+  }
+
+(* Intervals against the brute force; every node must be reachable *)
+let intervals_match_brute (cfg : 'a Cfg.t) =
+  let iv = Intervals.compute cfg and b = brute_intervals cfg in
+  let n = Cfg.num_nodes cfg in
+  let sorted a = List.sort compare (Array.to_list a) in
+  let edge_triples =
+    List.map (fun (e : Label.t Digraph.edge) -> (e.src, e.dst, e.label))
+  in
+  Intervals.headers iv = b.b_headers
+  && Array.for_all (fun v -> Intervals.hdr iv v = b.b_hdr.(v)) (Array.init n Fun.id)
+  && List.for_all (fun (h, p) -> Intervals.hdr_parent iv h = p) b.b_parent
+  && List.for_all (fun (h, ms) -> sorted (Intervals.members iv h) = ms) b.b_members
+  && sorted (Intervals.members iv (Intervals.root iv)) = List.init n Fun.id
+  && List.for_all
+       (fun (h, ms) ->
+         List.for_all (fun v -> Intervals.mem iv h v = List.mem v ms) (List.init n Fun.id))
+       b.b_members
+  && List.for_all (fun (h, srcs) -> Intervals.back_edge_sources iv h = srcs) b.b_back
+  && List.for_all
+       (fun (h, exits) -> edge_triples (Intervals.exit_edges iv h) = exits)
+       b.b_exits
+
+(* a random CFG on [nodes] nodes, all reachable from node 0 (each node
+   gets an edge from a lower one), with [extra] random edges on top;
+   then a fresh entry, so the entry has no predecessors *)
+let random_cfg seed ~nodes ~extra =
+  let rng = S89_util.Prng.create ~seed in
+  let cfg = Cfg.create ~dummy:() in
+  for _ = 1 to nodes do
+    ignore (Cfg.add_node cfg ())
+  done;
+  let label () = List.nth [ Label.T; Label.F; Label.U ] (S89_util.Prng.int rng 3) in
+  for v = 1 to nodes - 1 do
+    Cfg.add_edge cfg ~src:(S89_util.Prng.int rng v) ~dst:v ~label:(label ())
+  done;
+  for _ = 1 to extra do
+    let u = S89_util.Prng.int rng nodes and v = S89_util.Prng.int rng nodes in
+    Cfg.add_edge cfg ~src:u ~dst:v ~label:(label ())
+  done;
+  Cfg.set_entry cfg 0;
+  ignore (Cfg.normalize_entry cfg);
+  cfg
+
+let loop_forest_programs_prop =
+  QCheck.Test.make ~count:30 ~name:"loop forest = brute force (generated programs)"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      List.for_all
+        (fun (p : S89_frontend.Program.proc) -> intervals_match_brute p.S89_frontend.Program.cfg)
+        (S89_frontend.Program.procs (Gen_prog.gen_program seed)))
+
+let loop_forest_split_prop =
+  QCheck.Test.make ~count:150 ~name:"loop forest = brute force (split random graphs)"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let cfg = random_cfg seed ~nodes:9 ~extra:9 in
+      match Cfg.make_reducible cfg with
+      | exception S89_graph.Node_split.Gave_up _ -> QCheck.assume_fail ()
+      | _ -> intervals_match_brute cfg)
+
+let irreducible_witness_prop =
+  QCheck.Test.make ~count:200 ~name:"Irreducible carries the offending edges"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let cfg = random_cfg seed ~nodes:7 ~extra:7 in
+      let g = Cfg.graph cfg and root = Cfg.entry cfg in
+      if S89_graph.Reducibility.is_reducible g ~root then intervals_match_brute cfg
+      else
+        let expected =
+          List.map
+            (fun (e : Label.t Digraph.edge) -> (e.src, e.dst))
+            (S89_graph.Reducibility.offending_edges g ~root)
+        in
+        match Intervals.compute cfg with
+        | _ -> false
+        | exception Intervals.Irreducible w -> w = expected && w <> [])
+
 let suite =
-  suite @ [ QCheck_alcotest.to_alcotest ecfg_invariants_random_prop ]
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [ ecfg_invariants_random_prop; loop_forest_programs_prop;
+        loop_forest_split_prop; irreducible_witness_prop ]

@@ -601,9 +601,44 @@ let pretty_printers_smoke () =
   let s = Fmt.str "%a" Freq.pp f in
   check cb "freq printer mentions totals" true (String.length s > 20)
 
+(* Words allocated by one [Analysis.of_proc]: minor-heap words plus
+   direct major-heap allocations (major words minus promotions).  Both
+   are exact counters of this domain, so the figure is deterministic —
+   a gate on work done, not on wall time. *)
+let analysis_words (p : Program.proc) =
+  let major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  ignore (Analysis.of_proc p);
+  let m0 = Gc.minor_words () and j0 = major () in
+  ignore (Sys.opaque_identity (Analysis.of_proc p));
+  Gc.minor_words () -. m0 +. (major () -. j0)
+
+(* The analysis layer allocates linearly: pinned words per CFG node, and
+   twice the nodes may cost at most 2.2x the words. *)
+let analysis_alloc_linear () =
+  let measure nodes =
+    let prog = Program.of_source (Gen_prog.gen_wide_cfg_source ~nodes ()) in
+    let p = List.hd (Program.procs prog) in
+    (Cfg.num_nodes p.Program.cfg, analysis_words p)
+  in
+  let n1, w1 = measure 8_800 and n2, w2 = measure 17_600 in
+  check cb "about 7k and 14k nodes" true
+    (n1 > 6_500 && n1 < 7_500 && n2 > 13_000 && n2 < 15_000);
+  let per_node n w = w /. float_of_int n in
+  List.iter
+    (fun (n, w) ->
+      if per_node n w > 175.0 then
+        Alcotest.failf "%d nodes: %.1f words per node, ceiling 175" n (per_node n w))
+    [ (n1, w1); (n2, w2) ];
+  if w2 > 2.2 *. w1 then
+    Alcotest.failf "%d nodes: %.0f words, over 2.2x the %.0f of %d nodes" n2 w2 w1 n1
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "analysis allocation is linear" `Quick analysis_alloc_linear;
       Alcotest.test_case "reconstruction: optimized programs" `Slow
         reconstruction_optimized;
       QCheck_alcotest.to_alcotest reconstruction_optimized_random_prop;

@@ -570,11 +570,15 @@ let backoff_schedule_deterministic () =
     [ 0.001026825905238604; 0.0020207501244364195; 0.0041057812272752561;
       0.008114270063023005 ]
   in
-  check (Alcotest.list (Alcotest.float 1e-15)) "golden schedule, key 0" golden
-    (Supervise.backoff_schedule policy ~key:0);
-  check cb "repeatable" true
-    (Supervise.backoff_schedule policy ~key:3
-    = Supervise.backoff_schedule policy ~key:3);
+  (* the golden and the repeatability check pin the policy-seeded path,
+     so they run with no fault spec active: Supervise.jitter_spec
+     prefers an ambient S89_FAULTS spec by design *)
+  Fault.with_spec None (fun () ->
+      check (Alcotest.list (Alcotest.float 1e-15)) "golden schedule, key 0" golden
+        (Supervise.backoff_schedule policy ~key:0);
+      check cb "repeatable" true
+        (Supervise.backoff_schedule policy ~key:3
+        = Supervise.backoff_schedule policy ~key:3));
   (* an active S89_FAULTS spec with the same seed yields the same
      schedule: the jitter rides the fault decision stream *)
   let under_spec =
