@@ -85,19 +85,23 @@ let table header rows =
 let backends = [ ("tree", Interp.Tree); ("compiled", Interp.Compiled);
                  ("bytecode", Interp.Bytecode) ]
 
+(* Words allocated so far, exactly: minor words read live, plus words
+   allocated straight into the major heap.  ([Gc.allocated_bytes] reads
+   minor words as of the last minor collection only.) *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* One seed-42 run; also returns the bytes its creation and run
-   allocated.  The count repeats exactly only from the same heap state:
-   without the compaction it drifts by up to a fifth between identical
-   runs in one process. *)
+   allocated. *)
 let run ?(instr = Probe.empty) ~backend ~cm prog =
   let config =
     { Interp.default_config with cost_model = cm; instr; seed = 42; backend }
   in
-  Gc.compact ();
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_words () in
   let vm = Interp.create ~config prog in
   ignore (Interp.run vm);
-  (vm, Gc.allocated_bytes () -. a0)
+  (vm, float_of_int (Sys.word_size / 8) *. (allocated_words () -. a0))
 
 (* ------------------------------------------------------------------ *)
 (* T1: Table 1's programs, opt ON and OFF                              *)

@@ -306,3 +306,101 @@ let gen_wide_cfg_source ?(nodes = 100_000) () : string =
   done;
   Buffer.add_string b "      END\n";
   Buffer.contents b
+
+(* ---------------- call mixes (dummy-argument typing) ---------------- *)
+
+(* A program whose helpers take 1-3 scalar dummies, some declared INTEGER
+   or REAL and some typed implicitly, and whose call sites pass INTEGER
+   and REAL locals, literals, expressions, array elements and forwarded
+   dummies, so that sites often disagree on a dummy's binding type.
+   Helper [H<k>] calls only helpers [H<m>], m > k, and the function
+   [FM], so there is no recursion; no subscript leaves its bounds and no
+   division is by a variable, so every program runs to completion. *)
+let gen_call_mix_ast seed : Ast.program =
+  let rng = Prng.create ~seed in
+  let pick xs = List.nth xs (Prng.int rng (List.length xs)) in
+  let n_helpers = 2 + Prng.int rng 4 in
+  let st s = { Ast.label = None; stmt = s } in
+  let helper_name k = Printf.sprintf "H%d" k in
+  (* dummies: names that type implicitly either way, some declared *)
+  let dummies =
+    Array.init n_helpers (fun k ->
+        List.init (1 + Prng.int rng 3) (fun d ->
+            let name = Printf.sprintf "%s%d%d" (pick [ "N"; "A" ]) k d in
+            (name, pick [ None; None; Some Ast.Tint; Some Ast.Treal ])))
+  in
+  let elem () =
+    Ast.Call (pick [ "IA"; "RA" ], [ Ast.Int (1 + Prng.int rng 4) ])
+  in
+  (* an actual argument in a unit whose scalars are [vars] *)
+  let actual vars =
+    match Prng.int rng 6 with
+    | 0 | 1 -> Ast.Var (pick vars)
+    | 2 -> pick [ Ast.Int (1 + Prng.int rng 5); Ast.Real (0.5 *. float_of_int (Prng.int rng 7)) ]
+    | 3 ->
+        Ast.Binop
+          (pick [ Ast.Add; Ast.Mul ], Ast.Var (pick vars),
+           pick [ Ast.Int (1 + Prng.int rng 3); Ast.Real 0.5 ])
+    | _ -> elem ()
+  in
+  let call_to vars m =
+    Ast.Call_stmt (helper_name m, List.map (fun _ -> actual vars) dummies.(m))
+  in
+  let fm vars = Ast.Call ("FM", [ actual vars ]) in
+  let helper k =
+    let names = List.map fst dummies.(k) in
+    let d () = pick names in
+    let update () =
+      match Prng.int rng 5 with
+      | 0 -> Ast.Assign (Ast.Lvar (d ()), Ast.Binop (Ast.Add, Ast.Var (d ()), Ast.Var (d ())))
+      | 1 ->
+          Ast.If_logical
+            ( Ast.Binop (Ast.Gt, Ast.Var (d ()), Ast.Int (2 + Prng.int rng 6)),
+              Ast.Assign (Ast.Lvar (d ()), Ast.Binop (Ast.Sub, Ast.Var (d ()), Ast.Real 1.5)) )
+      | 2 -> Ast.Assign (Ast.Lvar (d ()), Ast.Binop (Ast.Mul, Ast.Var (d ()), Ast.Real 0.75))
+      | 3 -> Ast.Assign (Ast.Lvar (d ()), Ast.Binop (Ast.Add, fm names, Ast.Int 1))
+      | _ ->
+          if k + 1 < n_helpers then call_to names (k + 1 + Prng.int rng (n_helpers - k - 1))
+          else Ast.Assign (Ast.Lvar (d ()), Ast.Call ("ABS", [ Ast.Var (d ()) ]))
+    in
+    (* local arrays, so that helpers pass array elements too *)
+    let decls =
+      [ Ast.Dvar (Ast.Tint, [ ("IA", [ 4 ]) ]); Ast.Dvar (Ast.Treal, [ ("RA", [ 4 ]) ]) ]
+      @ List.filter_map
+          (fun (name, ty) -> Option.map (fun ty -> Ast.Dvar (ty, [ (name, []) ])) ty)
+          dummies.(k)
+    in
+    { Ast.kind = Ast.Subroutine; name = helper_name k; params = names; decls;
+      body = List.init (2 + Prng.int rng 3) (fun _ -> st (update ())) }
+  in
+  let fm_unit =
+    { Ast.kind = Ast.Function (Some Ast.Treal); name = "FM"; params = [ "Q" ]; decls = [];
+      body = [ st (Ast.Assign (Ast.Lvar "FM", Ast.Binop (Ast.Add, Ast.Binop (Ast.Mul, Ast.Var "Q", Ast.Real 0.5), Ast.Int 1))) ] }
+  in
+  let locals = [ "I"; "J"; "X"; "Y" ] in
+  let main =
+    { Ast.kind = Ast.Program; name = "CMIX"; params = [];
+      decls =
+        [ Ast.Dvar (Ast.Tint, [ ("I", []); ("J", []); ("L", []); ("IA", [ 4 ]) ]);
+          Ast.Dvar (Ast.Treal, [ ("X", []); ("Y", []); ("RA", [ 4 ]) ]) ];
+      body =
+        [ st (Ast.Assign (Ast.Lvar "I", Ast.Int 3)); st (Ast.Assign (Ast.Lvar "J", Ast.Int 2));
+          st (Ast.Assign (Ast.Lvar "X", Ast.Real 1.25));
+          st (Ast.Assign (Ast.Lvar "Y", Ast.Real 0.5));
+          st
+            (Ast.Do
+               { do_var = "L"; do_lo = Ast.Int 1; do_hi = Ast.Int 4; do_step = None;
+                 do_body =
+                   [ st (Ast.Assign (Ast.Larr ("IA", [ Ast.Var "L" ]), Ast.Binop (Ast.Mul, Ast.Var "L", Ast.Int 2)));
+                     st (Ast.Assign (Ast.Larr ("RA", [ Ast.Var "L" ]), Ast.Binop (Ast.Mul, Ast.Var "L", Ast.Real 0.25))) ] }) ]
+        @ List.concat
+            (List.init (2 + Prng.int rng 4) (fun _ ->
+                 [ st (call_to locals (Prng.int rng n_helpers));
+                   st (Ast.Assign (Ast.Lvar "Y", Ast.Binop (Ast.Add, Ast.Var "Y", fm locals))) ]))
+        @ [ st
+              (Ast.Print
+                 [ Ast.Var "I"; Ast.Var "J"; Ast.Var "X"; Ast.Var "Y"; elem (); elem () ]) ] }
+  in
+  (main :: List.init n_helpers helper) @ [ fm_unit ]
+
+let gen_call_mix_source seed : string = Ast.to_source (gen_call_mix_ast seed)

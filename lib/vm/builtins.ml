@@ -1,10 +1,8 @@
 (* Implementations of the MF77 intrinsics (names/arities are declared in
    s89_frontend.Intrinsics; the VM dispatches here).
 
-   Each intrinsic is its own closure, registered in a table so the
-   compiling backend can resolve a name to an implementation once at
-   compile time; [apply] keeps the dynamic name-based entry point for the
-   tree-walking backend. *)
+   Each intrinsic is its own closure, registered in a table that [apply]
+   looks names up in. *)
 
 module Prng = S89_util.Prng
 open Value
@@ -126,9 +124,7 @@ let by_name : (string, impl) Hashtbl.t =
   List.iter (fun (name, f) -> Hashtbl.replace tbl name f) table;
   tbl
 
-let resolve name : impl =
+let apply (rng : Prng.t) name (vs : t list) : t =
   match Hashtbl.find_opt by_name name with
-  | Some f -> f
-  | None -> fun _ _ -> err name
-
-let apply (rng : Prng.t) name (vs : t list) : t = (resolve name) rng vs
+  | Some f -> f rng vs
+  | None -> err name

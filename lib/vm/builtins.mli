@@ -4,14 +4,6 @@
 
 module Prng = S89_util.Prng
 
-(** One intrinsic implementation. *)
-type impl = Prng.t -> Value.t list -> Value.t
-
-(** Resolve a name to its implementation once (compile time); unknown
-    names yield an implementation that raises {!Value.Runtime_error} when
-    invoked — matching the dynamic behavior of {!apply}. *)
-val resolve : string -> impl
-
 (** [apply rng name args].  Raises {!Value.Runtime_error} on bad
     arguments or domain errors (e.g. [SQRT] of a negative). *)
 val apply : Prng.t -> string -> Value.t list -> Value.t

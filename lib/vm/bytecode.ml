@@ -11,17 +11,16 @@
    bump instead of a closure wrapper.
 
    Anything the emitter cannot prove statically falls back, per node, to
-   the generic closure compiled by {!Compile.compile_node} (the
-   [FALLBACK] opcode), which evaluates on boxed values exactly as the
-   tree walker does.  Under [Compiled] every node is emitted that way, so
-   the same loop then runs nothing but closures.  Observational parity with the
-   Tree backend is preserved exactly: same evaluation order, same
-   coercions, same runtime-error points and messages, same PRNG
-   consumption, same cycle and step accounting, same probe charges and
-   same guard-trip points.  The differential tests in test/test_vm.ml
-   and fuzz/fuzz.ml enforce this three ways. *)
+   the reference evaluator {!Eval} (the [FALLBACK] opcode), which walks
+   the node's AST on boxed values.  Under [Compiled] every node is
+   emitted that way.  Observational parity with the Tree engine, which
+   runs every node through the same evaluator, is preserved exactly:
+   same evaluation order, same coercions, same runtime-error points and
+   messages, same PRNG consumption, same cycle and step accounting, same
+   probe charges and same guard-trip points.  The differential tests in
+   test/test_vm.ml and fuzz/fuzz.ml enforce this three ways. *)
 
-module Ast = S89_frontend.Ast
+module Ir = S89_frontend.Ir
 module Program = S89_frontend.Program
 open S89_cfg
 
@@ -29,7 +28,6 @@ open S89_cfg
    re-exports them under the historical names. *)
 exception Out_of_fuel
 exception Out_of_cycles
-exception Stopped (* STOP statement unwinding *)
 
 (* ---- shared run accounting ----
 
@@ -37,8 +35,8 @@ exception Stopped (* STOP statement unwinding *)
    cycle/step totals, the sampling clock, and the instrumentation
    counters with their saturation bookkeeping.  Keeping it a flat record
    of mutable ints lets the dispatch loop update it without indirection
-   and lets nested procedure calls (including closure fallbacks that
-   re-enter the VM) see a single consistent clock. *)
+   and lets nested procedure calls (including fallbacks that re-enter
+   the VM) see a single consistent clock. *)
 
 type acct = {
   mutable cycles : int;
@@ -102,24 +100,16 @@ type sync = {
 
 let empty_sync = { si_slot = [||]; si_reg = [||]; sf_slot = [||]; sf_reg = [||] }
 
-(* a node the emitter could not lower: the Compile closure, plus the
-   promoted slots it may touch and the edge-sequence pc per successor *)
+(* a node the emitter could not lower, run by the reference evaluator:
+   its IR, its label -> successor dispatch, the promoted slots it may
+   touch and the edge-sequence pc per successor *)
 type fallback = {
-  mutable fb_step : Env.slots -> int; (* compiles itself on first use *)
+  fb_node : int;
+  fb_ir : Ir.node;
+  fb_dispatch : Eval.dispatch;
   fb_sync : sync;
-  mutable fb_edges : int array; (* successor index -> pc of its EDGE op *)
+  fb_edges : int array; (* successor index -> pc of its edge sequence *)
 }
-
-(* a Bulk_add probe: charge, sync the expression's promoted reads, add *)
-type bulk = {
-  bk_counter : int;
-  bk_charge : int; (* c_counter + precomputed expression cost *)
-  bk_expr : Compile.cexpr;
-  bk_sync : sync; (* sync-in only: bulk expressions never write locals *)
-}
-
-(* an edge-probe group entry: plain increment or bulk-table reference *)
-type pact = PIncr of int | PBulk of int
 
 type proc = {
   bp_proc : Program.proc;
@@ -131,10 +121,9 @@ type proc = {
   n_fregs : int;
   all_promoted : sync; (* every promoted slot: frame init and RET sync *)
   names : string array; (* slot -> name, for runtime error messages *)
-  rng : S89_util.Prng.t; (* RAND/IRAND opcodes draw from the VM's stream *)
+  rt : Eval.rt; (* fallbacks; RAND/IRAND opcodes draw from its stream *)
   fallbacks : fallback array;
-  bulks : bulk array;
-  groups : pact array array; (* edge-probe groups *)
+  groups : int array array; (* edge-probe groups: counters to bump *)
   (* oracle meta, indexed by CFG node id (execs/samples) or flat edge
      index (edge_base.(nid) + successor position) *)
   execs : int array;
@@ -152,14 +141,16 @@ type proc = {
    in lockstep.  Documented in docs/../DESIGN.md (bytecode format). *)
 
 let op_acct = 0 (* nid cost *)
-(* 1 and 2 were standalone EDGE/EDGEP; every edge now uses the fused
-   EDGEA/EDGEPA superinstructions below, so those slots are reserved *)
+(* an edge whose probes include a bulk add runs EDGE, the probes, ACCT
+   and JMP; every other edge is one fused EDGEA/EDGEPA (below) *)
+let op_edge = 1 (* eidx *)
+let op_charge = 2 (* k : cycles += k, a bulk add's charge *)
 let op_jmp = 3 (* dst *)
 let op_ret = 4
 let op_stop = 5
 let op_fallback = 6 (* fi *)
 let op_probe = 7 (* counter *)
-let op_probe_bulk = 8 (* bi *)
+let op_probe_add = 8 (* counter ra : counter += ra, saturating *)
 let op_ldki = 9 (* rd k *)
 let op_movi = 10 (* rd ra *)
 let op_iadd = 11 (* rd ra rb *)
@@ -260,43 +251,27 @@ let op_imod = 83 (* rd ra rb *)
 let op_imax = 84 (* rd ra rb *)
 let op_imin = 85 (* rd ra rb *)
 
-(* ---- runtime helpers (cold paths of the dispatch loop) ---- *)
+(* ---- runtime helpers ---- *)
 
-let read_cell_int (names : string array) s (venv : Env.slots) =
-  match venv.(s) with
-  | Env.Cell c -> Value.to_int c.v
-  | Env.Elem (a, off) -> Env.get_int a off
-  | Env.Arr _ -> Value.err "array %s used as a scalar" names.(s)
-  | Env.Poison m -> Value.err "%s" m
+(* Slot reads for the array and LDCI/LDCF ops, with the common binding
+   matched inline: the loop runs one per array access, and a call into
+   Env there is measurably slower.  Every other binding goes through
+   Env's one match, which raises its errors. *)
+let[@inline] get_arr names s (venv : Env.slots) =
+  match venv.(s) with Env.Arr a -> a | _ -> Env.get_arr names s venv
 
-let read_cell_float (names : string array) s (venv : Env.slots) =
-  match venv.(s) with
-  | Env.Cell c -> Value.to_float c.v
-  | Env.Elem (a, off) -> Env.get_float a off
-  | Env.Arr _ -> Value.err "array %s used as a scalar" names.(s)
-  | Env.Poison m -> Value.err "%s" m
+let[@inline] read_int names s (venv : Env.slots) =
+  match venv.(s) with Env.Cell c -> Value.to_int c.v | _ -> Env.read_int names s venv
 
-let get_arr (names : string array) s (venv : Env.slots) =
-  match venv.(s) with
-  | Env.Arr a -> a
-  | Env.Cell _ | Env.Elem _ -> Value.err "%s is not an array" names.(s)
-  | Env.Poison m -> Value.err "%s" m
+let[@inline] read_float names s (venv : Env.slots) =
+  match venv.(s) with Env.Cell c -> Value.to_float c.v | _ -> Env.read_float names s venv
 
 let check_dim name k d i =
   if i < 1 || i > d then
     Value.err "%s: subscript %d of dimension %d out of bounds [1,%d]" name i (k + 1) d
 
-(* the generic scalar store (as in Compile.compile_node), for STCI/STCF slots
-   whose binding turned out not to be a plain Cell (e.g. Poison) *)
-let write_scalar_generic (names : string array) s v (venv : Env.slots) =
-  match venv.(s) with
-  | Env.Cell c -> c.v <- Value.coerce c.ty v
-  | Env.Elem (a, off) -> Env.set a off v
-  | Env.Arr _ -> Value.err "assignment to whole array %s" names.(s)
-  | Env.Poison m -> Value.err "%s" m
-
-(* promoted registers -> frame cells (before running a closure that may
-   read them, and at RET so the caller can read a FUNCTION result) *)
+(* promoted registers -> frame cells (before a fallback that may read
+   them, and at RET so the caller can read a FUNCTION result) *)
 let store_regs (s : sync) (venv : Env.slots) (ireg : int array)
     (freg : float array) =
   let n = Array.length s.si_slot in
@@ -312,8 +287,8 @@ let store_regs (s : sync) (venv : Env.slots) (ireg : int array)
     | _ -> ()
   done
 
-(* frame cells -> promoted registers (at frame entry and after a closure
-   that may have written them) *)
+(* frame cells -> promoted registers (at frame entry and after a
+   fallback that may have written them) *)
 let load_regs (s : sync) (venv : Env.slots) (ireg : int array)
     (freg : float array) =
   let n = Array.length s.si_slot in
@@ -341,19 +316,6 @@ let take_samples (a : acct) (samples : int array) nid =
    generic backend's Value.rel on REAL operands. *)
 let[@inline] fcmp3 (x : float) (y : float) =
   if x < y then -1 else if x > y then 1 else if x = y then 0 else Float.compare x y
-
-(* fire one probe-group entry (edge probes); bulk entries go through the
-   shared bulk table *)
-let fire_pact (a : acct) (p : proc) (venv : Env.slots) (ireg : int array)
-    (freg : float array) = function
-  | PIncr c ->
-      a.cycles <- a.cycles + a.c_counter;
-      counter_incr a c
-  | PBulk bi ->
-      let b = p.bulks.(bi) in
-      a.cycles <- a.cycles + b.bk_charge;
-      store_regs b.bk_sync venv ireg freg;
-      counter_add a b.bk_counter (Value.to_int (b.bk_expr venv))
 
 (* ---- the dispatch loop ---- *)
 
@@ -385,18 +347,26 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
         if cycles >= a.next_sample then take_samples a p.samples nid;
         loop (pc + 3)
+    | 1 (* EDGE eidx *) ->
+        let e = Array.unsafe_get code (pc + 1) in
+        Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
+        loop (pc + 2)
+    | 2 (* CHARGE k *) ->
+        a.cycles <- a.cycles + Array.unsafe_get code (pc + 1);
+        loop (pc + 2)
     | 3 (* JMP dst *) -> loop (Array.unsafe_get code (pc + 1))
     | 4 (* RET *) -> store_regs p.all_promoted venv ireg freg
-    | 5 (* STOP *) -> raise Stopped
-    | 6 (* FALLBACK fi *) ->
+    | 5 (* STOP *) -> raise Eval.Stopped
+    | 6 (* FALLBACK fi *) -> (
         p.fb_execs <- p.fb_execs + 1;
         let fb = p.fallbacks.(Array.unsafe_get code (pc + 1)) in
         store_regs fb.fb_sync venv ireg freg;
-        let k = fb.fb_step venv in
+        let next = Eval.step p.rt p.layout venv fb.fb_ir in
         load_regs fb.fb_sync venv ireg freg;
-        if k >= 0 then loop fb.fb_edges.(k)
-        else if k = Compile.ret_code then store_regs p.all_promoted venv ireg freg
-        else raise Stopped
+        match next with
+        | Some l ->
+            loop fb.fb_edges.(Eval.successor fb.fb_dispatch l ~node:fb.fb_node p.layout)
+        | None -> store_regs p.all_promoted venv ireg freg)
     | 7 (* PROBE counter *) ->
         a.cycles <- a.cycles + a.c_counter;
         let c = Array.unsafe_get code (pc + 1) in
@@ -404,12 +374,10 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         if old = max_int then record_overflow a c
         else Array.unsafe_set counters c (old + 1);
         loop (pc + 2)
-    | 8 (* PROBE_BULK bi *) ->
-        let b = p.bulks.(Array.unsafe_get code (pc + 1)) in
-        a.cycles <- a.cycles + b.bk_charge;
-        store_regs b.bk_sync venv ireg freg;
-        counter_add a b.bk_counter (Value.to_int (b.bk_expr venv));
-        loop (pc + 2)
+    | 8 (* PROBE_ADD counter ra *) ->
+        counter_add a (Array.unsafe_get code (pc + 1))
+          (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
+        loop (pc + 3)
     | 9 (* LDKI rd k *) ->
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get code (pc + 2));
@@ -521,25 +489,25 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         loop (pc + 3)
     | 32 (* LDCI rd slot *) ->
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (read_cell_int names (Array.unsafe_get code (pc + 2)) venv);
+          (read_int names (Array.unsafe_get code (pc + 2)) venv);
         loop (pc + 3)
     | 33 (* LDCF fd slot *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (read_cell_float names (Array.unsafe_get code (pc + 2)) venv);
+          (read_float names (Array.unsafe_get code (pc + 2)) venv);
         loop (pc + 3)
     | 34 (* STCI slot ra *) ->
         let s = Array.unsafe_get code (pc + 1) in
         let x = Value.Int (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) in
         (match venv.(s) with
         | Env.Cell c -> c.v <- x
-        | _ -> write_scalar_generic names s x venv);
+        | _ -> Env.write names s venv x);
         loop (pc + 3)
     | 35 (* STCF slot fa *) ->
         let s = Array.unsafe_get code (pc + 1) in
         let x = Value.Real (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))) in
         (match venv.(s) with
         | Env.Cell c -> c.v <- x
-        | _ -> write_scalar_generic names s x venv);
+        | _ -> Env.write names s venv x);
         loop (pc + 3)
     | 36 (* LDA1I rd slot d0 ra ka *) ->
         let s = Array.unsafe_get code (pc + 2) in
@@ -775,7 +743,8 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
         let g = p.groups.(Array.unsafe_get code (pc + 2)) in
         for i = 0 to Array.length g - 1 do
-          fire_pact a p venv ireg freg g.(i)
+          a.cycles <- a.cycles + a.c_counter;
+          counter_incr a g.(i)
         done;
         let nid = Array.unsafe_get code (pc + 3) in
         let steps = a.steps + 1 in
@@ -827,13 +796,13 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         loop (pc + 3)
     | 81 (* RAND fd *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (S89_util.Prng.float p.rng);
+          (S89_util.Prng.float p.rt.Eval.rng);
         loop (pc + 2)
     | 82 (* IRAND rd ra *) ->
         let n = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         if n <= 0 then Value.err "IRAND bound must be positive";
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (1 + S89_util.Prng.int p.rng n);
+          (1 + S89_util.Prng.int p.rt.Eval.rng n);
         loop (pc + 3)
     | 83 (* IMOD rd ra rb *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in

@@ -4,30 +4,31 @@
    {!Bytecode} instructions.  The translation is conservative: a node is
    lowered to native register ops only when every fact it depends on is
    static (slot types, array dimensions, successor edges); anything else
-   becomes a [FALLBACK] op wrapping the closure from
-   {!Compile.compile_node}, the generic evaluator, which is exact by
-   construction.  This module alone decides what is statically typed
-   ([xstatic_num] and the slot facts below); compile.ml never
-   specializes, so there is one judgment to keep sound, not two.
+   becomes a [FALLBACK] op that runs the node through {!Eval}, the
+   reference evaluator, which is exact by construction.  This module
+   alone decides what is statically typed ([xstatic_num] and the slot
+   facts below, including the call-site typing of dummy arguments);
+   Eval never specializes, so there is one judgment to keep sound.
 
    Scalar promotion: every non-dummy slot of static INTEGER/REAL type
    that is never passed by reference to a user procedure lives in an
    unboxed int/float register for the whole activation.  Registers are
    synced with the frame cells at entry, at RET, and around each
    fallback (only the slots the fallback's node actually mentions), so
-   closures and FUNCTION-result reads always see current values, while
-   by-reference aliasing is impossible for promoted slots by
-   construction.
+   the reference evaluator and FUNCTION-result reads always see current
+   values, while by-reference aliasing is impossible for promoted slots
+   by construction.  Typed dummies are never promoted: a callee may
+   alias them, so they load and store through their binding.
 
    [~all_fallback] is the [Compiled] backend's lowering mode: no slot is
    promoted and every node becomes a FALLBACK, so the dispatch loop runs
-   each node as its closure.  Accounting and probes are emitted exactly
-   as in the default mode.
+   each node through the reference evaluator.  Accounting and probes are
+   emitted exactly as in the default mode.
 
    Parity fine print encoded here:
    - conditionals/selects never bump edge counts themselves; every
-     traversal runs the successor's EDGE/EDGEP op, so fused jumps cannot
-     double-count and probed edges fire after the bump (compiled order);
+     traversal runs the successor's edge sequence, so fused jumps cannot
+     double-count and probed edges fire after the bump (Tree's order);
    - evaluation order inside expressions is left-to-right as in the
      generic evaluator; hoisting the array lookup of a
      statically-dimensioned array past index evaluation is unobservable
@@ -48,9 +49,10 @@ open S89_cfg
 
 (* ---- static slot facts ----
 
-   A slot's value type is static when its binding is fixed at frame
-   creation (not a dummy argument: callers can bind those to anything)
-   and every store coerces to the declared type. *)
+   A local slot's value type is static when every store coerces to its
+   declared type.  A dummy argument's binding comes from its callers, so
+   its type is the call-site judgement below ([dummies], one entry per
+   dummy, [None] = generic). *)
 
 (* declared dimensions of a non-dummy array slot, when none is -1
    (assumed-size) *)
@@ -61,9 +63,9 @@ let static_dims (lay : Env.layout) s =
     | Sema.Array (_, dims) when not (List.mem (-1) dims) -> Some dims
     | _ -> None
 
-(* value type of a non-dummy scalar or PARAMETER slot *)
-let static_scalar_ty (lay : Env.layout) s =
-  if s < lay.Env.n_params then None
+(* value type of a scalar or PARAMETER slot *)
+let static_scalar_ty (lay : Env.layout) (dummies : Ast.typ option array) s =
+  if s < lay.Env.n_params then dummies.(s)
   else
     match lay.Env.kinds.(s) with
     (* constant options: the emitters ask this per variable leaf *)
@@ -84,6 +86,121 @@ let static_elt_ty (lay : Env.layout) s =
     | Sema.Array (Ast.Treal, _) -> Some Ast.Treal
     | Sema.Array (Ast.Tlogical, _) -> Some Ast.Tlogical
     | _ -> None
+
+(* ---- call-site typing of scalar dummies ----
+
+   The program is closed, so every binding a dummy can receive comes
+   from a call site we can see.  A scalar dummy is typed T when every
+   binding it can receive holds a T:
+   - a cell (a caller's local, or a copy-in value) is coerced to the
+     dummy's declared or implicit type on binding ([Env.bind_frame]);
+   - an array element keeps its array's element type, never coerced;
+   - a forwarded dummy carries its own judgement, which types the callee's
+     dummy only where the two types agree.
+   No call site, an arity mismatch or a whole array leaves the dummy
+   generic.  Sites are collected once; only forwarded dummies iterate,
+   each rising at most twice in the lattice. *)
+
+type judgement = Bot | Ty of Ast.typ | Top
+
+let join a b =
+  match (a, b) with
+  | Bot, x | x, Bot -> x
+  | Ty s, Ty t when s = t -> a
+  | _ -> Top
+
+let dummy_types (prog : Program.t) (lays : (string, Env.layout) Hashtbl.t) :
+    (string, Ast.typ option array) Hashtbl.t =
+  let user f = Hashtbl.mem prog.Program.by_name f in
+  let j = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun name (lay : Env.layout) ->
+      Hashtbl.replace j name
+        (Array.init lay.Env.n_params (fun i ->
+             match lay.Env.kinds.(i) with Sema.Scalar _ -> Bot | _ -> Top)))
+    lays;
+  let work = Queue.create () in
+  let contribute callee i t =
+    let a = Hashtbl.find j callee in
+    let t' = join a.(i) t in
+    if t' <> a.(i) then begin
+      a.(i) <- t';
+      Queue.add (callee, i) work
+    end
+  in
+  (* forwarding edges, keyed by the caller's dummy *)
+  let fwd = Hashtbl.create 16 in
+  let site caller (cl : Env.layout) callee args =
+    let (l : Env.layout) = Hashtbl.find lays callee in
+    if List.length args <> l.Env.n_params then
+      for i = 0 to l.Env.n_params - 1 do
+        contribute callee i Top
+      done
+    else
+      List.iteri
+        (fun i (a : Ast.expr) ->
+          let cell = match l.Env.param_tys.(i) with Some d -> Ty d | None -> Top in
+          match a with
+          | Ast.Var v -> (
+              let s = Env.slot cl v in
+              if s < cl.Env.n_params then Hashtbl.add fwd (caller, s) (callee, i)
+              else
+                match cl.Env.kinds.(s) with
+                | Sema.Scalar _ | Sema.Const (Ast.Int _ | Ast.Real _ | Ast.Bool _) ->
+                    contribute callee i cell
+                | _ -> contribute callee i Top)
+          | Ast.Index (name, _) -> (
+              let s = Env.slot cl name in
+              match (static_dims cl s, static_elt_ty cl s) with
+              | Some _, Some elt -> contribute callee i (Ty elt)
+              | _ -> contribute callee i Top)
+          | _ -> contribute callee i cell)
+        args
+  in
+  Hashtbl.iter
+    (fun caller (cl : Env.layout) ->
+      let p = cl.Env.lproc in
+      let rec scan (e : Ast.expr) =
+        match e with
+        | Ast.Int _ | Ast.Real _ | Ast.Bool _ | Ast.Var _ -> ()
+        | Ast.Index (_, idx) -> List.iter scan idx
+        | Ast.Call (f, args) ->
+            if user f then site caller cl f args;
+            List.iter scan args
+        | Ast.Unop (_, e1) -> scan e1
+        | Ast.Binop (_, a, b) ->
+            scan a;
+            scan b
+      in
+      Cfg.iter_nodes
+        (fun u ->
+          let ir = (Cfg.info p.Program.cfg u).Ir.ir in
+          (match ir with
+          | Ir.Call (f, args) when user f -> site caller cl f args
+          | _ -> ());
+          Ir.iter_exprs scan ir)
+        p.Program.cfg)
+    lays;
+  Hashtbl.iter (fun name a -> Array.iteri (fun i _ -> Queue.add (name, i) work) a) j;
+  while not (Queue.is_empty work) do
+    let caller, s = Queue.pop work in
+    let t = (Hashtbl.find j caller).(s) in
+    List.iter
+      (fun (callee, i) ->
+        let (l : Env.layout) = Hashtbl.find lays callee in
+        contribute callee i
+          (match (t, l.Env.param_tys.(i)) with
+          | Bot, _ -> Bot
+          | Ty t', Some d when t' = d -> t
+          | _ -> Top))
+      (Hashtbl.find_all fwd (caller, s))
+  done;
+  let typed = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun name a ->
+      Hashtbl.replace typed name (Array.map (function Ty t -> Some t | Bot | Top -> None) a))
+    j;
+  typed
 
 (* raised (emit-time only) when a node has no native lowering *)
 exception Unsupported
@@ -161,12 +278,13 @@ let flip_rel = function
   | op -> op (* Eq/Ne symmetric *)
 
 let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
-    ~(all_fallback : bool) (rt : Compile.rt) (prog : Program.t)
-    (p : Program.proc) : B.proc =
+    ~(all_fallback : bool) ~(dummies : Ast.typ option array) (rt : Eval.rt)
+    (lay : Env.layout) : B.proc =
+  let prog = rt.Eval.prog in
+  let p = lay.Env.lproc in
   let cfg = p.Program.cfg in
   let n = Cfg.num_nodes cfg in
   let pi = Probe.find_proc instr p.Program.name in
-  let lay = Env.layout p in
   let nslots = Env.n_slots lay in
 
   (* ---- promotion analysis ---- *)
@@ -176,7 +294,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | _ -> ()
   in
   (* bare-variable arguments of user-procedure calls are bound by
-     reference (compile_arg / arg_binding): the callee can mutate them
+     reference (Eval's arg_binding): the callee can mutate them
      behind the frame's back, so those slots must stay in their cells *)
   let rec scan_refs (e : Ast.expr) =
     match e with
@@ -190,10 +308,6 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         scan_refs a;
         scan_refs b
   in
-  let scan_action = function
-    | Probe.Incr _ -> ()
-    | Probe.Bulk_add (_, e) -> scan_refs e
-  in
   for i = 0 to n - 1 do
     let ir = (Cfg.info cfg i).Ir.ir in
     (match ir with
@@ -202,20 +316,13 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | _ -> ());
     Ir.iter_exprs scan_refs ir
   done;
-  (match pi with
-  | Some pi ->
-      Array.iter (List.iter scan_action) pi.Probe.on_node;
-      Array.iter
-        (List.iter (fun (_, acts) -> List.iter scan_action acts))
-        pi.Probe.on_edge
-  | None -> ());
 
   let slot_ireg = Array.make nslots (-1) in
   let slot_freg = Array.make nslots (-1) in
   let n_pro_i = ref 0 and n_pro_f = ref 0 in
   for s = lay.Env.n_params to nslots - 1 do
     if not (all_fallback || by_ref.(s)) then
-      match static_scalar_ty lay s with
+      match static_scalar_ty lay dummies s with
       | Some Ast.Tint ->
           slot_ireg.(s) <- !n_pro_i;
           incr n_pro_i
@@ -374,57 +481,35 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   in
 
   (* ---- shared tables ---- *)
-  let bulks = ref [] and n_bulks = ref 0 in
-  let add_bulk c e =
-    let bi = !n_bulks in
-    incr n_bulks;
-    bulks :=
-      {
-        B.bk_counter = c;
-        bk_charge =
-          cost_model.Cost_model.c_counter + Cost_model.expr_cost cost_model e;
-        bk_expr = Compile.compile_expr rt prog lay e;
-        bk_sync =
-          (mark_expr e;
-           take_sync ());
-      }
-      :: !bulks;
-    bi
-  in
   let groups = ref [] and n_groups = ref 0 in
-  let add_group acts =
+  let add_group counters =
     let gid = !n_groups in
     incr n_groups;
-    groups :=
-      Array.of_list
-        (List.map
-           (function
-             | Probe.Incr c -> B.PIncr c
-             | Probe.Bulk_add (c, e) -> B.PBulk (add_bulk c e))
-           acts)
-      :: !groups;
+    groups := Array.of_list counters :: !groups;
     gid
   in
   let fallbacks = ref [] and n_fallbacks = ref 0 in
 
-  (* Static numeric typing: the type the generic evaluation of [e] is
-     guaranteed to yield (raising exactly where the native code below
-     raises); None = unknown, LOGICAL, or involves user calls or dummy
-     arguments.  Intrinsic calls are typed when their native lowering is
-     exact; a user procedure shadowing an intrinsic name keeps the
-     generic path. *)
+  (* a user procedure shadowing an intrinsic name keeps the generic path *)
   let shadowing =
     List.exists (fun (f, _) -> Hashtbl.mem prog.Program.by_name f) Intrinsics.table
   in
   let is_native_intrinsic f =
     not (shadowing && Hashtbl.mem prog.Program.by_name f)
   in
+
+  (* Static numeric typing: the type the generic evaluation of [e] is
+     guaranteed to yield (raising exactly where the native code below
+     raises); None = unknown, LOGICAL, or involves user calls or untyped
+     dummy arguments.  Intrinsic calls are typed when their native
+     lowering is exact; a user procedure shadowing an intrinsic name keeps
+     the generic path. *)
   let rec xstatic_num (e : Ast.expr) : Ast.typ option =
     match e with
     | Ast.Int _ -> Some Ast.Tint
     | Ast.Real _ -> Some Ast.Treal
     | Ast.Var v -> (
-        match static_scalar_ty lay (Env.slot lay v) with
+        match static_scalar_ty lay dummies (Env.slot lay v) with
         | Some (Ast.Tint | Ast.Treal) as t -> t
         | _ -> None)
     | Ast.Index (name, _) -> (
@@ -1007,6 +1092,28 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
      Defined once per procedure and parameterized by the node id, so the
      node loop below allocates no closures. *)
 
+  (* one probe action, inline.  A bulk add charges first, then computes
+     its count natively into an int register (placement's are the DO
+     trip temp, trip+1, its square or a literal: no sync, no box), then
+     adds it *)
+  let emit_probe = function
+    | Probe.Incr c ->
+        emit B.op_probe;
+        emit c
+    | Probe.Bulk_add (c, e) ->
+        emit B.op_charge;
+        emit (cost_model.Cost_model.c_counter + Cost_model.expr_cost cost_model e);
+        let r =
+          try emit_as_int e
+          with Unsupported ->
+            invalid_arg
+              ("Emit: a bulk-add expression in " ^ p.Program.name
+             ^ " is not statically numeric")
+        in
+        emit B.op_probe_add;
+        emit c;
+        emit r
+  in
   (* traversal of successor [k] of node [i]: bump its flat counter, fire
      its edge probes, account the destination node, jump to its
      probes+body *)
@@ -1018,6 +1125,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
       | Some pi -> edge_acts succ_labels.(i).(k) pi.Probe.on_edge.(i)
       | None -> []
     in
+    let incr_only =
+      List.filter_map (function Probe.Incr c -> Some c | Probe.Bulk_add _ -> None) acts
+    in
     (match acts with
     | [] ->
         emit B.op_edgea;
@@ -1025,24 +1135,24 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         emit d;
         emit node_cost.(d);
         emit_node_ref d
-    | acts ->
-        let gid = add_group acts in
+    | acts when List.compare_lengths incr_only acts = 0 ->
+        let gid = add_group incr_only in
         emit B.op_edgepa;
         emit (edge_base.(i) + k);
         emit gid;
         emit d;
         emit node_cost.(d);
+        emit_node_ref d
+    | acts ->
+        emit B.op_edge;
+        emit (edge_base.(i) + k);
+        List.iter emit_probe acts;
+        emit B.op_acct;
+        emit d;
+        emit node_cost.(d);
+        emit B.op_jmp;
         emit_node_ref d);
     pc
-  in
-  (* node probes run right after the node's (edge-fused) accounting *)
-  let emit_node_probe = function
-    | Probe.Incr c ->
-        emit B.op_probe;
-        emit c
-    | Probe.Bulk_add (c, e) ->
-        emit B.op_probe_bulk;
-        emit (add_bulk c e)
   in
   let emit_native i (ir : Ir.node) =
     let succ = succ_labels.(i) in
@@ -1056,7 +1166,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | Ir.Assign (Ast.Lvar v, e) ->
         require (u >= 0);
         let s = Env.slot lay v in
-        (match (static_scalar_ty lay s, xstatic_num e) with
+        (match (static_scalar_ty lay dummies s, xstatic_num e) with
         | Some Ast.Tint, Some Ast.Tint ->
             if slot_ireg.(s) >= 0 then ignore (emit_int ~dst:slot_ireg.(s) e)
             else begin
@@ -1228,32 +1338,16 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | Ir.Call _ | Ir.Print _ -> raise Unsupported
   in
   let emit_fallback i (ir : Ir.node) =
-    let succ = succ_labels.(i) in
-    let nsucc = Array.length succ in
     mark_node ir;
-    let sync = take_sync () in
-    let edges = Array.make (max nsucc 1) (-1) in
-    (* the closure is compiled on the node's first execution: about half
-       of a generated program's nodes never run, and compiling is pure *)
-    let rec fb =
-      {
-        B.fb_step =
-          (fun venv ->
-            let step = Compile.compile_node rt prog lay ~node_id:i ~succ ir in
-            fb.B.fb_step <- step;
-            step venv);
-        fb_sync = sync;
-        fb_edges = edges;
-      }
-    in
-    let fi = !n_fallbacks in
-    incr n_fallbacks;
-    fallbacks := fb :: !fallbacks;
+    let fb_sync = take_sync () in
     emit B.op_fallback;
-    emit fi;
-    for k = 0 to nsucc - 1 do
-      fb.B.fb_edges.(k) <- emit_edge_seq i k
-    done
+    emit !n_fallbacks;
+    incr n_fallbacks;
+    let succ = succ_labels.(i) in
+    let fb_edges = Array.init (Array.length succ) (emit_edge_seq i) in
+    fallbacks :=
+      { B.fb_node = i; fb_ir = ir; fb_dispatch = Eval.dispatch succ; fb_sync; fb_edges }
+      :: !fallbacks
   in
 
   for i = 0 to n - 1 do
@@ -1261,7 +1355,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     reset_temps ();
     let ir = (Cfg.info cfg i).Ir.ir in
     (match pi with
-    | Some pi -> List.iter emit_node_probe pi.Probe.on_node.(i)
+    | Some pi -> List.iter emit_probe pi.Probe.on_node.(i)
     | None -> ());
     if all_fallback then emit_fallback i ir
     else
@@ -1293,9 +1387,8 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     n_fregs = !max_tf;
     all_promoted;
     names = lay.Env.names;
-    rng = rt.Compile.rng;
+    rt;
     fallbacks = Array.of_list (List.rev !fallbacks);
-    bulks = Array.of_list (List.rev !bulks);
     groups = Array.of_list (List.rev !groups);
     execs = Array.make (max n 1) 0;
     samples = Array.make (max n 1) 0;

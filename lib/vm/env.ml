@@ -1,5 +1,6 @@
 (* Slot-resolved variable environments: compile-time name -> slot maps so
-   frames are dense binding arrays instead of string hash tables. *)
+   frames are dense binding arrays, and the one match on a binding's
+   shape that every engine reads and writes slots through. *)
 
 module Ast = S89_frontend.Ast
 module Ir = S89_frontend.Ir
@@ -117,6 +118,46 @@ let offset name (a : array_obj) (idx : int list) =
     !off
   end
 
+(* ---- slot access: the one match on a binding's shape ----
+
+   Every engine reads, writes and indexes frame slots through these, so
+   each misuse raises one message wherever it happens. *)
+
+let not_scalar (names : string array) s = function
+  | Poison m -> Value.err "%s" m
+  | _ -> Value.err "array %s used as a scalar" names.(s)
+
+let read names s (venv : slots) =
+  match venv.(s) with
+  | Cell c -> c.v
+  | Elem (a, off) -> get a off
+  | b -> not_scalar names s b
+
+let read_int names s (venv : slots) =
+  match venv.(s) with
+  | Cell c -> Value.to_int c.v
+  | Elem (a, off) -> get_int a off
+  | b -> not_scalar names s b
+
+let read_float names s (venv : slots) =
+  match venv.(s) with
+  | Cell c -> Value.to_float c.v
+  | Elem (a, off) -> get_float a off
+  | b -> not_scalar names s b
+
+let write (names : string array) s (venv : slots) v =
+  match venv.(s) with
+  | Cell c -> c.v <- Value.coerce c.ty v
+  | Elem (a, off) -> set a off v
+  | Arr _ -> Value.err "assignment to whole array %s" names.(s)
+  | Poison m -> Value.err "%s" m
+
+let get_arr (names : string array) s (venv : slots) =
+  match venv.(s) with
+  | Arr a -> a
+  | Cell _ | Elem _ -> Value.err "%s is not an array" names.(s)
+  | Poison m -> Value.err "%s" m
+
 (* ---- compile-time layouts ---- *)
 
 type layout = {
@@ -212,3 +253,19 @@ let make_frame (l : layout) : slots =
   Array.init n (fun i ->
       if i < l.n_params then Poison (Fmt.str "unbound dummy argument %s" l.names.(i))
       else binding_of_kind l.names.(i) l.kinds.(i))
+
+let bind_frame (l : layout) (args : binding list) : slots =
+  let venv = make_frame l in
+  let arity () = Value.err "arity mismatch calling %s" l.lproc.Program.name in
+  let rec bind i = function
+    | [] -> if i <> l.n_params then arity ()
+    | b :: rest ->
+        if i >= l.n_params then arity ();
+        venv.(i) <-
+          (match (b, l.param_tys.(i)) with
+          | Cell c, Some ty when c.ty <> ty -> Cell { v = Value.coerce ty c.v; ty }
+          | _ -> b);
+        bind (i + 1) rest
+  in
+  bind 0 args;
+  venv

@@ -3,9 +3,8 @@
     A procedure's variables are resolved to dense integer slots once, at
     compile time; a frame is then just a [binding array] and every
     variable access on the hot path is an array read — no string hashing.
-    The binding/array types here are shared by both VM backends (the
-    tree-walking reference evaluator keeps per-frame hash tables but
-    passes the same [binding] values across calls). *)
+    Every engine runs on these frames: the reference evaluator
+    ({!Eval}) and the bytecode's native ops alike. *)
 
 module Ast = S89_frontend.Ast
 module Sema = S89_frontend.Sema
@@ -58,6 +57,28 @@ val binding_of_kind : string -> Sema.var_kind -> binding
     @raise Value.Runtime_error on rank mismatch or out-of-bounds *)
 val offset : string -> array_obj -> int list -> int
 
+(** {2 Slot access}
+
+    The one match on a binding's shape.  [names] maps slots to variable
+    names for the error messages.
+    @raise Value.Runtime_error when the binding is a [Poison], an [Arr]
+    used as a scalar, or a scalar used as an array *)
+
+(** The scalar in a slot (a [Cell]'s value or an [Elem]'s element). *)
+val read : string array -> int -> slots -> Value.t
+
+(** [read] composed with {!Value.to_int} / {!Value.to_float}, without the
+    intermediate box. *)
+val read_int : string array -> int -> slots -> int
+
+val read_float : string array -> int -> slots -> float
+
+(** Store into a scalar slot, coercing to the storage's type. *)
+val write : string array -> int -> slots -> Value.t -> unit
+
+(** The array bound to a slot. *)
+val get_arr : string array -> int -> slots -> array_obj
+
 (** Compile-time slot assignment for one procedure: dummy arguments first
     (slots [0 .. n_params-1], in order), then declared variables, then
     every other name the body mentions. *)
@@ -84,3 +105,9 @@ val n_slots : layout -> int
 (** Fresh frame with local storage in every non-parameter slot; parameter
     slots hold [Poison] until the caller binds the arguments. *)
 val make_frame : layout -> slots
+
+(** A fresh frame with the actual arguments bound to the dummy slots in
+    order.  A [Cell] bound to a dummy of declared scalar type is replaced
+    by a copy coerced to that type when the types differ.
+    @raise Value.Runtime_error on an arity mismatch *)
+val bind_frame : layout -> binding list -> slots

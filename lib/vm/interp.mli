@@ -7,7 +7,6 @@
     [c_counter] cycles each — the Table 1 overhead), and can simulate a
     PC-sampling profiler. *)
 
-module Ast = S89_frontend.Ast
 module Program = S89_frontend.Program
 open S89_cfg
 
@@ -23,14 +22,13 @@ exception Call_depth_exceeded of int
 (** Execution backend.  [Bytecode] (the default, and the fastest engine)
     compiles each procedure to a flat register bytecode with a single
     dispatch loop ({!Bytecode}, {!Emit}); nodes it cannot type statically
-    escape through a FALLBACK op to a closure from {!Compile}.
+    escape through a FALLBACK op to the reference evaluator {!Eval}.
     [Compiled] is a lowering mode of the same engine: every node is a
-    FALLBACK and no scalar is promoted to a register, so each node runs
-    as its closure over a slot-resolved frame ({!Env}).  [Tree] is the
-    original AST-walking evaluator over hashed frames, kept as the
-    semantic reference for differential testing.  All backends share all
-    accounting (cycles, oracle counts, probes, sampling) and must be
-    observationally identical. *)
+    FALLBACK and no scalar is promoted to a register.  [Tree] is a plain
+    driver loop that runs every node through {!Eval}, kept as the
+    semantic reference for differential testing.  Every engine runs over
+    slot-resolved frames ({!Env}), shares all accounting (cycles, oracle
+    counts, probes, sampling) and must be observationally identical. *)
 type backend = Tree | Compiled | Bytecode
 
 type config = {
@@ -85,8 +83,8 @@ val edge_count : t -> string -> int -> Label.t -> int
 val node_samples : t -> string -> int -> int
 
 (** FALLBACK escapes executed across all bytecode procedures.  Perf
-    telemetry: each escape syncs promoted registers around a closure
-    call.  It is 0 under [Tree], which runs no bytecode, and equals
+    telemetry: each escape syncs promoted registers around a run of the
+    reference evaluator.  It is 0 under [Tree], which runs no bytecode, and equals
     {!steps} under [Compiled], where every node is a FALLBACK (unless a
     guard trips between a node's accounting and its FALLBACK). *)
 val fallback_execs : t -> int

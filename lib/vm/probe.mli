@@ -7,7 +7,11 @@ type action =
   | Incr of int  (** counter id += 1 *)
   | Bulk_add of int * Ast.expr
       (** counter id += expr evaluated in the current frame — the DO-loop
-          optimization's "add the number of iterations once" (§3) *)
+          optimization's "add the number of iterations once" (§3).  The
+          expression must be statically numeric over the frame's local
+          scalars (placement's are the DO trip temp, trip + 1, its
+          square, or a literal): the bytecode engines compute it natively
+          and [Interp.create] rejects any other with [Invalid_argument]. *)
 
 type proc_instr = {
   on_node : action list array;  (** fired when the node executes *)

@@ -1001,6 +1001,240 @@ let suite =
       Alcotest.test_case "value: INTEGER ** by squaring" `Quick int_pow_by_squaring;
     ]
 
+(* ---------------- dummy arguments typed from their call sites ----------------
+
+   Emit types a scalar dummy by every binding its call sites can give it.
+   Each program below has a dummy whose judgement differs from its
+   declaration: it must run identically on all three engines, and the
+   judgement itself is pinned. *)
+
+(* a REAL actual to a declared-INTEGER dummy (copied and coerced), and
+   array elements whose element type differs from the declared type
+   (bound by reference, never coerced) *)
+let callty_coerce_src =
+  {|      PROGRAM COERCE
+      INTEGER I, K, IA(4)
+      REAL X, RA(4)
+      I = 3
+      X = 2.75
+      DO K = 1, 4
+        IA(K) = K * 2
+        RA(K) = K * 0.75
+      ENDDO
+      CALL SETI(X, I)
+      CALL SETE(RA(2), I)
+      CALL SETR(IA(3))
+      CALL SETR(IA(1))
+      PRINT *, I, X, IA(1), IA(3), RA(2)
+      END
+
+      SUBROUTINE SETI(N, M)
+      INTEGER N, M
+      N = N * 2 + M
+      M = M + N / 2
+      END
+
+      SUBROUTINE SETE(N, M)
+      INTEGER N, M
+      N = N * 3 + 0.5
+      IF (N .GT. M) M = N + 1
+      END
+
+      SUBROUTINE SETR(R)
+      REAL R
+      R = R / 4.0 + 0.75
+      END
+|}
+
+(* disagreeing call sites on an undeclared dummy (cells are coerced to
+   its implicit REAL, array elements are not); a dummy forwarded to a
+   declared dummy of another type; a FUNCTION's dummy typed by calls in
+   expressions; a subroutine with no call site *)
+let callty_mixed_src =
+  {|      PROGRAM MIXED
+      INTEGER I, IA(3)
+      REAL X, Y, RA(3)
+      I = 7
+      X = 1.5
+      IA(2) = 4
+      RA(2) = 2.5
+      CALL MIX(X)
+      CALL MIX(I)
+      CALL MIX(RA(2))
+      CALL MIX(IA(2))
+      CALL FWDI(X)
+      Y = HALF(X) + HALF(2.0 * I) + HALF(RA(2))
+      PRINT *, I, X, Y, IA(2), RA(2)
+      END
+
+      SUBROUTINE MIX(V)
+      V = V * 3 + 1
+      IF (V .GT. 10) V = V - 0.5
+      END
+
+      SUBROUTINE FWDI(Y)
+      CALL TAKEI(Y)
+      END
+
+      SUBROUTINE TAKEI(N)
+      INTEGER N
+      N = N + 2
+      END
+
+      REAL FUNCTION HALF(Q)
+      HALF = Q / 2.0 + 1
+      END
+
+      SUBROUTINE UNUSED(Z, J)
+      Z = Z + J
+      END
+|}
+
+(* forwarding through two levels and through mutual recursion *)
+let callty_forward_src =
+  {|      PROGRAM FWD
+      INTEGER I
+      REAL X
+      I = 5
+      X = 0.25
+      CALL OUTER(X, I)
+      CALL EVEN(I, X)
+      PRINT *, I, X
+      END
+
+      SUBROUTINE OUTER(A, J)
+      CALL MIDDLE(A, J)
+      J = J + 1
+      END
+
+      SUBROUTINE MIDDLE(B, L)
+      CALL INNER(B, L)
+      END
+
+      SUBROUTINE INNER(C, N2)
+      INTEGER N2
+      C = C + N2 * 0.5
+      N2 = N2 * 3
+      END
+
+      SUBROUTINE EVEN(N, R)
+      INTEGER N
+      IF (N .GT. 0) CALL ODD(N - 1, R)
+      R = R + 1.0
+      END
+
+      SUBROUTINE ODD(N, R)
+      INTEGER N
+      IF (N .GT. 0) CALL EVEN(N - 1, R)
+      R = R * 2.0
+      END
+|}
+
+let callty_programs =
+  [ ("REAL to INTEGER, element types", callty_coerce_src);
+    ("disagreeing sites, no site", callty_mixed_src);
+    ("forwarding, mutual recursion", callty_forward_src) ]
+
+let diff_dummy_typing () =
+  List.iter
+    (fun (what, src) ->
+      let prog = Program.of_source src in
+      check_backends_agree what prog;
+      check_backends_agree ~instr:(placement_probes prog) (what ^ " probed") prog)
+    callty_programs
+
+(* dummy -> judged type, per procedure with dummies, for one program *)
+let judgement typing src =
+  let prog = Program.of_source src in
+  List.concat_map
+    (fun (p : Program.proc) ->
+      let lay = S89_vm.Env.layout p in
+      List.mapi
+        (fun i ty -> (p.Program.name ^ "." ^ lay.S89_vm.Env.names.(i), ty))
+        (Array.to_list (typing prog p lay)))
+    (Program.procs prog)
+  |> List.sort compare
+
+let call_site_typing prog (p : Program.proc) _ =
+  let lays = Hashtbl.create 8 in
+  List.iter
+    (fun (q : Program.proc) -> Hashtbl.replace lays q.Program.name (S89_vm.Env.layout q))
+    (Program.procs prog);
+  Hashtbl.find (S89_vm.Emit.dummy_types prog lays) p.Program.name
+
+(* the judgement this test must reject: a scalar dummy is its declared
+   (or implicit) type *)
+let declared_typing _ _ (lay : S89_vm.Env.layout) =
+  Array.init lay.S89_vm.Env.n_params (fun i ->
+      match lay.S89_vm.Env.kinds.(i) with
+      | S89_frontend.Sema.Scalar ty -> Some ty
+      | _ -> None)
+
+let pinned_dummy_types =
+  let i = Some Ast.Tint and r = Some Ast.Treal and g = None in
+  [ (callty_coerce_src,
+     [ ("SETE.M", i); ("SETE.N", r); ("SETI.M", i); ("SETI.N", i); ("SETR.R", i) ]);
+    (callty_mixed_src,
+     [ ("FWDI.Y", r); ("HALF.Q", r); ("MIX.V", g); ("TAKEI.N", g); ("UNUSED.J", g);
+       ("UNUSED.Z", g) ]);
+    (callty_forward_src,
+     [ ("EVEN.N", i); ("EVEN.R", r); ("INNER.C", r); ("INNER.N2", i); ("MIDDLE.B", r);
+       ("MIDDLE.L", i); ("ODD.N", i); ("ODD.R", r); ("OUTER.A", r); ("OUTER.J", i) ]) ]
+
+let ty_opt =
+  Alcotest.(list (pair string (option (testable Ast.pp_typ ( = )))))
+
+let dummy_typing_pinned () =
+  List.iter
+    (fun (src, expected) ->
+      check ty_opt "call-site judgement" expected (judgement call_site_typing src))
+    pinned_dummy_types;
+  (* the pin discriminates: typing dummies by their declarations fails it *)
+  check cb "declared types fail the pin" false
+    (List.for_all
+       (fun (src, expected) -> judgement declared_typing src = expected)
+       pinned_dummy_types)
+
+(* With every scalar dummy typed, a FALLBACK executes only for a node
+   that calls a user procedure: Gen_prog's incremental programs pass
+   REAL locals and forwarded REAL dummies and have no dummy arrays. *)
+let fallback_only_at_calls () =
+  let prog =
+    Program.of_source (Gen_prog.gen_incremental_source ~size:2 ~consts:(Array.make 6 1) 11)
+  in
+  let vm, _ = run_backend ~instr:(placement_probes prog) ~seed:5 Interp.Bytecode prog in
+  let rec has_call (e : Ast.expr) =
+    match e with
+    | Ast.Call (f, args) -> Hashtbl.mem prog.Program.by_name f || List.exists has_call args
+    | Ast.Index (_, idx) -> List.exists has_call idx
+    | Ast.Unop (_, a) -> has_call a
+    | Ast.Binop (_, a, b) -> has_call a || has_call b
+    | Ast.Int _ | Ast.Real _ | Ast.Bool _ | Ast.Var _ -> false
+  in
+  let call_execs = ref 0 in
+  List.iter
+    (fun (p : Program.proc) ->
+      let cfg = p.Program.cfg in
+      for u = 0 to Cfg.num_nodes cfg - 1 do
+        let ir = (Cfg.info cfg u).Ir.ir in
+        let calls = ref (match ir with Ir.Call _ -> true | _ -> false) in
+        Ir.iter_exprs (fun e -> if has_call e then calls := true) ir;
+        if !calls then call_execs := !call_execs + Interp.node_execs vm p.Program.name u
+      done)
+    (Program.procs prog);
+  check cb "calls run" true (!call_execs > 0);
+  check ci "FALLBACK execs = executions of nodes with a user call" !call_execs
+    (Interp.fallback_execs vm)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "backends: dummies typed from call sites" `Quick
+        diff_dummy_typing;
+      Alcotest.test_case "emit: call-site dummy types pinned" `Quick dummy_typing_pinned;
+      Alcotest.test_case "emit: FALLBACK only at user calls" `Quick fallback_only_at_calls;
+    ]
+
 (* ---------------- optimizer idempotence ----------------
 
    Optimizing an already-optimized program is the identity: folding,
@@ -1214,7 +1448,7 @@ let default_backend_parity () =
   on_demos_and_table1 default_matches_tree
 
 (* [Compiled] is the bytecode engine with every node lowered to FALLBACK:
-   each executed node escapes to its closure, and a smart-profiled run
+   each executed node escapes to the reference evaluator, and a smart-profiled run
    still equals the Tree oracle in cycles, counters and reconstructed
    totals. *)
 let compiled_matches_tree what cost_model prog =
