@@ -117,13 +117,11 @@ let corrupt seed src =
   done;
   Bytes.to_string b
 
-(* every fourth seed's valid input is a call mix *)
-let call_mix mode seed = mode = Valid && seed mod 4 = 3
-
 let gen_input mode seed =
   let src = Gen.gen_source seed in
   match mode with
-  | Valid when call_mix mode seed -> Gen.gen_call_mix_source seed
+  (* every fourth seed's valid input is a call mix *)
+  | Valid when seed mod 4 = 3 -> Gen.gen_call_mix_source seed
   | Valid -> src
   | Mutated -> mutate seed src
   | Corrupted -> corrupt seed src
@@ -185,13 +183,7 @@ let agree (n1, r1) (n2, r2) =
       failf "backend divergence: %s and %s PRINT output differs" n1 n2
     else failf "backend divergence: %s %s, %s %s" n1 (describe r1) n2 (describe r2)
 
-(* [~opt_preserves:false] drops the check that the optimized program
-   prints the same at no more cycles.  Call mixes need it: Optimize
-   rewrites user-call actuals, substituting a known constant for a bare
-   variable (by reference becomes a copy) and simplifying I*1 to a bare
-   I (a copy becomes by reference), so a callee's stores land elsewhere.
-   The backends must still agree on both programs. *)
-let check ?(opt_preserves = true) mode src : verdict =
+let check mode src : verdict =
   match Program.of_source_result src with
   | Error d -> Rejected d.Diag.code
   | Ok prog -> (
@@ -215,7 +207,7 @@ let check ?(opt_preserves = true) mode src : verdict =
           let ot = run_bounded opt Interp.Tree in
           agree ("optimized tree", ot) ("optimized compiled", run_bounded opt Interp.Compiled);
           agree ("optimized tree", ot) ("optimized bytecode", run_bounded opt Interp.Bytecode);
-          if opt_preserves && tree.result = Ok () then begin
+          if tree.result = Ok () then begin
             if ot.result <> Ok () then failf "optimized program %s" (describe ot);
             if ot.output <> tree.output then failf "optimization changed program output";
             if ot.cycles > tree.cycles then
@@ -665,7 +657,7 @@ let () =
       (fun mode ->
         let src = gen_input mode seed in
         record mode seed (Lazy.from_val src) (fun () ->
-            check ~opt_preserves:(not (call_mix mode seed)) mode src))
+            check mode src))
       [ Valid; Mutated; Corrupted ];
     record Store_recovery seed
       (lazy "(no source: store-recovery mangles on-disk store files)")

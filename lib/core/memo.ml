@@ -29,8 +29,8 @@
    violation, [MEMO002]) and the summaries drive dirty-cone accounting
    in [ptranc analyze --memo].
 
-   All operations take an internal mutex: [Pipeline.create ?pool] may
-   probe the analysis layer from several domains. *)
+   All operations take an internal mutex, so one memo may be shared by
+   callers on several domains or threads. *)
 
 module Program = S89_frontend.Program
 module Ast = S89_frontend.Ast

@@ -60,8 +60,7 @@ let analysis_diag (name : string) : exn -> Diag.t = function
    deterministic backoff, and a procedure whose circuit breaker is open
    (repeated failures, or pre-tripped by a resumed batch's journal) is
    suppressed immediately and degrades to the ANA003 opaque-callee path.
-   [?journal] is called once per procedure, on the calling domain and in
-   procedure order (deterministic even under [?pool]), with
+   [?journal] is called once per procedure, in procedure order, with
    ["ana <proc> ok"] or ["ana <proc> failed <CODE>"] — the batch
    checkpoint appends these to its WAL so a resumed batch knows which
    procedures already completed or failed. *)
@@ -71,7 +70,7 @@ let analysis_diag (name : string) : exn -> Diag.t = function
    — and only procedures with changed bodies are (re)built.  A procedure
    whose circuit breaker is open skips the memo so it degrades with
    [SRV002] exactly like an unmemoized run. *)
-let create ?(strict = false) ?pool ?supervisor ?journal ?memo (prog : Program.t) :
+let create ?(strict = false) ?supervisor ?journal ?memo (prog : Program.t) :
     t =
   let procs = Array.of_list (Program.procs prog) in
   let memo_ok (p : Program.proc) =
@@ -84,7 +83,7 @@ let create ?(strict = false) ?pool ?supervisor ?journal ?memo (prog : Program.t)
     | None -> [||]
     | Some m -> Array.map (Memo.body_fp_cached m) procs
   in
-  let attempt ((i, p) : int * Program.proc) : (Analysis.t, Diag.t) result =
+  let attempt i (p : Program.proc) : (Analysis.t, Diag.t) result =
     let cached =
       match memo with
       | Some m when memo_ok p -> Memo.find_analysis m fps.(i)
@@ -112,12 +111,7 @@ let create ?(strict = false) ?pool ?supervisor ?journal ?memo (prog : Program.t)
         | exception (Fault.Bad_spec _ as e) -> raise e
         | exception e when not strict -> Error (analysis_diag p.Program.name e))
   in
-  let indexed = Array.mapi (fun i p -> (i, p)) procs in
-  let results =
-    match pool with
-    | Some pool -> S89_exec.Pool.map pool attempt indexed
-    | None -> Array.map attempt indexed
-  in
+  let results = Array.mapi attempt procs in
   let analyses = Hashtbl.create 8 in
   let diags = ref [] in
   Array.iteri
@@ -139,17 +133,17 @@ let create ?(strict = false) ?pool ?supervisor ?journal ?memo (prog : Program.t)
 
 let diagnostics t = t.diags
 
-let of_source ?strict ?pool ?supervisor ?journal ?memo src =
-  create ?strict ?pool ?supervisor ?journal ?memo (Program.of_source src)
+let of_source ?strict ?supervisor ?journal ?memo src =
+  create ?strict ?supervisor ?journal ?memo (Program.of_source src)
 
 (* frontend + analysis under one Result: a frontend failure is the single
    error; analysis failures degrade per procedure as in [create] *)
-let of_source_result ?strict ?pool ?supervisor ?journal ?memo src :
+let of_source_result ?strict ?supervisor ?journal ?memo src :
     (t, Diag.t) result =
   match Program.of_source_result src with
   | Error d -> Error d
   | Ok prog -> (
-      match create ?strict ?pool ?supervisor ?journal ?memo prog with
+      match create ?strict ?supervisor ?journal ?memo prog with
       | t -> Ok t
       | exception e ->
           (* only reachable under [~strict:true] *)

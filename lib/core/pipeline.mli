@@ -19,8 +19,7 @@ type t = {
           [~strict:true], which fails fast instead) *)
 }
 
-(** Build the analyses for an already-lowered program.  [?pool] analyzes
-    procedures on separate domains (same result as sequential).
+(** Build the analyses for an already-lowered program.
 
     By default a procedure whose analysis fails is skipped and recorded
     in {!diags} — the remaining procedures are still analyzed and the
@@ -33,8 +32,8 @@ type t = {
     deterministic backoff, and a procedure whose circuit is open
     (repeated failures, or pre-tripped from a resumed batch's journal)
     is suppressed with an [SRV002] diagnostic and degrades like any
-    other analysis failure.  [?journal] is invoked once per procedure on
-    the calling domain, in procedure order, with ["ana <proc> ok"] or
+    other analysis failure.  [?journal] is invoked once per procedure, in
+    procedure order, with ["ana <proc> ok"] or
     ["ana <proc> failed <CODE>"].
 
     [?memo] consults the memo's analysis layer under each procedure's
@@ -43,7 +42,6 @@ type t = {
     open skip the memo and degrade with [SRV002] as usual. *)
 val create :
   ?strict:bool ->
-  ?pool:S89_exec.Pool.t ->
   ?supervisor:S89_exec.Supervise.t ->
   ?journal:(string -> unit) ->
   ?memo:Memo.t ->
@@ -56,7 +54,6 @@ val diagnostics : t -> Diag.t list
 (** Parse, analyze, lower and build the analyses from MF77 source. *)
 val of_source :
   ?strict:bool ->
-  ?pool:S89_exec.Pool.t ->
   ?supervisor:S89_exec.Supervise.t ->
   ?journal:(string -> unit) ->
   ?memo:Memo.t ->
@@ -68,7 +65,6 @@ val of_source :
     per procedure unless [~strict:true]). *)
 val of_source_result :
   ?strict:bool ->
-  ?pool:S89_exec.Pool.t ->
   ?supervisor:S89_exec.Supervise.t ->
   ?journal:(string -> unit) ->
   ?memo:Memo.t ->

@@ -101,9 +101,6 @@ let log_event = function
       Log.info (fun m -> m "[SRV002] %s half-open: admitting recovery probe" key)
   | Supervise.Closed { key } ->
       Log.info (fun m -> m "[SRV002] %s circuit closed: probe succeeded" key)
-  | Supervise.Wedged { index; seconds } ->
-      Log.warn (fun m ->
-          m "[SRV003] item %d ran %.2fs past its heartbeat deadline" index seconds)
 
 let render_report ?memo ~cost_model pipe db =
   let est =

@@ -62,6 +62,6 @@ val batch :
   (outcome, Diag.t) result
 
 (** Default [on_event] for {!batch}: logs supervision events as SRV
-    diagnostics (SRV002 breaker, SRV003 wedged, SRV006 restarts).
+    diagnostics (SRV002 breaker, SRV006 restarts).
     Exposed so the TCP server logs through the same vocabulary. *)
 val log_event : Supervise.event -> unit

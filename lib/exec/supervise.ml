@@ -1,9 +1,6 @@
-(* Supervision over the work pool: restart-with-backoff, circuit
-   breaking (with half-open recovery probes), and heartbeat deadlines.
-
-   The pool (PR 3/4) already keeps results deterministic and absorbs its
-   own injected faults; this layer adds the service-grade policies on
-   top:
+(* Supervision for keyed work: restart-with-backoff and circuit
+   breaking (with half-open recovery probes).  The TCP service and
+   [Service.batch] run their work under these policies:
 
    - [protect] runs one keyed piece of work and, on failure, restarts it
      up to [max_restarts] times with exponential backoff.  The backoff
@@ -24,13 +21,7 @@
      resource.  The pipeline maps an open circuit to its ANA003
      opaque-callee degradation path, a resumed batch pre-trips the keys
      its journal recorded as failed, and the TCP service keys breakers
-     by TENANT so load-shedding is per tenant, never global;
-   - [map] is a heartbeat-supervised [Pool.mapi]: every item stamps a
-     heartbeat when it starts and the monitor domain reports items still
-     running past [heartbeat_deadline] as wedged.  OCaml domains cannot
-     be killed, so a wedged item is REPORTED (and bounded by the VM's
-     fuel/cycle guards, which guarantee eventual termination) rather
-     than cancelled; faulted items are restarted via [protect].
+     by TENANT so load-shedding is per tenant, never global.
 
    Events are plain variants (no diagnostics dependency); service layers
    convert them to SRV diagnostics at their boundary.  All breaker state
@@ -46,14 +37,12 @@ type policy = {
   jitter : float;
   breaker_threshold : int;
   cooldown : float;
-  heartbeat_deadline : float;
   seed : int;
 }
 
 let default_policy =
   { max_restarts = 2; base_backoff = 0.001; max_backoff = 0.05; jitter = 0.1;
-    breaker_threshold = 3; cooldown = infinity; heartbeat_deadline = 1.0;
-    seed = 1 }
+    breaker_threshold = 3; cooldown = infinity; seed = 1 }
 
 type event =
   | Restarted of { key : string; attempt : int; delay : float; error : string }
@@ -61,7 +50,6 @@ type event =
   | Rejected_open of { key : string }
   | Half_opened of { key : string }
   | Closed of { key : string }
-  | Wedged of { index : int; seconds : float }
 
 type breaker_state =
   | Breaker_closed
@@ -223,67 +211,3 @@ let protect t ~key f =
                 raise e)
       in
       go 0 schedule
-
-(* ---------------- heartbeats ---------------- *)
-
-module Heartbeat = struct
-  (* per-item start stamp; nan = not running.  Written by worker domains,
-     read by the monitor — [Atomic.t] makes the publication well-defined. *)
-  type hb = float Atomic.t array
-
-  let create n = Array.init n (fun _ -> Atomic.make Float.nan)
-  let start (hb : hb) i now = Atomic.set hb.(i) now
-  let stop (hb : hb) i = Atomic.set hb.(i) Float.nan
-
-  let stale (hb : hb) ~now ~deadline =
-    let out = ref [] in
-    for i = Array.length hb - 1 downto 0 do
-      let t0 = Atomic.get hb.(i) in
-      if (not (Float.is_nan t0)) && now -. t0 > deadline then
-        out := (i, now -. t0) :: !out
-    done;
-    !out
-end
-
-type wedged_report = (int * float) list
-
-let map t pool f arr =
-  let n = Array.length arr in
-  let hb = Heartbeat.create n in
-  (* max observed overrun per item; written only by the monitor domain,
-     read after its join *)
-  let overrun = Array.make n 0.0 in
-  let finished = Atomic.make false in
-  let monitor =
-    Domain.spawn (fun () ->
-        let deadline = t.policy.heartbeat_deadline in
-        let tick = Float.min 0.01 (Float.max 1e-4 (deadline /. 4.0)) in
-        while not (Atomic.get finished) do
-          Unix.sleepf tick;
-          let now = Unix.gettimeofday () in
-          List.iter
-            (fun (i, age) ->
-              let over = age -. deadline in
-              if over > overrun.(i) then overrun.(i) <- over)
-            (Heartbeat.stale hb ~now ~deadline)
-        done)
-  in
-  let g i x =
-    Heartbeat.start hb i (Unix.gettimeofday ());
-    Fun.protect
-      ~finally:(fun () -> Heartbeat.stop hb i)
-      (fun () -> protect t ~key:(string_of_int i) (fun () -> f i x))
-  in
-  let results =
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set finished true;
-        Domain.join monitor)
-      (fun () -> Pool.mapi pool g arr)
-  in
-  let wedged = ref [] in
-  for i = n - 1 downto 0 do
-    if overrun.(i) > 0.0 then wedged := (i, overrun.(i)) :: !wedged
-  done;
-  List.iter (fun (index, seconds) -> t.on_event (Wedged { index; seconds })) !wedged;
-  (results, !wedged)

@@ -1,8 +1,8 @@
-(** Supervision over the work pool: restart-with-backoff (deterministic
-    jitter from the {!S89_util.Fault} decision stream), a per-key circuit
-    breaker with half-open recovery probes, and heartbeat deadlines that
-    report wedged items.  Events are plain variants; service layers
-    convert them to SRV diagnostics at their boundary. *)
+(** Supervision for keyed work: restart-with-backoff (deterministic
+    jitter from the {!S89_util.Fault} decision stream) and a per-key
+    circuit breaker with half-open recovery probes.  Events are plain
+    variants; service layers convert them to SRV diagnostics at their
+    boundary. *)
 
 type policy = {
   max_restarts : int;  (** restarts granted beyond the first attempt *)
@@ -15,14 +15,11 @@ type policy = {
       (** seconds an open circuit stays open before a single half-open
           probe is admitted; [infinity] (the default) = open circuits
           never recover, the pre-PR-9 behavior *)
-  heartbeat_deadline : float;
-      (** seconds an item may run without finishing before it is
-          reported as wedged *)
   seed : int;  (** jitter stream seed when no [S89_FAULTS] spec is active *)
 }
 
 (** 2 restarts, 1ms base / 50ms max backoff, 10% jitter, breaker at 3,
-    infinite cooldown, 1s heartbeat deadline. *)
+    infinite cooldown. *)
 val default_policy : policy
 
 type event =
@@ -36,8 +33,6 @@ type event =
       (** cooldown elapsed; this call runs as the key's recovery probe *)
   | Closed of { key : string }
       (** a half-open probe succeeded; the key's circuit closed *)
-  | Wedged of { index : int; seconds : float }
-      (** a {!map} item ran [seconds] past the heartbeat deadline *)
 
 (** Answer of {!breaker_state} — the submit-time view of a key's
     circuit.  [Breaker_half_open] means cooldown has elapsed and the
@@ -95,16 +90,3 @@ val breaker_state : t -> key:string -> breaker_state
 
 (** Consecutive recorded failures for a key (0 after a success). *)
 val failure_count : t -> key:string -> int
-
-(** Items of a supervised {!map} that ran past the heartbeat deadline:
-    [(index, seconds over deadline)], ascending by index. *)
-type wedged_report = (int * float) list
-
-(** [map t pool f arr] — heartbeat-supervised [Pool.mapi]: each item is
-    wrapped in {!protect} (keyed by its index) and stamps heartbeats a
-    monitor domain watches; items still running past
-    [policy.heartbeat_deadline] are reported as wedged (domains cannot be
-    killed — pair with the VM's fuel/cycle guards for termination).
-    Results stay input-ordered and deterministic; the wedged report is
-    timing-dependent and advisory. *)
-val map : t -> Pool.t -> (int -> 'a -> 'b) -> 'a array -> 'b array * wedged_report

@@ -147,20 +147,10 @@ let of_proc (proc : Program.proc) : t =
   let fcdg = Fcdg.of_cdg cdg ecfg in
   { proc; ecfg; cdg; fcdg; conditions = Fcdg.control_conditions fcdg }
 
-(* [of_proc] only reads the (frozen-after-lowering) program structures and
-   builds fresh per-procedure state, so procedures can be analyzed on
-   separate domains; the table is filled on the caller, in program order,
-   from the pool's input-order results — identical to the sequential
-   path. *)
-let of_program ?pool (prog : Program.t) : (string, t) Hashtbl.t =
-  let procs = Array.of_list (Program.procs prog) in
-  let analyses =
-    match pool with
-    | Some pool -> S89_exec.Pool.map pool of_proc procs
-    | None -> Array.map of_proc procs
-  in
+let of_program (prog : Program.t) : (string, t) Hashtbl.t =
   let tbl = Hashtbl.create 8 in
-  Array.iteri (fun i a -> Hashtbl.replace tbl procs.(i).Program.name a) analyses;
+  List.iter (fun (p : Program.proc) -> Hashtbl.replace tbl p.name (of_proc p))
+    (Program.procs prog);
   tbl
 
 let site_of_condition t ((u, l) : cond) : site =

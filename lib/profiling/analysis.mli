@@ -37,10 +37,8 @@ exception Unanalyzable of { proc : string; reason : string }
     @raise S89_util.Fault.Injected under [S89_FAULTS=analysis_raise:P] *)
 val of_proc : Program.proc -> t
 
-(** Analyze every procedure of a program, keyed by name.  [?pool] runs
-    the per-procedure ECFG→CDG→FCDG pipelines on separate domains; the
-    result is identical to the sequential one. *)
-val of_program : ?pool:S89_exec.Pool.t -> Program.t -> (string, t) Hashtbl.t
+(** Analyze every procedure of a program, keyed by name. *)
+val of_program : Program.t -> (string, t) Hashtbl.t
 
 (** Classify a condition into its measurement site. *)
 val site_of_condition : t -> cond -> site

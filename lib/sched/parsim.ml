@@ -79,21 +79,11 @@ let run ?(seed = 1) ~n ~p ~h ~(dist : Dist.t) (strategy : Chunk.strategy) : resu
     worker_busy = busy;
   }
 
-(* Average makespan over several seeds.
-
-   The returned statistics are a function of the seed list [1..seeds]
-   ALONE, never of scheduling order: replication s is seeded with s and
-   nothing else, and the makespans are folded into the accumulator in
-   seed order below, after all replications finish.  Handing the
-   replications to a parallel [map] (e.g. [S89_exec.Pool.map_list pool])
-   therefore returns a [Stats.t] byte-equal to the sequential run's —
-   tested in test/test_sched.ml. *)
-let run_avg ?(seeds = 10) ?map ~n ~p ~h ~dist strategy : Stats.t =
-  let one s = (run ~seed:s ~n ~p ~h ~dist strategy).makespan in
-  let seed_list = List.init seeds (fun i -> i + 1) in
-  let makespans =
-    match map with None -> List.map one seed_list | Some m -> m one seed_list
-  in
+(* Average makespan over several seeds: replication s is seeded with s
+   and nothing else, so the statistics are a function of [1..seeds]. *)
+let run_avg ?(seeds = 10) ~n ~p ~h ~dist strategy : Stats.t =
   let st = Stats.create () in
-  List.iter (Stats.add st) makespans;
+  for s = 1 to seeds do
+    Stats.add st (run ~seed:s ~n ~p ~h ~dist strategy).makespan
+  done;
   st

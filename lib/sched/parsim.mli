@@ -17,16 +17,11 @@ type result = {
     non-positive [p]. *)
 val run : ?seed:int -> n:int -> p:int -> h:float -> dist:Dist.t -> Chunk.strategy -> result
 
-(** Makespan statistics over several seeded runs (seeds [1..seeds]).
-    The result is determined by the seed list alone: each replication is
-    independently seeded and the makespans are folded in seed order after
-    all replications complete.  [?map] runs the replications — pass a
-    parallel mapper (e.g. [S89_exec.Pool.map_list pool]) to distribute
-    them over domains; the returned [Stats.t] is byte-equal to the
-    sequential one, whatever the scheduling order. *)
+(** Makespan statistics over several seeded runs (seeds [1..seeds]),
+    folded in seed order: the result is determined by the seed list
+    alone. *)
 val run_avg :
   ?seeds:int ->
-  ?map:((int -> float) -> int list -> float list) ->
   n:int ->
   p:int ->
   h:float ->

@@ -1,15 +1,13 @@
 (** Seeded fault injection.  A spec (normally from the [S89_FAULTS]
     environment variable, e.g.
-    ["worker_raise:0.05,slow_item:0.02@0.005,seed:7"]) assigns
+    ["analysis_raise:0.05,db_truncate:0.5,seed:7"]) assigns
     probabilities to injection sites; decisions are pure functions of
     (seed, site, key, attempt) so fault-injected runs are exactly
     reproducible and independent of scheduling.  This module only
-    decides — the injection points (Pool, Chunked, Analysis, Database)
+    decides — the injection points (Analysis, Database, Wal, Store)
     act. *)
 
 type site =
-  | Worker_raise  (** pool/chunked item raises {!Injected} *)
-  | Slow_item  (** pool/chunked item sleeps {!slow_seconds} *)
   | Analysis_raise  (** per-procedure analysis raises {!Injected} *)
   | Db_truncate  (** [Database.save] writes a truncated file *)
   | Wal_torn  (** [Wal.append] writes a torn half-record, then dies *)
@@ -81,13 +79,6 @@ val prob : spec -> site -> float
 (** Stable non-negative key for string-keyed sites (procedure names,
     paths). *)
 val string_key : string -> int
-
-(** Sleep duration for [Slow_item] (seconds). *)
-val slow_seconds : spec -> float
-
-(** Extra attempts a fault-absorbing layer grants before letting
-    {!Injected} propagate. *)
-val max_retries : int
 
 val injected_msg : site -> key:int -> string
 val is_injected : exn -> bool

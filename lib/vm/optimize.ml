@@ -24,13 +24,15 @@ open S89_cfg
 
 (* ---- purity / effects ---- *)
 
+let is_user prog f =
+  match prog with Some p -> Hashtbl.mem p.Program.by_name f | None -> false
+
 let rec expr_impure (prog : Program.t option) (e : Ast.expr) =
   match e with
   | Ast.Int _ | Real _ | Bool _ | Var _ -> false
   | Index (_, idx) -> List.exists (expr_impure prog) idx
   | Call (f, args) ->
-      let user = match prog with Some p -> Hashtbl.mem p.Program.by_name f | None -> false in
-      user
+      is_user prog f
       || f = "RAND" || f = "IRAND"
       || List.exists (expr_impure prog) args
   | Unop (_, e) -> expr_impure prog e
@@ -51,10 +53,16 @@ let lit_of_value = function
 
 let is_cheap = function Ast.Var _ | Ast.Int _ | Ast.Real _ -> true | _ -> false
 
+(* A user call's actual fixes its passing mode: a variable or array
+   element is passed by reference, anything else by copy-in.  Rewrites
+   must keep that mode, or a callee's stores land elsewhere. *)
+let by_ref = function Ast.Var _ | Ast.Index _ -> true | _ -> false
+
 let rec fold prog (e : Ast.expr) : Ast.expr =
   match e with
   | Ast.Int _ | Real _ | Bool _ | Var _ -> e
   | Index (a, idx) -> Index (a, List.map (fold prog) idx)
+  | Call (f, args) when is_user prog f -> Call (f, List.map (fold_actual prog) args)
   | Call (f, args) -> (
       let args = List.map (fold prog) args in
       let e = Ast.Call (f, args) in
@@ -113,6 +121,11 @@ let rec fold prog (e : Ast.expr) : Ast.expr =
           | Ast.Pow, x, Ast.Int 2 when is_cheap x -> Ast.Binop (Ast.Mul, x, x)
           | _ -> e))
 
+(* [I * 1] folds to [I]: a copy-in actual must not become a reference *)
+and fold_actual prog a =
+  let a' = fold prog a in
+  if by_ref a' && not (by_ref a) then a else a'
+
 let fold_node prog (ir : Ir.node) : Ir.node =
   match ir with
   | Ir.Assign (Ast.Larr (a, idx), e) ->
@@ -120,7 +133,7 @@ let fold_node prog (ir : Ir.node) : Ir.node =
   | Ir.Assign (lv, e) -> Ir.Assign (lv, fold prog e)
   | Ir.Branch e -> Ir.Branch (fold prog e)
   | Ir.Select (e, n) -> Ir.Select (fold prog e, n)
-  | Ir.Call (f, args) -> Ir.Call (f, List.map (fold prog) args)
+  | Ir.Call (f, args) -> Ir.Call (f, List.map (fold_actual prog) args)
   | Ir.Print es -> Ir.Print (List.map (fold prog) es)
   | Ir.Entry | Ir.Nop _ | Ir.Do_test _ | Ir.Return | Ir.Stop -> ir
 
@@ -136,14 +149,22 @@ let fold_node prog (ir : Ir.node) : Ir.node =
 
 module SM = Map.Make (String)
 
-let rec subst env (e : Ast.expr) : Ast.expr =
+let rec subst prog env (e : Ast.expr) : Ast.expr =
   match e with
   | Ast.Var v -> ( match SM.find_opt v env with Some lit -> lit | None -> e)
   | Ast.Int _ | Real _ | Bool _ -> e
-  | Index (a, idx) -> Index (a, List.map (subst env) idx)
-  | Call (f, args) -> Call (f, List.map (subst env) args)
-  | Unop (op, a) -> Unop (op, subst env a)
-  | Binop (op, a, b) -> Binop (op, subst env a, subst env b)
+  | Index (a, idx) -> Index (a, List.map (subst prog env) idx)
+  | Call (f, args) when is_user prog f ->
+      Call (f, List.map (subst_actual prog env) args)
+  | Call (f, args) -> Call (f, List.map (subst prog env) args)
+  | Unop (op, a) -> Unop (op, subst prog env a)
+  | Binop (op, a, b) -> Binop (op, subst prog env a, subst prog env b)
+
+(* a constant for a by-reference variable would make the callee's
+   dummy a copy *)
+and subst_actual prog env = function
+  | Ast.Var _ as a -> a
+  | a -> subst prog env a
 
 (* scalars a node's execution may clobber beyond its own left-hand side:
    variables passed (by reference) to user calls *)
@@ -219,7 +240,7 @@ let propagate prog (proc : Program.proc) (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
         let ir = (Cfg.info cfg u).Ir.ir in
         let ir_eval =
           match ir with
-          | Ir.Assign (lv, e) -> Ir.Assign (lv, fold prog (subst in_env e))
+          | Ir.Assign (lv, e) -> Ir.Assign (lv, fold prog (subst prog in_env e))
           | other -> other
         in
         let new_out = transfer prog is_param ir_eval in_env in
@@ -242,12 +263,12 @@ let propagate prog (proc : Program.proc) (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
       let ir =
         match info.Ir.ir with
         | Ir.Assign (Ast.Larr (a, idx), e) ->
-            Ir.Assign (Ast.Larr (a, List.map (subst env) idx), subst env e)
-        | Ir.Assign (lv, e) -> Ir.Assign (lv, subst env e)
-        | Ir.Branch e -> Ir.Branch (subst env e)
-        | Ir.Select (e, k) -> Ir.Select (subst env e, k)
-        | Ir.Call (f, args) -> Ir.Call (f, List.map (subst env) args)
-        | Ir.Print es -> Ir.Print (List.map (subst env) es)
+            Ir.Assign (Ast.Larr (a, List.map (subst prog env) idx), subst prog env e)
+        | Ir.Assign (lv, e) -> Ir.Assign (lv, subst prog env e)
+        | Ir.Branch e -> Ir.Branch (subst prog env e)
+        | Ir.Select (e, k) -> Ir.Select (subst prog env e, k)
+        | Ir.Call (f, args) -> Ir.Call (f, List.map (subst_actual prog env) args)
+        | Ir.Print es -> Ir.Print (List.map (subst prog env) es)
         | ir -> ir
       in
       Cfg.set_info cfg u { info with Ir.ir = fold_node prog ir })

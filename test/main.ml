@@ -5,7 +5,6 @@ let () =
     [
       ("util", Test_util.suite);
       ("codec", Test_codec.suite);
-      ("exec", Test_exec.suite);
       ("graph", Test_graph.suite);
       ("cfg", Test_cfg.suite);
       ("cdg", Test_cdg.suite);

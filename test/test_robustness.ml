@@ -2,9 +2,9 @@
 
    Covers the structured-diagnostic conversions (malformed sources per
    code), the profile database's versioned format (truncation, corruption,
-   repair), Node_split's fuel, deterministic fault injection through the
-   pool, execution guards (fuel / cycles / call depth), per-item budgets,
-   and the pipeline's graceful degradation vs [~strict] fail-fast. *)
+   repair), Node_split's fuel, deterministic fault injection, execution
+   guards (fuel / cycles / call depth), and the pipeline's graceful
+   degradation vs [~strict] fail-fast. *)
 
 module Program = S89_frontend.Program
 module Ir = S89_frontend.Ir
@@ -15,8 +15,7 @@ module Database = S89_profiling.Database
 module Interp = S89_vm.Interp
 module Diag = S89_diag.Diag
 module Fault = S89_util.Fault
-module Pool = S89_exec.Pool
-module Chunked = S89_exec.Chunked
+module Supervise = S89_exec.Supervise
 module Cfg = S89_cfg.Cfg
 module Label = S89_cfg.Label
 module Digraph = S89_graph.Digraph
@@ -199,60 +198,64 @@ let spec_of s =
   | Error m -> Alcotest.failf "Fault.parse %S: %s" s m
 
 let fault_parse () =
-  (match Fault.parse "worker_raise:0.5,slow_item:0.1@0.001,seed:9" with
+  (match Fault.parse "analysis_raise:0.5,db_truncate:0.1,seed:9" with
   | Ok sp ->
-      check (Alcotest.float 1e-9) "prob" 0.5 (Fault.prob sp Fault.Worker_raise);
-      check (Alcotest.float 1e-9) "slow" 0.001 (Fault.slow_seconds sp)
+      check (Alcotest.float 1e-9) "prob" 0.5 (Fault.prob sp Fault.Analysis_raise);
+      check (Alcotest.float 1e-9) "second site" 0.1 (Fault.prob sp Fault.Db_truncate);
+      check ci "seed" 9 (Fault.seed sp)
   | Error m -> Alcotest.failf "parse failed: %s" m);
   (match Fault.parse "nonsense" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error");
-  match Fault.parse "worker_raise:2.0" with
+  match Fault.parse "analysis_raise:2.0" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "probabilities above 1 must be rejected"
 
+(* the work-pool sites were deleted with the pool: a spec naming them is
+   an unknown site, not a silently inert one *)
+let fault_retired_sites_rejected () =
+  List.iter
+    (fun (spec, site) ->
+      match Fault.parse spec with
+      | Error m ->
+          check Alcotest.string spec
+            (Printf.sprintf "S89_FAULTS: unknown fault site %S" site)
+            m
+      | Ok _ -> Alcotest.failf "%S must be rejected" spec)
+    [ ("worker_raise:0.5", "worker_raise"); ("slow_item:0.1@0.01", "slow_item") ]
+
 let fault_determinism () =
-  let sp = spec_of "worker_raise:0.3,seed:42" in
+  let sp = spec_of "analysis_raise:0.3,seed:42" in
   let draws () =
-    List.init 500 (fun k -> Fault.fires sp Fault.Worker_raise ~key:k ~attempt:0)
+    List.init 500 (fun k -> Fault.fires sp Fault.Analysis_raise ~key:k ~attempt:0)
   in
   check cb "same spec, same decisions" true (draws () = draws ());
-  let sp2 = spec_of "worker_raise:0.3,seed:43" in
+  let sp2 = spec_of "analysis_raise:0.3,seed:43" in
   let other =
-    List.init 500 (fun k -> Fault.fires sp2 Fault.Worker_raise ~key:k ~attempt:0)
+    List.init 500 (fun k -> Fault.fires sp2 Fault.Analysis_raise ~key:k ~attempt:0)
   in
   check cb "different seed, different decisions" true (draws () <> other);
   let fired = List.filter Fun.id (draws ()) in
   check cb "some fire" true (List.length fired > 50);
   check cb "not all fire" true (List.length fired < 450)
 
-let pool_absorbs_faults () =
-  (* low-probability worker faults are retried away: results identical *)
-  let arr = Array.init 200 Fun.id in
-  let expected = Array.map (fun x -> x * x) arr in
-  Fault.with_spec (Some (spec_of "worker_raise:0.05,seed:1")) (fun () ->
-      let pool = Pool.create ~domains:1 () in
-      check (Alcotest.array ci) "sequential path absorbs" expected
-        (Pool.map pool (fun x -> x * x) arr);
-      let par = Pool.create ~force_parallel:true ~domains:2 () in
-      check (Alcotest.array ci) "parallel path absorbs" expected
-        (Pool.map par (fun x -> x * x) arr))
-
-let pool_fault_escalates () =
-  (* a certain fault exhausts the retries and surfaces as Injected *)
-  Fault.with_spec (Some (spec_of "worker_raise:1.0,seed:1")) (fun () ->
-      let pool = Pool.create ~domains:1 () in
-      match Pool.map pool (fun x -> x) (Array.init 4 Fun.id) with
+(* a certain fault exhausts the supervisor's restarts and surfaces as
+   [Injected]: every restart re-asks the same (seed, site, key) decision *)
+let certain_fault_escalates () =
+  let restarts = ref 0 in
+  let policy =
+    { Supervise.default_policy with base_backoff = 1e-6; max_backoff = 1e-5 }
+  in
+  let supervisor =
+    Supervise.create ~policy
+      ~on_event:(function Supervise.Restarted _ -> incr restarts | _ -> ())
+      ()
+  in
+  Fault.with_spec (Some (spec_of "analysis_raise:1.0,seed:1")) (fun () ->
+      match Pipeline.of_source ~strict:true ~supervisor (S89_workloads.Demos.fig1 ()) with
       | _ -> Alcotest.fail "expected Injected to escape"
-      | exception Fault.Injected _ -> ())
-
-let chunked_faults_deterministic () =
-  let arr = Array.init 300 Fun.id in
-  let expected = Array.map (fun x -> x + 1) arr in
-  Fault.with_spec (Some (spec_of "worker_raise:0.05,seed:7")) (fun () ->
-      let pool = Pool.create ~force_parallel:true ~domains:2 () in
-      check (Alcotest.array ci) "chunked absorbs" expected
-        (Chunked.map pool (fun x -> x + 1) arr))
+      | exception Fault.Injected _ ->
+          check ci "every restart spent" policy.max_restarts !restarts)
 
 let analysis_fault_degrades () =
   let src = S89_workloads.Demos.fig1 () in
@@ -378,41 +381,6 @@ let guard_clean_run_no_diags () =
   check cb "no overflow" true (Interp.counter_overflowed vm = []);
   check cb "no diagnostics" true (Interp.diagnostics vm = [])
 
-(* ---------------- per-item budgets ---------------- *)
-
-let budget_reports_slow_items () =
-  let pool = Pool.create ~domains:1 () in
-  let f i = if i = 3 then Unix.sleepf 0.05 in
-  let _, report =
-    Pool.mapi_budgeted pool ~budget:0.01 (fun i () -> f i) (Array.make 6 ())
-  in
-  check ci "one overrun" 1 (List.length report.Pool.over_budget);
-  (match report.Pool.over_budget with
-  | [ (3, d) ] -> check cb "duration recorded" true (d >= 0.01)
-  | _ -> Alcotest.fail "expected item 3 over budget");
-  let _, clean =
-    Pool.map_budgeted pool ~budget:10.0 (fun () -> ()) (Array.make 6 ())
-  in
-  check cb "fast items clean" true (clean = Pool.no_overruns)
-
-let budget_validates () =
-  let pool = Pool.create ~domains:1 () in
-  match Pool.map_budgeted pool ~budget:0.0 (fun () -> ()) [| () |] with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-let chunked_budget () =
-  let pool = Pool.create ~force_parallel:true ~domains:2 () in
-  let arr = Array.init 16 Fun.id in
-  let out, report =
-    Chunked.map_budgeted pool ~budget:0.01
-      (fun i -> if i = 5 then Unix.sleepf 0.05; i * 2)
-      arr
-  in
-  check (Alcotest.array ci) "results intact" (Array.map (fun i -> i * 2) arr) out;
-  check cb "slow item reported" true
-    (List.mem_assoc 5 report.Pool.over_budget)
-
 (* ---------------- pipeline degradation ---------------- *)
 
 (* replace one procedure's CFG with an irreducible tangle, as if lowering
@@ -516,10 +484,9 @@ let suite =
     Alcotest.test_case "node split: fuel bound" `Quick node_split_gave_up;
     Alcotest.test_case "fault: spec parsing" `Quick fault_parse;
     Alcotest.test_case "fault: deterministic decisions" `Quick fault_determinism;
-    Alcotest.test_case "fault: pool absorbs rare faults" `Quick pool_absorbs_faults;
-    Alcotest.test_case "fault: certain fault escalates" `Quick pool_fault_escalates;
-    Alcotest.test_case "fault: chunked absorbs rare faults" `Quick
-      chunked_faults_deterministic;
+    Alcotest.test_case "fault: retired pool sites rejected" `Quick
+      fault_retired_sites_rejected;
+    Alcotest.test_case "fault: certain fault escalates" `Quick certain_fault_escalates;
     Alcotest.test_case "fault: analysis fault degrades pipeline" `Quick
       analysis_fault_degrades;
     Alcotest.test_case "faults: fully degraded pipeline" `Quick
@@ -532,9 +499,6 @@ let suite =
     Alcotest.test_case "guard: call depth" `Quick guard_call_depth;
     Alcotest.test_case "guard: clean run has no diagnostics" `Quick
       guard_clean_run_no_diags;
-    Alcotest.test_case "budget: slow items reported" `Quick budget_reports_slow_items;
-    Alcotest.test_case "budget: validates" `Quick budget_validates;
-    Alcotest.test_case "budget: chunked" `Quick chunked_budget;
     Alcotest.test_case "pipeline: degrades per procedure" `Quick pipeline_degrades;
     Alcotest.test_case "pipeline: strict fails fast" `Quick pipeline_strict_fail_fast;
     Alcotest.test_case "pipeline: re-entered loop rejected" `Quick

@@ -149,24 +149,6 @@ let parsim_determinism () =
   let m () = (Parsim.run ~seed:9 ~n:500 ~p:4 ~h:2.0 ~dist Chunk.Self_sched).Parsim.makespan in
   check cf "same seed same makespan" (m ()) (m ())
 
-(* run_avg is a function of the seed list only: driving the replications
-   through a 2-domain pool must give the byte-identical Stats.t that the
-   sequential path produces *)
-let parsim_run_avg_parallel_identical () =
-  let dist = Dist.Exponential { mean = 10.0 } in
-  let go ?map () =
-    Parsim.run_avg ~seeds:12 ?map ~n:2000 ~p:8 ~h:5.0 ~dist Chunk.Self_sched
-  in
-  let seq = go () in
-  let pool = S89_exec.Pool.create ~force_parallel:true ~domains:2 () in
-  let par = go ~map:(S89_exec.Pool.map_list pool) () in
-  check cb "identical Stats across schedules" true
-    (Stats.count seq = Stats.count par
-    && Stats.mean seq = Stats.mean par
-    && Stats.variance seq = Stats.variance par
-    && Stats.min seq = Stats.min par
-    && Stats.max seq = Stats.max par)
-
 let suite =
   [
     Alcotest.test_case "dist: analytic moments" `Quick dist_moments_analytic;
@@ -182,6 +164,4 @@ let suite =
     Alcotest.test_case "parsim: high variance" `Slow parsim_high_variance_kw_wins;
     Alcotest.test_case "parsim: guided and edges" `Quick parsim_guided_and_edge_cases;
     Alcotest.test_case "parsim: determinism" `Quick parsim_determinism;
-    Alcotest.test_case "parsim: run_avg parallel identical" `Quick
-      parsim_run_avg_parallel_identical;
   ]

@@ -468,8 +468,7 @@ let supervise_half_open_transitions () =
         | Supervise.Rejected_open _ -> "rejected"
         | Supervise.Half_opened _ -> "half-open"
         | Supervise.Closed _ -> "closed"
-        | Supervise.Restarted _ -> "restarted"
-        | Supervise.Wedged _ -> "wedged")
+        | Supervise.Restarted _ -> "restarted")
       !events
   in
   check csl "event sequence"
@@ -537,11 +536,7 @@ let supervise_concurrent_tenant_trips () =
 let fault_golden_vectors () =
   let sp = Fault.with_seed 42 in
   let cases =
-    [ (Fault.Worker_raise, 0, 0, 0.8034224435705265);
-      (Fault.Worker_raise, 1, 0, 0.7440211613241372);
-      (Fault.Worker_raise, 7, 2, 0.43168344791838098);
-      (Fault.Worker_raise, 1000, 5, 0.19308715509427732);
-      (Fault.Wal_torn, 0, 0, 0.24783933341408426);
+    [ (Fault.Wal_torn, 0, 0, 0.24783933341408426);
       (Fault.Wal_torn, 1, 0, 0.57306591970632959);
       (Fault.Wal_torn, 7, 2, 0.63674451660440901);
       (Fault.Wal_torn, 1000, 5, 0.19306023796764138);
@@ -592,29 +587,6 @@ let backoff_schedule_deterministic () =
       check cb "within ceiling + jitter" true
         (d <= policy.Supervise.max_backoff *. (1.0 +. policy.Supervise.jitter)))
     (Supervise.backoff_schedule policy ~key:7)
-
-let supervise_map_results_ordered () =
-  let t = Supervise.create ~policy:fast_policy () in
-  let pool = S89_exec.Pool.create ~domains:2 () in
-  let arr = Array.init 50 Fun.id in
-  let results, wedged = Supervise.map t pool (fun _ x -> x * x) arr in
-  check (Alcotest.array ci) "input-ordered results" (Array.map (fun x -> x * x) arr)
-    results;
-  check ci "fast items never wedge (10s deadline)" 0 (List.length wedged)
-
-let supervise_map_reports_wedged () =
-  let policy = { fast_policy with heartbeat_deadline = 0.02 } in
-  let t = Supervise.create ~policy () in
-  let pool = S89_exec.Pool.create ~domains:2 () in
-  let results, wedged =
-    Supervise.map t pool
-      (fun i x ->
-        if i = 1 then Unix.sleepf 0.3;
-        x + 1)
-      [| 10; 20; 30 |]
-  in
-  check (Alcotest.array ci) "slow item still completes" [| 11; 21; 31 |] results;
-  check cb "overrunning item reported" true (List.mem_assoc 1 wedged)
 
 (* ---------------- pipeline hooks ---------------- *)
 
@@ -856,9 +828,6 @@ let suite =
     Alcotest.test_case "fault decision golden vectors" `Quick fault_golden_vectors;
     Alcotest.test_case "backoff schedule deterministic" `Quick
       backoff_schedule_deterministic;
-    Alcotest.test_case "supervised map keeps order" `Quick supervise_map_results_ordered;
-    Alcotest.test_case "supervised map reports wedged items" `Quick
-      supervise_map_reports_wedged;
     Alcotest.test_case "pipeline journals per procedure" `Quick pipeline_journal_lines;
     Alcotest.test_case "pre-tripped procedure degrades (SRV002)" `Quick
       pipeline_pretripped_key_degrades;
@@ -867,10 +836,10 @@ let suite =
       batch_refuses_unmarked_resume;
     Alcotest.test_case "batch refuses mismatched resume (DB004)" `Quick
       batch_refuses_mismatched_resume;
-    Alcotest.test_case "25 seeded kill points resume byte-identically" `Quick
-      kill_resume_byte_identity;
     Alcotest.test_case "torn-append fault then clean resume" `Quick
       batch_torn_append_then_resume;
     Alcotest.test_case "dir-fsync fault fires during compaction" `Quick
       store_dir_fsync_fault;
+    Alcotest.test_case "25 seeded kill points resume byte-identically" `Quick
+      kill_resume_byte_identity;
   ]

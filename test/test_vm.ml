@@ -370,6 +370,40 @@ let optimize_preserves_random_prop =
       && Interp.invocations vm0 "HELPER" = Interp.invocations vm1 "HELPER"
       && Interp.cycles vm1 <= Interp.cycles vm0)
 
+(* a user call's actual keeps its passing mode under optimization: a
+   known-constant [I] stays a reference, and [I * 1] stays a copy even
+   though it folds to a bare variable *)
+let optimize_keeps_call_actuals () =
+  let by_ref =
+    "      PROGRAM T\n      I = 3\n      CALL H(I)\n      PRINT *, I\n      END\n\
+    \      SUBROUTINE H(N)\n      N = N + 1\n      RETURN\n      END\n"
+  in
+  let by_copy =
+    "      PROGRAM T\n      I = 2\n      DO 10 K = 1, 2\n      I = I + 1\n\
+     10    CONTINUE\n      CALL H(I * 1)\n      PRINT *, I\n      END\n\
+    \      SUBROUTINE H(N)\n      N = N + 1\n      RETURN\n      END\n"
+  in
+  let output prog backend =
+    let config = { Interp.default_config with seed = 7; backend } in
+    let vm = Interp.create ~config prog in
+    ignore (Interp.run vm);
+    Interp.output vm
+  in
+  List.iter
+    (fun (what, src, expect) ->
+      let prog = Program.of_source src in
+      let plain = output prog Interp.Tree in
+      (match expect with
+      | Some e -> check Alcotest.string (what ^ ": plain") e (String.trim plain)
+      | None -> ());
+      let opt = S89_vm.Optimize.program prog in
+      List.iter
+        (fun b -> check Alcotest.string (what ^ ": optimized") plain (output opt b))
+        [ Interp.Tree; Interp.Bytecode ])
+    [ ("CALL H(I)", by_ref, Some "4");
+      ("CALL H(I * 1)", by_copy, Some "4");
+      ("call mix 131", Gen_prog.gen_call_mix_source 131, None) ]
+
 (* cost model: expr_cost of a known expression *)
 let cost_model_expr () =
   let cm = CM.optimized in
@@ -1289,7 +1323,10 @@ let suite =
    program unoptimized and [Optimize.program]'d, rendered as one line per
    node and pinned by FNV-1a/64 digest.  The digests were captured from
    the list-based intrinsic lookup and closure-passing cost walk; any
-   change to a charge moves them. *)
+   change to a charge moves them.  The corpus digest was re-captured
+   when [Optimize] stopped rewriting user-call actuals: the recursive
+   demo keeps [N = 12]/[R = 0] and passes both by reference, and
+   Linpack's [CALL GEFA(A, N, IPVT)] keeps [N] instead of [24]. *)
 
 module Codec = S89_util.Codec
 
@@ -1321,7 +1358,7 @@ let cost_golden_corpus () =
   let open S89_workloads in
   check
     Alcotest.(pair string int)
-    "demos, LOOPS, SIMPLE, Linpack, wide 1100" ("8d7895299f1d50c4", 8190)
+    "demos, LOOPS, SIMPLE, Linpack, wide 1100" ("7bb7490fe1d388d1", 8194)
     (cost_digest
        [ Demos.fig1 (); Demos.branchy (); Demos.chunky (); Demos.nested_random ();
          Demos.recursive (); Demos.irreducible (); Demos.computed_goto ();
@@ -1482,4 +1519,6 @@ let suite =
         default_backend_parity;
       Alcotest.test_case "Compiled lowers every node to FALLBACK" `Quick
         (fun () -> on_demos_and_table1 compiled_matches_tree);
+      Alcotest.test_case "optimize: keeps call actuals' passing mode" `Quick
+        optimize_keeps_call_actuals;
     ]
