@@ -79,52 +79,14 @@ let mode_name = function
 
 (* ---------------- input generation ---------------- *)
 
-let splice_tokens =
-  [| "DO 10 I = 1, 3"; "END"; "GOTO 999"; "IF ("; "CALL NOPE(X)"; ")"; "= +";
-     "ELSE"; "CONTINUE"; "PROGRAM Q" |]
-
-let mutate seed src =
-  let rng = Prng.create ~seed:(seed lxor 0x5eed) in
-  let lines = Array.of_list (String.split_on_char '\n' src) in
-  let n = Array.length lines in
-  let ops = 1 + Prng.int rng 3 in
-  for _ = 1 to ops do
-    let i = Prng.int rng n in
-    match Prng.int rng 5 with
-    | 0 -> lines.(i) <- "" (* drop a line *)
-    | 1 -> lines.(i) <- lines.(Prng.int rng n) (* duplicate another line *)
-    | 2 ->
-        let j = Prng.int rng n in
-        let tmp = lines.(i) in
-        lines.(i) <- lines.(j);
-        lines.(j) <- tmp
-    | 3 ->
-        lines.(i) <-
-          lines.(i) ^ " " ^ splice_tokens.(Prng.int rng (Array.length splice_tokens))
-    | _ ->
-        let l = String.length lines.(i) in
-        if l > 0 then lines.(i) <- String.sub lines.(i) 0 (Prng.int rng l)
-  done;
-  String.concat "\n" (Array.to_list lines)
-
-let corrupt seed src =
-  let rng = Prng.create ~seed:(seed lxor 0xbad) in
-  let b = Bytes.of_string src in
-  let n = Bytes.length b in
-  let flips = 1 + Prng.int rng 8 in
-  for _ = 1 to flips do
-    Bytes.set b (Prng.int rng n) (Char.chr (Prng.int rng 256))
-  done;
-  Bytes.to_string b
-
 let gen_input mode seed =
   let src = Gen.gen_source seed in
   match mode with
   (* every fourth seed's valid input is a call mix *)
   | Valid when seed mod 4 = 3 -> Gen.gen_call_mix_source seed
   | Valid -> src
-  | Mutated -> mutate seed src
-  | Corrupted -> corrupt seed src
+  | Mutated -> Gen.mutate seed src
+  | Corrupted -> Gen.corrupt seed src
   | Store_recovery -> invalid_arg "store-recovery takes no source input"
   | Memo_consistency -> invalid_arg "memo-consistency generates its own edit stream"
   | Codec -> invalid_arg "codec generates record images, not source"
