@@ -8,71 +8,110 @@
      [consumed_label];
    - logical IF vs. block IF disambiguated by the token after the closing
      parenthesis;
-   - computed GOTO "GOTO (10, 20, 30), I". *)
+   - computed GOTO "GOTO (10, 20, 30), I".
+
+   The parser reads the lexer's token arrays in place.  Token kinds are
+   immediate constructors, so matching and comparing them is integer
+   work; keywords are matched by their fixed name ids. *)
 
 open Ast
+module K = Lexer.Kind
 
 exception Parse_error of string * int
 
 type state = {
-  toks : Lexer.t array;
+  toks : Lexer.tokens;
   mutable pos : int;
   mutable consumed_label : int option;
       (* label of the most recently consumed labeled-DO terminator, so an
          enclosing DO sharing the label can terminate too *)
 }
 
-let keywords =
-  [ "IF"; "THEN"; "ELSE"; "ELSEIF"; "ENDIF"; "DO"; "ENDDO"; "GOTO"; "GO";
-    "CALL"; "RETURN"; "STOP"; "CONTINUE"; "PRINT"; "PROGRAM"; "SUBROUTINE";
-    "FUNCTION"; "END"; "INTEGER"; "REAL"; "LOGICAL"; "PARAMETER" ]
+(* name id of a keyword (see Lexer.keywords) *)
+let kw name =
+  let rec find k = if String.equal Lexer.keywords.(k) name then k else find (k + 1) in
+  find 0
 
-let is_keyword s = List.mem s keywords
+let kw_if = kw "IF"
+let kw_then = kw "THEN"
+let kw_else = kw "ELSE"
+let kw_elseif = kw "ELSEIF"
+let kw_endif = kw "ENDIF"
+let kw_do = kw "DO"
+let kw_enddo = kw "ENDDO"
+let kw_goto = kw "GOTO"
+let kw_go = kw "GO"
+let kw_call = kw "CALL"
+let kw_return = kw "RETURN"
+let kw_stop = kw "STOP"
+let kw_continue = kw "CONTINUE"
+let kw_print = kw "PRINT"
+let kw_program = kw "PROGRAM"
+let kw_subroutine = kw "SUBROUTINE"
+let kw_function = kw "FUNCTION"
+let kw_end = kw "END"
+let kw_integer = kw "INTEGER"
+let kw_real = kw "REAL"
+let kw_logical = kw "LOGICAL"
+let kw_parameter = kw "PARAMETER"
 
-let peek st = st.toks.(st.pos).Lexer.tok
+let is_keyword id = id < Array.length Lexer.keywords
+
+let peek st = Lexer.kind st.toks st.pos
 let peek2 st =
-  if st.pos + 1 < Array.length st.toks then st.toks.(st.pos + 1).Lexer.tok
-  else Lexer.EOF
+  if st.pos + 1 < Lexer.length st.toks then Lexer.kind st.toks (st.pos + 1) else K.EOF
 
-let line st = st.toks.(st.pos).Lexer.line
+let arg st = Lexer.arg st.toks st.pos
+let name st = Lexer.name st.toks st.pos
+let line st = Lexer.line st.toks st.pos
 let advance st = st.pos <- st.pos + 1
+
+(* [K.t] is immediate: this [=] compiles to an integer comparison *)
+let at st (k : K.t) = peek st = k
+
+let at_kw st kw = match peek st with K.ID -> arg st = kw | _ -> false
+
+(* is the token after the current one the keyword [kw]? *)
+let at_kw2 st kw = match peek2 st with K.ID -> Lexer.arg st.toks (st.pos + 1) = kw | _ -> false
+
+let found st = Lexer.token_str (Lexer.token st.toks st.pos)
 
 let fail st msg = raise (Parse_error (msg, line st))
 
-let expect st tok =
-  if peek st = tok then advance st
-  else
-    fail st
-      (Printf.sprintf "expected %s, found %s" (Lexer.token_str tok)
-         (Lexer.token_str (peek st)))
+let expect st k =
+  if at st k then advance st
+  else fail st (Printf.sprintf "expected %s, found %s" (Lexer.kind_str k) (found st))
 
 let expect_id st =
   match peek st with
-  | Lexer.ID s -> advance st; s
-  | t -> fail st (Printf.sprintf "expected identifier, found %s" (Lexer.token_str t))
+  | K.ID ->
+      let s = name st in
+      advance st;
+      s
+  | _ -> fail st (Printf.sprintf "expected identifier, found %s" (found st))
 
 let expect_int st =
   match peek st with
-  | Lexer.INT i -> advance st; i
-  | t -> fail st (Printf.sprintf "expected integer, found %s" (Lexer.token_str t))
+  | K.INT ->
+      let i = arg st in
+      advance st;
+      i
+  | _ -> fail st (Printf.sprintf "expected integer, found %s" (found st))
 
 let expect_kw st kw =
-  match peek st with
-  | Lexer.ID s when s = kw -> advance st
-  | t -> fail st (Printf.sprintf "expected %s, found %s" kw (Lexer.token_str t))
-
-let at_kw st kw = match peek st with Lexer.ID s -> s = kw | _ -> false
+  if at_kw st kw then advance st
+  else fail st (Printf.sprintf "expected %s, found %s" Lexer.keywords.(kw) (found st))
 
 let skip_newlines st =
-  while peek st = Lexer.NEWLINE do
+  while at st K.NEWLINE do
     advance st
   done
 
 let end_of_stmt st =
   match peek st with
-  | Lexer.NEWLINE -> advance st
-  | Lexer.EOF -> ()
-  | t -> fail st (Printf.sprintf "trailing tokens: %s" (Lexer.token_str t))
+  | K.NEWLINE -> advance st
+  | K.EOF -> ()
+  | _ -> fail st (Printf.sprintf "trailing tokens: %s" (found st))
 
 (* ---------------- expressions ---------------- *)
 
@@ -81,7 +120,7 @@ let rec parse_expr st = parse_or st
 
 and parse_or st =
   let lhs = ref (parse_and st) in
-  while peek st = Lexer.DOTOP "OR" do
+  while at st K.OR do
     advance st;
     let rhs = parse_and st in
     lhs := Binop (Or, !lhs, rhs)
@@ -90,7 +129,7 @@ and parse_or st =
 
 and parse_and st =
   let lhs = ref (parse_not st) in
-  while peek st = Lexer.DOTOP "AND" do
+  while at st K.AND do
     advance st;
     let rhs = parse_not st in
     lhs := Binop (And, !lhs, rhs)
@@ -98,7 +137,7 @@ and parse_and st =
   !lhs
 
 and parse_not st =
-  if peek st = Lexer.DOTOP "NOT" then begin
+  if at st K.NOT then begin
     advance st;
     Unop (Not, parse_not st)
   end
@@ -106,76 +145,65 @@ and parse_not st =
 
 and parse_rel st =
   let lhs = parse_add st in
-  let op =
-    match peek st with
-    | Lexer.DOTOP "LT" -> Some Lt
-    | Lexer.DOTOP "LE" -> Some Le
-    | Lexer.DOTOP "GT" -> Some Gt
-    | Lexer.DOTOP "GE" -> Some Ge
-    | Lexer.DOTOP "EQ" -> Some Eq
-    | Lexer.DOTOP "NE" -> Some Ne
-    | _ -> None
-  in
-  match op with
-  | None -> lhs
-  | Some op ->
+  match peek st with
+  | (K.LT | K.LE | K.GT | K.GE | K.EQ | K.NE) as k ->
       advance st;
       let rhs = parse_add st in
+      let op =
+        match k with K.LT -> Lt | K.LE -> Le | K.GT -> Gt | K.GE -> Ge | K.EQ -> Eq | _ -> Ne
+      in
       Binop (op, lhs, rhs)
+  | _ -> lhs
 
 and parse_add st =
   (* unary +/- bind at additive level, looser than ** (Fortran rule) *)
   let first =
     match peek st with
-    | Lexer.MINUS ->
+    | K.MINUS ->
         advance st;
         Unop (Neg, parse_mul st)
-    | Lexer.PLUS ->
+    | K.PLUS ->
         advance st;
         parse_mul st
     | _ -> parse_mul st
   in
   let lhs = ref first in
-  let rec loop () =
+  let more = ref true in
+  while !more do
     match peek st with
-    | Lexer.PLUS ->
+    | K.PLUS ->
         advance st;
-        lhs := Binop (Add, !lhs, parse_mul st);
-        loop ()
-    | Lexer.MINUS ->
+        lhs := Binop (Add, !lhs, parse_mul st)
+    | K.MINUS ->
         advance st;
-        lhs := Binop (Sub, !lhs, parse_mul st);
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+        lhs := Binop (Sub, !lhs, parse_mul st)
+    | _ -> more := false
+  done;
   !lhs
 
 and parse_mul st =
   let lhs = ref (parse_pow st) in
-  let rec loop () =
+  let more = ref true in
+  while !more do
     match peek st with
-    | Lexer.STAR ->
+    | K.STAR ->
         advance st;
-        lhs := Binop (Mul, !lhs, parse_pow st);
-        loop ()
-    | Lexer.SLASH ->
+        lhs := Binop (Mul, !lhs, parse_pow st)
+    | K.SLASH ->
         advance st;
-        lhs := Binop (Div, !lhs, parse_pow st);
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+        lhs := Binop (Div, !lhs, parse_pow st)
+    | _ -> more := false
+  done;
   !lhs
 
 and parse_pow st =
   let base = parse_primary st in
-  if peek st = Lexer.POW then begin
+  if at st K.POW then begin
     advance st;
     (* right-associative; exponent may be signed: X ** -2 *)
     let exp =
       match peek st with
-      | Lexer.MINUS ->
+      | K.MINUS ->
           advance st;
           Unop (Neg, parse_pow st)
       | _ -> parse_pow st
@@ -186,33 +214,40 @@ and parse_pow st =
 
 and parse_primary st =
   match peek st with
-  | Lexer.INT i -> advance st; Int i
-  | Lexer.REALLIT r -> advance st; Real r
-  | Lexer.DOTOP "TRUE" -> advance st; Bool true
-  | Lexer.DOTOP "FALSE" -> advance st; Bool false
-  | Lexer.LPAREN ->
+  | K.INT ->
+      let i = arg st in
+      advance st;
+      Int i
+  | K.REAL ->
+      let r = Lexer.real st.toks st.pos in
+      advance st;
+      Real r
+  | K.TRUE -> advance st; Bool true
+  | K.FALSE -> advance st; Bool false
+  | K.LPAREN ->
       advance st;
       let e = parse_expr st in
-      expect st Lexer.RPAREN;
+      expect st K.RPAREN;
       e
-  | Lexer.ID name ->
+  | K.ID ->
+      let name = name st in
       advance st;
-      if peek st = Lexer.LPAREN then begin
+      if at st K.LPAREN then begin
         advance st;
         let args =
-          if peek st = Lexer.RPAREN then [] (* zero-argument call, e.g. RAND() *)
+          if at st K.RPAREN then [] (* zero-argument call, e.g. RAND() *)
           else parse_expr_list st
         in
-        expect st Lexer.RPAREN;
+        expect st K.RPAREN;
         (* array reference or function call: resolved by Sema *)
         Call (name, args)
       end
       else Var name
-  | t -> fail st (Printf.sprintf "expected expression, found %s" (Lexer.token_str t))
+  | _ -> fail st (Printf.sprintf "expected expression, found %s" (found st))
 
 and parse_expr_list st =
   let e = parse_expr st in
-  if peek st = Lexer.COMMA then begin
+  if at st K.COMMA then begin
     advance st;
     e :: parse_expr_list st
   end
@@ -222,11 +257,16 @@ and parse_expr_list st =
 
 (* GOTO or GO TO, positioned after it *)
 let try_goto st =
-  if at_kw st "GOTO" then begin
+  if at_kw st kw_goto then begin
     advance st;
     true
   end
-  else if at_kw st "GO" && peek2 st = Lexer.ID "TO" then begin
+  else if
+    at_kw st kw_go
+    && (match peek2 st with
+       | K.ID -> String.equal (Lexer.name st.toks (st.pos + 1)) "TO"
+       | _ -> false)
+  then begin
     advance st;
     advance st;
     true
@@ -236,71 +276,72 @@ let try_goto st =
 let rec parse_simple_stmt st : stmt =
   (* statements legal as the body of a logical IF *)
   if try_goto st then parse_goto_tail st
-  else if at_kw st "CALL" then parse_call st
-  else if at_kw st "RETURN" then (advance st; Return)
-  else if at_kw st "STOP" then (advance st; Stop)
-  else if at_kw st "CONTINUE" then (advance st; Continue)
-  else if at_kw st "PRINT" then parse_print st
+  else if at_kw st kw_call then parse_call st
+  else if at_kw st kw_return then (advance st; Return)
+  else if at_kw st kw_stop then (advance st; Stop)
+  else if at_kw st kw_continue then (advance st; Continue)
+  else if at_kw st kw_print then parse_print st
   else begin
     match peek st with
-    | Lexer.ID name when not (is_keyword name) ->
+    | K.ID when not (is_keyword (arg st)) ->
+        let name = name st in
         advance st;
         let lhs =
-          if peek st = Lexer.LPAREN then begin
+          if at st K.LPAREN then begin
             advance st;
             let idx = parse_expr_list st in
-            expect st Lexer.RPAREN;
+            expect st K.RPAREN;
             Larr (name, idx)
           end
           else Lvar name
         in
-        expect st Lexer.EQUALS;
+        expect st K.EQUALS;
         let rhs = parse_expr st in
         Assign (lhs, rhs)
-    | t -> fail st (Printf.sprintf "expected statement, found %s" (Lexer.token_str t))
+    | _ -> fail st (Printf.sprintf "expected statement, found %s" (found st))
   end
 
 and parse_goto_tail st : stmt =
   match peek st with
-  | Lexer.INT _ -> Goto (expect_int st)
-  | Lexer.LPAREN ->
+  | K.INT -> Goto (expect_int st)
+  | K.LPAREN ->
       advance st;
       let rec labels () =
         let l = expect_int st in
-        if peek st = Lexer.COMMA then begin
+        if at st K.COMMA then begin
           advance st;
           l :: labels ()
         end
         else [ l ]
       in
       let ls = labels () in
-      expect st Lexer.RPAREN;
-      if peek st = Lexer.COMMA then advance st;
+      expect st K.RPAREN;
+      if at st K.COMMA then advance st;
       let e = parse_expr st in
       Cgoto (ls, e)
-  | t -> fail st (Printf.sprintf "expected label after GOTO, found %s" (Lexer.token_str t))
+  | _ -> fail st (Printf.sprintf "expected label after GOTO, found %s" (found st))
 
 and parse_call st : stmt =
-  expect_kw st "CALL";
+  expect_kw st kw_call;
   let name = expect_id st in
-  if peek st = Lexer.LPAREN then begin
+  if at st K.LPAREN then begin
     advance st;
-    if peek st = Lexer.RPAREN then begin
+    if at st K.RPAREN then begin
       advance st;
       Call_stmt (name, [])
     end
     else begin
       let args = parse_expr_list st in
-      expect st Lexer.RPAREN;
+      expect st K.RPAREN;
       Call_stmt (name, args)
     end
   end
   else Call_stmt (name, [])
 
 and parse_print st : stmt =
-  expect_kw st "PRINT";
-  expect st Lexer.STAR;
-  if peek st = Lexer.COMMA then begin
+  expect_kw st kw_print;
+  expect st K.STAR;
+  if at st K.COMMA then begin
     advance st;
     Print (parse_expr_list st)
   end
@@ -309,21 +350,25 @@ and parse_print st : stmt =
 (* Is the upcoming line "END" / "ENDIF" / "ELSE" / "ENDDO" / "END IF" ... ?
    Used as a block terminator test; tolerates a leading label (F77 allows
    labels on END etc., though we only use them on real statements). *)
+let block_end_kw id =
+  id = kw_endif || id = kw_enddo || id = kw_else || id = kw_elseif || id = kw_end
+
 let rec at_block_end st =
   match peek st with
-  | Lexer.ID ("ENDIF" | "ENDDO" | "ELSE" | "ELSEIF" | "END") -> true
-  | Lexer.INT _ -> (
+  | K.ID -> block_end_kw (arg st)
+  | K.INT -> (
       match peek2 st with
-      | Lexer.ID ("ENDIF" | "ENDDO" | "ELSE" | "ELSEIF" | "END") -> true
+      | K.ID -> block_end_kw (Lexer.arg st.toks (st.pos + 1))
       | _ -> false)
-  | Lexer.EOF -> true
+  | K.EOF -> true
   | _ -> false
 
 (* Parse one (possibly labeled) statement. *)
 and parse_lstmt st : lstmt =
   let label =
     match peek st with
-    | Lexer.INT l when peek2 st <> Lexer.EQUALS ->
+    | K.INT when (match peek2 st with K.EQUALS -> false | _ -> true) ->
+        let l = arg st in
         advance st;
         Some l
     | _ -> None
@@ -332,12 +377,12 @@ and parse_lstmt st : lstmt =
   { label; stmt }
 
 and parse_stmt st : stmt =
-  if at_kw st "IF" then begin
+  if at_kw st kw_if then begin
     advance st;
-    expect st Lexer.LPAREN;
+    expect st K.LPAREN;
     let cond = parse_expr st in
-    expect st Lexer.RPAREN;
-    if at_kw st "THEN" then begin
+    expect st K.RPAREN;
+    if at_kw st kw_then then begin
       advance st;
       end_of_stmt st;
       parse_if_block st [ (cond, parse_block st) ]
@@ -348,7 +393,7 @@ and parse_stmt st : stmt =
       If_logical (cond, s)
     end
   end
-  else if at_kw st "DO" then parse_do st
+  else if at_kw st kw_do then parse_do st
   else begin
     let s = parse_simple_stmt st in
     end_of_stmt st;
@@ -358,20 +403,20 @@ and parse_stmt st : stmt =
 (* after "IF (c) THEN <NL> block", positioned at ELSE/ELSEIF/ENDIF *)
 and parse_if_block st arms : stmt =
   skip_newlines st;
-  if at_kw st "ELSEIF" || (at_kw st "ELSE" && peek2 st = Lexer.ID "IF") then begin
-    if at_kw st "ELSEIF" then advance st
+  if at_kw st kw_elseif || (at_kw st kw_else && at_kw2 st kw_if) then begin
+    if at_kw st kw_elseif then advance st
     else begin
       advance st;
       advance st
     end;
-    expect st Lexer.LPAREN;
+    expect st K.LPAREN;
     let cond = parse_expr st in
-    expect st Lexer.RPAREN;
-    expect_kw st "THEN";
+    expect st K.RPAREN;
+    expect_kw st kw_then;
     end_of_stmt st;
     parse_if_block st ((cond, parse_block st) :: arms)
   end
-  else if at_kw st "ELSE" then begin
+  else if at_kw st kw_else then begin
     advance st;
     end_of_stmt st;
     let blk = parse_block st in
@@ -385,8 +430,8 @@ and parse_if_block st arms : stmt =
   end
 
 and parse_endif st =
-  if at_kw st "ENDIF" then advance st
-  else if at_kw st "END" && peek2 st = Lexer.ID "IF" then begin
+  if at_kw st kw_endif then advance st
+  else if at_kw st kw_end && at_kw2 st kw_if then begin
     advance st;
     advance st
   end
@@ -394,17 +439,17 @@ and parse_endif st =
   end_of_stmt st
 
 and parse_do st : stmt =
-  expect_kw st "DO";
+  expect_kw st kw_do;
   let term_label =
-    match peek st with Lexer.INT _ -> Some (expect_int st) | _ -> None
+    match peek st with K.INT -> Some (expect_int st) | _ -> None
   in
   let var = expect_id st in
-  expect st Lexer.EQUALS;
+  expect st K.EQUALS;
   let lo = parse_expr st in
-  expect st Lexer.COMMA;
+  expect st K.COMMA;
   let hi = parse_expr st in
   let step =
-    if peek st = Lexer.COMMA then begin
+    if at st K.COMMA then begin
       advance st;
       Some (parse_expr st)
     end
@@ -416,8 +461,8 @@ and parse_do st : stmt =
     | None ->
         let blk = parse_block st in
         skip_newlines st;
-        if at_kw st "ENDDO" then advance st
-        else if at_kw st "END" && peek2 st = Lexer.ID "DO" then begin
+        if at_kw st kw_enddo then advance st
+        else if at_kw st kw_end && at_kw2 st kw_do then begin
           advance st;
           advance st
         end
@@ -433,7 +478,7 @@ and parse_do st : stmt =
    signals through [consumed_label]. *)
 and parse_labeled_do_body st target : block =
   skip_newlines st;
-  if peek st = Lexer.EOF then fail st (Printf.sprintf "missing DO terminator %d" target)
+  if at st K.EOF then fail st (Printf.sprintf "missing DO terminator %d" target)
   else begin
     let ls = parse_lstmt st in
     let terminated_here = ls.label = Some target in
@@ -457,43 +502,43 @@ and parse_block st : block =
 (* ---------------- declarations & program units ---------------- *)
 
 let parse_typ st =
-  if at_kw st "INTEGER" then (advance st; Tint)
-  else if at_kw st "REAL" then (advance st; Treal)
-  else if at_kw st "LOGICAL" then (advance st; Tlogical)
+  if at_kw st kw_integer then (advance st; Tint)
+  else if at_kw st kw_real then (advance st; Treal)
+  else if at_kw st kw_logical then (advance st; Tlogical)
   else fail st "expected type"
 
-let at_typ st = at_kw st "INTEGER" || at_kw st "REAL" || at_kw st "LOGICAL"
+let at_typ st = at_kw st kw_integer || at_kw st kw_real || at_kw st kw_logical
 
 let parse_dims st =
-  if peek st = Lexer.LPAREN then begin
+  if at st K.LPAREN then begin
     advance st;
     let rec dims () =
       let d =
         match peek st with
-        | Lexer.STAR ->
+        | K.STAR ->
             advance st;
             -1 (* assumed-size *)
         | _ -> expect_int st
       in
-      if peek st = Lexer.COMMA then begin
+      if at st K.COMMA then begin
         advance st;
         d :: dims ()
       end
       else [ d ]
     in
     let ds = dims () in
-    expect st Lexer.RPAREN;
+    expect st K.RPAREN;
     ds
   end
   else []
 
 let parse_decl st : decl option =
-  if at_typ st && peek2 st <> Lexer.ID "FUNCTION" then begin
+  if at_typ st && not (at_kw2 st kw_function) then begin
     let ty = parse_typ st in
     let rec names () =
       let n = expect_id st in
       let dims = parse_dims st in
-      if peek st = Lexer.COMMA then begin
+      if at st K.COMMA then begin
         advance st;
         (n, dims) :: names ()
       end
@@ -503,44 +548,44 @@ let parse_decl st : decl option =
     end_of_stmt st;
     Some (Dvar (ty, ns))
   end
-  else if at_kw st "PARAMETER" then begin
+  else if at_kw st kw_parameter then begin
     advance st;
-    expect st Lexer.LPAREN;
+    expect st K.LPAREN;
     let rec pairs () =
       let n = expect_id st in
-      expect st Lexer.EQUALS;
+      expect st K.EQUALS;
       let e = parse_expr st in
-      if peek st = Lexer.COMMA then begin
+      if at st K.COMMA then begin
         advance st;
         (n, e) :: pairs ()
       end
       else [ (n, e) ]
     in
     let ps = pairs () in
-    expect st Lexer.RPAREN;
+    expect st K.RPAREN;
     end_of_stmt st;
     Some (Dparam ps)
   end
   else None
 
 let parse_params st =
-  if peek st = Lexer.LPAREN then begin
+  if at st K.LPAREN then begin
     advance st;
-    if peek st = Lexer.RPAREN then begin
+    if at st K.RPAREN then begin
       advance st;
       []
     end
     else begin
       let rec ps () =
         let p = expect_id st in
-        if peek st = Lexer.COMMA then begin
+        if at st K.COMMA then begin
           advance st;
           p :: ps ()
         end
         else [ p ]
       in
       let ps = ps () in
-      expect st Lexer.RPAREN;
+      expect st K.RPAREN;
       ps
     end
   end
@@ -549,29 +594,29 @@ let parse_params st =
 let parse_unit st : program_unit =
   skip_newlines st;
   let kind, name, params =
-    if at_kw st "PROGRAM" then begin
+    if at_kw st kw_program then begin
       advance st;
       let n = expect_id st in
       end_of_stmt st;
       (Program, n, [])
     end
-    else if at_kw st "SUBROUTINE" then begin
+    else if at_kw st kw_subroutine then begin
       advance st;
       let n = expect_id st in
       let ps = parse_params st in
       end_of_stmt st;
       (Subroutine, n, ps)
     end
-    else if at_kw st "FUNCTION" then begin
+    else if at_kw st kw_function then begin
       advance st;
       let n = expect_id st in
       let ps = parse_params st in
       end_of_stmt st;
       (Function None, n, ps)
     end
-    else if at_typ st && peek2 st = Lexer.ID "FUNCTION" then begin
+    else if at_typ st && at_kw2 st kw_function then begin
       let ty = parse_typ st in
-      expect_kw st "FUNCTION";
+      expect_kw st kw_function;
       let n = expect_id st in
       let ps = parse_params st in
       end_of_stmt st;
@@ -593,7 +638,7 @@ let parse_unit st : program_unit =
   let body = parse_block st in
   skip_newlines st;
   (* plain END (not ENDIF/ENDDO, which at_block_end also accepts) *)
-  if at_kw st "END" && peek2 st <> Lexer.ID "IF" && peek2 st <> Lexer.ID "DO" then begin
+  if at_kw st kw_end && not (at_kw2 st kw_if) && not (at_kw2 st kw_do) then begin
     advance st;
     end_of_stmt st
   end
@@ -601,11 +646,10 @@ let parse_unit st : program_unit =
   { kind; name; params; decls = List.rev !decls; body }
 
 let parse_program (src : string) : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0; consumed_label = None } in
+  let st = { toks = Lexer.tokenize src; pos = 0; consumed_label = None } in
   let units = ref [] in
   skip_newlines st;
-  while peek st <> Lexer.EOF do
+  while not (at st K.EOF) do
     units := parse_unit st :: !units;
     skip_newlines st
   done;

@@ -22,16 +22,21 @@ type t = {
   call_graph : unit Digraph.t; (* node i = procs.(i); edge caller -> callee *)
 }
 
-(* user-defined functions called inside an expression *)
+(* user-defined functions called inside an expression, prepended to [acc]
+   in the order they finish (arguments first) *)
 let rec expr_calls by_name acc (e : Ast.expr) =
   match e with
   | Ast.Int _ | Real _ | Bool _ | Var _ -> acc
-  | Index (_, idx) -> List.fold_left (expr_calls by_name) acc idx
+  | Index (_, idx) -> exprs_calls by_name acc idx
   | Call (f, args) ->
-      let acc = List.fold_left (expr_calls by_name) acc args in
+      let acc = exprs_calls by_name acc args in
       if Hashtbl.mem by_name f then f :: acc else acc
   | Unop (_, e) -> expr_calls by_name acc e
   | Binop (_, a, b) -> expr_calls by_name (expr_calls by_name acc a) b
+
+and exprs_calls by_name acc = function
+  | [] -> acc
+  | e :: rest -> exprs_calls by_name (expr_calls by_name acc e) rest
 
 (* all callees of a CFG node (subroutine call and/or functions in exprs) *)
 let node_callees by_name (info : Ir.info) =
@@ -40,21 +45,20 @@ let node_callees by_name (info : Ir.info) =
     | Ir.Call (name, _) when Hashtbl.mem by_name name -> [ name ]
     | _ -> []
   in
-  List.fold_left (expr_calls by_name) acc (Ir.exprs_of info.ir)
+  exprs_calls by_name acc (Ir.exprs_of info.ir)
 
 let callees_of_proc by_name (p : proc) =
   let seen = Hashtbl.create 8 in
   let acc = ref [] in
-  Cfg.iter_nodes
-    (fun n ->
-      List.iter
-        (fun c ->
-          if not (Hashtbl.mem seen c) then begin
-            Hashtbl.replace seen c ();
-            acc := c :: !acc
-          end)
-        (node_callees by_name (Cfg.info p.cfg n)))
-    p.cfg;
+  let add c =
+    if not (Hashtbl.mem seen c) then begin
+      Hashtbl.replace seen c ();
+      acc := c :: !acc
+    end
+  in
+  for n = 0 to Cfg.num_nodes p.cfg - 1 do
+    List.iter add (node_callees by_name (Cfg.info p.cfg n))
+  done;
   List.rev !acc
 
 let of_sema (penv : Sema.program_env) : t =

@@ -296,6 +296,15 @@ let copy g =
   iter_edges (fun e -> Vec.set preds e.dst (e :: Vec.get preds e.dst)) g;
   { rep = Building { succs; preds } }
 
+(* The in-lists [copy] would rebuild, built in place: stored most recent
+   first, so each comes out in edge order. *)
+let order_preds g =
+  let b = building g "order_preds" in
+  for v = 0 to Vec.length b.preds - 1 do
+    Vec.set b.preds v []
+  done;
+  Vec.iter (iter_oldest_first (fun e -> Vec.set b.preds e.dst (e :: Vec.get b.preds e.dst))) b.succs
+
 let map_labels f g =
   let r = create () in
   ignore (add_nodes r (num_nodes g));

@@ -104,6 +104,11 @@ val reverse : 'l t -> 'l t
     in-edges come in edge order (by source, then out-edge order). *)
 val copy : 'l t -> 'l t
 
+(** Put each node's in-edges in edge order (by source, then out-edge
+    order), the order {!copy} gives them, in place.  Raises
+    [Invalid_argument] on a frozen graph. *)
+val order_preds : 'l t -> unit
+
 (** Copy with labels recomputed from each edge. *)
 val map_labels : ('l edge -> 'm) -> 'l t -> 'm t
 

@@ -14,7 +14,7 @@ type t = {
   tree : Lca.t; (* the dominator tree over [idom]; unreachable nodes are singletons *)
 }
 
-let of_dfs (c : 'l Digraph.csr) (num : Dfs.numbering) =
+let idoms (c : 'l Digraph.csr) (num : Dfs.numbering) =
   let n = c.n in
   let root = num.order.(0) in
   let rpo = Dfs.rev_postorder_of num in
@@ -48,7 +48,11 @@ let of_dfs (c : 'l Digraph.csr) (num : Dfs.numbering) =
       rpo
   done;
   idom.(root) <- -1;
-  { root; idom; tree = Lca.of_parents idom }
+  idom
+
+let of_dfs c (num : Dfs.numbering) =
+  let idom = idoms c num in
+  { root = num.order.(0); idom; tree = Lca.of_parents idom }
 
 let of_csr c ~root = of_dfs c (Dfs.number_csr c ~root)
 

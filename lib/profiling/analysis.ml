@@ -115,14 +115,15 @@ let check_body_conditions name (proc : Program.proc) (ecfg : _ Ecfg.t)
           done)
         headers
 
-let of_proc (proc : Program.proc) : t =
+let of_proc ?(attempt = 0) (proc : Program.proc) : t =
   let name = proc.Program.name in
   (* chaos hook: S89_FAULTS=analysis_raise:P fails this procedure's
-     analysis, exercising the pipeline's graceful-degradation path *)
+     analysis, exercising the pipeline's graceful-degradation path; each
+     supervised restart draws afresh *)
   (match S89_util.Fault.active () with
   | Some sp
     when S89_util.Fault.fires sp S89_util.Fault.Analysis_raise
-           ~key:(S89_util.Fault.string_key name) ~attempt:0 ->
+           ~key:(S89_util.Fault.string_key name) ~attempt ->
       raise
         (S89_util.Fault.Injected
            (S89_util.Fault.injected_msg S89_util.Fault.Analysis_raise

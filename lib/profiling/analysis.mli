@@ -32,10 +32,13 @@ val synthetic_info : Ir.info
     inside interval analysis. *)
 exception Unanalyzable of { proc : string; reason : string }
 
-(** Analyze one procedure (ECFG, CDG, FCDG).
+(** Analyze one procedure (ECFG, CDG, FCDG).  [attempt] (default 0)
+    numbers a supervised restart of the same analysis: the
+    [analysis_raise] fault decision is drawn per attempt, so a restart
+    can absorb an injected fault.
     @raise Unanalyzable on an invalid or irreducible CFG
     @raise S89_util.Fault.Injected under [S89_FAULTS=analysis_raise:P] *)
-val of_proc : Program.proc -> t
+val of_proc : ?attempt:int -> Program.proc -> t
 
 (** Analyze every procedure of a program, keyed by name. *)
 val of_program : Program.t -> (string, t) Hashtbl.t

@@ -552,3 +552,22 @@ let suite =
       QCheck_alcotest.to_alcotest interval_deriv_headers_prop;
       QCheck_alcotest.to_alcotest interval_partition_prop;
     ]
+
+(* the one-pass Hecht–Ullman test agrees with the forward-part
+   definition, and node splitting's fast path leaves a reducible graph
+   untouched while an irreducible one is still split *)
+let reducible_dfs_prop =
+  QCheck.Test.make ~count:200 ~name:"Hecht-Ullman test = forward-part reducibility"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let g = random_graph seed ~nodes:8 ~edges:(8 + (seed mod 8)) in
+      let c = Digraph.csr g in
+      let fast = Reducibility.reducible_dfs c (Dfs.number_csr c ~root:0) in
+      let slow = Reducibility.is_reducible g ~root:0 in
+      let edges = Digraph.edges g in
+      let splits = Node_split.make_reducible g ~root:0 ~on_copy:(fun ~orig:_ ~copy:_ -> ()) in
+      fast = slow
+      && (if slow then splits = [] && Digraph.edges g = edges else splits <> [])
+      && Reducibility.is_reducible g ~root:0)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest reducible_dfs_prop ]

@@ -240,7 +240,7 @@ let fault_determinism () =
   check cb "not all fire" true (List.length fired < 450)
 
 (* a certain fault exhausts the supervisor's restarts and surfaces as
-   [Injected]: every restart re-asks the same (seed, site, key) decision *)
+   [Injected]: at P = 1 every attempt's draw fires *)
 let certain_fault_escalates () =
   let restarts = ref 0 in
   let policy =
@@ -256,6 +256,38 @@ let certain_fault_escalates () =
       | _ -> Alcotest.fail "expected Injected to escape"
       | exception Fault.Injected _ ->
           check ci "every restart spent" policy.max_restarts !restarts)
+
+(* each restart draws its own (seed, site, key, attempt) decision, so at
+   P < 1 a restart can absorb an injected fault: under this spec LOOPS
+   and K7 fail their first attempt only, and nothing degrades *)
+let restart_absorbs_fault () =
+  let restarted = ref [] in
+  let policy =
+    { Supervise.default_policy with base_backoff = 1e-6; max_backoff = 1e-5 }
+  in
+  let supervisor =
+    Supervise.create ~policy
+      ~on_event:(function
+        | Supervise.Restarted { key; attempt; _ } ->
+            restarted := (key, attempt) :: !restarted
+        | _ -> ())
+      ()
+  in
+  let t =
+    Fault.with_spec (Some (spec_of "analysis_raise:0.1,seed:1")) (fun () ->
+        Pipeline.of_source ~supervisor S89_workloads.Livermore.source)
+  in
+  check
+    Alcotest.(list (pair string int))
+    "restarted once each" [ ("LOOPS", 0); ("K7", 0) ] (List.rev !restarted);
+  check
+    Alcotest.(list string)
+    "no diagnostics" []
+    (List.map (fun d -> d.Diag.code) (Pipeline.diagnostics t));
+  List.iter
+    (fun (key, _) ->
+      check cb (key ^ " analyzed") true (Hashtbl.mem t.Pipeline.analyses key))
+    !restarted
 
 let analysis_fault_degrades () =
   let src = S89_workloads.Demos.fig1 () in
@@ -503,4 +535,6 @@ let suite =
     Alcotest.test_case "pipeline: strict fails fast" `Quick pipeline_strict_fail_fast;
     Alcotest.test_case "pipeline: re-entered loop rejected" `Quick
       reentrant_loop_rejected;
+    Alcotest.test_case "fault: a restart absorbs a drawn fault" `Quick
+      restart_absorbs_fault;
   ]
