@@ -181,7 +181,7 @@ let protect t ~key f =
       (* single attempt, no restarts: a failing probe must not burn the
          full retry schedule against a resource that is still down *)
       t.on_event (Half_opened { key });
-      match f () with
+      match f ~attempt:0 with
       | v ->
           close_after_probe t ~key;
           v
@@ -191,7 +191,7 @@ let protect t ~key f =
   | `Run ->
       let schedule = backoff_schedule t.policy ~key:(Fault.string_key key) in
       let rec go attempt delays =
-        match f () with
+        match f ~attempt with
         | v ->
             record t ~key true;
             v

@@ -68,16 +68,18 @@ val policy : t -> policy
     Pure: same policy, same spec, same key ⟹ same schedule. *)
 val backoff_schedule : policy -> key:int -> float list
 
-(** [protect t ~key f] — run [f], restarting it per the backoff schedule
-    on exceptions ([Fault.Bad_spec] excepted: configuration errors are
-    never retried).  A failure that survives all restarts is recorded
-    against [key]'s breaker and re-raised; a success resets the key.
+(** [protect t ~key f] — run [f ~attempt:0], restarting it as
+    [f ~attempt:1], [f ~attempt:2], ... per the backoff schedule on
+    exceptions ([Fault.Bad_spec] excepted: configuration errors are never
+    retried); a failed attempt's [Restarted] event carries its number.
+    A failure that survives all restarts is recorded against [key]'s
+    breaker and re-raised; a success resets the key.
     Raises {!Circuit_open} immediately when the key's circuit is open.
     Once [policy.cooldown] has elapsed on an open circuit, exactly one
     call is admitted as a half-open probe (single attempt, no restarts):
     success closes the circuit, failure re-opens it for another cooldown
     window; concurrent calls during the probe are still rejected. *)
-val protect : t -> key:string -> (unit -> 'a) -> 'a
+val protect : t -> key:string -> (attempt:int -> 'a) -> 'a
 
 (** Open [key]'s circuit without running anything — used by a resumed
     batch to pre-trip the procedures its journal recorded as failed. *)

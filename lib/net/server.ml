@@ -411,7 +411,7 @@ let run_job t entry =
     set_state t entry Running;
     let should_stop () = Atomic.get t.stopping || expired () in
     match
-      Supervise.protect t.sup ~key:job.tenant (fun () ->
+      Supervise.protect t.sup ~key:job.tenant (fun ~attempt:_ ->
           match
             Service.batch ~fsync:t.config.fsync ~cost_model:t.config.cost_model
               ~should_stop

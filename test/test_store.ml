@@ -373,7 +373,8 @@ let supervise_retry_then_success () =
   in
   let calls = ref 0 in
   let v =
-    Supervise.protect t ~key:"K" (fun () ->
+    Supervise.protect t ~key:"K" (fun ~attempt ->
+        check ci "attempt numbered" !calls attempt;
         incr calls;
         if !calls < 3 then failwith "transient";
         !calls)
@@ -391,14 +392,14 @@ let supervise_breaker_trips () =
       ~on_event:(function Supervise.Tripped _ -> incr tripped | _ -> ())
       ()
   in
-  let boom () = Supervise.protect t ~key:"K" (fun () -> failwith "always") in
+  let boom () = Supervise.protect t ~key:"K" (fun ~attempt:_ -> failwith "always") in
   (match boom () with _ -> () | exception Failure _ -> ());
   (match boom () with _ -> () | exception Failure _ -> ());
   check cb "breaker open after threshold" true (Supervise.breaker_open t ~key:"K");
   check ci "tripped exactly once" 1 !tripped;
   let ran = ref false in
   (match
-     Supervise.protect t ~key:"K" (fun () ->
+     Supervise.protect t ~key:"K" (fun ~attempt:_ ->
          ran := true;
          ())
    with
@@ -410,7 +411,7 @@ let supervise_breaker_trips () =
 let supervise_pre_trip () =
   let t = Supervise.create ~policy:fast_policy () in
   Supervise.trip t ~key:"P";
-  match Supervise.protect t ~key:"P" (fun () -> ()) with
+  match Supervise.protect t ~key:"P" (fun ~attempt:_ -> ()) with
   | () -> Alcotest.fail "pre-tripped key must reject"
   | exception Supervise.Circuit_open _ -> ()
 
@@ -430,7 +431,7 @@ let supervise_half_open_transitions () =
       ~clock:(fun () -> !now) ()
   in
   let fail_once () =
-    try Supervise.protect t ~key:"T" (fun () -> failwith "down")
+    try Supervise.protect t ~key:"T" (fun ~attempt:_ -> failwith "down")
     with Failure _ -> ()
   in
   fail_once ();
@@ -441,7 +442,7 @@ let supervise_half_open_transitions () =
       check cb "remaining cooldown reported" true
         (remaining > 0.0 && remaining <= 10.0)
   | _ -> Alcotest.fail "expected Breaker_open");
-  (match Supervise.protect t ~key:"T" (fun () -> ()) with
+  (match Supervise.protect t ~key:"T" (fun ~attempt:_ -> ()) with
   | () -> Alcotest.fail "open circuit must reject before cooldown"
   | exception Supervise.Circuit_open _ -> ());
   now := 11.0;
@@ -454,8 +455,8 @@ let supervise_half_open_transitions () =
   | _ -> Alcotest.fail "failed probe must re-open");
   now := 22.0;
   (* successful probe closes; a second call DURING the probe rejects *)
-  Supervise.protect t ~key:"T" (fun () ->
-      match Supervise.protect t ~key:"T" (fun () -> ()) with
+  Supervise.protect t ~key:"T" (fun ~attempt:_ ->
+      match Supervise.protect t ~key:"T" (fun ~attempt:_ -> ()) with
       | () -> Alcotest.fail "concurrent call during probe must reject"
       | exception Supervise.Circuit_open _ -> ());
   check cb "closed after successful probe" true
@@ -506,7 +507,7 @@ let supervise_concurrent_tenant_trips () =
       (fun tenant ->
         Domain.spawn (fun () ->
             for _ = 1 to policy.Supervise.breaker_threshold do
-              try Supervise.protect t ~key:tenant (fun () -> failwith tenant)
+              try Supervise.protect t ~key:tenant (fun ~attempt:_ -> failwith tenant)
               with Failure _ | Supervise.Circuit_open _ -> ()
             done;
             Supervise.backoff_schedule policy ~key:(Fault.string_key tenant)))
