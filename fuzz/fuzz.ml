@@ -22,12 +22,14 @@
 
    A fifth class per seed exercises the incremental analysis memo:
    - memo-consistency: replay a seeded edit stream (constant tweaks on
-                generated programs) against one persistent memo,
-                rotating the VM backend per version; every memoized
-                estimate must be byte-identical to a from-scratch
-                analysis of the same version (report, diagnostics,
-                program totals) and no MEMO002 determinism violation
-                may fire.
+                generated programs, then a rename-only edit of their
+                SUBROUTINE) against one persistent memo, rotating the VM
+                backend per version; every memoized estimate must be
+                byte-identical to a from-scratch analysis of the same
+                version (report, rendered twice, diagnostics, program
+                totals), the memoized pipeline's counter plan, counters
+                and reconstructed totals must equal the fresh one's, and
+                no MEMO002 determinism violation may fire.
 
    A sixth class per seed exercises the record codec's three decoders:
    - codec:     WAL records, net frames and v2 profile databases are
@@ -371,6 +373,27 @@ let backend_name = function
   | Interp.Compiled -> "compiled"
   | Interp.Bytecode -> "bytecode"
 
+(* a rename-only edit: the generator's one SUBROUTINE, HELPER, and its
+   call sites get a new name.  Its body fingerprint is unchanged, so the
+   memo answers it with the entry, plan and rendered report lines cached
+   under the old name. *)
+let rename_helper src =
+  let old_name = "HELPER" and new_name = "HELPRR" in
+  let n = String.length old_name in
+  let b = Buffer.create (String.length src) in
+  let i = ref 0 in
+  while !i < String.length src do
+    if !i + n <= String.length src && String.sub src !i n = old_name then begin
+      Buffer.add_string b new_name;
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char b src.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
 (* one persistent memo over a seeded edit stream: every memoized
    analysis must be byte-identical to a from-scratch one *)
 let check_memo_consistency seed : verdict =
@@ -382,8 +405,8 @@ let check_memo_consistency seed : verdict =
   let backends = [| Interp.Tree; Interp.Compiled; Interp.Bytecode |] in
   let src = ref (with_print (Gen.gen_source seed)) in
   let rejected = ref None in
-  for v = 0 to 2 do
-    if v > 0 then src := tweak rng !src;
+  for v = 0 to 3 do
+    if v = 3 then src := rename_helper !src else if v > 0 then src := tweak rng !src;
     match Program.of_source_result !src with
     | Error d -> rejected := Some d.Diag.code (* a tweak broke the program *)
     | Ok _ -> (
@@ -398,6 +421,21 @@ let check_memo_consistency seed : verdict =
               (String.concat ";" (codes memo_t));
           if codes fresh_t = [] then begin
             let profile = Pipeline.profile_smart ~runs:1 ~backend fresh_t in
+            let mprofile = Pipeline.profile_smart ~runs:1 ~backend memo_t in
+            let plan_text (p : Pipeline.profile) =
+              Fmt.str "%a" S89_profiling.Placement.pp p.Pipeline.plan
+            in
+            if plan_text profile <> plan_text mprofile then
+              failf "memoized counter plan differs at version %d" v;
+            if profile.Pipeline.counters <> mprofile.Pipeline.counters then
+              failf "memoized plan's counters differ at version %d (%s backend)" v
+                (backend_name backend);
+            if
+              Database.to_string profile.Pipeline.database
+              <> Database.to_string mprofile.Pipeline.database
+            then
+              failf "memoized plan's reconstructed totals differ at version %d (%s backend)"
+                v (backend_name backend);
             let totals = Database.proc_totals profile.Pipeline.database in
             let fresh = Pipeline.estimate_totals fresh_t ~totals in
             let memod = Pipeline.estimate_totals ~memo memo_t ~totals in
@@ -408,11 +446,15 @@ let check_memo_consistency seed : verdict =
             then
               failf "memoized VAR differs at version %d (%s backend)" v
                 (backend_name backend);
-            let rf = Fmt.str "%a" Report.pp fresh
-            and rm = Fmt.str "%a" Report.pp memod in
-            if rf <> rm then
-              failf "memoized report not byte-identical at version %d (%s backend)"
-                v (backend_name backend);
+            let rf = Fmt.str "%a" Report.pp fresh in
+            (* the first render fills the cached report lines, the second
+               reads them *)
+            List.iter
+              (fun render ->
+                if rf <> Fmt.str "%a" Report.pp memod then
+                  failf "memoized report not byte-identical at version %d, %s render (%s backend)"
+                    v render (backend_name backend))
+              [ "first"; "second" ];
             check_report_shape fresh rf;
             match !memo_diag_codes with
             | [] -> ()

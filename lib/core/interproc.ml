@@ -37,6 +37,7 @@ type proc_est = {
   cost : float array;
   time : Time_est.t;
   variance : Variance.t;
+  rendered : string option Atomic.t option;
 }
 
 type t = {
@@ -197,7 +198,7 @@ let estimate ?(cost_model = Cost_model.optimized) ?(freq_var = Zero)
       Variance.compute ~freq_var:(freq_var_model freq_var name) ~iteration_model
         ?cost_var a freq time
     in
-    { analysis = a; freq; cost; time; variance }
+    { analysis = a; freq; cost; time; variance; rendered = None }
   in
   let commit (p : Program.proc) est =
     Hashtbl.replace per_proc p.Program.name est;
@@ -234,7 +235,9 @@ let estimate ?(cost_model = Cost_model.optimized) ?(freq_var = Zero)
                     commit p
                       { est with analysis = { est.analysis with Analysis.proc = p } }
                 | None ->
-                    let est = estimate_proc p in
+                    let est =
+                      { (estimate_proc p) with rendered = Some (Atomic.make None) }
+                    in
                     h.add key est;
                     commit p est))
         | _ -> assert false

@@ -37,6 +37,14 @@ type proc_est = {
   cost : float array;  (** COST(u) including callee times at call nodes *)
   time : Time_est.t;
   variance : Variance.t;
+  rendered : string option Atomic.t option;
+      (** the report lines {!Report.to_string} prints below this
+          procedure's header line, filled by the first render.  [Some]
+          only on estimates a memo holds: a memo hit copies the record,
+          so the copy shares the cell and its text.  The memo empties
+          the cell when a newer entry replaces this one under the same
+          procedure name; the next render fills it again.  The header is
+          not cached, since a hit may carry another procedure name. *)
 }
 
 type t = {

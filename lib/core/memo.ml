@@ -10,18 +10,25 @@
    therefore invalidates exactly the editing procedure and its callers'
    cone; everything else hits.
 
-   Three cache layers:
+   Five cache layers:
    - [entries]: full {!Interproc.proc_est} results keyed by the full
      fingerprint — a hit skips frequency, cost, TIME and VAR computation
      outright ({!Interproc.estimate}'s [?memo] hooks);
+   - report lines: each entry's [rendered] cell, so also keyed by the
+     full fingerprint, holds the report lines below its procedure
+     header once rendered ({!Report.to_string}); only the newest entry
+     per procedure name keeps them;
    - [analyses]: {!S89_profiling.Analysis.t} keyed by the body
      fingerprint alone — a hit skips the ECFG/CDG/FCDG build
      ({!Pipeline.create}'s [?memo]), which dominates cold analysis;
+   - [plans]: {!Placement.decisions} keyed by the body fingerprint
+     mixed with the opt2/opt3 salt — a hit skips the §3 decision pass,
+     and {!Pipeline.plan} realizes the counters afresh;
    - [statics]: derived static-frequency TOTAL_FREQ tables keyed by the
      body fingerprint mixed with a heuristics salt
      ({!Pipeline.static_totals}).
 
-   A third, persistence-facing layer holds (fingerprint, TIME, VAR)
+   A persistence-facing store holds (fingerprint, TIME, VAR)
    summaries loaded from a store's memo records: full results are not
    serializable (they hold graphs and closures), so a warm start does
    not skip work across processes — instead every recomputation is
@@ -36,6 +43,7 @@ module Program = S89_frontend.Program
 module Ast = S89_frontend.Ast
 module Sema = S89_frontend.Sema
 module Analysis = S89_profiling.Analysis
+module Placement = S89_profiling.Placement
 module Diag = S89_diag.Diag
 
 let fnv64 = S89_util.Codec.fnv64
@@ -45,6 +53,8 @@ type stats = {
   mutable misses : int;
   mutable analysis_hits : int;
   mutable analysis_misses : int;
+  mutable placement_hits : int;
+  mutable placement_misses : int;
   mutable warm_confirmed : int;
   mutable warm_mismatches : int;
 }
@@ -62,6 +72,12 @@ type t = {
   statics : (int64, (Analysis.cond, int) Hashtbl.t) Hashtbl.t;
       (* synthetic TOTAL_FREQ tables, keyed by body fp mixed with a
          heuristics salt (see {!Pipeline.static_totals}) *)
+  plans : (int64, Placement.decisions) Hashtbl.t;
+      (* placement decisions, keyed by body fp mixed with the opt2/opt3
+         salt (see {!placement_cache}) *)
+  newest : (string, Interproc.proc_est) Hashtbl.t;
+      (* the entry last added per procedure name: only it keeps its
+         rendered report lines (see [add]) *)
   on_diag : Diag.t -> unit;
   stats : stats;
   mu : Mutex.t;
@@ -80,6 +96,8 @@ let create ?(on_diag = fun d -> Log.warn (fun m -> m "%a" Diag.pp d)) () =
     fp_cache = Hashtbl.create 64;
     tfp_cache = Hashtbl.create 64;
     statics = Hashtbl.create 64;
+    plans = Hashtbl.create 64;
+    newest = Hashtbl.create 64;
     on_diag;
     stats =
       {
@@ -87,6 +105,8 @@ let create ?(on_diag = fun d -> Log.warn (fun m -> m "%a" Diag.pp d)) () =
         misses = 0;
         analysis_hits = 0;
         analysis_misses = 0;
+        placement_hits = 0;
+        placement_misses = 0;
         warm_confirmed = 0;
         warm_mismatches = 0;
       };
@@ -193,10 +213,19 @@ let find t fp =
           t.stats.misses <- t.stats.misses + 1;
           None)
 
+(* An entry superseded under its procedure name (an edit's dirty cone)
+   is rarely hit again, so it drops its rendered report lines: entries
+   otherwise accumulate a copy of the report per edit.  A later hit on
+   it simply renders again. *)
 let add t fp (est : Interproc.proc_est) =
   locked t (fun () ->
       Hashtbl.replace t.entries fp est;
       let name = est.Interproc.analysis.Analysis.proc.Program.name in
+      (match Hashtbl.find_opt t.newest name with
+      | Some prev ->
+          Option.iter (fun cell -> Atomic.set cell None) prev.Interproc.rendered
+      | None -> ());
+      Hashtbl.replace t.newest name est;
       let time, var = totals_of est in
       let s = { s_name = name; s_time = time; s_var = var } in
       (match Hashtbl.find_opt t.summaries fp with
@@ -249,6 +278,32 @@ let find_static_totals t fp = locked t (fun () -> Hashtbl.find_opt t.statics fp)
 let add_static_totals t fp tbl =
   locked t (fun () -> Hashtbl.replace t.statics fp tbl)
 
+(* ---------------- the placement layer ---------------- *)
+
+(* Placement decisions depend on the analysis, which the analysis layer
+   already keys by body fingerprint, and on opt2/opt3, which the salt
+   carries.  [compute] runs outside the lock: two callers missing the
+   same key compute equal decisions and the later one wins. *)
+let placement_cache t : Placement.cache =
+ fun ~salt a compute ->
+  let key = mix salt [ body_fp_cached t a.Analysis.proc ] in
+  let cached =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.plans key with
+        | Some d ->
+            t.stats.placement_hits <- t.stats.placement_hits + 1;
+            Some d
+        | None ->
+            t.stats.placement_misses <- t.stats.placement_misses + 1;
+            None)
+  in
+  match cached with
+  | Some d -> d
+  | None ->
+      let d = compute () in
+      locked t (fun () -> Hashtbl.replace t.plans key d);
+      d
+
 (* ---------------- persistence glue ---------------- *)
 
 let load_summary t ~fp ~name ~time ~var =
@@ -286,13 +341,15 @@ let reset_stats t =
       t.stats.misses <- 0;
       t.stats.analysis_hits <- 0;
       t.stats.analysis_misses <- 0;
+      t.stats.placement_hits <- 0;
+      t.stats.placement_misses <- 0;
       t.stats.warm_confirmed <- 0;
       t.stats.warm_mismatches <- 0)
 
 let pp_stats fmt t =
   let s = t.stats in
   Fmt.pf fmt
-    "memo: %d hits, %d misses (dirty cone), %d/%d analysis hits/misses, %d \
-     warm-confirmed, %d mismatches"
-    s.hits s.misses s.analysis_hits s.analysis_misses s.warm_confirmed
-    s.warm_mismatches
+    "memo: %d hits, %d misses (dirty cone), %d/%d analysis hits/misses, %d/%d \
+     placement hits/misses, %d warm-confirmed, %d mismatches"
+    s.hits s.misses s.analysis_hits s.analysis_misses s.placement_hits
+    s.placement_misses s.warm_confirmed s.warm_mismatches

@@ -7,6 +7,7 @@
 
 module Program = S89_frontend.Program
 module Analysis = S89_profiling.Analysis
+module Placement = S89_profiling.Placement
 module Diag = S89_diag.Diag
 
 type t
@@ -16,6 +17,8 @@ type stats = {
   mutable misses : int;  (** dirty-cone recomputations *)
   mutable analysis_hits : int;  (** ECFG/CDG/FCDG builds skipped *)
   mutable analysis_misses : int;
+  mutable placement_hits : int;  (** placement decisions reused *)
+  mutable placement_misses : int;
   mutable warm_confirmed : int;
       (** recomputations that matched a persisted summary *)
   mutable warm_mismatches : int;  (** [MEMO002] determinism violations *)
@@ -62,6 +65,11 @@ val add_analysis : t -> int64 -> Analysis.t -> unit
 val find_static_totals : t -> int64 -> (Analysis.cond, int) Hashtbl.t option
 
 val add_static_totals : t -> int64 -> (Analysis.cond, int) Hashtbl.t -> unit
+
+(** The placement layer, as {!Placement.plan}'s [?cache]: decisions
+    keyed by {!body_fp} mixed with the placement salt, counted in
+    [placement_hits]/[placement_misses]. *)
+val placement_cache : t -> Placement.cache
 
 (** {1 Persistence} *)
 

@@ -29,6 +29,7 @@ type t = {
   prog : Program.t;
   analyses : (string, Analysis.t) Hashtbl.t;
   diags : Diag.t list;
+  memo : Memo.t option;
 }
 
 (* per-procedure analysis failure -> structured diagnostic *)
@@ -130,7 +131,7 @@ let create ?(strict = false) ?supervisor ?journal ?memo (prog : Program.t) :
           Log.warn (fun m -> m "%a" Diag.pp d);
           diags := d :: !diags)
     results;
-  { prog; analyses; diags = List.rev !diags }
+  { prog; analyses; diags = List.rev !diags; memo }
 
 let diagnostics t = t.diags
 
@@ -169,11 +170,18 @@ type profile = {
   avg_cycles : float; (* instrumented cycles per run *)
 }
 
+(* smart counter placement; a pipeline created with a memo reuses the
+   decisions of every procedure body the memo has planned before *)
+let plan ?(second_moments = true) t =
+  Placement.plan ~second_moments
+    ?cache:(Option.map Memo.placement_cache t.memo)
+    t.analyses
+
 (* profile with smart instrumentation over [runs] runs (seeds vary) *)
 let profile_smart ?(cost_model = Cost_model.optimized) ?(runs = 1) ?(seed = 1)
-    ?(second_moments = true) ?(backend = Interp.default_config.Interp.backend) t
+    ?second_moments ?(backend = Interp.default_config.Interp.backend) t
     : profile =
-  let plan = Placement.plan ~second_moments t.analyses in
+  let plan = plan ?second_moments t in
   let sums = Array.make (Placement.n_counters plan) 0 in
   let cycles = ref 0 in
   for r = 0 to runs - 1 do

@@ -17,6 +17,9 @@ type t = {
   diags : Diag.t list;
       (** one diagnostic per procedure whose analysis failed (empty under
           [~strict:true], which fails fast instead) *)
+  memo : Memo.t option;
+      (** the memo {!create} was given; {!plan} reuses its placement
+          decisions *)
 }
 
 (** Build the analyses for an already-lowered program.
@@ -82,6 +85,13 @@ val run_once :
   t ->
   Interp.t
 
+(** The §3-optimized counter placement for the pipeline's analyses
+    ([second_moments] as in {!Placement.plan}, default true).  A pipeline
+    created with a memo takes each procedure's decisions from the memo's
+    placement layer when its body was planned before; the plan itself —
+    counter ids, probes, derivations — is the same either way. *)
+val plan : ?second_moments:bool -> t -> Placement.t
+
 (** The result of profiling with optimized counters. *)
 type profile = {
   plan : Placement.t;
@@ -94,7 +104,8 @@ type profile = {
 }
 
 (** Run [runs] instrumented executions (seeds [seed], [seed+1], ...) with
-    the §3-optimized counter placement, sum the counters, reconstruct.
+    the §3-optimized counter placement ({!plan}), sum the counters,
+    reconstruct.
     [second_moments] additionally tracks [Σ(trips+1)²] per exit-free DO
     loop for loop-frequency variance. *)
 val profile_smart :

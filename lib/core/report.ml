@@ -48,10 +48,10 @@ let add_spaces b n =
     Buffer.add_char b ' '
   done
 
-(* [procedure NAME: TIME(START)=.. STD_DEV(START)=..], then per node in
-   topological order [  %3d %-34s [COST, TIME, E[T²], VAR, STD_DEV]] and
-   per out-edge [        -L-> v  <FREQ, TOTAL_FREQ>] *)
-let add_proc b (est : Interproc.proc_est) =
+(* per node in topological order [  %3d %-34s [COST, TIME, E[T²], VAR,
+   STD_DEV]] and per out-edge [        -L-> v  <FREQ, TOTAL_FREQ>], each
+   on a line of its own *)
+let add_body b (est : Interproc.proc_est) =
   let a = est.Interproc.analysis in
   let fcdg = a.Analysis.fcdg in
   let freq = est.Interproc.freq and time = est.Interproc.time in
@@ -60,12 +60,6 @@ let add_proc b (est : Interproc.proc_est) =
     Buffer.add_string b ", ";
     add_number b x
   in
-  Buffer.add_string b "procedure ";
-  Buffer.add_string b a.Analysis.proc.Program.name;
-  Buffer.add_string b ": TIME(START)=";
-  add_number b (Time_est.total_time time a);
-  Buffer.add_string b " STD_DEV(START)=";
-  add_number b (Variance.total_std_dev var a);
   Array.iter
     (fun u ->
       Buffer.add_string b "\n  ";
@@ -96,6 +90,30 @@ let add_proc b (est : Interproc.proc_est) =
           Buffer.add_char b '>')
         (Fcdg.out_edges fcdg u))
     (Fcdg.topological fcdg)
+
+(* [procedure NAME: TIME(START)=.. STD_DEV(START)=..], then the body.
+   The header is always rendered: a memo hit may bind the estimate to
+   another name.  The body of a memo-held estimate is rendered once and
+   then copied from its cell. *)
+let add_proc b (est : Interproc.proc_est) =
+  let a = est.Interproc.analysis in
+  Buffer.add_string b "procedure ";
+  Buffer.add_string b a.Analysis.proc.Program.name;
+  Buffer.add_string b ": TIME(START)=";
+  add_number b (Time_est.total_time est.Interproc.time a);
+  Buffer.add_string b " STD_DEV(START)=";
+  add_number b (Variance.total_std_dev est.Interproc.variance a);
+  match est.Interproc.rendered with
+  | None -> add_body b est
+  | Some cell -> (
+      match Atomic.get cell with
+      | Some text -> Buffer.add_string b text
+      | None ->
+          let start = Buffer.length b in
+          add_body b est;
+          ignore
+            (Atomic.compare_and_set cell None
+               (Some (Buffer.sub b start (Buffer.length b - start)))))
 
 let to_string (t : Interproc.t) =
   (* about 64 bytes a node line and 32 an edge line: one allocation on

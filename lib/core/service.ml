@@ -25,7 +25,6 @@
 module Supervise = S89_exec.Supervise
 module Store = S89_store.Store
 module Database = S89_profiling.Database
-module Placement = S89_profiling.Placement
 module Cost_model = S89_vm.Cost_model
 module Diag = S89_diag.Diag
 
@@ -147,7 +146,7 @@ let batch ?(policy = Supervise.default_policy) ?(on_event = log_event)
         with
         | Error d -> Error d
         | Ok pipe ->
-            let plan = Placement.plan ~second_moments:true pipe.Pipeline.analyses in
+            let plan = Pipeline.plan ~second_moments:true pipe in
             let stopped = ref false in
             (try
                for r = Store.runs store to runs - 1 do

@@ -283,13 +283,13 @@ let add_real b r =
   b.nreals <- b.nreals + 1;
   b.nreals - 1
 
-(* Decimal digits [s.[i .. j-1]] as an int, failing as [int_of_string]
-   does past [max_int]. *)
-let int_in_place s i j =
+(* Decimal digits [s.[i .. j-1]] as an int; a value past [max_int] is a
+   lexical error on [line]. *)
+let int_in_place s i j ~line =
   let v = ref 0 in
   for k = i to j - 1 do
     let d = Char.code s.[k] - Char.code '0' in
-    if !v > (max_int - d) / 10 then failwith "int_of_string";
+    if !v > (max_int - d) / 10 then raise (Error ("integer constant out of range", line));
     v := (!v * 10) + d
   done;
   !v
@@ -391,7 +391,7 @@ let tokenize (src : string) : tokens =
         let text = String.map (function 'd' | 'D' -> 'e' | ch -> ch) text in
         push Kind.REAL (add_real b (float_of_string text))
       end
-      else push Kind.INT (int_in_place src start !i)
+      else push Kind.INT (int_in_place src start !i ~line:!line)
     end
     else if c = '.' then begin
       let w = dotted_word_at src (!i + 1) in

@@ -23,24 +23,32 @@ type cond = Analysis.cond
 
 type t = {
   mutable runs : int;
-  sums : (string * cond, int) Hashtbl.t;
+  sums : (string, (cond, int) Hashtbl.t) Hashtbl.t; (* per procedure *)
 }
 
 let create () = { runs = 0; sums = Hashtbl.create 64 }
 
 let runs t = t.runs
 
+let sums_of t proc =
+  match Hashtbl.find_opt t.sums proc with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 64 in
+      Hashtbl.replace t.sums proc tbl;
+      tbl
+
+let add_sum tbl cond v =
+  let prev = match Hashtbl.find_opt tbl cond with Some p -> p | None -> 0 in
+  Hashtbl.replace tbl cond (prev + v)
+
 (* fold one run's per-procedure totals into the database *)
 let accumulate t (per_proc : (string, (cond, int) Hashtbl.t) Hashtbl.t) =
   t.runs <- t.runs + 1;
   Hashtbl.iter
     (fun proc tbl ->
-      Hashtbl.iter
-        (fun cond v ->
-          let key = (proc, cond) in
-          let prev = match Hashtbl.find_opt t.sums key with Some p -> p | None -> 0 in
-          Hashtbl.replace t.sums key (prev + v))
-        tbl)
+      let into = sums_of t proc in
+      Hashtbl.iter (add_sum into) tbl)
     per_proc
 
 (* accumulated totals of one procedure, for feeding Freq.compute; since
@@ -50,10 +58,10 @@ let accumulate t (per_proc : (string, (cond, int) Hashtbl.t) Hashtbl.t) =
    accumulation) — byte-identical estimates across resumes rely on it. *)
 let proc_totals t proc : (cond, int) Hashtbl.t =
   let entries =
-    Hashtbl.fold
-      (fun (p, cond) v acc -> if p = proc then (cond, v) :: acc else acc)
-      t.sums []
-    |> List.sort compare
+    match Hashtbl.find_opt t.sums proc with
+    | None -> []
+    | Some tbl ->
+        Hashtbl.fold (fun cond v acc -> (cond, v) :: acc) tbl [] |> List.sort compare
   in
   let out = Hashtbl.create 64 in
   List.iter (fun (cond, v) -> Hashtbl.replace out cond v) entries;
@@ -62,9 +70,9 @@ let proc_totals t proc : (cond, int) Hashtbl.t =
 let merge ~into:(a : t) (b : t) =
   a.runs <- a.runs + b.runs;
   Hashtbl.iter
-    (fun key v ->
-      let prev = match Hashtbl.find_opt a.sums key with Some p -> p | None -> 0 in
-      Hashtbl.replace a.sums key (prev + v))
+    (fun proc tbl ->
+      let into = sums_of a proc in
+      Hashtbl.iter (add_sum into) tbl)
     b.sums
 
 (* ---------------- (de)serialization ---------------- *)
@@ -98,7 +106,11 @@ let to_string t =
   Printf.bprintf buf "%s %d\n" magic format_version;
   Printf.bprintf buf "run-count %d\n" t.runs;
   let entries =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sums [] |> List.sort compare
+    Hashtbl.fold
+      (fun proc tbl acc ->
+        Hashtbl.fold (fun cond v acc -> ((proc, cond), v) :: acc) tbl acc)
+      t.sums []
+    |> List.sort compare
   in
   List.iter
     (fun ((proc, (node, label)), v) ->
@@ -134,7 +146,7 @@ let parse_row t lineno line : (unit, int * string) result =
   | [ "total"; proc; node; label; v ] -> (
       match (int_of_string_opt node, label_of_string label, int_of_string_opt v) with
       | Some node, Some label, Some v ->
-          Hashtbl.replace t.sums (proc, (node, label)) v;
+          Hashtbl.replace (sums_of t proc) (node, label) v;
           Ok ()
       | _ -> Error (lineno, "bad total row: " ^ line))
   | [] | [ "" ] -> Ok ()

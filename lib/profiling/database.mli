@@ -6,7 +6,8 @@ type cond = Analysis.cond
 
 type t = {
   mutable runs : int;
-  sums : (string * cond, int) Hashtbl.t;
+  sums : (string, (cond, int) Hashtbl.t) Hashtbl.t;
+      (** per procedure, so {!proc_totals} reads one procedure's rows *)
 }
 
 val create : unit -> t

@@ -251,7 +251,7 @@ let settle ps =
          end);
   ps.drops <- List.filteri (fun i _ -> not remeasured.(i)) ps.drops
 
-let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
+let plan_state ~opt2 ~opt3 (a : Analysis.t) : plan_state =
   let ecfg = a.Analysis.ecfg in
   let cfg = a.Analysis.proc.Program.cfg in
   let real_conds =
@@ -388,14 +388,35 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
   settle ps;
   ps
 
+(* What [plan_state] decided, in the form realization reads: the real
+   conditions left measured, in [real_conds] order, each with its bulk
+   expression if optimization 3 realizes it as a bulk add, and the drops
+   with their derivations.  It names nodes and labels only, so it is a
+   function of the analysis and [opt2]/[opt3] alone. *)
+type decisions = {
+  measure : (cond * Ast.expr option) list;
+  derived : (cond * derivation) list;
+}
+
+type cache = salt:string -> Analysis.t -> (unit -> decisions) -> decisions
+
+let plan_proc ~opt2 ~opt3 a : decisions =
+  let ps = plan_state ~opt2 ~opt3 a in
+  { measure =
+      List.filter_map
+        (fun c ->
+          if Hashtbl.mem ps.dropped c then None else Some (c, Hashtbl.find_opt ps.bulk c))
+        ps.real_conds;
+    derived = ps.drops }
+
 (* ---------------- probe realization ---------------- *)
 
-let realize (a : Analysis.t) probes ~counter c bulk_exprs : realization =
+let realize (a : Analysis.t) probes ~counter c bulk : realization =
   let proc = a.Analysis.proc in
   let cfg = proc.Program.cfg in
   let name = proc.Program.name in
   let num_nodes = Cfg.num_nodes cfg in
-  match Hashtbl.find_opt bulk_exprs c with
+  match bulk with
   | Some expr ->
       (* the loop header: the condition is either the preheader's (ph,U) or
          the header's own body condition (h,T) *)
@@ -428,7 +449,11 @@ let realize (a : Analysis.t) probes ~counter c bulk_exprs : realization =
 
 (* ---------------- whole-program plan ---------------- *)
 
-let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false)
+(* Without a [cache] every procedure is planned afresh; with one, the
+   decisions come from [cache ~salt a compute], which may return those
+   of an earlier analysis of the same body.  Counter ids and probes are
+   always realized here, against [a], in procedure-name order. *)
+let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false) ?cache
     (analyses : (string, Analysis.t) Hashtbl.t) : t =
   let names = Hashtbl.fold (fun k _ acc -> k :: acc) analyses [] |> List.sort compare in
   let next_counter = ref 0 in
@@ -439,16 +464,23 @@ let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false)
   in
   let probes = Probe.make ~n_counters:0 in
   let plans = Hashtbl.create 8 in
+  let decide =
+    match cache with
+    | None -> plan_proc ~opt2 ~opt3
+    | Some cache ->
+        let salt = Printf.sprintf "placement %b %b" opt2 opt3 in
+        fun a -> cache ~salt a (fun () -> plan_proc ~opt2 ~opt3 a)
+  in
   List.iter
     (fun name ->
       let a = Hashtbl.find analyses name in
-      let ps = plan_proc ~opt2 ~opt3 a in
+      let d = decide a in
       let measured =
-        List.filter (fun c -> not (Hashtbl.mem ps.dropped c)) ps.real_conds
-        |> List.map (fun c ->
-               let id = fresh () in
-               let r = realize a probes ~counter:id c ps.bulk in
-               (c, id, r))
+        List.map
+          (fun (c, bulk) ->
+            let id = fresh () in
+            (c, id, realize a probes ~counter:id c bulk))
+          d.measure
       in
       let second_moment =
         if not second_moments then []
@@ -477,7 +509,7 @@ let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false)
             (Analysis.exit_free_do_headers a)
       in
       Hashtbl.replace plans name
-        { analysis = a; measured; derived = ps.drops; second_moment })
+        { analysis = a; measured; derived = d.derived; second_moment })
     names;
   {
     probes = { probes with Probe.n_counters = !next_counter };

@@ -47,14 +47,31 @@ type proc_plan = {
 
 type t
 
+(** One procedure's placement decisions: which conditions stay measured
+    (with their bulk expressions) and which are derived, and how.  They
+    are a function of the analysis and [opt2]/[opt3] alone, with no
+    counter ids or procedure name in them. *)
+type decisions
+
+(** A store for {!decisions}: [cache ~salt a compute] returns the
+    decisions for [a], either from an earlier analysis of the same body
+    under the same [salt] (which encodes [opt2]/[opt3]) or by calling
+    [compute].  {!S89_core.Memo} implements it, keyed by body
+    fingerprint. *)
+type cache = salt:string -> Analysis.t -> (unit -> decisions) -> decisions
+
 (** Plan counters for a whole program.  [opt2]/[opt3] toggle the paper's
     optimizations (both default true; opt1 is structural).
     [second_moments] adds Σ(trips+1)² bulk counters per exit-free DO loop
-    for loop-frequency variance (§5). *)
+    for loop-frequency variance (§5).  [cache] lets procedures whose
+    bodies were planned before reuse their decisions; counter ids and
+    probes are realized afresh either way, so the plan is the same with
+    or without it. *)
 val plan :
   ?opt2:bool ->
   ?opt3:bool ->
   ?second_moments:bool ->
+  ?cache:cache ->
   (string, Analysis.t) Hashtbl.t ->
   t
 

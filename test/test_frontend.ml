@@ -533,25 +533,29 @@ let golden_frontend () =
     (frontend_digest (golden_sources ()))
 
 (* (code, line, message) of every rejected fuzz input: the fuzzer's
-   line mutations and byte flips of generated programs, seeds 1-500.
-   An exception that escapes the diagnostic shim is pinned too. *)
+   line mutations and byte flips of generated programs, seeds 1-500,
+   then an INT literal and a statement label past [max_int].  An
+   exception that escapes the diagnostic shim is pinned too. *)
 let golden_diagnostics () =
   let b = Buffer.create 4096 and rejected = ref 0 in
+  let add input =
+    match Program.of_source_result input with
+    | Ok _ -> Buffer.add_string b "ok\n"
+    | Error (d : S89_diag.Diag.t) ->
+        incr rejected;
+        Printf.bprintf b "%s %s %s\n" d.code
+          (match d.line with Some l -> string_of_int l | None -> "-")
+          d.message
+    | exception e -> Printf.bprintf b "exn %s\n" (Printexc.to_string e)
+  in
   for seed = 1 to 500 do
     let src = Gen_prog.gen_source seed in
-    List.iter
-      (fun input ->
-        match Program.of_source_result input with
-        | Ok _ -> Buffer.add_string b "ok\n"
-        | Error (d : S89_diag.Diag.t) ->
-            incr rejected;
-            Printf.bprintf b "%s %s %s\n" d.code
-              (match d.line with Some l -> string_of_int l | None -> "-")
-              d.message
-        | exception e -> Printf.bprintf b "exn %s\n" (Printexc.to_string e))
-      [ Gen_prog.mutate seed src; Gen_prog.corrupt seed src ]
+    List.iter add [ Gen_prog.mutate seed src; Gen_prog.corrupt seed src ]
   done;
-  check Alcotest.(pair string int) "diagnostics" ("12aaa6fbc76d1bb3", 893)
+  List.iter add
+    [ "      PROGRAM A\n      I = 99999999999999999999\n      END\n";
+      "      PROGRAM A\n      X = 1.0\n99999999999999999999 CONTINUE\n      END\n" ];
+  check Alcotest.(pair string int) "diagnostics" ("5384d075a4a90a92", 895)
     (Codec.fnv64_hex (Buffer.contents b), !rejected)
 
 let suite =

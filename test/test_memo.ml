@@ -126,6 +126,76 @@ let analysis_layer_hits_on_unchanged_bodies () =
   check ci "only the edited body rebuilds its analysis" 1 s.Memo.analysis_misses;
   check ci "unchanged bodies reuse theirs" 3 s.Memo.analysis_hits
 
+(* ---------------- derived products: placement and report ---------------- *)
+
+let plan_text t = Fmt.str "%a" S89_profiling.Placement.pp (Pipeline.plan t)
+
+let placement_layer_replans_only_changed_bodies () =
+  let memo = Memo.create () in
+  let cold = plan_text (Pipeline.of_source ~memo src_v1) in
+  let s = Memo.stats memo in
+  check ci "cold: every procedure is planned" 4 s.Memo.placement_misses;
+  check cs "memoized plan = plan without a memo" (plan_text (Pipeline.of_source src_v1))
+    cold;
+  Memo.reset_stats memo;
+  let warm = plan_text (Pipeline.of_source ~memo src_v2) in
+  let s = Memo.stats memo in
+  check ci "only the edited body is re-planned" 1 s.Memo.placement_misses;
+  check ci "unchanged bodies reuse their decisions" 3 s.Memo.placement_hits;
+  check cs "memoized plan after an edit = plan without a memo"
+    (plan_text (Pipeline.of_source src_v2))
+    warm;
+  Memo.reset_stats memo;
+  (* the renamed BB reuses B's decisions under its new name *)
+  let renamed = plan_text (Pipeline.of_source ~memo src_v3) in
+  check ci "a rename re-plans only the renaming caller" 1
+    (Memo.stats memo).Memo.placement_misses;
+  check cs "memoized plan after a rename = plan without a memo"
+    (plan_text (Pipeline.of_source src_v3))
+    renamed
+
+let rendered_cells (est : Interproc.t) =
+  Hashtbl.fold
+    (fun name (pe : Interproc.proc_est) acc ->
+      let state =
+        match pe.Interproc.rendered with
+        | None -> "none"
+        | Some cell -> (
+            match Atomic.get cell with None -> "empty" | Some _ -> "filled")
+      in
+      (name ^ " " ^ state) :: acc)
+    est.Interproc.per_proc []
+  |> List.sort compare
+
+let report_bodies_cached_only_under_a_memo () =
+  let plain = estimate src_v1 in
+  let text = report plain in
+  check csl "estimates made without a memo keep no rendered copy"
+    [ "A none"; "B none"; "C none"; "MAIN none" ]
+    (rendered_cells plain);
+  let memo = Memo.create () in
+  let memod = estimate ~memo src_v1 in
+  check csl "a memo-held estimate starts with an empty cell"
+    [ "A empty"; "B empty"; "C empty"; "MAIN empty" ]
+    (rendered_cells memod);
+  check cs "first render = render without a memo" text (report memod);
+  check csl "the first render fills every cell"
+    [ "A filled"; "B filled"; "C filled"; "MAIN filled" ]
+    (rendered_cells memod);
+  check cs "second render = render without a memo" text (report memod);
+  (* BB hits B's entry: its body comes from B's cell, its header from
+     the new name *)
+  let renamed = estimate ~memo src_v3 in
+  check csl "the hit shares the filled cell, the cone's misses start empty"
+    [ "A empty"; "BB filled"; "C filled"; "MAIN empty" ]
+    (rendered_cells renamed);
+  check csl "entries superseded under their name drop their lines"
+    [ "A empty"; "B filled"; "C filled"; "MAIN empty" ]
+    (rendered_cells memod);
+  check cs "renamed: memoized report = report without a memo"
+    (report (estimate src_v3))
+    (report renamed)
+
 (* ---------------- warm-start summary validation ---------------- *)
 
 let warm_summaries_confirm_and_mismatch () =
@@ -225,18 +295,22 @@ let torn_memo_record_recovers () =
 (* Two seeded edit streams over generated programs (48 procedures of
    8 statements with fan-out 12, and 96 of 4 with fan-out 24), each
    edit a constant change in one procedure.  One memo, primed on the
-   unedited program, serves every re-analysis; its exact hit and miss
-   counts are pinned (hit rates 92% and 96%), and the final program's
-   memoized report must equal the from-scratch one byte for byte. *)
+   unedited program, serves every re-analysis, placement included; its
+   exact hit and miss counts are pinned (hit rates 92% and 96%), each
+   edit re-builds and re-plans exactly its one changed body, and the
+   final program's memoized plan and report must equal the from-scratch
+   ones byte for byte. *)
 let edit_stream_hits () =
   List.iter
-    (fun (procs, size, fan, edits, hits, misses) ->
+    (fun (procs, size, fan, edits, hits, misses, layer_hits) ->
       let consts = Array.make procs 1 in
       let parse () =
         Program.of_source (Gen_prog.gen_incremental_source ~size ~fan ~consts 77)
       in
+      let plans = ref [] in
       let analyze ?memo prog =
         let t = Pipeline.create ?memo prog in
+        plans := plan_text t :: !plans;
         Pipeline.estimate_totals ?memo t ~totals:(Pipeline.static_totals ?memo t)
       in
       let rng = S89_util.Prng.create ~seed:0xed17 in
@@ -252,10 +326,19 @@ let edit_stream_hits () =
       let label = Printf.sprintf "%d procedures" procs in
       check ci (label ^ ": hits") hits st.Memo.hits;
       check ci (label ^ ": misses") misses st.Memo.misses;
+      check ci (label ^ ": analysis hits") layer_hits st.Memo.analysis_hits;
+      check ci (label ^ ": analysis misses") edits st.Memo.analysis_misses;
+      check ci (label ^ ": placement hits") layer_hits st.Memo.placement_hits;
+      check ci (label ^ ": placement misses, one per changed body") edits
+        st.Memo.placement_misses;
       let final = parse () in
       check cs (label ^ ": memoized = from scratch") (report (analyze final))
-        (report (analyze ~memo final)))
-    [ (48, 8, 12, 10, 458, 42); (96, 4, 24, 12, 1134, 42) ]
+        (report (analyze ~memo final));
+      match !plans with
+      | memoized :: scratch :: _ ->
+          check cs (label ^ ": memoized plan = from scratch") scratch memoized
+      | _ -> assert false)
+    [ (48, 8, 12, 10, 458, 42, 490); (96, 4, 24, 12, 1134, 42, 1164) ]
 
 let suite =
   [
@@ -267,6 +350,10 @@ let suite =
       rename_hits_callers_miss;
     Alcotest.test_case "analysis layer rebuilds only changed bodies" `Quick
       analysis_layer_hits_on_unchanged_bodies;
+    Alcotest.test_case "placement layer re-plans only changed bodies" `Quick
+      placement_layer_replans_only_changed_bodies;
+    Alcotest.test_case "report bodies are cached only under a memo" `Quick
+      report_bodies_cached_only_under_a_memo;
     Alcotest.test_case "warm summaries confirm; stale ones raise MEMO002" `Quick
       warm_summaries_confirm_and_mismatch;
     Alcotest.test_case "conflicting summary loads raise MEMO001" `Quick
