@@ -24,8 +24,7 @@ val body_label : Label.t
     @raise Invalid_cfg if {!Cfg.validate} fails. *)
 val extend : ?empty:'a -> 'a Cfg.t -> 'a t
 
-(** The extended graph, frozen ({!Cfg.freeze}).  Entry is START, the only
-    exit is STOP. *)
+(** The extended graph.  Entry is START, the only exit is STOP. *)
 val cfg : 'a t -> 'a Cfg.t
 
 val start : 'a t -> int

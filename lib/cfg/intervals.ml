@@ -9,7 +9,8 @@
    the natural loops of all back edges into [h]; the whole procedure body is
    the outermost interval, headed by the entry node (the paper's
    HDR_PARENT(h) = 0 case).  The entry must have no predecessors
-   (Cfg.normalize_entry) so it can never itself be a loop header.
+   (lowering's ENTRY node has none) so it can never itself be a loop
+   header.
 
    One DFS and one dominator tree do all the work:
    - reducibility (Hecht–Ullman): the graph is reducible iff every
@@ -42,11 +43,10 @@ type t = {
 }
 
 let compute (type a) (cfg : a Cfg.t) =
-  let g = Cfg.graph cfg in
+  let c = Cfg.graph cfg in
   let entry = Cfg.entry cfg in
-  let c = Digraph.csr g in
   let n = c.n in
-  let num = Dfs.number_csr c ~root:entry in
+  let num = Dfs.number c ~root:entry in
   let dom = Dominator.of_dfs c num in
   (* back-edge sources per header, in edge order (by source, then slot);
      a retreating edge whose target does not dominate its source makes
@@ -67,7 +67,7 @@ let compute (type a) (cfg : a Cfg.t) =
       (Irreducible
          (List.map
             (fun (e : Label.t Digraph.edge) -> (e.src, e.dst))
-            (Reducibility.offending_edges g ~root:entry)));
+            (Reducibility.offending_edges c ~root:entry)));
   if c.pred_off.(entry + 1) > c.pred_off.(entry) then raise (Entry_has_preds entry);
   let is_hdr v = back.(v) <> [] in
   (* union-find: [uf] links each collapsed node to the header of the loop

@@ -2,7 +2,8 @@
     forest plus the paper's [HDR] / [HDR_PARENT] / [HDR_LCA] mappings.
 
     The whole procedure body is the outermost interval, headed by the entry
-    node.  The entry must have no predecessors ({!Cfg.normalize_entry}).
+    node.  The entry must have no predecessors (lowering's ENTRY node has
+    none).
 
     {!compute} takes one DFS and one dominator tree: reducibility is the
     Hecht–Ullman test (every DFS retreating edge must be a back edge), and
@@ -18,7 +19,7 @@ open S89_graph
 (** The CFG is irreducible; carries witness retreating edges [(src, dst)]. *)
 exception Irreducible of (int * int) list
 
-(** The entry node has predecessors; normalize first. *)
+(** The entry node has predecessors. *)
 exception Entry_has_preds of int
 
 type t

@@ -54,6 +54,7 @@ let add_spaces b n =
 let add_body b (est : Interproc.proc_est) =
   let a = est.Interproc.analysis in
   let fcdg = a.Analysis.fcdg in
+  let g = Fcdg.graph fcdg in
   let freq = est.Interproc.freq and time = est.Interproc.time in
   let var = est.Interproc.variance in
   let add_value x =
@@ -76,19 +77,18 @@ let add_body b (est : Interproc.proc_est) =
       add_value (Variance.var var u);
       add_value (Variance.std_dev var u);
       Buffer.add_char b ']';
-      List.iter
-        (fun (e : Label.t S89_graph.Digraph.edge) ->
-          Buffer.add_string b "\n        -";
-          Label.add b e.label;
-          Buffer.add_string b "-> ";
-          Decimal.add_int b e.dst;
-          Buffer.add_string b "  <";
-          let c = (u, e.label) in
-          Decimal.add_g4 b (Freq.freq freq c);
-          Buffer.add_string b ", ";
-          Decimal.add_int b (Freq.total freq c);
-          Buffer.add_char b '>')
-        (Fcdg.out_edges fcdg u))
+      for k = g.succ_off.(u) to g.succ_off.(u + 1) - 1 do
+        Buffer.add_string b "\n        -";
+        Label.add b g.succ_lbl.(k);
+        Buffer.add_string b "-> ";
+        Decimal.add_int b g.succ_dst.(k);
+        Buffer.add_string b "  <";
+        let c = (u, g.succ_lbl.(k)) in
+        Decimal.add_g4 b (Freq.freq freq c);
+        Buffer.add_string b ", ";
+        Decimal.add_int b (Freq.total freq c);
+        Buffer.add_char b '>'
+      done)
     (Fcdg.topological fcdg)
 
 (* [procedure NAME: TIME(START)=.. STD_DEV(START)=..], then the body.

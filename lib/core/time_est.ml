@@ -23,13 +23,13 @@ let compute (analysis : Analysis.t) (freq : Freq.t) ~(cost : float array) : t =
   let fcdg = analysis.Analysis.fcdg in
   let n = Array.length cost in
   let time = Array.make n 0.0 in
+  let g = Fcdg.graph fcdg in
   Array.iter
     (fun u ->
       let acc = ref cost.(u) in
-      List.iter
-        (fun (e : S89_cfg.Label.t S89_graph.Digraph.edge) ->
-          acc := !acc +. (Freq.freq freq (u, e.label) *. time.(e.dst)))
-        (Fcdg.out_edges fcdg u);
+      for k = g.succ_off.(u) to g.succ_off.(u + 1) - 1 do
+        acc := !acc +. (Freq.freq freq (u, g.succ_lbl.(k)) *. time.(g.succ_dst.(k)))
+      done;
       time.(u) <- !acc)
     (Fcdg.bottom_up fcdg);
   { time; cost }

@@ -61,6 +61,24 @@ let callees_of_proc by_name (p : proc) =
   done;
   List.rev !acc
 
+(* The program over [procs]: name tables and the call graph. *)
+let assemble procs main =
+  let by_name = Hashtbl.create 8 and index = Hashtbl.create 8 in
+  Array.iteri
+    (fun i p ->
+      Hashtbl.replace by_name p.name p;
+      Hashtbl.replace index p.name i)
+    procs;
+  let b = Digraph.Builder.create () in
+  ignore (Digraph.Builder.add_nodes b (Array.length procs));
+  Array.iteri
+    (fun i p ->
+      List.iter
+        (fun callee -> Digraph.Builder.add_edge b ~src:i ~dst:(Hashtbl.find index callee) ~label:())
+        (callees_of_proc by_name p))
+    procs;
+  { procs; by_name; index; main; call_graph = Digraph.Builder.freeze b }
+
 let of_sema (penv : Sema.program_env) : t =
   let procs =
     List.map
@@ -76,24 +94,7 @@ let of_sema (penv : Sema.program_env) : t =
       penv.Sema.units
     |> Array.of_list
   in
-  let by_name = Hashtbl.create 8 and index = Hashtbl.create 8 in
-  Array.iteri
-    (fun i p ->
-      Hashtbl.replace by_name p.name p;
-      Hashtbl.replace index p.name i)
-    procs;
-  let call_graph = Digraph.create () in
-  ignore (Digraph.add_nodes call_graph (Array.length procs));
-  Array.iteri
-    (fun i p ->
-      List.iter
-        (fun callee ->
-          let j = Hashtbl.find index callee in
-          if not (Digraph.has_edge call_graph ~src:i ~dst:j) then
-            ignore (Digraph.add_edge call_graph ~src:i ~dst:j ~label:()))
-        (callees_of_proc by_name p))
-    procs;
-  { procs; by_name; index; main = penv.Sema.main; call_graph }
+  assemble procs penv.Sema.main
 
 let of_source src = of_sema (Sema.parse_and_analyze src)
 
@@ -147,23 +148,4 @@ let bottom_up t = List.concat (sccs t)
 
 (* Rebuild the program with transformed CFGs (used by the optimizer).
    The call graph is recomputed in case calls were removed. *)
-let map_cfgs t f =
-  let procs = Array.map (fun p -> { p with cfg = f p }) t.procs in
-  let by_name = Hashtbl.create 8 and index = Hashtbl.create 8 in
-  Array.iteri
-    (fun i p ->
-      Hashtbl.replace by_name p.name p;
-      Hashtbl.replace index p.name i)
-    procs;
-  let call_graph = Digraph.create () in
-  ignore (Digraph.add_nodes call_graph (Array.length procs));
-  Array.iteri
-    (fun i p ->
-      List.iter
-        (fun callee ->
-          let j = Hashtbl.find index callee in
-          if not (Digraph.has_edge call_graph ~src:i ~dst:j) then
-            ignore (Digraph.add_edge call_graph ~src:i ~dst:j ~label:()))
-        (callees_of_proc by_name p))
-    procs;
-  { procs; by_name; index; main = t.main; call_graph }
+let map_cfgs t f = assemble (Array.map (fun p -> { p with cfg = f p }) t.procs) t.main

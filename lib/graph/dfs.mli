@@ -14,9 +14,6 @@ type edge_kind = Tree | Back | Forward | Cross
 (** Run an iterative DFS from [root] (successors in adjacency order). *)
 val number : 'l Digraph.t -> root:int -> numbering
 
-(** {!number} over CSR arrays (e.g. a {!Digraph.reverse_csr} view). *)
-val number_csr : 'l Digraph.csr -> root:int -> numbering
-
 (** The numbering's reachable nodes in reverse postorder (root first). *)
 val rev_postorder_of : numbering -> int array
 

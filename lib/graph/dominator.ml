@@ -4,7 +4,7 @@
    Runs on arbitrary flowgraphs (not just reducible ones) and reads the
    predecessor side of the graph's CSR arrays directly, so a pass over a
    node's predecessors allocates nothing.  Postdominators run the same
-   code on the swapped view of the arrays (see Postdom).  The finished
+   code on the transposed graph (see Postdom).  The finished
    tree is kept as an Lca forest, which makes dominance an O(1) range
    check. *)
 
@@ -14,7 +14,7 @@ type t = {
   tree : Lca.t; (* the dominator tree over [idom]; unreachable nodes are singletons *)
 }
 
-let idoms (c : 'l Digraph.csr) (num : Dfs.numbering) =
+let idoms (c : 'l Digraph.t) (num : Dfs.numbering) =
   let n = c.n in
   let root = num.order.(0) in
   let rpo = Dfs.rev_postorder_of num in
@@ -54,9 +54,7 @@ let of_dfs c (num : Dfs.numbering) =
   let idom = idoms c num in
   { root = num.order.(0); idom; tree = Lca.of_parents idom }
 
-let of_csr c ~root = of_dfs c (Dfs.number_csr c ~root)
-
-let compute g ~root = of_csr (Digraph.csr g) ~root
+let compute g ~root = of_dfs g (Dfs.number g ~root)
 
 let idom t n = if t.idom.(n) = -1 then None else Some t.idom.(n)
 

@@ -6,21 +6,19 @@
 
 type t
 
-(** Compute the dominator tree of the nodes reachable from [root]. *)
+(** Compute the dominator tree of the nodes reachable from [root]; reads
+    the predecessor arrays and the successor side's DFS.  Postdominators
+    pass a {!Digraph.transpose}. *)
 val compute : 'l Digraph.t -> root:int -> t
 
-(** {!compute} over CSR arrays; reads only their predecessor side and the
-    successor side's DFS.  Postdominators pass a {!Digraph.reverse_csr}. *)
-val of_csr : 'l Digraph.csr -> root:int -> t
-
-(** {!of_csr} reusing a {!Dfs.number_csr} of the same arrays; its root is
+(** {!compute} reusing a {!Dfs.number} of the same graph; its root is
     the dominator tree's root. *)
-val of_dfs : 'l Digraph.csr -> Dfs.numbering -> t
+val of_dfs : 'l Digraph.t -> Dfs.numbering -> t
 
 (** The immediate-dominator array {!of_dfs} builds its tree from: [-1]
     for the root and unreachable nodes.  Enough for a caller with few
     dominance questions, each a walk up from the lower node. *)
-val idoms : 'l Digraph.csr -> Dfs.numbering -> int array
+val idoms : 'l Digraph.t -> Dfs.numbering -> int array
 
 (** Immediate dominator; [None] for the root and unreachable nodes. *)
 val idom : t -> int -> int option

@@ -82,8 +82,8 @@ let derive g ~root =
   let part = first_order g ~root in
   let index = Hashtbl.create 8 in
   List.iteri (fun i h -> Hashtbl.replace index h i) part.headers;
-  let d = Digraph.create () in
-  ignore (Digraph.add_nodes d (List.length part.headers));
+  let d = Digraph.Builder.create () in
+  ignore (Digraph.Builder.add_nodes d (List.length part.headers));
   (* one derived edge per distinct (interval, target-interval) pair of
      crossing edges (self loops for back edges into the header) *)
   let seen = Hashtbl.create 16 in
@@ -94,11 +94,11 @@ let derive g ~root =
         let du = Hashtbl.find index iu and dv = Hashtbl.find index iv in
         if not (Hashtbl.mem seen (du, dv)) then begin
           Hashtbl.replace seen (du, dv) ();
-          ignore (Digraph.add_edge d ~src:du ~dst:dv ~label:())
+          Digraph.Builder.add_edge d ~src:du ~dst:dv ~label:()
         end
       end)
     g;
-  (d, Hashtbl.find index part.interval_of.(root), Array.of_list part.headers)
+  (Digraph.Builder.freeze d, Hashtbl.find index part.interval_of.(root), Array.of_list part.headers)
 
 (* The derived sequence down to its limit.  Each element is the graph at
    that order together with, for every node, the set of ORIGINAL nodes it
@@ -111,12 +111,10 @@ type level = {
 
 let derived_sequence ?(max_levels = 64) g ~root =
   let erase =
-    let d = Digraph.create () in
-    ignore (Digraph.add_nodes d (Digraph.num_nodes g));
-    Digraph.iter_edges
-      (fun e -> ignore (Digraph.add_edge d ~src:e.src ~dst:e.dst ~label:()))
-      g;
-    d
+    let d = Digraph.Builder.create ~edges:(Digraph.num_edges g) () in
+    ignore (Digraph.Builder.add_nodes d (Digraph.num_nodes g));
+    Digraph.iter_edges (fun e -> Digraph.Builder.add_edge d ~src:e.src ~dst:e.dst ~label:()) g;
+    Digraph.Builder.freeze d
   in
   let level0 =
     {

@@ -26,14 +26,55 @@
 
 exception Gave_up of int (* nodes at the time we stopped *)
 
-let split g ~root ~on_copy =
-  let fuel = ref (10 * Digraph.num_nodes g + 100) in
+(* [g] with a full copy of [region] for each of [dup_entries], numbered
+   after [g]'s nodes in region order, one entry after another.  A copy's
+   out-edges mirror its original's: internal edges stay within the copy,
+   edges leaving the region are duplicated unchanged.  The edges entering
+   the region at a duplicated entry from outside are redirected to that
+   entry's copy; each goes last among its source's out-edges, in entry
+   order and then slot order, where removing it and adding it back would
+   put it. *)
+let copy_region g ~in_region ~region dup_entries =
+  let n = Digraph.num_nodes g and k = List.length region in
+  let b = Digraph.Builder.create ~edges:(2 * Digraph.num_edges g) () in
+  ignore (Digraph.Builder.add_nodes b (n + (k * List.length dup_entries)));
+  let redirected e = List.mem e.Digraph.dst dup_entries && not (Hashtbl.mem in_region e.src) in
+  Digraph.iter_edges
+    (fun e ->
+      if not (redirected e) then Digraph.Builder.add_edge b ~src:e.src ~dst:e.dst ~label:e.label)
+    g;
   let splits = ref [] in
-  let rec go () =
+  List.iteri
+    (fun j entry ->
+      let clone = Hashtbl.create 16 in
+      List.iteri
+        (fun i r ->
+          Hashtbl.replace clone r (n + (j * k) + i);
+          splits := (r, n + (j * k) + i) :: !splits)
+        region;
+      let copy v = Option.value ~default:v (Hashtbl.find_opt clone v) in
+      List.iter
+        (fun r ->
+          for s = g.succ_off.(r) to g.succ_off.(r + 1) - 1 do
+            Digraph.Builder.add_edge b ~src:(copy r) ~dst:(copy g.succ_dst.(s))
+              ~label:g.succ_lbl.(s)
+          done)
+        region;
+      for s = g.pred_off.(entry) to g.pred_off.(entry + 1) - 1 do
+        let u = g.pred_src.(s) in
+        if not (Hashtbl.mem in_region u) then
+          Digraph.Builder.add_edge b ~src:u ~dst:(copy entry) ~label:g.pred_lbl.(s)
+      done)
+    dup_entries;
+  (Digraph.Builder.freeze b, List.rev !splits)
+
+let split g ~root =
+  let fuel = ref (10 * Digraph.num_nodes g + 100) in
+  let rec go g splits =
     let fwd = Reducibility.forward_part g ~root in
     let cores = List.filter (fun comp -> List.length comp > 1) (Topo.scc fwd) in
     match cores with
-    | [] -> () (* every remaining cycle is a natural loop: reducible *)
+    | [] -> (g, splits) (* every remaining cycle is a natural loop: reducible *)
     | core :: _ ->
         decr fuel;
         if !fuel <= 0 then raise (Gave_up (Digraph.num_nodes g));
@@ -60,14 +101,14 @@ let split g ~root ~on_copy =
         let induced_scc nodes =
           let keep = Hashtbl.create 16 in
           List.iter (fun n -> Hashtbl.replace keep n ()) nodes;
-          let sub = Digraph.create () in
-          ignore (Digraph.add_nodes sub (Digraph.num_nodes g));
+          let sub = Digraph.Builder.create () in
+          ignore (Digraph.Builder.add_nodes sub (Digraph.num_nodes g));
           Digraph.iter_edges
             (fun e ->
               if Hashtbl.mem keep e.src && Hashtbl.mem keep e.dst then
-                ignore (Digraph.add_edge sub ~src:e.src ~dst:e.dst ~label:()))
+                Digraph.Builder.add_edge sub ~src:e.src ~dst:e.dst ~label:())
             g;
-          match List.find_opt (List.mem witness) (Topo.scc sub) with
+          match List.find_opt (List.mem witness) (Topo.scc (Digraph.Builder.freeze sub)) with
           | Some comp -> comp
           | None -> [ witness ]
         in
@@ -95,46 +136,10 @@ let split g ~root ~on_copy =
                rather than loop *)
             raise (Gave_up (Digraph.num_nodes g))
         | _keep :: dup_entries ->
-            List.iter
-              (fun entry ->
-                (* a full copy of the region for this entry *)
-                let clone = Hashtbl.create 16 in
-                List.iter
-                  (fun r ->
-                    let r' = Digraph.add_node g in
-                    on_copy ~orig:r ~copy:r';
-                    splits := (r, r') :: !splits;
-                    Hashtbl.replace clone r r')
-                  region;
-                List.iter
-                  (fun r ->
-                    let r' = Hashtbl.find clone r in
-                    List.iter
-                      (fun (e : _ Digraph.edge) ->
-                        let dst =
-                          match Hashtbl.find_opt clone e.dst with
-                          | Some d' -> d'
-                          | None -> e.dst
-                        in
-                        ignore (Digraph.add_edge g ~src:r' ~dst ~label:e.label))
-                      (Digraph.succ_edges g r))
-                  region;
-                (* outside edges entering at this entry now enter the copy *)
-                let entry' = Hashtbl.find clone entry in
-                List.iter
-                  (fun (e : _ Digraph.edge) ->
-                    if not (Hashtbl.mem in_region e.src) then begin
-                      Digraph.remove_edge g e;
-                      ignore (Digraph.add_edge g ~src:e.src ~dst:entry' ~label:e.label)
-                    end)
-                  (Digraph.pred_edges g entry))
-              dup_entries);
-        go ()
+            let g', s = copy_region g ~in_region ~region dup_entries in
+            go g' (splits @ s))
   in
-  go ();
-  List.rev !splits
+  go g []
 
-let make_reducible g ~root ~on_copy =
-  let c = Digraph.csr g in
-  if Reducibility.reducible_dfs c (Dfs.number_csr c ~root) then []
-  else split g ~root ~on_copy
+let make_reducible g ~root =
+  if Reducibility.reducible_dfs g (Dfs.number g ~root) then (g, []) else split g ~root

@@ -2,13 +2,13 @@
 
    The control-dependence construction (Definition 2 of the paper) is stated
    in terms of postdominance in the ECFG, whose unique exit is the STOP
-   node.  The reversed graph is the swapped view of the CSR arrays, not a
+   node.  The reversed graph is the transposed view of the CSR arrays, not a
    copy. *)
 
 type t = { dom : Dominator.t }
 
 let compute g ~exit_ =
-  { dom = Dominator.of_csr (Digraph.reverse_csr (Digraph.csr g)) ~root:exit_ }
+  { dom = Dominator.compute (Digraph.transpose g) ~root:exit_ }
 
 let ipostdom t n = Dominator.idom t.dom n
 

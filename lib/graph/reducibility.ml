@@ -21,17 +21,17 @@ let natural_back_edges g ~root =
 (* The graph with natural back edges removed (labels erased). *)
 let forward_part g ~root =
   let dom = Dominator.compute g ~root in
-  let fwd = Digraph.create () in
-  ignore (Digraph.add_nodes fwd (Digraph.num_nodes g));
+  let fwd = Digraph.Builder.create ~edges:(Digraph.num_edges g) () in
+  ignore (Digraph.Builder.add_nodes fwd (Digraph.num_nodes g));
   Digraph.iter_edges
     (fun e ->
       if
         Dominator.reachable dom e.Digraph.src
         && Dominator.reachable dom e.dst
         && not (Dominator.dominates dom e.dst e.src)
-      then ignore (Digraph.add_edge fwd ~src:e.src ~dst:e.dst ~label:()))
+      then Digraph.Builder.add_edge fwd ~src:e.src ~dst:e.dst ~label:())
     g;
-  fwd
+  Digraph.Builder.freeze fwd
 
 let is_reducible g ~root = Topo.is_acyclic (forward_part g ~root)
 
@@ -59,7 +59,7 @@ let offending_edges g ~root =
    graph without one needs none), and each retreating edge is answered
    by walking up from its source until the walk passes its target in
    reverse postorder (dominators precede what they dominate). *)
-let reducible_dfs (c : 'l Digraph.csr) (num : Dfs.numbering) =
+let reducible_dfs (c : 'l Digraph.t) (num : Dfs.numbering) =
   let idom = lazy (Dominator.idoms c num) in
   let rpo v = num.count - 1 - num.post.(v) in
   let rec dominated_by v u =

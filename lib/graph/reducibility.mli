@@ -16,10 +16,10 @@ val is_reducible : 'l Digraph.t -> root:int -> bool
     (Hecht–Ullman). *)
 val offending_edges : 'l Digraph.t -> root:int -> 'l Digraph.edge list
 
-(** The Hecht–Ullman test over a CSR form of the graph and a
-    {!Dfs.number_csr} of it: every retreating edge's target dominates its
-    source.  Equivalent to {!is_reducible}, with one dominator tree. *)
-val reducible_dfs : 'l Digraph.csr -> Dfs.numbering -> bool
+(** The Hecht–Ullman test over a graph and a {!Dfs.number} of it: every
+    retreating edge's target dominates its source.  Equivalent to
+    {!is_reducible}, with one dominator tree. *)
+val reducible_dfs : 'l Digraph.t -> Dfs.numbering -> bool
 
 (** [Some back_edges] when reducible, [None] otherwise. *)
 val back_edges_if_reducible : 'l Digraph.t -> root:int -> 'l Digraph.edge list option

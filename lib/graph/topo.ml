@@ -9,8 +9,7 @@ exception Cycle of int list
 (* Kahn's algorithm over the whole node set, reading the CSR arrays.
    Nodes are emitted smallest-id first among the ready set, which keeps
    the order deterministic; the ready set is a binary min-heap of ids. *)
-let sort g =
-  let c = Digraph.csr g in
+let sort (c : 'l Digraph.t) =
   let n = c.n in
   let indeg = Array.init n (fun v -> c.pred_off.(v + 1) - c.pred_off.(v)) in
   let heap = Array.make (max 1 n) 0 and size = ref 0 in

@@ -55,10 +55,8 @@ let check_body_conditions name (proc : Program.proc) (ecfg : _ Ecfg.t)
   match Intervals.headers ivs with
   | [] -> ()
   | headers ->
-      let cfg = Cfg.graph proc.Program.cfg and n = Cfg.num_nodes proc.Program.cfg in
-      let cd = Digraph.csr (Control_dep.graph cdg) in
-      (* the original CFG's arrays, built only if some loop needs a walk *)
-      let c = lazy (Digraph.csr cfg) in
+      let c = Cfg.graph proc.Program.cfg and n = Cfg.num_nodes proc.Program.cfg in
+      let cd = Control_dep.graph cdg in
       (* per-node stamps instead of per-walk tables: [sink.(v) = h] marks
          where a pass through [h]'s loop may end, [seen.(v) = walk] the
          nodes the current walk reached *)
@@ -78,7 +76,6 @@ let check_body_conditions name (proc : Program.proc) (ecfg : _ Ecfg.t)
               && Ecfg.is_original ecfg x && x <> h
             then begin
               (* can a pass through the loop complete without touching x? *)
-              let c = Lazy.force c in
               incr walk;
               seen.(h) <- !walk;
               stack.(0) <- h;

@@ -220,13 +220,6 @@ let rec edge_acts l = function
   | (lbl, acts) :: rest -> if Label.equal lbl l then acts else edge_acts l rest
 
 (* [labels.(k)] and [dsts.(base + k)] from a successor edge list *)
-let rec fill_succ (labels : Label.t array) dsts base k = function
-  | [] -> ()
-  | (e : Label.t S89_graph.Digraph.edge) :: rest ->
-      labels.(k) <- e.label;
-      dsts.(base + k) <- e.dst;
-      fill_succ labels dsts base (k + 1) rest
-
 (* The emission buffer, shared by all [emit_proc] calls.  A call takes it
    (leaving [[||]]) and puts back the possibly grown buffer, so a
    concurrent call on another domain or thread starts its own. *)
@@ -417,22 +410,14 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
 
   (* ---- edge bookkeeping: flat (node, successor index) -> counter ----
 
-     [edge_base.(i) + k] indexes successor [k] of node [i] in the flat
-     [edge_dst] (and in the proc's edge counters) *)
+     The CFG's out-edge slots: [edge_base.(i) + k] indexes successor [k]
+     of node [i] in [edge_dst] (and in the proc's edge counters) *)
   let g = Cfg.graph cfg in
-  let edge_base = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    edge_base.(i + 1) <- edge_base.(i) + S89_graph.Digraph.out_degree g i
-  done;
-  let succ_labels = Array.make n [||] in
-  let edge_dst = Array.make (max edge_base.(n) 1) 0 in
-  let node_cost = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let labels = Array.make (edge_base.(i + 1) - edge_base.(i)) Label.U in
-    fill_succ labels edge_dst edge_base.(i) 0 (Cfg.succ_edges cfg i);
-    succ_labels.(i) <- labels;
-    node_cost.(i) <- Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir
-  done;
+  let edge_base = g.succ_off and edge_dst = g.succ_dst in
+  let succ_labels =
+    Array.init n (fun i -> Array.sub g.succ_lbl edge_base.(i) (edge_base.(i + 1) - edge_base.(i)))
+  in
+  let node_cost = Array.init n (fun i -> Cost_model.node_cost cost_model (Cfg.info cfg i).Ir.ir) in
 
   (* ---- code buffer ----
 

@@ -106,18 +106,13 @@ let compile_proc config (lay : Env.layout) : cproc =
   let cfg = lay.Env.lproc.Program.cfg in
   let n = Cfg.num_nodes cfg in
   let pi = Probe.find_proc config.instr lay.Env.lproc.Program.name in
+  let g = Cfg.graph cfg in
   let code =
     Array.init n (fun i ->
         let info = Cfg.info cfg i in
-        let edges = Cfg.succ_edges cfg i in
-        let succ_labels =
-          Array.of_list
-            (List.map (fun (e : Label.t S89_graph.Digraph.edge) -> e.label) edges)
-        in
-        let succ_dst =
-          Array.of_list
-            (List.map (fun (e : Label.t S89_graph.Digraph.edge) -> e.dst) edges)
-        in
+        let off = g.succ_off.(i) and deg = S89_graph.Digraph.out_degree g i in
+        let succ_labels = Array.sub g.succ_lbl off deg in
+        let succ_dst = Array.sub g.succ_dst off deg in
         let node_probes =
           match pi with Some pi -> pi.Probe.on_node.(i) | None -> []
         in

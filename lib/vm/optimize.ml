@@ -255,10 +255,11 @@ let propagate prog (proc : Program.proc) (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
         end)
       rpo
   done;
-  (* rewrite every node under its IN environment *)
-  Array.iter
-    (fun u ->
-      let info = Cfg.info cfg u in
+  (* rewrite every reachable node under its IN environment *)
+  let reached = Array.make n false in
+  Array.iter (fun u -> reached.(u) <- true) rpo;
+  Cfg.map_info
+    (fun u (info : Ir.info) ->
       let env = env_in.(u) in
       let ir =
         match info.Ir.ir with
@@ -271,9 +272,8 @@ let propagate prog (proc : Program.proc) (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
         | Ir.Print es -> Ir.Print (List.map (subst prog env) es)
         | ir -> ir
       in
-      Cfg.set_info cfg u { info with Ir.ir = fold_node prog ir })
-    rpo;
-  cfg
+      if reached.(u) then { info with Ir.ir = fold_node prog ir } else info)
+    cfg
 
 (* ---- pass 3: dead scalar assignments ---- *)
 
@@ -307,28 +307,24 @@ let read_vars (proc : Program.proc) (cfg : Ir.info Cfg.t) =
 
 let kill_dead_assigns prog (proc : Program.proc) (cfg : Ir.info Cfg.t) =
   let reads = read_vars proc cfg in
-  Cfg.iter_nodes
-    (fun u ->
-      let info = Cfg.info cfg u in
+  Cfg.map_info
+    (fun _ (info : Ir.info) ->
       match info.Ir.ir with
       | Ir.Assign (Ast.Lvar v, rhs)
         when (not (Hashtbl.mem reads v)) && not (expr_impure prog rhs) ->
-          Cfg.set_info cfg u { info with Ir.ir = Ir.Nop "DEAD" }
-      | _ -> ())
-    cfg;
-  cfg
+          { info with Ir.ir = Ir.Nop "DEAD" }
+      | _ -> info)
+    cfg
 
 (* ---- pass 4: elide no-op nodes ---- *)
 
 let elide (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
-  let n = Cfg.num_nodes cfg in
+  let n = Cfg.num_nodes cfg and g = Cfg.graph cfg in
   let elidable u =
     u <> Cfg.entry cfg
     && (match (Cfg.info cfg u).Ir.ir with Ir.Nop _ -> true | _ -> false)
-    &&
-    match Cfg.succ_edges cfg u with
-    | [ e ] -> Label.equal e.label Label.U
-    | _ -> false
+    && S89_graph.Digraph.out_degree g u = 1
+    && Label.equal g.succ_lbl.(g.succ_off.(u)) Label.U
   in
   (* resolve through chains of elidable nodes, stopping on cycles *)
   let target = Array.make n (-1) in
@@ -340,8 +336,7 @@ let elide (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
       u
     end
     else begin
-      let nxt = match Cfg.succ_edges cfg u with [ e ] -> e.dst | _ -> assert false in
-      let t = resolve nxt (u :: seen) in
+      let t = resolve g.succ_dst.(g.succ_off.(u)) (u :: seen) in
       target.(u) <- t;
       t
     end
@@ -349,25 +344,7 @@ let elide (cfg : Ir.info Cfg.t) : Ir.info Cfg.t =
   for u = 0 to n - 1 do
     ignore (resolve u [])
   done;
-  let keep u = target.(u) = u in
-  let remap = Array.make n (-1) in
-  let out = Cfg.create ~dummy:Lower.dummy_info in
-  Cfg.iter_nodes
-    (fun u ->
-      if keep u then
-        remap.(u) <- Cfg.add_node ~ty:(Cfg.node_type cfg u) out (Cfg.info cfg u))
-    cfg;
-  Cfg.iter_edges
-    (fun e ->
-      if keep e.src then
-        Cfg.add_edge out ~src:remap.(e.src) ~dst:remap.(target.(e.dst)) ~label:e.label)
-    cfg;
-  Cfg.set_entry out remap.(target.(Cfg.entry cfg));
-  Cfg.set_exits out
-    (List.filter_map
-       (fun x -> if keep x then Some remap.(x) else None)
-       (Cfg.exits cfg));
-  out
+  Cfg.contract cfg ~target
 
 (* ---- pass 5: refine DO metadata ----
    Constant propagation can turn a trip-count initializer into a literal
@@ -396,18 +373,16 @@ let refine_do_metadata (cfg : Ir.info Cfg.t) =
           | _ -> Hashtbl.replace init_const v None)
       | _ -> ())
     cfg;
-  Cfg.iter_nodes
-    (fun u ->
-      let info = Cfg.info cfg u in
+  Cfg.map_info
+    (fun _ (info : Ir.info) ->
       match info.Ir.ir with
       | Ir.Do_test meta when meta.Ir.static_trip = None -> (
           match Hashtbl.find_opt init_const meta.Ir.trip_var with
           | Some (Some c) ->
-              Cfg.set_info cfg u
-                { info with
-                  Ir.ir = Ir.Do_test { meta with Ir.static_trip = Some (max c 0) } }
-          | _ -> ())
-      | _ -> ())
+              { info with
+                Ir.ir = Ir.Do_test { meta with Ir.static_trip = Some (max c 0) } }
+          | _ -> info)
+      | _ -> info)
     cfg
 
 (* ---- driver ---- *)
@@ -415,32 +390,18 @@ let refine_do_metadata (cfg : Ir.info Cfg.t) =
 let optimize_cfg ?program (proc : Program.proc) : Ir.info Cfg.t =
   let cfg = ref proc.Program.cfg in
   for _round = 1 to 3 do
-    Cfg.iter_nodes
-      (fun u ->
-        let info = Cfg.info !cfg u in
-        Cfg.set_info !cfg u { info with Ir.ir = fold_node program info.Ir.ir })
-      !cfg;
+    cfg :=
+      Cfg.map_info
+        (fun _ (info : Ir.info) -> { info with Ir.ir = fold_node program info.Ir.ir })
+        !cfg;
     cfg := propagate program proc !cfg;
-    refine_do_metadata !cfg;
+    cfg := refine_do_metadata !cfg;
     cfg := kill_dead_assigns program proc !cfg;
     cfg := elide !cfg
   done;
   !cfg
 
-(* passes mutate payloads in place, so whole-program drivers copy first *)
-let copy_cfg (p : Program.proc) =
-  let cfg = p.Program.cfg in
-  let out = Cfg.create ~dummy:Lower.dummy_info in
-  Cfg.iter_nodes
-    (fun u -> ignore (Cfg.add_node ~ty:(Cfg.node_type cfg u) out (Cfg.info cfg u)))
-    cfg;
-  Cfg.iter_edges (fun e -> Cfg.add_edge out ~src:e.src ~dst:e.dst ~label:e.label) cfg;
-  Cfg.set_entry out (Cfg.entry cfg);
-  Cfg.set_exits out (Cfg.exits cfg);
-  out
-
-(* Whole-program optimization; CFGs are rebuilt, the original Program.t is
-   untouched. *)
+(* Whole-program optimization: every pass builds a new CFG, so the
+   original Program.t is untouched. *)
 let program (prog : Program.t) : Program.t =
-  let prog' = Program.map_cfgs prog copy_cfg in
-  Program.map_cfgs prog' (fun p -> optimize_cfg ~program:prog p)
+  Program.map_cfgs prog (fun p -> optimize_cfg ~program:prog p)

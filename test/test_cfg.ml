@@ -31,25 +31,29 @@ let node_type_strings () =
 
 (* ---------------- Cfg ---------------- *)
 
+(* a CFG with one node per payload, the given edges, entry and exits *)
+let cfg_of ~dummy payloads edges ~entry ~exits =
+  let b = Cfg.Builder.create ~dummy () in
+  List.iter (fun x -> ignore (Cfg.Builder.add_node b x)) payloads;
+  List.iter (fun (u, v, l) -> Cfg.Builder.add_edge b ~src:u ~dst:v ~label:l) edges;
+  Cfg.Builder.set_entry b entry;
+  Cfg.Builder.set_exits b exits;
+  Cfg.Builder.freeze b
+
+(* the same with [n] unit payloads *)
+let unit_cfg n edges ~entry ~exits = cfg_of ~dummy:() (List.init n ignore) edges ~entry ~exits
+
 (* the paper's Figure 1 graph, hand-built with string payloads *)
 let fig1_cfg () =
-  let cfg = Cfg.create ~dummy:"" in
-  let entry = Cfg.add_node cfg "ENTRY" in
-  let if_m = Cfg.add_node cfg "10 IF(M.GE.0)" in
-  let if_nlt = Cfg.add_node cfg "IF(N.LT.0)" in
-  let if_nge = Cfg.add_node cfg "IF(N.GE.0)" in
-  let call = Cfg.add_node cfg "CALL FOO" in
-  let cont = Cfg.add_node cfg "20 CONTINUE" in
-  Cfg.add_edge cfg ~src:entry ~dst:if_m ~label:Label.U;
-  Cfg.add_edge cfg ~src:if_m ~dst:if_nlt ~label:Label.T;
-  Cfg.add_edge cfg ~src:if_m ~dst:if_nge ~label:Label.F;
-  Cfg.add_edge cfg ~src:if_nlt ~dst:cont ~label:Label.T;
-  Cfg.add_edge cfg ~src:if_nlt ~dst:call ~label:Label.F;
-  Cfg.add_edge cfg ~src:if_nge ~dst:cont ~label:Label.T;
-  Cfg.add_edge cfg ~src:if_nge ~dst:call ~label:Label.F;
-  Cfg.add_edge cfg ~src:call ~dst:if_m ~label:Label.U;
-  Cfg.set_entry cfg entry;
-  Cfg.set_exits cfg [ cont ];
+  let entry, if_m, if_nlt, if_nge, call, cont = (0, 1, 2, 3, 4, 5) in
+  let cfg =
+    cfg_of ~dummy:""
+      [ "ENTRY"; "10 IF(M.GE.0)"; "IF(N.LT.0)"; "IF(N.GE.0)"; "CALL FOO"; "20 CONTINUE" ]
+      [ (entry, if_m, Label.U); (if_m, if_nlt, Label.T); (if_m, if_nge, Label.F);
+        (if_nlt, cont, Label.T); (if_nlt, call, Label.F); (if_nge, cont, Label.T);
+        (if_nge, call, Label.F); (call, if_m, Label.U) ]
+      ~entry ~exits:[ cont ]
+  in
   (cfg, (entry, if_m, if_nlt, if_nge, call, cont))
 
 let cfg_basics () =
@@ -58,11 +62,11 @@ let cfg_basics () =
   check ci "entry" entry (Cfg.entry cfg);
   check cil "exits" [ cont ] (Cfg.exits cfg);
   check Alcotest.string "payload" "ENTRY" (Cfg.info cfg entry);
-  Cfg.set_info cfg entry "E2";
-  check Alcotest.string "set payload" "E2" (Cfg.info cfg entry);
+  let cfg' = Cfg.map_info (fun n x -> if n = entry then "E2" else x) cfg in
+  check Alcotest.string "mapped payload" "E2" (Cfg.info cfg' entry);
+  check Alcotest.string "original payload" "ENTRY" (Cfg.info cfg entry);
+  check cb "graph shared" true (Cfg.graph cfg' == Cfg.graph cfg);
   check cb "type default" true (Node_type.equal (Cfg.node_type cfg if_m) Node_type.Other);
-  Cfg.set_node_type cfg if_m Node_type.Header;
-  check cb "set type" true (Node_type.equal (Cfg.node_type cfg if_m) Node_type.Header);
   check cb "validate ok" true (Cfg.validate cfg = Ok ())
 
 let cfg_out_labels () =
@@ -71,37 +75,18 @@ let cfg_out_labels () =
   check cb "uncond labels" true (Cfg.out_labels cfg call = [ Label.U ])
 
 let cfg_validate_errors () =
-  let cfg = Cfg.create ~dummy:() in
-  check cb "no entry" true (Cfg.validate cfg = Error Cfg.No_entry);
-  let a = Cfg.add_node cfg () in
-  Cfg.set_entry cfg a;
-  check cb "no exit" true (Cfg.validate cfg = Error Cfg.No_exit);
-  Cfg.set_exits cfg [ 9 ];
-  check cb "dangling exit" true (Cfg.validate cfg = Error (Cfg.Dangling_exit 9));
-  let b = Cfg.add_node cfg () in
-  Cfg.set_exits cfg [ b ];
-  (match Cfg.validate cfg with
-  | Error (Cfg.Unreachable [ n ]) -> check ci "unreachable b" b n
+  let validate n edges ~entry ~exits = Cfg.validate (unit_cfg n edges ~entry ~exits) in
+  check cb "no entry" true (validate 0 [] ~entry:(-1) ~exits:[] = Error Cfg.No_entry);
+  check cb "no exit" true (validate 1 [] ~entry:0 ~exits:[] = Error Cfg.No_exit);
+  check cb "dangling exit" true
+    (validate 1 [] ~entry:0 ~exits:[ 9 ] = Error (Cfg.Dangling_exit 9));
+  (match validate 2 [] ~entry:0 ~exits:[ 1 ] with
+  | Error (Cfg.Unreachable [ n ]) -> check ci "unreachable b" 1 n
   | _ -> Alcotest.fail "expected Unreachable");
-  Cfg.add_edge cfg ~src:a ~dst:b ~label:Label.U;
-  check cb "now valid" true (Cfg.validate cfg = Ok ());
-  Cfg.add_edge cfg ~src:b ~dst:a ~label:Label.U;
+  check cb "now valid" true (validate 2 [ (0, 1, Label.U) ] ~entry:0 ~exits:[ 1 ] = Ok ());
   check cb "exit with successor" true
-    (Cfg.validate cfg = Error (Cfg.Exit_has_successor b))
-
-let cfg_normalize_entry () =
-  let cfg = Cfg.create ~dummy:"x" in
-  let a = Cfg.add_node cfg "a" in
-  let b = Cfg.add_node cfg "b" in
-  Cfg.add_edge cfg ~src:a ~dst:b ~label:Label.U;
-  Cfg.add_edge cfg ~src:b ~dst:a ~label:Label.U;
-  Cfg.set_entry cfg a;
-  let e = Cfg.normalize_entry cfg in
-  check cb "fresh entry" true (e <> a);
-  check ci "entry updated" e (Cfg.entry cfg);
-  check ci "no preds" 0 (List.length (Cfg.pred_edges cfg e));
-  (* idempotent *)
-  check ci "idempotent" e (Cfg.normalize_entry cfg)
+    (validate 2 [ (0, 1, Label.U); (1, 0, Label.U) ] ~entry:0 ~exits:[ 1 ]
+    = Error (Cfg.Exit_has_successor 1))
 
 (* ---------------- Intervals ---------------- *)
 
@@ -129,19 +114,13 @@ let intervals_fig1 () =
 
 let intervals_nested () =
   (* entry -> h1 -> h2 -> b -> h2(back) ; b -> l1 -> h1(back); l1 -> exit *)
-  let cfg = Cfg.create ~dummy:() in
-  let e = Cfg.add_node cfg () in
-  let h1 = Cfg.add_node cfg () in
-  let h2 = Cfg.add_node cfg () in
-  let b = Cfg.add_node cfg () in
-  let l1 = Cfg.add_node cfg () in
-  let x = Cfg.add_node cfg () in
-  List.iter
-    (fun (u, v, l) -> Cfg.add_edge cfg ~src:u ~dst:v ~label:l)
-    [ (e, h1, Label.U); (h1, h2, Label.U); (h2, b, Label.U); (b, h2, Label.T);
-      (b, l1, Label.F); (l1, h1, Label.T); (l1, x, Label.F) ];
-  Cfg.set_entry cfg e;
-  Cfg.set_exits cfg [ x ];
+  let e, h1, h2, b, l1, x = (0, 1, 2, 3, 4, 5) in
+  let cfg =
+    unit_cfg 6
+      [ (e, h1, Label.U); (h1, h2, Label.U); (h2, b, Label.U); (b, h2, Label.T);
+        (b, l1, Label.F); (l1, h1, Label.T); (l1, x, Label.F) ]
+      ~entry:e ~exits:[ x ]
+  in
   let iv = Intervals.compute cfg in
   check cil "headers outermost first" [ h1; h2 ] (Intervals.headers iv);
   check ci "hdr b innermost" h2 (Intervals.hdr iv b);
@@ -154,52 +133,42 @@ let intervals_nested () =
     (Array.for_all (Intervals.mem iv h1) (Intervals.members iv h2))
 
 let intervals_entry_preds () =
-  let cfg = Cfg.create ~dummy:() in
-  let a = Cfg.add_node cfg () in
-  let b = Cfg.add_node cfg () in
-  Cfg.add_edge cfg ~src:a ~dst:b ~label:Label.U;
-  Cfg.add_edge cfg ~src:b ~dst:a ~label:Label.U;
-  Cfg.set_entry cfg a;
-  Cfg.set_exits cfg [ b ];
+  let a = 0 in
+  let cfg = unit_cfg 2 [ (0, 1, Label.U); (1, 0, Label.U) ] ~entry:a ~exits:[ 1 ] in
   (try
      ignore (Intervals.compute cfg);
      Alcotest.fail "expected Entry_has_preds"
    with Intervals.Entry_has_preds n -> check ci "offender" a n)
 
 let intervals_irreducible () =
-  let cfg = Cfg.create ~dummy:() in
-  let e = Cfg.add_node cfg () in
-  let a = Cfg.add_node cfg () in
-  let b = Cfg.add_node cfg () in
-  List.iter
-    (fun (u, v, l) -> Cfg.add_edge cfg ~src:u ~dst:v ~label:l)
-    [ (e, a, Label.T); (e, b, Label.F); (a, b, Label.U); (b, a, Label.U) ];
-  Cfg.set_entry cfg e;
-  Cfg.set_exits cfg [];
+  let e, a, b = (0, 1, 2) in
+  let cfg =
+    unit_cfg 3
+      [ (e, a, Label.T); (e, b, Label.F); (a, b, Label.U); (b, a, Label.U) ]
+      ~entry:e ~exits:[]
+  in
   (try
      ignore (Intervals.compute cfg);
      Alcotest.fail "expected Irreducible"
    with Intervals.Irreducible w -> check cb "witness nonempty" true (w <> []))
 
-let cfg_make_reducible () =
-  let cfg = Cfg.create ~dummy:"n" in
-  let e = Cfg.add_node cfg "e" in
-  let a = Cfg.add_node cfg "a" in
-  let b = Cfg.add_node cfg "b" in
-  let x = Cfg.add_node cfg "x" in
-  List.iter
-    (fun (u, v, l) -> Cfg.add_edge cfg ~src:u ~dst:v ~label:l)
-    [ (e, a, Label.T); (e, b, Label.F); (a, b, Label.T); (b, a, Label.T);
-      (a, x, Label.F); (b, x, Label.F) ];
-  Cfg.set_entry cfg e;
-  Cfg.set_exits cfg [ x ];
-  let splits = Cfg.make_reducible cfg in
+let cfg_split_irreducible () =
+  let e, a, b, x = (0, 1, 2, 3) in
+  let cfg =
+    cfg_of ~dummy:"n" [ "e"; "a"; "b"; "x" ]
+      [ (e, a, Label.T); (e, b, Label.F); (a, b, Label.T); (b, a, Label.T);
+        (a, x, Label.F); (b, x, Label.F) ]
+      ~entry:e ~exits:[ x ]
+  in
+  let split, splits = Cfg.split_irreducible cfg in
   check cb "splits happened" true (splits <> []);
   List.iter
     (fun (orig, copy) ->
-      check Alcotest.string "payload copied" (Cfg.info cfg orig) (Cfg.info cfg copy))
+      check Alcotest.string "payload copied" (Cfg.info split orig) (Cfg.info split copy))
     splits;
-  ignore (Intervals.compute cfg) (* must not raise now *)
+  check cil "exits" [ x ] (Cfg.exits split);
+  check ci "input untouched" 4 (Cfg.num_nodes cfg);
+  ignore (Intervals.compute split) (* must not raise now *)
 
 (* ---------------- Ecfg ---------------- *)
 
@@ -268,20 +237,14 @@ let ecfg_fig1 () =
 (* exits that leave two nested intervals at once must cascade: one postexit
    per level, each with a pseudo edge from that level's preheader *)
 let ecfg_cascade () =
-  let cfg = Cfg.create ~dummy:() in
-  let e = Cfg.add_node cfg () in
-  let h1 = Cfg.add_node cfg () in
-  let h2 = Cfg.add_node cfg () in
-  let b = Cfg.add_node cfg () in
-  let l1 = Cfg.add_node cfg () in
-  let x = Cfg.add_node cfg () in
-  List.iter
-    (fun (u, v, l) -> Cfg.add_edge cfg ~src:u ~dst:v ~label:l)
-    [ (e, h1, Label.U); (h1, h2, Label.U); (h2, b, Label.U); (b, h2, Label.T);
-      (b, x, Label.Case 1) (* two-level exit! *); (b, l1, Label.F);
-      (l1, h1, Label.T); (l1, x, Label.F) ];
-  Cfg.set_entry cfg e;
-  Cfg.set_exits cfg [ x ];
+  let e, h1, h2, b, l1, x = (0, 1, 2, 3, 4, 5) in
+  let cfg =
+    unit_cfg 6
+      [ (e, h1, Label.U); (h1, h2, Label.U); (h2, b, Label.U); (b, h2, Label.T);
+        (b, x, Label.Case 1) (* two-level exit! *); (b, l1, Label.F);
+        (l1, h1, Label.T); (l1, x, Label.F) ]
+      ~entry:e ~exits:[ x ]
+  in
   let ec = Ecfg.extend ~empty:() cfg in
   let pes_inner = Ecfg.postexits_of_header ec h2 in
   let pes_outer = Ecfg.postexits_of_header ec h1 in
@@ -298,18 +261,17 @@ let ecfg_cascade () =
          | [ ed ] -> List.mem ed.dst pes_outer
          | _ -> false)
        pes_inner);
-  ignore b
+  (* b's exits are redirected last among its out-edges, the last one
+     (F to l1) first: b -> h2 (T), then the F exit, then the Case-1 exit *)
+  check cb "b's out-edge order" true
+    (List.map (fun (ed : Label.t Digraph.edge) -> ed.label) (Cfg.succ_edges ext b)
+    = [ Label.T; Label.F; Label.Case 1 ])
 
 let ecfg_nonterminating () =
-  let cfg = Cfg.create ~dummy:() in
-  let e = Cfg.add_node cfg () in
-  let h = Cfg.add_node cfg () in
-  let x = Cfg.add_node cfg () in
-  List.iter
-    (fun (u, v, l) -> Cfg.add_edge cfg ~src:u ~dst:v ~label:l)
-    [ (e, h, Label.T); (e, x, Label.F); (h, h, Label.U) ];
-  Cfg.set_entry cfg e;
-  Cfg.set_exits cfg [ x ];
+  let e, h, x = (0, 1, 2) in
+  let cfg =
+    unit_cfg 3 [ (e, h, Label.T); (e, x, Label.F); (h, h, Label.U) ] ~entry:e ~exits:[ x ]
+  in
   (try
      ignore (Ecfg.extend ~empty:() cfg);
      Alcotest.fail "expected Nonterminating_interval"
@@ -341,12 +303,12 @@ let ecfg_invariants () =
                 (Ecfg.postexits_of_header ec h <> []))
             (Ecfg.headers ec);
           (* pseudo edges originate only at START or preheaders *)
-          Cfg.iter_edges
+          Digraph.iter_edges
             (fun ed ->
               if Label.is_pseudo ed.label then
                 check cb "pseudo source" true
                   (ed.src = Ecfg.start ec || Ecfg.is_preheader ec ed.src))
-            ext)
+            (Cfg.graph ext))
         (S89_frontend.Program.procs prog))
     [ S89_workloads.Demos.fig1 (); S89_workloads.Demos.branchy ();
       S89_workloads.Demos.chunky (); S89_workloads.Demos.nested_random ();
@@ -359,12 +321,11 @@ let suite =
     Alcotest.test_case "cfg basics" `Quick cfg_basics;
     Alcotest.test_case "cfg out_labels" `Quick cfg_out_labels;
     Alcotest.test_case "cfg validate errors" `Quick cfg_validate_errors;
-    Alcotest.test_case "cfg normalize entry" `Quick cfg_normalize_entry;
     Alcotest.test_case "intervals: fig1" `Quick intervals_fig1;
     Alcotest.test_case "intervals: nested" `Quick intervals_nested;
     Alcotest.test_case "intervals: entry preds" `Quick intervals_entry_preds;
     Alcotest.test_case "intervals: irreducible" `Quick intervals_irreducible;
-    Alcotest.test_case "cfg make_reducible" `Quick cfg_make_reducible;
+    Alcotest.test_case "cfg split_irreducible" `Quick cfg_split_irreducible;
     Alcotest.test_case "ecfg: fig1 structure" `Quick ecfg_fig1;
     Alcotest.test_case "ecfg: multi-level exit cascade" `Quick ecfg_cascade;
     Alcotest.test_case "ecfg: nonterminating interval" `Quick ecfg_nonterminating;
@@ -402,7 +363,7 @@ let ecfg_invariants_random_prop =
              and exits step out exactly one level at a time *)
           && (let iv = Ecfg.intervals ec in
               let ok = ref true in
-              Cfg.iter_edges
+              Digraph.iter_edges
                 (fun e ->
                   let a = Ecfg.interval_of ec e.src
                   and b = Ecfg.interval_of ec e.dst in
@@ -415,7 +376,7 @@ let ecfg_invariants_random_prop =
                        - Intervals.interval_depth iv b
                        > 1
                   then ok := false)
-                ext;
+                (Cfg.graph ext);
               !ok))
         (S89_frontend.Program.procs prog))
 
@@ -528,24 +489,25 @@ let intervals_match_brute (cfg : 'a Cfg.t) =
 
 (* a random CFG on [nodes] nodes, all reachable from node 0 (each node
    gets an edge from a lower one), with [extra] random edges on top;
-   then a fresh entry, so the entry has no predecessors *)
+   then a fresh entry node with one edge to node 0, so the entry has no
+   predecessors *)
 let random_cfg seed ~nodes ~extra =
   let rng = S89_util.Prng.create ~seed in
-  let cfg = Cfg.create ~dummy:() in
-  for _ = 1 to nodes do
-    ignore (Cfg.add_node cfg ())
+  let b = Cfg.Builder.create ~dummy:() () in
+  for _ = 0 to nodes do
+    ignore (Cfg.Builder.add_node b ())
   done;
   let label () = List.nth [ Label.T; Label.F; Label.U ] (S89_util.Prng.int rng 3) in
   for v = 1 to nodes - 1 do
-    Cfg.add_edge cfg ~src:(S89_util.Prng.int rng v) ~dst:v ~label:(label ())
+    Cfg.Builder.add_edge b ~src:(S89_util.Prng.int rng v) ~dst:v ~label:(label ())
   done;
   for _ = 1 to extra do
     let u = S89_util.Prng.int rng nodes and v = S89_util.Prng.int rng nodes in
-    Cfg.add_edge cfg ~src:u ~dst:v ~label:(label ())
+    Cfg.Builder.add_edge b ~src:u ~dst:v ~label:(label ())
   done;
-  Cfg.set_entry cfg 0;
-  ignore (Cfg.normalize_entry cfg);
-  cfg
+  Cfg.Builder.add_edge b ~src:nodes ~dst:0 ~label:Label.U;
+  Cfg.Builder.set_entry b nodes;
+  Cfg.Builder.freeze b
 
 let loop_forest_programs_prop =
   QCheck.Test.make ~count:30 ~name:"loop forest = brute force (generated programs)"
@@ -560,9 +522,9 @@ let loop_forest_split_prop =
     QCheck.(int_range 0 100000)
     (fun seed ->
       let cfg = random_cfg seed ~nodes:9 ~extra:9 in
-      match Cfg.make_reducible cfg with
+      match Cfg.split_irreducible cfg with
       | exception S89_graph.Node_split.Gave_up _ -> QCheck.assume_fail ()
-      | _ -> intervals_match_brute cfg)
+      | split, _ -> intervals_match_brute split)
 
 let irreducible_witness_prop =
   QCheck.Test.make ~count:200 ~name:"Irreducible carries the offending edges"

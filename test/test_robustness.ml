@@ -179,15 +179,15 @@ let node_split_gave_up () =
   (* a dense irreducible tangle: splitting blows up and must hit fuel,
      not loop forever *)
   let n = 12 in
-  let g = Digraph.create () in
-  ignore (Digraph.add_nodes g n);
+  let b = Digraph.Builder.create () in
+  ignore (Digraph.Builder.add_nodes b n);
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      if u <> v then ignore (Digraph.add_edge g ~src:u ~dst:v ~label:())
+      if u <> v then Digraph.Builder.add_edge b ~src:u ~dst:v ~label:()
     done
   done;
-  match Node_split.make_reducible g ~root:0 ~on_copy:(fun ~orig:_ ~copy:_ -> ()) with
-  | _ -> check cb "resolved" true (S89_graph.Reducibility.is_reducible g ~root:0)
+  match Node_split.make_reducible (Digraph.Builder.freeze b) ~root:0 with
+  | g, _ -> check cb "resolved" true (S89_graph.Reducibility.is_reducible g ~root:0)
   | exception Node_split.Gave_up nodes -> check cb "gave up with fuel" true (nodes >= n)
 
 (* ---------------- fault injection ---------------- *)
@@ -422,16 +422,16 @@ let sabotage prog victim =
       if p.Program.name <> victim then p.Program.cfg
       else begin
         let dummy = { Ir.ir = Ir.Nop "BAD"; src_label = None } in
-        let cfg = Cfg.create ~dummy in
-        let e = Cfg.add_node cfg dummy in
-        let a = Cfg.add_node cfg dummy in
-        let b = Cfg.add_node cfg dummy in
+        let cfg = Cfg.Builder.create ~dummy () in
+        let e = Cfg.Builder.add_node cfg dummy in
+        let a = Cfg.Builder.add_node cfg dummy in
+        let b = Cfg.Builder.add_node cfg dummy in
         List.iter
-          (fun (u, v, l) -> Cfg.add_edge cfg ~src:u ~dst:v ~label:l)
+          (fun (u, v, l) -> Cfg.Builder.add_edge cfg ~src:u ~dst:v ~label:l)
           [ (e, a, Label.T); (e, b, Label.F); (a, b, Label.U); (b, a, Label.U) ];
-        Cfg.set_entry cfg e;
-        Cfg.set_exits cfg [ b ];
-        cfg
+        Cfg.Builder.set_entry cfg e;
+        Cfg.Builder.set_exits cfg [ b ];
+        Cfg.Builder.freeze cfg
       end)
 
 let two_proc_src =

@@ -10,49 +10,27 @@ let cf = Alcotest.float 1e-9
 (* ---------------- Vec ---------------- *)
 
 let vec_basics () =
-  let v = S89_graph.Vec.create ~dummy:0 in
+  let v = S89_graph.Vec.create ~capacity:1 ~dummy:0 in
   check ci "empty length" 0 (S89_graph.Vec.length v);
-  check cb "is_empty" true (S89_graph.Vec.is_empty v);
   for i = 1 to 100 do
     S89_graph.Vec.push v i
   done;
   check ci "length after pushes" 100 (S89_graph.Vec.length v);
   check ci "get 0" 1 (S89_graph.Vec.get v 0);
-  check ci "get 99" 100 (S89_graph.Vec.get v 99);
-  S89_graph.Vec.set v 5 42;
-  check ci "set/get" 42 (S89_graph.Vec.get v 5);
-  check ci "top" 100 (S89_graph.Vec.top v);
-  check ci "pop" 100 (S89_graph.Vec.pop v);
-  check ci "length after pop" 99 (S89_graph.Vec.length v)
+  check ci "get 99" 100 (S89_graph.Vec.get v 99)
 
 let vec_bounds () =
-  let v = S89_graph.Vec.of_list [ 1; 2; 3 ] ~dummy:0 in
+  let v = S89_graph.Vec.create ~capacity:8 ~dummy:0 in
+  List.iter (S89_graph.Vec.push v) [ 1; 2; 3 ];
   Alcotest.check_raises "get oob" (Invalid_argument "Vec.get: index out of bounds")
     (fun () -> ignore (S89_graph.Vec.get v 3));
-  Alcotest.check_raises "set oob" (Invalid_argument "Vec.set: index out of bounds")
-    (fun () -> S89_graph.Vec.set v (-1) 0);
-  let e = S89_graph.Vec.create ~dummy:0 in
-  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty") (fun () ->
-      ignore (S89_graph.Vec.pop e))
+  Alcotest.check_raises "get negative" (Invalid_argument "Vec.get: index out of bounds")
+    (fun () -> ignore (S89_graph.Vec.get v (-1)))
 
 let vec_conversions () =
-  let v = S89_graph.Vec.of_list [ 3; 1; 4; 1; 5 ] ~dummy:0 in
-  check (Alcotest.list ci) "to_list" [ 3; 1; 4; 1; 5 ] (S89_graph.Vec.to_list v);
-  check (Alcotest.array ci) "to_array" [| 3; 1; 4; 1; 5 |] (S89_graph.Vec.to_array v);
-  let doubled = S89_graph.Vec.map (fun x -> 2 * x) v ~dummy:0 in
-  check (Alcotest.list ci) "map" [ 6; 2; 8; 2; 10 ] (S89_graph.Vec.to_list doubled);
-  let odd = S89_graph.Vec.filter (fun x -> x mod 2 = 1) v in
-  check (Alcotest.list ci) "filter" [ 3; 1; 1; 5 ] (S89_graph.Vec.to_list odd);
-  check ci "fold" 14 (S89_graph.Vec.fold_left ( + ) 0 v);
-  check cb "exists" true (S89_graph.Vec.exists (fun x -> x = 4) v);
-  check cb "not exists" false (S89_graph.Vec.exists (fun x -> x = 9) v)
-
-let vec_clear_make () =
-  let v = S89_graph.Vec.make 5 7 ~dummy:0 in
-  check ci "make length" 5 (S89_graph.Vec.length v);
-  check ci "make value" 7 (S89_graph.Vec.get v 4);
-  S89_graph.Vec.clear v;
-  check ci "cleared" 0 (S89_graph.Vec.length v)
+  let v = S89_graph.Vec.create ~capacity:2 ~dummy:0 in
+  List.iter (S89_graph.Vec.push v) [ 3; 1; 4; 1; 5 ];
+  check (Alcotest.array ci) "to_array" [| 3; 1; 4; 1; 5 |] (S89_graph.Vec.to_array v)
 
 (* ---------------- Prng ---------------- *)
 
@@ -176,7 +154,6 @@ let suite =
     Alcotest.test_case "vec basics" `Quick vec_basics;
     Alcotest.test_case "vec bounds" `Quick vec_bounds;
     Alcotest.test_case "vec conversions" `Quick vec_conversions;
-    Alcotest.test_case "vec clear/make" `Quick vec_clear_make;
     Alcotest.test_case "prng determinism" `Quick prng_determinism;
     Alcotest.test_case "prng ranges" `Quick prng_ranges;
     Alcotest.test_case "prng moments" `Slow prng_moments;

@@ -821,11 +821,10 @@ let rewrite_calls ~from ~to_ (prog : Program.t) =
   let procs =
     Array.map
       (fun (p : Program.proc) ->
-        let cfg = p.Program.cfg in
-        for u = 0 to Cfg.num_nodes cfg - 1 do
-          let info = Cfg.info cfg u in
-          Cfg.set_info cfg u { info with Ir.ir = node info.Ir.ir }
-        done;
+        let cfg =
+          Cfg.map_info (fun _ (info : Ir.info) -> { info with Ir.ir = node info.Ir.ir }) p.Program.cfg
+        in
+        let p = { p with Program.cfg } in
         if p.Program.name = from then { p with Program.name = to_ } else p)
       prog.Program.procs
   in
