@@ -257,6 +257,11 @@ let rec rw_stmt ctx s =
             let e' = rw_expr ctx e in
             if e' == e then d.do_step else Some e'
       in
+      (* Fortran 77 forbids a zero step; the trip count would divide by it *)
+      (match step with
+      | Some (Int 0 | Unop (Neg, Int 0)) ->
+          err "%s: DO %s has a zero step" ctx.cunit.name d.do_var
+      | _ -> ());
       List.iter
         (fun e ->
           if expr_type ctx e <> Tint then
