@@ -219,6 +219,46 @@ let gen_source ?size seed : string = Ast.to_source (gen_ast ?size seed)
 let gen_program ?size seed : S89_frontend.Program.t =
   S89_frontend.Program.of_source (gen_source ?size seed)
 
+(* ---------------- irreducible programs (node splitting) ---------------- *)
+
+(* A [gen_ast]-style main program with a second entry into a DO body: a
+   conditional GOTO either from before the loop into its body, or from
+   the body of one loop into the body of the next.  Such a loop has two
+   entries, so its CFG is irreducible and lowering splits nodes.  A jump
+   into a body skips the loop's trip-count initialization; the latch then
+   finds no positive count and leaves the loop, so the program still
+   terminates.  Its own random stream: [gen_ast]'s programs do not move. *)
+let gen_irreducible_ast seed : Ast.program =
+  let ctx =
+    { rng = Prng.create ~seed; next_label = 100; depth = 1; stmts_left = 8;
+      exit_labels = [] }
+  in
+  let do_loop body =
+    { Ast.label = None;
+      stmt =
+        Ast.Do
+          { do_var = pick ctx ints; do_lo = Ast.Int 1;
+            do_hi = Ast.Int (1 + Prng.int ctx.rng 5); do_step = None; do_body = body } }
+  in
+  let target = fresh_label ctx in
+  let jump = { Ast.label = None; stmt = Ast.If_logical (gen_cond ctx, Ast.Goto target) } in
+  let before = gen_block ctx 1 in
+  let landing = { Ast.label = Some target; stmt = gen_assign ctx } in
+  let entered = do_loop (before @ [ landing ] @ gen_block ctx 1) in
+  let fragment =
+    if Prng.bool ctx.rng then [ jump; entered ]
+    else [ do_loop (gen_block ctx 1 @ [ jump ] @ gen_block ctx 1); entered ]
+  in
+  let body =
+    prelude () @ gen_block ctx (1 + Prng.int ctx.rng 2) @ fragment
+    @ gen_block ctx (1 + Prng.int ctx.rng 2)
+  in
+  [ { Ast.kind = Ast.Program; name = "IRRPROG"; params = [];
+      decls = [ Ast.Dvar (Ast.Treal, [ (array_name, [ array_size ]) ]) ]; body };
+    helper_unit ]
+
+let gen_irreducible_source seed : string = Ast.to_source (gen_irreducible_ast seed)
+
 (* ---------------- scale generators (incremental benchmarks) -------- *)
 
 let proc_name i = Printf.sprintf "P%d" i

@@ -496,3 +496,65 @@ let report_hotspots () =
        (Report.hotspots ~top:20 est2))
 
 let suite = suite @ [ Alcotest.test_case "report: hotspots" `Quick report_hotspots ]
+
+(* ---------------- node splitting, end to end ---------------- *)
+
+(* A program with a second entry into a DO body lowers to reducible,
+   valid CFGs, one of them split (a labelled statement is copied); on
+   every backend the smart counters reconstruct the VM's oracle counts
+   and TIME equals the measured cycles. *)
+let node_split_end_to_end_prop =
+  QCheck.Test.make ~count:40 ~name:"node-split programs: reconstruct = oracle, TIME = cycles"
+    QCheck.(pair (int_range 0 100000) (int_range 0 500))
+    (fun (seed, vmseed) ->
+      let module Cfg = S89_cfg.Cfg in
+      let module Placement = S89_profiling.Placement in
+      let t = Pipeline.of_source (Gen_prog.gen_irreducible_source seed) in
+      let procs = Program.procs t.Pipeline.prog in
+      List.iter
+        (fun (p : Program.proc) ->
+          let cfg = p.Program.cfg in
+          if not (S89_graph.Reducibility.is_reducible (Cfg.graph cfg) ~root:(Cfg.entry cfg))
+          then Alcotest.failf "%s: irreducible after lowering" p.Program.name;
+          if Cfg.validate cfg <> Ok () then Alcotest.failf "%s: invalid CFG" p.Program.name)
+        procs;
+      let main = (Program.main_proc t.Pipeline.prog).Program.cfg in
+      let labels = ref [] and copied = ref false in
+      Cfg.iter_nodes
+        (fun n ->
+          match (Cfg.info main n).S89_frontend.Ir.src_label with
+          | Some l ->
+              if List.mem l !labels then copied := true;
+              labels := l :: !labels
+          | None -> ())
+        main;
+      if not !copied then Alcotest.fail "no statement was split";
+      if Pipeline.diagnostics t <> [] then Alcotest.fail "a procedure was not analyzed";
+      let plan = Placement.plan t.Pipeline.analyses in
+      List.iter
+        (fun backend ->
+          let config =
+            { Interp.default_config with instr = Placement.probes plan; seed = vmseed; backend }
+          in
+          let vm = Interp.create ~config t.Pipeline.prog in
+          ignore (Interp.run vm);
+          let totals = S89_profiling.Reconstruct.totals plan ~counters:(Interp.counters vm) in
+          Hashtbl.iter
+            (fun name (a : Analysis.t) ->
+              let rt = Hashtbl.find totals name in
+              List.iter
+                (fun c ->
+                  if Hashtbl.find_opt rt c <> Some (Analysis.oracle_total a vm c) then
+                    Alcotest.failf "%s (%d,%s): reconstructed <> oracle" name (fst c)
+                      (Label.to_string (snd c)))
+                a.Analysis.conditions)
+            t.Pipeline.analyses;
+          let vm = Pipeline.run_once ~seed:vmseed ~backend t in
+          let measured = float_of_int (Interp.cycles vm) in
+          let predicted = Interproc.program_time (Pipeline.estimate_oracle t vm) in
+          if Float.abs (measured -. predicted) > 1e-6 *. (1.0 +. measured) then
+            Alcotest.failf "measured %.3f but predicted %.3f" measured predicted)
+        [ Interp.Tree; Interp.Compiled; Interp.Bytecode ];
+      true)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest node_split_end_to_end_prop ]
