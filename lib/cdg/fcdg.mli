@@ -30,17 +30,15 @@ val topological : t -> int array
 (** All nodes in reverse topological order — the bottom-up pass order. *)
 val bottom_up : t -> int array
 
-val out_edges : t -> int -> Label.t Digraph.edge list
-val in_edges : t -> int -> Label.t Digraph.edge list
-
 (** [L(u)]: distinct labels leaving [u], in first-appearance order. *)
 val labels : t -> int -> Label.t list
 
 (** [C(u,l)]: children of [u] under label [l]. *)
 val children : t -> int -> Label.t -> int list
 
-(** Children grouped by label. *)
-val children_by_label : t -> int -> (Label.t * int list) list
+(** The non-pseudo conditions [(u,l)] a node hangs under, sorted and
+    without repeats: NODE_TOTAL sums their totals. *)
+val parent_conditions : t -> int -> (int * Label.t) list
 
 (** The control conditions [{(u,l)}] of §3, deterministically ordered. *)
 val control_conditions : t -> (int * Label.t) list

@@ -108,13 +108,7 @@ let real_parent_conds ps node =
   match Hashtbl.find_opt ps.parents node with
   | Some cs -> cs
   | None ->
-      let cs =
-        List.filter_map
-          (fun (e : Label.t S89_graph.Digraph.edge) ->
-            if Label.is_pseudo e.label then None else Some (e.src, e.label))
-          (Fcdg.in_edges ps.a.Analysis.fcdg node)
-        |> List.sort_uniq compare
-      in
+      let cs = Fcdg.parent_conditions ps.a.Analysis.fcdg node in
       Hashtbl.replace ps.parents node cs;
       cs
 
@@ -139,7 +133,7 @@ let latch_term ps ((u, l) as c) =
   else if
     (* unconditional latch: its total is the node's execution count *)
     Label.equal l Label.U
-    && List.length (Cfg.succ_edges (Ecfg.cfg ps.a.Analysis.ecfg) u) = 1
+    && S89_graph.Digraph.out_degree (Cfg.graph (Ecfg.cfg ps.a.Analysis.ecfg)) u = 1
   then Some (Tnode_total u)
   else None
 

@@ -18,19 +18,12 @@ let node_total (a : Analysis.t) (values : (cond, int) Hashtbl.t) x =
   let fcdg = a.Analysis.fcdg in
   if x = Fcdg.start fcdg then Hashtbl.find_opt values (x, S89_cfg.Label.U)
   else
-    let parents =
-      List.filter_map
-        (fun (e : S89_cfg.Label.t S89_graph.Digraph.edge) ->
-          if S89_cfg.Label.is_pseudo e.label then None else Some (e.src, e.label))
-        (Fcdg.in_edges fcdg x)
-      |> List.sort_uniq compare
-    in
     List.fold_left
       (fun acc c ->
         match (acc, Hashtbl.find_opt values c) with
         | Some s, Some v -> Some (s + v)
         | _ -> None)
-      (Some 0) parents
+      (Some 0) (Fcdg.parent_conditions fcdg x)
 
 let term_value a values = function
   | Placement.Tcond c -> Hashtbl.find_opt values c

@@ -56,7 +56,7 @@ let fcdg_fig1_structure () =
   (* postexits hang under the preheader's pseudo edges and the exit branches *)
   List.iter
     (fun pe ->
-      let parents = List.map (fun (e : Label.t Digraph.edge) -> e.src) (Fcdg.in_edges fcdg pe) in
+      let parents = List.map (fun (e : Label.t Digraph.edge) -> e.src) (Digraph.pred_edges (Fcdg.graph fcdg) pe) in
       check cb "postexit under preheader" true (List.mem ph parents);
       check cb "postexit under an exit branch" true
         (List.mem 4 parents || List.mem 5 parents))
@@ -80,7 +80,7 @@ let fcdg_well_formed a =
         Alcotest.failf "node %d not reachable in FCDG" v)
     g;
   (* STOP is never control dependent on anything *)
-  if Fcdg.in_edges fcdg (Fcdg.stop fcdg) <> [] then Alcotest.fail "STOP has parents";
+  if Digraph.pred_edges (Fcdg.graph fcdg) (Fcdg.stop fcdg) <> [] then Alcotest.fail "STOP has parents";
   (* the topological orders are consistent *)
   let topo = Fcdg.topological fcdg in
   let pos = Array.make (Digraph.num_nodes g) 0 in
@@ -196,7 +196,7 @@ let node_total_prop =
                       + (match Hashtbl.find_opt totals (e.src, e.label) with
                         | Some n -> n
                         | None -> 0))
-                    0 (Fcdg.in_edges fcdg v)
+                    0 (Digraph.pred_edges (Fcdg.graph fcdg) v)
                 in
                 let actual =
                   S89_vm.Interp.node_execs vm p.Program.name v

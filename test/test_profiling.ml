@@ -463,7 +463,7 @@ let conservation_laws_prop =
                       (fun (e : Label.t S89_graph.Digraph.edge) ->
                         if Label.is_pseudo e.label then None
                         else Some (e.src, e.label))
-                      (S89_cdg.Fcdg.in_edges a.Analysis.fcdg pe))
+                      (S89_graph.Digraph.pred_edges (S89_cdg.Fcdg.graph a.Analysis.fcdg) pe))
                   (Ecfg.postexits_of_header ecfg h)
                 |> List.sort_uniq compare
               in
