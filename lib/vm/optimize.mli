@@ -15,8 +15,8 @@ val expr_impure : Program.t option -> S89_frontend.Ast.expr -> bool
 (** Fold one expression. *)
 val fold : Program.t option -> S89_frontend.Ast.expr -> S89_frontend.Ast.expr
 
-(** Optimize one procedure's CFG (mutates payloads; returns a rebuilt
-    graph).  Prefer {!program}, which copies first. *)
+(** Optimize one procedure's CFG into a new one; the procedure's own
+    CFG is left untouched. *)
 val optimize_cfg : ?program:Program.t -> Program.proc -> Ir.info S89_cfg.Cfg.t
 
 (** Whole-program optimization; the input program is left untouched. *)
