@@ -23,12 +23,15 @@
    A fifth class per seed exercises the incremental analysis memo:
    - memo-consistency: replay a seeded edit stream (constant tweaks on
                 generated programs, then a rename-only edit of their
-                SUBROUTINE) against one persistent memo, rotating the VM
-                backend per version; every memoized estimate must be
-                byte-identical to a from-scratch analysis of the same
-                version (report, rendered twice, diagnostics, program
-                totals), the memoized pipeline's counter plan, counters
-                and reconstructed totals must equal the fresh one's, and
+                SUBROUTINE, then a revert to the generated program, whose
+                superseded bodies the memo has evicted) against one
+                persistent memo, rotating the VM backend per version;
+                every memoized estimate must be byte-identical to a
+                from-scratch analysis of the same version (report,
+                rendered twice, diagnostics, program totals), the
+                memoized pipeline's counter plan, counters, cycles per
+                run, reconstructed totals and VM output (its VMs run on
+                the memo's cached code) must equal the fresh one's, and
                 no MEMO002 determinism violation may fire.
 
    A sixth class per seed exercises the record codec's three decoders:
@@ -395,7 +398,10 @@ let rename_helper src =
   Buffer.contents b
 
 (* one persistent memo over a seeded edit stream: every memoized
-   analysis must be byte-identical to a from-scratch one *)
+   analysis, profile and VM run must be identical to a from-scratch one.
+   Versions: the generated program, two tweaks, a rename of HELPER, and
+   the generated program again, whose superseded bodies the memo has
+   evicted by then and recomputes *)
 let check_memo_consistency seed : verdict =
   let rng = Prng.create ~seed:(seed lxor 0x3e30) in
   let memo_diag_codes = ref [] in
@@ -403,10 +409,13 @@ let check_memo_consistency seed : verdict =
     Memo.create ~on_diag:(fun d -> memo_diag_codes := d.Diag.code :: !memo_diag_codes) ()
   in
   let backends = [| Interp.Tree; Interp.Compiled; Interp.Bytecode |] in
-  let src = ref (with_print (Gen.gen_source seed)) in
+  let original = with_print (Gen.gen_source seed) in
+  let src = ref original in
   let rejected = ref None in
-  for v = 0 to 3 do
-    if v = 3 then src := rename_helper !src else if v > 0 then src := tweak rng !src;
+  for v = 0 to 4 do
+    if v = 4 then src := original
+    else if v = 3 then src := rename_helper !src
+    else if v > 0 then src := tweak rng !src;
     match Program.of_source_result !src with
     | Error d -> rejected := Some d.Diag.code (* a tweak broke the program *)
     | Ok _ -> (
@@ -429,6 +438,15 @@ let check_memo_consistency seed : verdict =
               failf "memoized counter plan differs at version %d" v;
             if profile.Pipeline.counters <> mprofile.Pipeline.counters then
               failf "memoized plan's counters differ at version %d (%s backend)" v
+                (backend_name backend);
+            (* the memoized pipeline's VMs run on cached code *)
+            if profile.Pipeline.avg_cycles <> mprofile.Pipeline.avg_cycles then
+              failf "memoized profile's cycles differ at version %d (%s backend)" v
+                (backend_name backend);
+            (* the profiled run's seed: that run completed *)
+            let output t = Interp.output (Pipeline.run_once ~seed:1 ~backend t) in
+            if output fresh_t <> output memo_t then
+              failf "memoized VM output differs at version %d (%s backend)" v
                 (backend_name backend);
             if
               Database.to_string profile.Pipeline.database

@@ -56,7 +56,7 @@ type memo_hooks = {
       (* the procedure name keys a physical-identity cache: a memoized
          totals source returns the same table value across re-analyses *)
   fp_mix : string -> int64 list -> int64;
-  find : int64 -> proc_est option;
+  find : string -> int64 -> proc_est option;
   add : int64 -> proc_est -> unit;
 }
 
@@ -226,7 +226,7 @@ let estimate ?(cost_model = Cost_model.optimized) ?(freq_var = Zero)
             | Some h -> (
                 let key = proc_key h p in
                 Hashtbl.replace fp_of p.Program.name key;
-                match h.find key with
+                match h.find p.Program.name key with
                 | Some est ->
                     (* re-bind the entry to this program's procedure:
                        fingerprints ignore names, so the hit may come

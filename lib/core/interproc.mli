@@ -60,12 +60,13 @@ type t = {
     the procedure's own name (renaming-only edits keep fingerprints).
     [fp_totals] also receives the procedure name so the implementation
     can cache by physical identity of the table (a memoized totals
-    source returns the same value across re-analyses). *)
+    source returns the same value across re-analyses); [find] receives
+    the name of the procedure that looks the key up. *)
 type memo_hooks = {
   fp_body : Program.proc -> int64;
   fp_totals : string -> (Analysis.cond, int) Hashtbl.t -> int64;
   fp_mix : string -> int64 list -> int64;
-  find : int64 -> proc_est option;
+  find : string -> int64 -> proc_est option;
   add : int64 -> proc_est -> unit;
 }
 

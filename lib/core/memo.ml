@@ -10,7 +10,7 @@
    therefore invalidates exactly the editing procedure and its callers'
    cone; everything else hits.
 
-   Five cache layers:
+   Six cache layers:
    - [entries]: full {!Interproc.proc_est} results keyed by the full
      fingerprint — a hit skips frequency, cost, TIME and VAR computation
      outright ({!Interproc.estimate}'s [?memo] hooks);
@@ -26,7 +26,26 @@
      and {!Pipeline.plan} realizes the counters afresh;
    - [statics]: derived static-frequency TOTAL_FREQ tables keyed by the
      body fingerprint mixed with a heuristics salt
-     ({!Pipeline.static_totals}).
+     ({!Pipeline.static_totals});
+   - [layouts] and [codes]: VM slot layouts and emitted bytecode
+     ({!S89_vm.Interp.cache}), keyed by the body fingerprint mixed with
+     a salt of every other input {!S89_vm.Interp.create} names (cost
+     model, backend mode, dummy types, probe actions, user procedures
+     named like intrinsics, a FUNCTION's result name) — a hit skips
+     [Emit.emit_proc].  Neither holds run state: no [Eval.rt], program
+     or per-run array.
+
+   Bounded by the program, not by the edit history.  Each procedure
+   name holds its current body and the body it last superseded, so
+   undoing an edit, or renaming a procedure right after editing it,
+   still hits.  When a name's body fingerprint changes, the body two
+   versions back loses its last holder: its analysis, plans, static
+   totals, layouts and code are dropped, unless another procedure name
+   still holds that body.  Each name holds one full entry: when a name
+   adds or hits an entry under a new fingerprint, its old entry is
+   dropped under the same proviso.  An edit stream therefore holds at
+   most two program versions' worth of bodies however long it runs; a
+   name that leaves the program keeps what it held.
 
    A persistence-facing store holds (fingerprint, TIME, VAR)
    summaries loaded from a store's memo records: full results are not
@@ -34,7 +53,7 @@
    not skip work across processes — instead every recomputation is
    checked against the persisted summary (a mismatch is a determinism
    violation, [MEMO002]) and the summaries drive dirty-cone accounting
-   in [ptranc analyze --memo].
+   in [ptranc analyze --memo].  Eviction leaves summaries alone.
 
    All operations take an internal mutex, so one memo may be shared by
    callers on several domains or threads. *)
@@ -44,6 +63,7 @@ module Ast = S89_frontend.Ast
 module Sema = S89_frontend.Sema
 module Analysis = S89_profiling.Analysis
 module Placement = S89_profiling.Placement
+module Interp = S89_vm.Interp
 module Diag = S89_diag.Diag
 
 let fnv64 = S89_util.Codec.fnv64
@@ -55,29 +75,42 @@ type stats = {
   mutable analysis_misses : int;
   mutable placement_hits : int;
   mutable placement_misses : int;
+  mutable code_hits : int;
+  mutable code_misses : int;
   mutable warm_confirmed : int;
   mutable warm_mismatches : int;
 }
 
 type summary = { s_name : string; s_time : float; s_var : float }
 
+(* a value of a derived layer, with the body fingerprint it derives
+   from (the eviction key) *)
+type 'a derived = (int64, int64 * 'a) Hashtbl.t
+
+(* a procedure name's current body and the one it superseded last *)
+type version = { proc : Program.proc; fp : int64; prev : int64 option }
+
 type t = {
   entries : (int64, Interproc.proc_est) Hashtbl.t;
   analyses : (int64, Analysis.t) Hashtbl.t;
   summaries : (int64, summary) Hashtbl.t;
   mutable fresh : (int64 * summary) list; (* newest first; drained for persistence *)
-  fp_cache : (string, Program.proc * int64) Hashtbl.t; (* see [body_fp_cached] *)
+  fp_cache : (string, version) Hashtbl.t; (* see [body_fp_cached] *)
   tfp_cache : (string, (Analysis.cond, int) Hashtbl.t * int64) Hashtbl.t;
       (* totals fingerprints by physical identity of the table *)
-  statics : (int64, (Analysis.cond, int) Hashtbl.t) Hashtbl.t;
+  statics : (Analysis.cond, int) Hashtbl.t derived;
       (* synthetic TOTAL_FREQ tables, keyed by body fp mixed with a
          heuristics salt (see {!Pipeline.static_totals}) *)
-  plans : (int64, Placement.decisions) Hashtbl.t;
+  plans : Placement.decisions derived;
       (* placement decisions, keyed by body fp mixed with the opt2/opt3
          salt (see {!placement_cache}) *)
-  newest : (string, Interproc.proc_est) Hashtbl.t;
-      (* the entry last added per procedure name: only it keeps its
-         rendered report lines (see [add]) *)
+  layouts : S89_vm.Env.layout derived;
+  codes : S89_vm.Bytecode.code derived;
+      (* VM layouts and code, keyed by body fp mixed with the VM's salt
+         (see {!vm_cache}) *)
+  newest : (string, int64 * Interproc.proc_est) Hashtbl.t;
+      (* the entry each procedure name last used: only an entry added
+         there keeps its rendered report lines (see [add]) *)
   on_diag : Diag.t -> unit;
   stats : stats;
   mu : Mutex.t;
@@ -97,6 +130,8 @@ let create ?(on_diag = fun d -> Log.warn (fun m -> m "%a" Diag.pp d)) () =
     tfp_cache = Hashtbl.create 64;
     statics = Hashtbl.create 64;
     plans = Hashtbl.create 64;
+    layouts = Hashtbl.create 64;
+    codes = Hashtbl.create 64;
     newest = Hashtbl.create 64;
     on_diag;
     stats =
@@ -107,6 +142,8 @@ let create ?(on_diag = fun d -> Log.warn (fun m -> m "%a" Diag.pp d)) () =
         analysis_misses = 0;
         placement_hits = 0;
         placement_misses = 0;
+        code_hits = 0;
+        code_misses = 0;
         warm_confirmed = 0;
         warm_mismatches = 0;
       };
@@ -141,33 +178,72 @@ let body_fp (p : Program.proc) : int64 =
           { p.Program.env.Sema.unit_ with Ast.name = "" }
           [ Marshal.No_sharing ]))
 
+(* Does a name other than [name] map to [fp] in [tbl]? *)
+let other_maps tbl name fp holds =
+  Hashtbl.fold (fun n v found -> found || (n <> name && holds v fp)) tbl false
+
+let holds_body v fp = v.fp = fp || v.prev = Some fp
+
+(* Drop everything derived from a body no procedure name holds any more
+   (the lock is held). *)
+let evict_body t fp =
+  Hashtbl.remove t.analyses fp;
+  let drop tbl =
+    Hashtbl.filter_map_inplace (fun _ ((b, _) as v) -> if b = fp then None else Some v) tbl
+  in
+  drop t.statics;
+  drop t.plans;
+  drop t.layouts;
+  drop t.codes
+
 (* [body_fp] is pure but not free (it marshals the whole unit), and both
    {!Pipeline.create} and {!Interproc.estimate} need it for every
    procedure of the same program version.  A physical-identity cache
    keyed by procedure name makes the second pass free; a re-parsed
    program has fresh procedure values, so its entries simply overwrite
    the previous version's (the cache never holds more than one program's
-   worth). *)
+   worth).  A name whose fingerprint changes keeps the body it
+   supersedes as [prev] and lets go of the one before, which is evicted
+   unless another name holds it. *)
 let body_fp_cached t (p : Program.proc) : int64 =
+  let name = p.Program.name in
   locked t (fun () ->
-      match Hashtbl.find_opt t.fp_cache p.Program.name with
-      | Some (p', fp) when p' == p -> fp
-      | _ ->
+      match Hashtbl.find_opt t.fp_cache name with
+      | Some v when v.proc == p -> v.fp
+      | known ->
           let fp = body_fp p in
-          Hashtbl.replace t.fp_cache p.Program.name (p, fp);
+          (match known with
+          | Some v when v.fp <> fp ->
+              Hashtbl.replace t.fp_cache name { proc = p; fp; prev = Some v.fp };
+              Option.iter
+                (fun old ->
+                  if old <> fp && not (other_maps t.fp_cache name old holds_body) then
+                    evict_body t old)
+                v.prev
+          | Some v -> Hashtbl.replace t.fp_cache name { v with proc = p }
+          | None -> Hashtbl.replace t.fp_cache name { proc = p; fp; prev = None });
           fp)
 
 let totals_fp (tbl : (Analysis.cond, int) Hashtbl.t) : int64 =
+  let b = Buffer.create 32 in
   let rows =
     Hashtbl.fold
       (fun (u, l) c acc ->
         if c = 0 then acc (* absent and explicit-zero entries are the same profile *)
-        else Printf.sprintf "%d %s %d" u (S89_cfg.Label.to_string l) c :: acc)
+        else begin
+          Buffer.clear b;
+          Buffer.add_string b (string_of_int u);
+          Buffer.add_char b ' ';
+          S89_cfg.Label.add b l;
+          Buffer.add_char b ' ';
+          Buffer.add_string b (string_of_int c);
+          Buffer.contents b :: acc
+        end)
       tbl []
   in
   (* Digest first, as in [body_fp]: the row dump is KBs for a hot
-     procedure and this runs for every procedure on every re-analysis *)
-  fnv64 (Digest.string (String.concat "\n" (List.sort compare rows)))
+     procedure *)
+  fnv64 (Digest.string (String.concat "\n" (List.sort String.compare rows)))
 
 (* [totals_fp] through the same kind of physical-identity cache as
    [body_fp_cached]: when the totals come from the memoized
@@ -203,11 +279,21 @@ let totals_of (est : Interproc.proc_est) =
    lossless [%h] encoding the store records use *)
 let same_float a b = Printf.sprintf "%h" a = Printf.sprintf "%h" b
 
-let find t fp =
+(* [name] now uses entry [fp] (the lock is held): the entry it used
+   before is dropped unless another name still uses it *)
+let retarget t name fp e =
+  (match Hashtbl.find_opt t.newest name with
+  | Some (old, _) when old <> fp && not (other_maps t.newest name old (fun (f, _) x -> f = x)) ->
+      Hashtbl.remove t.entries old
+  | _ -> ());
+  Hashtbl.replace t.newest name (fp, e)
+
+let find t name fp =
   locked t (fun () ->
       match Hashtbl.find_opt t.entries fp with
       | Some e ->
           t.stats.hits <- t.stats.hits + 1;
+          retarget t name fp e;
           Some e
       | None ->
           t.stats.misses <- t.stats.misses + 1;
@@ -222,10 +308,10 @@ let add t fp (est : Interproc.proc_est) =
       Hashtbl.replace t.entries fp est;
       let name = est.Interproc.analysis.Analysis.proc.Program.name in
       (match Hashtbl.find_opt t.newest name with
-      | Some prev ->
+      | Some (_, prev) ->
           Option.iter (fun cell -> Atomic.set cell None) prev.Interproc.rendered
       | None -> ());
-      Hashtbl.replace t.newest name est;
+      retarget t name fp est;
       let time, var = totals_of est in
       let s = { s_name = name; s_time = time; s_var = var } in
       (match Hashtbl.find_opt t.summaries fp with
@@ -268,41 +354,64 @@ let find_analysis t fp =
           t.stats.analysis_misses <- t.stats.analysis_misses + 1;
           None)
 
-let add_analysis t fp a = locked t (fun () -> Hashtbl.replace t.analyses fp a)
+(* a body no name holds any more (superseded while this was being
+   computed) is not stored *)
+let current t fp = other_maps t.fp_cache "" fp holds_body
 
-(* derived static-frequency totals (the caller keys them by body fp
-   mixed with a heuristics salt); a hit returns the cached table itself,
-   which every consumer treats as read-only *)
-let find_static_totals t fp = locked t (fun () -> Hashtbl.find_opt t.statics fp)
+let add_analysis t fp a =
+  locked t (fun () -> if current t fp then Hashtbl.replace t.analyses fp a)
 
-let add_static_totals t fp tbl =
-  locked t (fun () -> Hashtbl.replace t.statics fp tbl)
+(* ---------------- derived layers ---------------- *)
 
-(* ---------------- the placement layer ---------------- *)
-
-(* Placement decisions depend on the analysis, which the analysis layer
-   already keys by body fingerprint, and on opt2/opt3, which the salt
-   carries.  [compute] runs outside the lock: two callers missing the
-   same key compute equal decisions and the later one wins. *)
-let placement_cache t : Placement.cache =
- fun ~salt a compute ->
-  let key = mix salt [ body_fp_cached t a.Analysis.proc ] in
+(* A value derived from [p]'s body under [salt]: looked up by the body
+   fingerprint mixed with the salt, counted by [hit]/[miss] (the lock
+   is held).  [compute] runs outside the lock: two callers missing the
+   same key compute equal values and the later one wins. *)
+let derived t (tbl : 'a derived) ~hit ~miss ~salt p (compute : unit -> 'a) : 'a =
+  let body = body_fp_cached t p in
+  let key = mix salt [ body ] in
   let cached =
     locked t (fun () ->
-        match Hashtbl.find_opt t.plans key with
-        | Some d ->
-            t.stats.placement_hits <- t.stats.placement_hits + 1;
-            Some d
+        match Hashtbl.find_opt tbl key with
+        | Some (_, v) ->
+            hit t.stats;
+            Some v
         | None ->
-            t.stats.placement_misses <- t.stats.placement_misses + 1;
+            miss t.stats;
             None)
   in
   match cached with
-  | Some d -> d
+  | Some v -> v
   | None ->
-      let d = compute () in
-      locked t (fun () -> Hashtbl.replace t.plans key d);
-      d
+      let v = compute () in
+      locked t (fun () -> if current t body then Hashtbl.replace tbl key (body, v));
+      v
+
+let uncounted (_ : stats) = ()
+
+(* derived static-frequency totals; a hit returns the cached table
+   itself, which every consumer treats as read-only *)
+let static_totals t ~salt p compute =
+  derived t t.statics ~hit:uncounted ~miss:uncounted ~salt p compute
+
+(* Placement decisions depend on the analysis, which the analysis layer
+   already keys by body fingerprint, and on opt2/opt3, which the salt
+   carries. *)
+let placement_cache t : Placement.cache =
+ fun ~salt a compute ->
+  derived t t.plans
+    ~hit:(fun s -> s.placement_hits <- s.placement_hits + 1)
+    ~miss:(fun s -> s.placement_misses <- s.placement_misses + 1)
+    ~salt a.Analysis.proc compute
+
+let vm_cache t : Interp.cache =
+  {
+    Interp.layouts = derived t t.layouts ~hit:uncounted ~miss:uncounted;
+    codes =
+      derived t t.codes
+        ~hit:(fun s -> s.code_hits <- s.code_hits + 1)
+        ~miss:(fun s -> s.code_misses <- s.code_misses + 1);
+  }
 
 (* ---------------- persistence glue ---------------- *)
 
@@ -343,6 +452,8 @@ let reset_stats t =
       t.stats.analysis_misses <- 0;
       t.stats.placement_hits <- 0;
       t.stats.placement_misses <- 0;
+      t.stats.code_hits <- 0;
+      t.stats.code_misses <- 0;
       t.stats.warm_confirmed <- 0;
       t.stats.warm_mismatches <- 0)
 
@@ -350,6 +461,8 @@ let pp_stats fmt t =
   let s = t.stats in
   Fmt.pf fmt
     "memo: %d hits, %d misses (dirty cone), %d/%d analysis hits/misses, %d/%d \
-     placement hits/misses, %d warm-confirmed, %d mismatches"
+     placement hits/misses, %d/%d code hits/misses, %d warm-confirmed, %d \
+     mismatches"
     s.hits s.misses s.analysis_hits s.analysis_misses s.placement_hits
-    s.placement_misses s.warm_confirmed s.warm_mismatches
+    s.placement_misses s.code_hits s.code_misses s.warm_confirmed
+    s.warm_mismatches

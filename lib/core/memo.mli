@@ -2,12 +2,21 @@
     content fingerprints (FNV-1a/64 of the lowered body chained with the
     ordered fingerprints of the callee summaries, the TOTAL_FREQ table
     and an option salt), so re-analysis of an edited program recomputes
-    exactly the dirty cone of the call graph.  Thread-safe: the analysis
-    layer may be probed from several pool domains. *)
+    exactly the dirty cone of the call graph.
+
+    Six layers: full results (with their rendered report lines),
+    analyses, placement decisions, static totals, and VM layouts and
+    code.  The memo is bounded by the program, not by the edit history:
+    each procedure name holds its current body and the one it last
+    superseded, and everything derived from a body no name holds is
+    dropped; each name holds one full result, and a superseded one is
+    dropped the same way (its persisted summary stays).  Thread-safe:
+    the layers may be probed from several domains. *)
 
 module Program = S89_frontend.Program
 module Analysis = S89_profiling.Analysis
 module Placement = S89_profiling.Placement
+module Interp = S89_vm.Interp
 module Diag = S89_diag.Diag
 
 type t
@@ -19,6 +28,8 @@ type stats = {
   mutable analysis_misses : int;
   mutable placement_hits : int;  (** placement decisions reused *)
   mutable placement_misses : int;
+  mutable code_hits : int;  (** VM code reused ({!vm_cache}) *)
+  mutable code_misses : int;  (** procedures emitted *)
   mutable warm_confirmed : int;
       (** recomputations that matched a persisted summary *)
   mutable warm_mismatches : int;  (** [MEMO002] determinism violations *)
@@ -39,7 +50,10 @@ val body_fp : Program.proc -> int64
 
 (** [body_fp] through a per-memo physical-identity cache: the second
     consumer of the same program version (the interprocedural pass,
-    after {!Pipeline.create}) gets its fingerprints for free. *)
+    after {!Pipeline.create}) gets its fingerprints for free.  A name
+    whose fingerprint changes keeps the body it supersedes and lets go
+    of the one before, which is evicted from every layer unless another
+    name holds it. *)
 val body_fp_cached : t -> Program.proc -> int64
 
 (** Fingerprint of a [TOTAL_FREQ] table (sorted; zero entries ignored). *)
@@ -59,17 +73,27 @@ val find_analysis : t -> int64 -> Analysis.t option
 
 val add_analysis : t -> int64 -> Analysis.t -> unit
 
-(** Derived synthetic TOTAL_FREQ tables ({!Pipeline.static_totals} keys
-    them by {!body_fp} mixed with a heuristics salt).  The cached table
+(** Derived synthetic TOTAL_FREQ tables: [static_totals t ~salt p
+    compute] keys [compute ()] by [p]'s {!body_fp} mixed with [salt]
+    ({!Pipeline.static_totals} passes its heuristics).  The cached table
     is returned as-is: consumers must treat it as read-only. *)
-val find_static_totals : t -> int64 -> (Analysis.cond, int) Hashtbl.t option
-
-val add_static_totals : t -> int64 -> (Analysis.cond, int) Hashtbl.t -> unit
+val static_totals :
+  t ->
+  salt:string ->
+  Program.proc ->
+  (unit -> (Analysis.cond, int) Hashtbl.t) ->
+  (Analysis.cond, int) Hashtbl.t
 
 (** The placement layer, as {!Placement.plan}'s [?cache]: decisions
     keyed by {!body_fp} mixed with the placement salt, counted in
     [placement_hits]/[placement_misses]. *)
 val placement_cache : t -> Placement.cache
+
+(** The VM layer, as {!Interp.create}'s [?cache]: slot layouts and
+    emitted bytecode keyed by {!body_fp} mixed with the salts
+    [Interp.create] passes, code counted in [code_hits]/[code_misses].
+    The memo holds only the immutable code, never a VM's run state. *)
+val vm_cache : t -> Interp.cache
 
 (** {1 Persistence} *)
 

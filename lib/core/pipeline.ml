@@ -153,11 +153,15 @@ let of_source_result ?strict ?supervisor ?journal ?memo src :
 
 (* ---------------- running ---------------- *)
 
+(* a pipeline created with a memo reuses the VM code of every procedure
+   whose code inputs the memo has seen before *)
+let vm_cache t = Option.map Memo.vm_cache t.memo
+
 (* one uninstrumented run; oracle counts serve as exact totals *)
 let run_once ?(cost_model = Cost_model.optimized) ?(seed = 42)
     ?(backend = Interp.default_config.Interp.backend) t : Interp.t =
   let config = { Interp.default_config with cost_model; seed; backend } in
-  let vm = Interp.create ~config t.prog in
+  let vm = Interp.create ?cache:(vm_cache t) ~config t.prog in
   ignore (Interp.run vm);
   vm
 
@@ -189,7 +193,7 @@ let profile_smart ?(cost_model = Cost_model.optimized) ?(runs = 1) ?(seed = 1)
       { Interp.default_config with cost_model; instr = Placement.probes plan;
         seed = seed + r; backend }
     in
-    let vm = Interp.create ~config t.prog in
+    let vm = Interp.create ?cache:(vm_cache t) ~config t.prog in
     ignore (Interp.run vm);
     cycles := !cycles + Interp.cycles vm;
     let cs = Interp.counters vm in
@@ -228,7 +232,7 @@ let profile_run ?(cost_model = Cost_model.optimized)
     { Interp.default_config with cost_model; instr = Placement.probes plan;
       seed; backend }
   in
-  let vm = Interp.create ~config t.prog in
+  let vm = Interp.create ?cache:(vm_cache t) ~config t.prog in
   ignore (Interp.run vm);
   let counters = Array.sub (Interp.counters vm) 0 (Placement.n_counters plan) in
   Reconstruct.totals plan ~counters
@@ -291,23 +295,12 @@ let static_totals ?heuristics ?memo t : string -> (Analysis.cond, int) Hashtbl.t
         Printf.sprintf "static_totals %h %h %h" h.Static_freq.loop_freq
           h.Static_freq.branch_taken h.Static_freq.exit_taken
       in
-      let keys = Hashtbl.create 8 in
-      List.iter
-        (fun (p : Program.proc) ->
-          Hashtbl.replace keys p.Program.name
-            (Memo.mix salt [ Memo.body_fp_cached m p ]))
-        (Program.procs t.prog);
       fun name ->
-        match (Hashtbl.find_opt t.analyses name, Hashtbl.find_opt keys name) with
-        | Some a, Some key -> (
-            match Memo.find_static_totals m key with
-            | Some tbl -> tbl
-            | None ->
-                let tbl = Static_freq.totals ?heuristics a in
-                Memo.add_static_totals m key tbl;
-                tbl)
-        | Some a, None -> Static_freq.totals ?heuristics a
-        | None, _ -> Hashtbl.create 1
+        match Hashtbl.find_opt t.analyses name with
+        | Some a ->
+            Memo.static_totals m ~salt a.Analysis.proc (fun () ->
+                Static_freq.totals ?heuristics a)
+        | None -> Hashtbl.create 1
 
 (* estimate from explicit per-procedure totals (e.g. a loaded database);
    [?memo] makes the bottom-up traversal demand-driven — only the dirty

@@ -19,7 +19,8 @@ type t = {
           [~strict:true], which fails fast instead) *)
   memo : Memo.t option;
       (** the memo {!create} was given; {!plan} reuses its placement
-          decisions *)
+          decisions, and {!run_once}, {!profile_smart} and
+          {!profile_run} its VM code ({!Memo.vm_cache}) *)
 }
 
 (** Build the analyses for an already-lowered program.
@@ -77,7 +78,10 @@ val of_source_result :
 (** One uninstrumented VM run (its oracle counts serve as exact totals).
     [backend] selects the execution engine (default {!Interp.Bytecode});
     all backends are observationally identical, so results never depend
-    on the choice. *)
+    on the choice.  A pipeline created with a memo builds the VM through
+    the memo's VM layer, so only procedures whose code inputs changed
+    are emitted; the run is identical either way (the same holds for
+    {!profile_smart} and {!profile_run}). *)
 val run_once :
   ?cost_model:Cost_model.t ->
   ?seed:int ->

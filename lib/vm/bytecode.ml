@@ -21,7 +21,6 @@
    test/test_vm.ml and fuzz/fuzz.ml enforce this three ways. *)
 
 module Ir = S89_frontend.Ir
-module Program = S89_frontend.Program
 open S89_cfg
 
 (* Guard exceptions live here (the lowest layer that raises them); Interp
@@ -111,29 +110,55 @@ type fallback = {
   fb_edges : int array; (* successor index -> pc of its edge sequence *)
 }
 
-type proc = {
-  bp_proc : Program.proc;
-  layout : Env.layout;
+(* The immutable code [Emit.emit_proc] produces: everything below is a
+   function of the procedure's body, its layout, the cost model, the
+   lowering mode, its dummies' call-site types, its probe actions and
+   which of the names it calls are user procedures, and holds no run
+   state — so one value may back any number of VMs ({!instantiate}),
+   and a memo may keep it across program versions. *)
+type code = {
   code : int array;
   fpool : float array;
   entry_pc : int;
   n_iregs : int;
   n_fregs : int;
   all_promoted : sync; (* every promoted slot: frame init and RET sync *)
-  names : string array; (* slot -> name, for runtime error messages *)
-  rt : Eval.rt; (* fallbacks; RAND/IRAND opcodes draw from its stream *)
   fallbacks : fallback array;
   groups : int array array; (* edge-probe groups: counters to bump *)
+  (* CFG shape for the oracle counts: node [nid]'s successor [k] has
+     flat edge index [edge_base.(nid) + k] *)
+  edge_base : int array;
+  succ_labels : Label.t array array;
+}
+
+(* [code] bound into one VM: its layout (frames, and slot names for
+   runtime error messages), its run-wide state and the oracle counts of
+   this run *)
+type proc = {
+  c : code;
+  layout : Env.layout;
+  rt : Eval.rt; (* fallbacks; RAND/IRAND opcodes draw from its stream *)
   (* oracle meta, indexed by CFG node id (execs/samples) or flat edge
      index (edge_base.(nid) + successor position) *)
   execs : int array;
   samples : int array;
   edge_counts : int array;
-  edge_base : int array;
-  succ_labels : Label.t array array;
   mutable invocations : int;
   mutable fb_execs : int; (* FALLBACK escapes executed (perf telemetry) *)
 }
+
+let instantiate (c : code) (layout : Env.layout) (rt : Eval.rt) : proc =
+  let n = Array.length c.succ_labels in
+  {
+    c;
+    layout;
+    rt;
+    execs = Array.make (max n 1) 0;
+    samples = Array.make (max n 1) 0;
+    edge_counts = Array.make (max c.edge_base.(n) 1) 0;
+    invocations = 0;
+    fb_execs = 0;
+  }
 
 (* ---- opcode map (operands follow the opcode word) ----
 
@@ -320,12 +345,13 @@ let[@inline] fcmp3 (x : float) (y : float) =
 (* ---- the dispatch loop ---- *)
 
 let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
-  let code = p.code in
-  let fpool = p.fpool in
-  let names = p.names in
-  let ireg = Array.make (max p.n_iregs 1) 0 in
-  let freg = Array.make (max p.n_fregs 1) 0.0 in
-  load_regs p.all_promoted venv ireg freg;
+  let c = p.c in
+  let code = c.code in
+  let fpool = c.fpool in
+  let names = p.layout.Env.names in
+  let ireg = Array.make (max c.n_iregs 1) 0 in
+  let freg = Array.make (max c.n_fregs 1) 0.0 in
+  load_regs c.all_promoted venv ireg freg;
   let max_steps = a.max_steps in
   let max_cycles = a.max_cycles in
   let execs = p.execs in
@@ -355,18 +381,18 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         a.cycles <- a.cycles + Array.unsafe_get code (pc + 1);
         loop (pc + 2)
     | 3 (* JMP dst *) -> loop (Array.unsafe_get code (pc + 1))
-    | 4 (* RET *) -> store_regs p.all_promoted venv ireg freg
+    | 4 (* RET *) -> store_regs c.all_promoted venv ireg freg
     | 5 (* STOP *) -> raise Eval.Stopped
     | 6 (* FALLBACK fi *) -> (
         p.fb_execs <- p.fb_execs + 1;
-        let fb = p.fallbacks.(Array.unsafe_get code (pc + 1)) in
+        let fb = c.fallbacks.(Array.unsafe_get code (pc + 1)) in
         store_regs fb.fb_sync venv ireg freg;
         let next = Eval.step p.rt p.layout venv fb.fb_ir in
         load_regs fb.fb_sync venv ireg freg;
         match next with
         | Some l ->
             loop fb.fb_edges.(Eval.successor fb.fb_dispatch l ~node:fb.fb_node p.layout)
-        | None -> store_regs p.all_promoted venv ireg freg)
+        | None -> store_regs c.all_promoted venv ireg freg)
     | 7 (* PROBE counter *) ->
         a.cycles <- a.cycles + a.c_counter;
         let c = Array.unsafe_get code (pc + 1) in
@@ -741,7 +767,7 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
     | 71 (* EDGEPA eidx gid nid cost dst *) ->
         let e = Array.unsafe_get code (pc + 1) in
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
-        let g = p.groups.(Array.unsafe_get code (pc + 2)) in
+        let g = c.groups.(Array.unsafe_get code (pc + 2)) in
         for i = 0 to Array.length g - 1 do
           a.cycles <- a.cycles + a.c_counter;
           counter_incr a g.(i)
@@ -822,4 +848,4 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         loop (pc + 4)
     | op -> Value.err "corrupt bytecode: opcode %d at pc %d" op pc
   in
-  loop p.entry_pc
+  loop c.entry_pc

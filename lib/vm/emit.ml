@@ -159,27 +159,7 @@ let dummy_types (prog : Program.t) (lays : (string, Env.layout) Hashtbl.t) :
   in
   Hashtbl.iter
     (fun caller (cl : Env.layout) ->
-      let p = cl.Env.lproc in
-      let rec scan (e : Ast.expr) =
-        match e with
-        | Ast.Int _ | Ast.Real _ | Ast.Bool _ | Ast.Var _ -> ()
-        | Ast.Index (_, idx) -> List.iter scan idx
-        | Ast.Call (f, args) ->
-            if user f then site caller cl f args;
-            List.iter scan args
-        | Ast.Unop (_, e1) -> scan e1
-        | Ast.Binop (_, a, b) ->
-            scan a;
-            scan b
-      in
-      Cfg.iter_nodes
-        (fun u ->
-          let ir = (Cfg.info p.Program.cfg u).Ir.ir in
-          (match ir with
-          | Ir.Call (f, args) when user f -> site caller cl f args
-          | _ -> ());
-          Ir.iter_exprs scan ir)
-        p.Program.cfg)
+      List.iter (fun (f, args) -> if user f then site caller cl f args) cl.Env.calls)
     lays;
   Hashtbl.iter (fun name a -> Array.iteri (fun i _ -> Queue.add (name, i) work) a) j;
   while not (Queue.is_empty work) do
@@ -271,9 +251,8 @@ let flip_rel = function
   | op -> op (* Eq/Ne symmetric *)
 
 let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
-    ~(all_fallback : bool) ~(dummies : Ast.typ option array) (rt : Eval.rt)
-    (lay : Env.layout) : B.proc =
-  let prog = rt.Eval.prog in
+    ~(all_fallback : bool) ~(dummies : Ast.typ option array) (prog : Program.t)
+    (lay : Env.layout) : B.code =
   let p = lay.Env.lproc in
   let cfg = p.Program.cfg in
   let n = Cfg.num_nodes cfg in
@@ -1363,23 +1342,14 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   Atomic.set code_buffer !buf;
 
   {
-    B.bp_proc = p;
-    layout = lay;
-    code;
+    B.code;
     fpool = Array.of_list (List.rev !fpool);
     entry_pc;
     n_iregs = !max_ti;
     n_fregs = !max_tf;
     all_promoted;
-    names = lay.Env.names;
-    rt;
     fallbacks = Array.of_list (List.rev !fallbacks);
     groups = Array.of_list (List.rev !groups);
-    execs = Array.make (max n 1) 0;
-    samples = Array.make (max n 1) 0;
-    edge_counts = Array.make (max edge_base.(n) 1) 0;
     edge_base;
     succ_labels;
-    invocations = 0;
-    fb_execs = 0;
   }

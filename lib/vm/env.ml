@@ -168,6 +168,7 @@ type layout = {
   n_params : int;
   result_slot : int option;
   index : (string, int) Hashtbl.t;  (* compile-time only *)
+  calls : (string * Ast.expr list) list;  (* compile-time only *)
 }
 
 let layout (p : Program.proc) : layout =
@@ -193,7 +194,9 @@ let layout (p : Program.proc) : layout =
   Hashtbl.iter (fun name _ -> add name) env.Sema.vars;
   (match env.Sema.result_var with Some rv -> add rv | None -> ());
   (* then every name the body can touch at runtime, in order of first
-     occurrence: a node's expressions left to right, then its targets *)
+     occurrence: a node's expressions left to right, then its targets;
+     the same walk collects the call sites *)
+  let calls = ref [] in
   let rec add_expr (e : Ast.expr) =
     match e with
     | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> ()
@@ -201,7 +204,9 @@ let layout (p : Program.proc) : layout =
     | Ast.Index (name, idx) ->
         add name;
         List.iter add_expr idx
-    | Ast.Call (_, args) -> List.iter add_expr args
+    | Ast.Call (f, args) ->
+        calls := (f, args) :: !calls;
+        List.iter add_expr args
     | Ast.Unop (_, e) -> add_expr e
     | Ast.Binop (_, a, b) ->
         add_expr a;
@@ -210,6 +215,7 @@ let layout (p : Program.proc) : layout =
   Cfg.iter_nodes
     (fun i ->
       let ir = (Cfg.info p.Program.cfg i).Ir.ir in
+      (match ir with Ir.Call (f, args) -> calls := (f, args) :: !calls | _ -> ());
       Ir.iter_exprs add_expr ir;
       match ir with
       | Ir.Assign (Ast.Lvar v, _) -> add v
@@ -237,7 +243,7 @@ let layout (p : Program.proc) : layout =
     | Some rv -> Hashtbl.find_opt index rv
     | None -> None
   in
-  { lproc = p; names; kinds; param_tys; n_params; result_slot; index }
+  { lproc = p; names; kinds; param_tys; n_params; result_slot; index; calls = List.rev !calls }
 
 let slot (l : layout) name =
   match Hashtbl.find l.index name with

@@ -92,6 +92,11 @@ type layout = {
   n_params : int;
   result_slot : int option;  (** for FUNCTIONs: slot of the result var *)
   index : (string, int) Hashtbl.t;  (** name -> slot; compile-time only *)
+  calls : (string * Ast.expr list) list;
+      (** every call in the body, intrinsic or user, with its actual
+          arguments: node by node, a CALL statement first, then the
+          calls in its expressions, each before those in its arguments;
+          compile-time only *)
 }
 
 val layout : Program.proc -> layout

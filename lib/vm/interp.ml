@@ -18,7 +18,10 @@
    Two drivers share all of the bookkeeping, and both run over slot
    frames ({!Env}) with the one reference evaluator ({!Eval}):
    - bytecode: each procedure is emitted once to flat register bytecode
-     run by one dispatch loop (see Emit and Bytecode).  Under [Bytecode]
+     run by one dispatch loop (see Emit and Bytecode).  Emitted code is
+     immutable, so a cache ([create ?cache]) may share it across VMs and
+     program versions; each VM binds it to its own run state
+     ([Bytecode.instantiate]).  Under [Bytecode]
      (the default) a node the emitter cannot type statically escapes
      through FALLBACK to the reference evaluator; under [Compiled] every
      node is a FALLBACK;
@@ -243,12 +246,64 @@ let driver = function
   | Tree -> call_tree
   | Compiled | Bytecode -> call_bytecode
 
-let create ?(config = default_config) (prog : Program.t) : t =
+(* A store for what [create] builds per procedure that outlives one VM:
+   [cache ~salt p compute] returns a value equal to [compute ()], keyed
+   by [p]'s body and [salt], which carries every other input. *)
+type 'a cache_layer = salt:string -> Program.proc -> (unit -> 'a) -> 'a
+type cache = { layouts : Env.layout cache_layer; codes : Bytecode.code cache_layer }
+
+let through cache layer ~salt p compute =
+  match cache with
+  | None -> compute ()
+  | Some c -> (layer c) ~salt:(salt ()) p compute
+
+(* What a layout reads beyond the body: a FUNCTION's result variable is
+   named after the FUNCTION, and body fingerprints ignore names. *)
+let layout_salt (p : Program.proc) () =
+  match p.Program.env.S89_frontend.Sema.result_var with
+  | Some rv -> "layout " ^ rv
+  | None -> "layout"
+
+(* What [Emit.emit_proc] reads beyond the layout: the cost model, the
+   lowering mode, the dummies' call-site types, the procedure's probe
+   actions (counter ids included) and which names the program's user
+   procedures take.  Emit asks that only of the names a body calls, and
+   sema resolves each of those to a user procedure unless it names an
+   intrinsic, so the user procedures named like intrinsics stand for
+   the whole name set: a rename or an added procedure re-emits only the
+   bodies it edits.  All are data, so their marshaled bytes stand for
+   them. *)
+let code_salt config ~all_fallback prog =
+  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ])) in
+  let common =
+    lazy
+      (let shadowing =
+         List.filter_map
+           (fun (f, _) -> if Hashtbl.mem prog.Program.by_name f then Some f else None)
+           S89_frontend.Intrinsics.table
+       in
+       Printf.sprintf "%s %b %s" (digest config.cost_model) all_fallback
+         (String.concat "," (List.sort compare shadowing)))
+  in
+  fun (p : Program.proc) (dummies : S89_frontend.Ast.typ option array) () ->
+    String.concat " "
+      [ Lazy.force common; layout_salt p (); digest dummies;
+        digest (Probe.find_proc config.instr p.Program.name) ]
+
+let create ?cache ?(config = default_config) (prog : Program.t) : t =
   let rt =
     Eval.make_rt ~prog ~rng:(Prng.create ~seed:config.seed) ~out:(Buffer.create 256)
   in
   let lays = Hashtbl.create 8 in
-  List.iter (fun p -> Hashtbl.replace lays p.Program.name (Env.layout p)) (Program.procs prog);
+  List.iter
+    (fun p ->
+      let lay =
+        through cache (fun c -> c.layouts) ~salt:(layout_salt p) p (fun () -> Env.layout p)
+      in
+      (* a cached layout may come from an earlier program version *)
+      Hashtbl.replace lays p.Program.name
+        (if lay.Env.lproc == p then lay else { lay with Env.lproc = p }))
+    (Program.procs prog);
   let cprocs = Hashtbl.create 8 in
   let bprocs = Hashtbl.create 8 in
   (match config.backend with
@@ -257,11 +312,16 @@ let create ?(config = default_config) (prog : Program.t) : t =
       (* [Compiled] is the same bytecode with every node a FALLBACK *)
       let all_fallback = config.backend = Compiled in
       let dummies = Emit.dummy_types prog lays in
+      let salt = code_salt config ~all_fallback prog in
       Hashtbl.iter
-        (fun name lay ->
-          Hashtbl.replace bprocs name
-            (Emit.emit_proc ~cost_model:config.cost_model ~instr:config.instr
-               ~all_fallback ~dummies:(Hashtbl.find dummies name) rt lay))
+        (fun name (lay : Env.layout) ->
+          let p = lay.Env.lproc and dummies = Hashtbl.find dummies name in
+          let code =
+            through cache (fun c -> c.codes) ~salt:(salt p dummies) p (fun () ->
+                Emit.emit_proc ~cost_model:config.cost_model ~instr:config.instr
+                  ~all_fallback ~dummies prog lay)
+          in
+          Hashtbl.replace bprocs name (Bytecode.instantiate code lay rt))
         lays);
   let acct =
     Bytecode.make_acct ~max_steps:config.max_steps ~max_cycles:config.max_cycles
@@ -326,8 +386,8 @@ let edge_count st name node label =
       sum cn.succ_labels (Array.get cn.edge_counts)
   | Compiled | Bytecode ->
       let bp = bproc st name in
-      let base = bp.Bytecode.edge_base.(node) in
-      sum bp.Bytecode.succ_labels.(node) (fun k ->
+      let base = bp.Bytecode.c.Bytecode.edge_base.(node) in
+      sum bp.Bytecode.c.Bytecode.succ_labels.(node) (fun k ->
           bp.Bytecode.edge_counts.(base + k))
 
 (* PC-sampling hits of a node *)

@@ -46,8 +46,28 @@ val default_config : config
 
 type t
 
-(** Compile a program for execution under a configuration. *)
-val create : ?config:config -> Program.t -> t
+(** One layer of a {!cache}: [layer ~salt p compute] returns a value
+    equal to [compute ()].  A store keys it by [p]'s body fingerprint
+    mixed with [salt], which {!create} makes carry every other input of
+    the value, so a hit may return a value computed for an earlier
+    program version, or under another procedure name. *)
+type 'a cache_layer = salt:string -> Program.proc -> (unit -> 'a) -> 'a
+
+(** What {!create} builds per procedure that outlives one VM: slot
+    layouts, and the bytecode {!Emit.emit_proc} produces ([Compiled] and
+    [Bytecode] backends).  Both are immutable; a layout from the store
+    is rebound to the current procedure, and the per-run state (oracle
+    counts, invocations, FALLBACK execs, the run's {!Eval.rt}) is
+    attached afresh to every VM. *)
+type cache = { layouts : Env.layout cache_layer; codes : Bytecode.code cache_layer }
+
+(** Compile a program for execution under a configuration.  [?cache]
+    ([S89_core.Memo.vm_cache]) lets procedures whose layout and code
+    inputs are unchanged reuse the ones built before: an edit of one
+    procedure re-emits that procedure, and the callees whose dummy
+    types it changed.  Without it every procedure is laid out and
+    emitted here; either way the VM behaves identically. *)
+val create : ?cache:cache -> ?config:config -> Program.t -> t
 
 type outcome =
   | Normal_stop  (** a STOP statement executed *)

@@ -10,6 +10,10 @@ module Interproc = S89_core.Interproc
 module Static_freq = S89_core.Static_freq
 module Report = S89_core.Report
 module Memo = S89_core.Memo
+module Interp = S89_vm.Interp
+module Cost_model = S89_vm.Cost_model
+module Placement = S89_profiling.Placement
+module Database = S89_profiling.Database
 module Store = S89_store.Store
 module Diag = S89_diag.Diag
 module Fault = S89_util.Fault
@@ -297,7 +301,8 @@ let torn_memo_record_recovers () =
    edit a constant change in one procedure.  One memo, primed on the
    unedited program, serves every re-analysis, placement included; its
    exact hit and miss counts are pinned (hit rates 92% and 96%), each
-   edit re-builds and re-plans exactly its one changed body, and the
+   edit re-builds, re-plans and re-emits VM code for exactly its one
+   changed body, and the
    final program's memoized plan and report must equal the from-scratch
    ones byte for byte. *)
 let edit_stream_hits () =
@@ -310,7 +315,13 @@ let edit_stream_hits () =
       let plans = ref [] in
       let analyze ?memo prog =
         let t = Pipeline.create ?memo prog in
-        plans := plan_text t :: !plans;
+        let plan = Pipeline.plan t in
+        plans := Fmt.str "%a" Placement.pp plan :: !plans;
+        ignore
+          (Interp.create
+             ?cache:(Option.map Memo.vm_cache memo)
+             ~config:{ Interp.default_config with instr = Placement.probes plan }
+             prog);
         Pipeline.estimate_totals ?memo t ~totals:(Pipeline.static_totals ?memo t)
       in
       let rng = S89_util.Prng.create ~seed:0xed17 in
@@ -331,6 +342,9 @@ let edit_stream_hits () =
       check ci (label ^ ": placement hits") layer_hits st.Memo.placement_hits;
       check ci (label ^ ": placement misses, one per changed body") edits
         st.Memo.placement_misses;
+      check ci (label ^ ": code hits") layer_hits st.Memo.code_hits;
+      check ci (label ^ ": code misses, one per changed body") edits
+        st.Memo.code_misses;
       let final = parse () in
       check cs (label ^ ": memoized = from scratch") (report (analyze final))
         (report (analyze ~memo final));
@@ -339,6 +353,179 @@ let edit_stream_hits () =
           check cs (label ^ ": memoized plan = from scratch") scratch memoized
       | _ -> assert false)
     [ (48, 8, 12, 10, 458, 42, 490); (96, 4, 24, 12, 1134, 42, 1164) ]
+
+(* ---------------- the VM code layer ---------------- *)
+
+(* everything a run can observe: totals, output, counters, and per
+   procedure its invocations, node executions and edge traversals *)
+let vm_observation (prog : Program.t) vm =
+  let b = Buffer.create 1024 in
+  (match Interp.run_result vm with
+  | Ok _ -> Buffer.add_string b "ok"
+  | Error d -> Buffer.add_string b (Fmt.str "%a" Diag.pp d));
+  Printf.bprintf b "\ncycles %d steps %d fallbacks %d output %S counters [%s]\n"
+    (Interp.cycles vm) (Interp.steps vm) (Interp.fallback_execs vm) (Interp.output vm)
+    (String.concat ";" (Array.to_list (Array.map string_of_int (Interp.counters vm))));
+  List.iter
+    (fun (p : Program.proc) ->
+      let name = p.Program.name in
+      let g = S89_cfg.Cfg.graph p.Program.cfg in
+      Printf.bprintf b "%s %d:" name (Interp.invocations vm name);
+      S89_cfg.Cfg.iter_nodes
+        (fun u ->
+          Printf.bprintf b " %d" (Interp.node_execs vm name u);
+          for k = g.S89_graph.Digraph.succ_off.(u) to g.S89_graph.Digraph.succ_off.(u + 1) - 1 do
+            let l = g.S89_graph.Digraph.succ_lbl.(k) in
+            Printf.bprintf b " %s=%d" (S89_cfg.Label.to_string l)
+              (Interp.edge_count vm name u l)
+          done)
+        p.Program.cfg;
+      Buffer.add_char b '\n')
+    (Program.procs prog);
+  Buffer.contents b
+
+(* HALF's dummy X is typed by its one call site: REAL while MAIN passes
+   an element of a REAL array, INTEGER once it passes an element of an
+   INTEGER array (elements are bound by reference, never coerced).
+   X / 2 * 2 is 7 in REAL arithmetic and 6 in INTEGER, so code emitted
+   for the old type prints the wrong value. *)
+let dummy_src actual =
+  Printf.sprintf
+    "      PROGRAM MAIN\n      REAL A(2)\n      INTEGER IA(2)\n      A(1) = 7.0\n\
+    \      IA(1) = 7\n      CALL HALF(%s(1))\n      PRINT *, A(1), IA(1)\n      END\n\n\
+    \      SUBROUTINE HALF(X)\n      X = X / 2 * 2\n      END\n"
+    actual
+
+(* MAIN calls SHOW; [extra] adds a FUNCTION and a call to it *)
+let added_src ~extra =
+  "      PROGRAM MAIN\n      REAL X, Y\n      X = -2.5\n      Y = ABS(X) + 1.0\n"
+  ^ (if extra = "" then "" else Printf.sprintf "      Y = Y + %s(X)\n" extra)
+  ^ "      CALL SHOW(Y)\n      END\n\n      SUBROUTINE SHOW(Z)\n      PRINT *, Z\n      END\n"
+  ^
+  if extra = "" then ""
+  else Printf.sprintf "\n      REAL FUNCTION %s(Q)\n      %s = Q * 10.0\n      END\n" extra extra
+
+(* A VM built through the memo's code layer observes exactly what a
+   cold [Interp.create] does, across every input of the code key: a
+   caller edit that changes a dummy's type, placement with and without
+   second moments, both cost models and all three backends on one memo,
+   a rename, and an added procedure. *)
+let vm_code_layer_equals_cold () =
+  let memo = Memo.create () in
+  let cache = Memo.vm_cache memo in
+  let misses = ref 0 in
+  let same ?(second_moments = true) ?(cost_model = Cost_model.optimized)
+      ?(backend = Interp.Bytecode) label src =
+    let t = Pipeline.of_source ~memo src in
+    let instr = Placement.probes (Pipeline.plan ~second_moments t) in
+    let config = { Interp.default_config with cost_model; instr; backend; seed = 3 } in
+    let prog = t.Pipeline.prog in
+    let cold = vm_observation prog (Interp.create ~config prog) in
+    let before = (Memo.stats memo).Memo.code_misses in
+    check cs label cold (vm_observation prog (Interp.create ~cache ~config prog));
+    misses := (Memo.stats memo).Memo.code_misses - before
+  in
+  same "dummy typed REAL" (dummy_src "A");
+  check ci "cold: both procedures are emitted" 2 !misses;
+  same "after the caller edit, dummy typed INTEGER" (dummy_src "IA");
+  check ci "the edited caller and the retyped callee re-emit" 2 !misses;
+  let loops = S89_workloads.Demos.nested_random () in
+  same ~second_moments:false "placement without second moments" loops;
+  same ~second_moments:true "placement with second moments" loops;
+  check Alcotest.bool "second-moment probes change the code key" true (!misses > 0);
+  same ~cost_model:Cost_model.unoptimized "the other cost model" loops;
+  List.iter
+    (fun (name, backend) -> same ~backend ("backend " ^ name) loops)
+    [ ("tree", Interp.Tree); ("compiled", Interp.Compiled); ("bytecode", Interp.Bytecode) ];
+  same "before the rename" src_v1;
+  same "a rename-only edit" src_v3;
+  check ci "only the renaming caller re-emits" 1 !misses;
+  same "before the added procedure" (added_src ~extra:"");
+  same "an added user procedure" (added_src ~extra:"TENX");
+  check ci "the new procedure and its caller are emitted" 2 !misses;
+  (* a procedure named like an intrinsic never reaches the VM: the
+     frontend rejects it, with a memo as without *)
+  match Program.of_source_result (added_src ~extra:"ABS") with
+  | Error d -> check cs "a unit named ABS is a SEM001" "SEM001" d.Diag.code
+  | Ok _ -> Alcotest.fail "a program unit named like an intrinsic was accepted"
+
+(* ---------------- one body version per procedure ---------------- *)
+
+(* Four blocks of `ptranc analyze` edits, each block changing every
+   procedure's constant once: the memo drops what the edits supersede,
+   so after block 4 it holds what it held after block 1. *)
+let memo_size_is_flat_across_edit_blocks () =
+  let procs = 12 in
+  let consts = Array.init procs (fun i -> i + 1) in
+  let memo = Memo.create () in
+  let analyze () =
+    let t =
+      Pipeline.of_source ~memo (Gen_prog.gen_incremental_source ~size:4 ~consts 5)
+    in
+    let p = Pipeline.profile_smart ~runs:1 t in
+    ignore
+      (Pipeline.estimate_totals ~memo t
+         ~totals:(Database.proc_totals p.Pipeline.database))
+  in
+  analyze ();
+  let words = Array.make 5 0 in
+  for block = 1 to 4 do
+    for j = 0 to procs - 1 do
+      consts.(j) <- consts.(j) + 1;
+      analyze ()
+    done;
+    words.(block) <- Obj.reachable_words (Obj.repr memo)
+  done;
+  if float_of_int words.(4) > 1.1 *. float_of_int words.(1) then
+    Alcotest.failf "memo grew from %d words after block 1 to %d after block 4" words.(1)
+      words.(4)
+
+(* ---------------- TOTAL_FREQ fingerprints ---------------- *)
+
+(* The formula [Memo.totals_fp] had when memo records were first
+   persisted: records keyed by it must keep matching. *)
+let printf_totals_fp (tbl : (S89_profiling.Analysis.cond, int) Hashtbl.t) =
+  let rows =
+    Hashtbl.fold
+      (fun (u, l) c acc ->
+        if c = 0 then acc
+        else Printf.sprintf "%d %s %d" u (S89_cfg.Label.to_string l) c :: acc)
+      tbl []
+  in
+  S89_util.Codec.fnv64 (Digest.string (String.concat "\n" (List.sort compare rows)))
+
+let totals_fp_values_unchanged () =
+  let n = ref 0 in
+  let compare_all src =
+    let t = Pipeline.of_source src in
+    let p = Pipeline.profile_smart ~runs:1 t in
+    let statics = S89_core.Static_freq.program_totals t.Pipeline.analyses in
+    List.iter
+      (fun (pr : Program.proc) ->
+        let name = pr.Program.name in
+        let profiled = Database.proc_totals p.Pipeline.database name in
+        (* explicit zeros are skipped like absent entries *)
+        let zeros = Hashtbl.copy profiled in
+        Hashtbl.replace zeros (0, S89_cfg.Label.Pseudo 7) 0;
+        List.iter
+          (fun tbl ->
+            incr n;
+            check cs (name ^ " totals fingerprint")
+              (Printf.sprintf "%016Lx" (printf_totals_fp tbl))
+              (Printf.sprintf "%016Lx" (Memo.totals_fp tbl)))
+          [ profiled; statics name; zeros ])
+      (Program.procs t.Pipeline.prog)
+  in
+  List.iter
+    (fun seed ->
+      compare_all
+        (Gen_prog.gen_incremental_source ~size:4
+           ~consts:(Array.init 10 (fun i -> (i * seed) + 1))
+           seed))
+    [ 3; 11 ];
+  compare_all S89_workloads.Livermore.source;
+  compare_all (S89_workloads.Simple_code.source ());
+  check Alcotest.bool "tables compared" true (!n > 100)
 
 let suite =
   [
@@ -364,4 +551,10 @@ let suite =
       torn_memo_record_recovers;
     Alcotest.test_case "edit streams: pinned hit counts, memoized = scratch" `Quick
       edit_stream_hits;
+    Alcotest.test_case "VM code layer: warm memo = cold create" `Quick
+      vm_code_layer_equals_cold;
+    Alcotest.test_case "memo size is flat across edit blocks" `Quick
+      memo_size_is_flat_across_edit_blocks;
+    Alcotest.test_case "totals fingerprints keep their values" `Quick
+      totals_fp_values_unchanged;
   ]
