@@ -5,7 +5,8 @@
    A procedure's fingerprint is FNV-1a/64 of its body (the marshaled
    analyzed unit: kind, params, decls, sema-rewritten statements — the
    name is deliberately excluded, so renaming-only edits keep
-   fingerprints) chained with the ordered fingerprints of its callee
+   fingerprints — and whether its CFG was rewritten, as by the
+   optimizer) chained with the ordered fingerprints of its callee
    summaries, its TOTAL_FREQ table and an option salt.  A body edit
    therefore invalidates exactly the editing procedure and its callers'
    cone; everything else hits.
@@ -30,8 +31,8 @@
    - [layouts] and [codes]: VM slot layouts and emitted bytecode
      ({!S89_vm.Interp.cache}), keyed by the body fingerprint mixed with
      a salt of every other input {!S89_vm.Interp.create} names (cost
-     model, backend mode, dummy types, probe actions, user procedures
-     named like intrinsics, a FUNCTION's result name) — a hit skips
+     model, backend mode, dummy types, probe actions, a FUNCTION's
+     result name) — a hit skips
      [Emit.emit_proc].  Neither holds run state: no [Eval.rt], program
      or per-run array.
 
@@ -168,15 +169,17 @@ let locked t f =
    depends only on structure, not on physical sharing.  A FUNCTION's
    body references its own name as the result variable, so renaming a
    FUNCTION changes its fingerprint; SUBROUTINE/PROGRAM renames keep
-   it. *)
+   it.  The optimizer rewrites the CFG but keeps the unit, so a
+   [rewritten] procedure's digest gets one more byte: the two forms of a
+   body never share a key, and the source form pays nothing for it. *)
 let body_fp (p : Program.proc) : int64 =
   (* [Digest] first: MD5 runs at C speed, while [fnv64] is a per-byte
      OCaml loop — fine for 16 bytes, slow for a whole marshaled unit. *)
-  fnv64
-    (Digest.string
-       (Marshal.to_string
-          { p.Program.env.Sema.unit_ with Ast.name = "" }
-          [ Marshal.No_sharing ]))
+  let d =
+    Digest.string
+      (Marshal.to_string { p.Program.env.Sema.unit_ with Ast.name = "" } [ Marshal.No_sharing ])
+  in
+  fnv64 (if p.Program.rewritten then d ^ "R" else d)
 
 (* Does a name other than [name] map to [fp] in [tbl]? *)
 let other_maps tbl name fp holds =

@@ -12,6 +12,7 @@ type proc = {
   params : string list;
   env : Sema.env;
   cfg : Ir.info Cfg.t;
+  rewritten : bool;
 }
 
 type t = {
@@ -90,6 +91,7 @@ let of_sema (penv : Sema.program_env) : t =
           params = u.params;
           env;
           cfg = Lower.lower_unit env;
+          rewritten = false;
         })
       penv.Sema.units
     |> Array.of_list
@@ -148,4 +150,5 @@ let bottom_up t = List.concat (sccs t)
 
 (* Rebuild the program with transformed CFGs (used by the optimizer).
    The call graph is recomputed in case calls were removed. *)
-let map_cfgs t f = assemble (Array.map (fun p -> { p with cfg = f p }) t.procs) t.main
+let map_cfgs t f =
+  assemble (Array.map (fun p -> { p with cfg = f p; rewritten = true }) t.procs) t.main

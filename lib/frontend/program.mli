@@ -11,6 +11,10 @@ type proc = {
   params : string list;
   env : Sema.env;
   cfg : Ir.info S89_cfg.Cfg.t;  (** reducible by construction *)
+  rewritten : bool;
+      (** [cfg] is not the lowering of [env] but a rewrite of it
+          ({!map_cfgs}), so a key derived from [env] (the memo's body
+          fingerprint) must mix this in. *)
 }
 
 type t = {
@@ -55,5 +59,5 @@ val is_recursive : t -> bool
 val bottom_up : t -> proc list
 
 (** Rebuild with transformed CFGs (used by the optimizer); the call graph
-    is recomputed. *)
+    is recomputed and every procedure is marked [rewritten]. *)
 val map_cfgs : t -> (proc -> Ir.info S89_cfg.Cfg.t) -> t

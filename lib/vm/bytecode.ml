@@ -6,9 +6,14 @@
    single tail-recursive dispatch loop over the pre-resolved code array:
    no closure calls on the hot path, no Value boxing for statically-typed
    scalar traffic (promoted scalars live in unboxed int/float register
-   files), fused compare-and-branch superinstructions, and dedicated
-   probe opcodes that update an instrumentation counter with one array
-   bump instead of a closure wrapper.
+   files), fused compare-and-branch superinstructions, a DO-latch
+   superinstruction (LATCH: increment, trip decrement and header test
+   in one dispatch), and dedicated probe opcodes that update an
+   instrumentation counter with one array bump instead of a closure
+   wrapper.  Each array and cell op has a fast path for the binding Emit
+   expects, with one range branch for all its subscripts; everything
+   else goes to a never-inlined cold helper that returns the next pc,
+   so a fast path keeps nothing live across a call.
 
    Anything the emitter cannot prove statically falls back, per node, to
    the reference evaluator {!Eval} (the [FALLBACK] opcode), which walks
@@ -129,6 +134,7 @@ type code = {
      flat edge index [edge_base.(nid) + k] *)
   edge_base : int array;
   succ_labels : Label.t array array;
+  latches : int; (* LATCH instructions in [code] *)
 }
 
 (* [code] bound into one VM: its layout (frames, and slot names for
@@ -276,24 +282,92 @@ let op_imod = 83 (* rd ra rb *)
 let op_imax = 84 (* rd ra rb *)
 let op_imin = 85 (* rd ra rb *)
 
+(* a DO latch in one dispatch, for the node [I = I + k] (I a promoted
+   INTEGER register, k a literal) whose successor is [%TRIPn = %TRIPn -
+   1] (the trip temp in a float register) and whose successor's
+   successor is the header testing it, when neither edge has probes and
+   neither successor has node probes.  It runs the increment; EDGEA's
+   accounting for edge e1 into the decrement node n1 (pc d1); the
+   decrement; the same for edge e2 into the header n2; then the header's
+   JTRIP at hpc, jumping to its pcT or pcF.  When the sample clock falls
+   due at n1 it takes the samples and goes on at d1, the decrement
+   node's own code.  (86 is unused.) *)
+let op_latch = 87 (* ri k e1 n1 c1 d1 ft e2 n2 c2 hpc *)
+
 (* ---- runtime helpers ---- *)
-
-(* Slot reads for the array and LDCI/LDCF ops, with the common binding
-   matched inline: the loop runs one per array access, and a call into
-   Env there is measurably slower.  Every other binding goes through
-   Env's one match, which raises its errors. *)
-let[@inline] get_arr names s (venv : Env.slots) =
-  match venv.(s) with Env.Arr a -> a | _ -> Env.get_arr names s venv
-
-let[@inline] read_int names s (venv : Env.slots) =
-  match venv.(s) with Env.Cell c -> Value.to_int c.v | _ -> Env.read_int names s venv
-
-let[@inline] read_float names s (venv : Env.slots) =
-  match venv.(s) with Env.Cell c -> Value.to_float c.v | _ -> Env.read_float names s venv
 
 let check_dim name k d i =
   if i < 1 || i > d then
     Value.err "%s: subscript %d of dimension %d out of bounds [1,%d]" name i (k + 1) d
+
+(* ---- cold paths ----
+
+   Every array and cell op has a fast path in the loop: it matches the
+   binding Emit expects (an [Arr] of the op's element type, a [Cell]
+   holding the op's value type) and tests all its subscripts' ranges in
+   one branch.  Anything else lands in one of these helpers, which runs
+   the op's generic code in its one order: the binding first (through
+   Env, which raises the binding errors), then dimension 1's bounds, then
+   dimension 2's, then the element or cell access through Env's coercing
+   accessors.  A helper writes its own destination, so a float result is
+   never boxed, and returns the op's next pc: the loop calls it as
+   [loop (helper ...)], so the fast path keeps nothing live across a
+   call and no cold call returns into it. *)
+
+(* the rest of an array op once its offset is checked: LDA*'s read or
+   AOFF*'s offset *)
+let finish_array (arr : Env.array_obj) off (code : int array) (ireg : int array)
+    (freg : float array) pc =
+  let op = code.(pc) and rd = code.(pc + 1) in
+  if op = op_lda1i || op = op_lda2i then ireg.(rd) <- Env.get_int arr off
+  else if op = op_lda1f || op = op_lda2f then freg.(rd) <- Env.get_float arr off
+  else ireg.(rd) <- off
+
+(* LDA1I/LDA1F/AOFF1 rd slot d0 ra ka *)
+let[@inline never] array1_cold names (venv : Env.slots) code ireg freg pc =
+  let s = code.(pc + 2) in
+  let arr = Env.get_arr names s venv in
+  let i = ireg.(code.(pc + 4)) + code.(pc + 5) in
+  check_dim names.(s) 0 code.(pc + 3) i;
+  finish_array arr (i - 1) code ireg freg pc;
+  pc + 6
+
+(* LDA2I/LDA2F/AOFF2 rd slot d0 d1 ra rb ka kb *)
+let[@inline never] array2_cold names (venv : Env.slots) code ireg freg pc =
+  let s = code.(pc + 2) in
+  let arr = Env.get_arr names s venv in
+  let d0 = code.(pc + 3) in
+  let i0 = ireg.(code.(pc + 5)) + code.(pc + 7) in
+  let i1 = ireg.(code.(pc + 6)) + code.(pc + 8) in
+  check_dim names.(s) 0 d0 i0;
+  check_dim names.(s) 1 code.(pc + 4) i1;
+  finish_array arr (i0 - 1 + ((i1 - 1) * d0)) code ireg freg pc;
+  pc + 9
+
+(* STAI/STAF slot ro ra *)
+let[@inline never] store_array_cold names (venv : Env.slots) (code : int array)
+    (ireg : int array) (freg : float array) pc =
+  let arr = Env.get_arr names code.(pc + 1) venv in
+  let r = code.(pc + 3) in
+  Env.set arr ireg.(code.(pc + 2))
+    (if code.(pc) = op_stai then Value.Int ireg.(r) else Value.Real freg.(r));
+  pc + 4
+
+(* LDCI/LDCF rd slot *)
+let[@inline never] load_cell_cold names (venv : Env.slots) (code : int array)
+    (ireg : int array) (freg : float array) pc =
+  let rd = code.(pc + 1) and s = code.(pc + 2) in
+  if code.(pc) = op_ldci then ireg.(rd) <- Env.read_int names s venv
+  else freg.(rd) <- Env.read_float names s venv;
+  pc + 3
+
+(* STCI/STCF slot ra, on a binding other than a [Cell] *)
+let[@inline never] store_cell_cold names (venv : Env.slots) (code : int array)
+    (ireg : int array) (freg : float array) pc =
+  let s = code.(pc + 1) and r = code.(pc + 2) in
+  Env.write names s venv
+    (if code.(pc) = op_stci then Value.Int ireg.(r) else Value.Real freg.(r));
+  pc + 3
 
 (* promoted registers -> frame cells (before a fallback that may read
    them, and at RET so the caller can read a FUNCTION result) *)
@@ -335,6 +409,12 @@ let take_samples (a : acct) (samples : int array) nid =
     a.next_sample <- a.next_sample + a.sample_interval
   done
 
+(* the sample clock is due: charge [nid] its samples, then go on at
+   [next] (called as [loop (sample_at ...)], like the cold paths) *)
+let[@inline never] sample_at (a : acct) samples nid next =
+  take_samples a samples nid;
+  next
+
 (* [Float.compare]-faithful three-way comparison with a native fast path:
    when either operand is NaN all three native tests fail and we defer to
    Float.compare (NaN = NaN, NaN < non-NaN) — bit-identical to the
@@ -371,8 +451,8 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         if (max_steps - steps) lor (max_cycles - cycles) < 0 then
           if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
         Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        if cycles >= a.next_sample then take_samples a p.samples nid;
-        loop (pc + 3)
+        if cycles >= a.next_sample then loop (sample_at a p.samples nid (pc + 3))
+        else loop (pc + 3)
     | 1 (* EDGE eidx *) ->
         let e = Array.unsafe_get code (pc + 1) in
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
@@ -513,57 +593,55 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (int_of_float (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
         loop (pc + 3)
-    | 32 (* LDCI rd slot *) ->
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (read_int names (Array.unsafe_get code (pc + 2)) venv);
-        loop (pc + 3)
-    | 33 (* LDCF fd slot *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (read_float names (Array.unsafe_get code (pc + 2)) venv);
-        loop (pc + 3)
-    | 34 (* STCI slot ra *) ->
-        let s = Array.unsafe_get code (pc + 1) in
-        let x = Value.Int (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) in
-        (match venv.(s) with
-        | Env.Cell c -> c.v <- x
-        | _ -> Env.write names s venv x);
-        loop (pc + 3)
-    | 35 (* STCF slot fa *) ->
-        let s = Array.unsafe_get code (pc + 1) in
-        let x = Value.Real (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))) in
-        (match venv.(s) with
-        | Env.Cell c -> c.v <- x
-        | _ -> Env.write names s venv x);
-        loop (pc + 3)
-    | 36 (* LDA1I rd slot d0 ra ka *) ->
-        let s = Array.unsafe_get code (pc + 2) in
-        let arr = get_arr names s venv in
+    | 32 (* LDCI rd slot *) -> (
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Cell { v = Value.Int x; _ } ->
+            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) x;
+            loop (pc + 3)
+        | _ -> loop (load_cell_cold names venv code ireg freg pc))
+    | 33 (* LDCF fd slot *) -> (
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Cell { v = Value.Real x; _ } ->
+            Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) x;
+            loop (pc + 3)
+        | _ -> loop (load_cell_cold names venv code ireg freg pc))
+    | 34 (* STCI slot ra *) -> (
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
+        | Env.Cell c ->
+            c.v <- Value.Int (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
+            loop (pc + 3)
+        | _ -> loop (store_cell_cold names venv code ireg freg pc))
+    | 35 (* STCF slot fa *) -> (
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
+        | Env.Cell c ->
+            c.v <- Value.Real (Array.unsafe_get freg (Array.unsafe_get code (pc + 2)));
+            loop (pc + 3)
+        | _ -> loop (store_cell_cold names venv code ireg freg pc))
+    (* one range branch per access: i is in [1,d] iff (i-1) lor (d-i) is
+       non-negative, since sema keeps every declared bound >= 1 *)
+    | 36 (* LDA1I rd slot d0 ra ka *) -> (
         let i =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 4))
           + Array.unsafe_get code (pc + 5)
         in
-        check_dim (Array.unsafe_get names s) 0 (Array.unsafe_get code (pc + 3)) i;
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (match arr.Env.data with
-          | Env.Ints d -> Array.unsafe_get d (i - 1)
-          | _ -> Env.get_int arr (i - 1));
-        loop (pc + 6)
-    | 37 (* LDA1F fd slot d0 ra ka *) ->
-        let s = Array.unsafe_get code (pc + 2) in
-        let arr = get_arr names s venv in
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Arr { Env.data = Env.Ints d; _ }
+          when (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 ->
+            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (Array.unsafe_get d (i - 1));
+            loop (pc + 6)
+        | _ -> loop (array1_cold names venv code ireg freg pc))
+    | 37 (* LDA1F fd slot d0 ra ka *) -> (
         let i =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 4))
           + Array.unsafe_get code (pc + 5)
         in
-        check_dim (Array.unsafe_get names s) 0 (Array.unsafe_get code (pc + 3)) i;
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (match arr.Env.data with
-          | Env.Reals d -> Array.unsafe_get d (i - 1)
-          | _ -> Env.get_float arr (i - 1));
-        loop (pc + 6)
-    | 38 (* LDA2I rd slot d0 d1 ra rb ka kb *) ->
-        let s = Array.unsafe_get code (pc + 2) in
-        let arr = get_arr names s venv in
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Arr { Env.data = Env.Reals d; _ }
+          when (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 ->
+            Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (Array.unsafe_get d (i - 1));
+            loop (pc + 6)
+        | _ -> loop (array1_cold names venv code ireg freg pc))
+    | 38 (* LDA2I rd slot d0 d1 ra rb ka kb *) -> (
         let d0 = Array.unsafe_get code (pc + 3) in
         let i0 =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
@@ -573,18 +651,15 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
           + Array.unsafe_get code (pc + 8)
         in
-        let name = Array.unsafe_get names s in
-        check_dim name 0 d0 i0;
-        check_dim name 1 (Array.unsafe_get code (pc + 4)) i1;
-        let off = i0 - 1 + ((i1 - 1) * d0) in
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (match arr.Env.data with
-          | Env.Ints d -> Array.unsafe_get d off
-          | _ -> Env.get_int arr off);
-        loop (pc + 9)
-    | 39 (* LDA2F fd slot d0 d1 ra rb ka kb *) ->
-        let s = Array.unsafe_get code (pc + 2) in
-        let arr = get_arr names s venv in
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Arr { Env.data = Env.Ints d; _ }
+          when (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1)
+               >= 0 ->
+            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
+              (Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)));
+            loop (pc + 9)
+        | _ -> loop (array2_cold names venv code ireg freg pc))
+    | 39 (* LDA2F fd slot d0 d1 ra rb ka kb *) -> (
         let d0 = Array.unsafe_get code (pc + 3) in
         let i0 =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
@@ -594,28 +669,25 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
           + Array.unsafe_get code (pc + 8)
         in
-        let name = Array.unsafe_get names s in
-        check_dim name 0 d0 i0;
-        check_dim name 1 (Array.unsafe_get code (pc + 4)) i1;
-        let off = i0 - 1 + ((i1 - 1) * d0) in
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (match arr.Env.data with
-          | Env.Reals d -> Array.unsafe_get d off
-          | _ -> Env.get_float arr off);
-        loop (pc + 9)
-    | 40 (* AOFF1 rd slot d0 ra ka *) ->
-        let s = Array.unsafe_get code (pc + 2) in
-        let _arr = get_arr names s venv in
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Arr { Env.data = Env.Reals d; _ }
+          when (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1)
+               >= 0 ->
+            Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
+              (Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)));
+            loop (pc + 9)
+        | _ -> loop (array2_cold names venv code ireg freg pc))
+    | 40 (* AOFF1 rd slot d0 ra ka *) -> (
         let i =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 4))
           + Array.unsafe_get code (pc + 5)
         in
-        check_dim (Array.unsafe_get names s) 0 (Array.unsafe_get code (pc + 3)) i;
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (i - 1);
-        loop (pc + 6)
-    | 41 (* AOFF2 rd slot d0 d1 ra rb ka kb *) ->
-        let s = Array.unsafe_get code (pc + 2) in
-        let _arr = get_arr names s venv in
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Arr _ when (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 ->
+            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (i - 1);
+            loop (pc + 6)
+        | _ -> loop (array1_cold names venv code ireg freg pc))
+    | 41 (* AOFF2 rd slot d0 d1 ra rb ka kb *) -> (
         let d0 = Array.unsafe_get code (pc + 3) in
         let i0 =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
@@ -625,28 +697,28 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
           + Array.unsafe_get code (pc + 8)
         in
-        let name = Array.unsafe_get names s in
-        check_dim name 0 d0 i0;
-        check_dim name 1 (Array.unsafe_get code (pc + 4)) i1;
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (i0 - 1 + ((i1 - 1) * d0));
-        loop (pc + 9)
-    | 42 (* STAI slot ro ra *) ->
-        let arr = get_arr names (Array.unsafe_get code (pc + 1)) venv in
-        let off = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
-        (match arr.Env.data with
-        | Env.Ints d -> d.(off) <- x
-        | _ -> Env.set arr off (Value.Int x));
-        loop (pc + 4)
-    | 43 (* STAF slot ro fa *) ->
-        let arr = get_arr names (Array.unsafe_get code (pc + 1)) venv in
-        let off = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
-        (match arr.Env.data with
-        | Env.Reals d -> d.(off) <- x
-        | _ -> Env.set arr off (Value.Real x));
-        loop (pc + 4)
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
+        | Env.Arr _
+          when (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1)
+               >= 0 ->
+            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (i0 - 1 + ((i1 - 1) * d0));
+            loop (pc + 9)
+        | _ -> loop (array2_cold names venv code ireg freg pc))
+    (* the offset comes from this access's AOFF, so it is in range *)
+    | 42 (* STAI slot ro ra *) -> (
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
+        | Env.Arr { Env.data = Env.Ints d; _ } ->
+            d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
+              Array.unsafe_get ireg (Array.unsafe_get code (pc + 3));
+            loop (pc + 4)
+        | _ -> loop (store_array_cold names venv code ireg freg pc))
+    | 43 (* STAF slot ro fa *) -> (
+        match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
+        | Env.Arr { Env.data = Env.Reals d; _ } ->
+            d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
+              Array.unsafe_get freg (Array.unsafe_get code (pc + 3));
+            loop (pc + 4)
+        | _ -> loop (store_array_cold names venv code ireg freg pc))
     | 44 (* JLT_II ra rb pcT pcF *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
@@ -762,8 +834,8 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         if (max_steps - steps) lor (max_cycles - cycles) < 0 then
           if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
         Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        if cycles >= a.next_sample then take_samples a p.samples nid;
-        loop (Array.unsafe_get code (pc + 4))
+        let dst = Array.unsafe_get code (pc + 4) in
+        if cycles >= a.next_sample then loop (sample_at a p.samples nid dst) else loop dst
     | 71 (* EDGEPA eidx gid nid cost dst *) ->
         let e = Array.unsafe_get code (pc + 1) in
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
@@ -780,8 +852,8 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         if (max_steps - steps) lor (max_cycles - cycles) < 0 then
           if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
         Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        if cycles >= a.next_sample then take_samples a p.samples nid;
-        loop (Array.unsafe_get code (pc + 5))
+        let dst = Array.unsafe_get code (pc + 5) in
+        if cycles >= a.next_sample then loop (sample_at a p.samples nid dst) else loop dst
     | 72 (* FSQRT fd fa *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         if x < 0.0 then Value.err "SQRT of negative value %g" x;
@@ -846,6 +918,40 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y < x then y else x);
         loop (pc + 4)
+    | 87 (* LATCH ri k e1 n1 c1 d1 ft e2 n2 c2 hpc *) ->
+        let ri = Array.unsafe_get code (pc + 1) in
+        Array.unsafe_set ireg ri (Array.unsafe_get ireg ri + Array.unsafe_get code (pc + 2));
+        let e = Array.unsafe_get code (pc + 3) in
+        Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
+        let nid = Array.unsafe_get code (pc + 4) in
+        let steps = a.steps + 1 in
+        a.steps <- steps;
+        let cycles = a.cycles + Array.unsafe_get code (pc + 5) in
+        a.cycles <- cycles;
+        if (max_steps - steps) lor (max_cycles - cycles) < 0 then
+          if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
+        Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
+        if cycles >= a.next_sample then
+          (* the decrement node's own code does the rest *)
+          loop (sample_at a p.samples nid (Array.unsafe_get code (pc + 6)))
+        else begin
+          let ft = Array.unsafe_get code (pc + 7) in
+          let t = Array.unsafe_get freg ft -. 1.0 in
+          Array.unsafe_set freg ft t;
+          let e = Array.unsafe_get code (pc + 8) in
+          Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
+          let nid = Array.unsafe_get code (pc + 9) in
+          let steps = steps + 1 in
+          a.steps <- steps;
+          let cycles = cycles + Array.unsafe_get code (pc + 10) in
+          a.cycles <- cycles;
+          if (max_steps - steps) lor (max_cycles - cycles) < 0 then
+            if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
+          Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
+          let hpc = Array.unsafe_get code (pc + 11) in
+          let dst = Array.unsafe_get code (if int_of_float t > 0 then hpc + 2 else hpc + 3) in
+          if cycles >= a.next_sample then loop (sample_at a p.samples nid dst) else loop dst
+        end
     | op -> Value.err "corrupt bytecode: opcode %d at pc %d" op pc
   in
   loop c.entry_pc

@@ -25,6 +25,12 @@
    each node through the reference evaluator.  Accounting and probes are
    emitted exactly as in the default mode.
 
+   A DO loop's latch, [I = I + k] followed by its trip decrement and
+   header, becomes one LATCH when no probe sits on those nodes and
+   edges ([latch_of]); the decrement and header nodes keep their own
+   code too, which LATCH reads (the header's branch targets) or resumes
+   (the decrement, when a sample falls due there).
+
    Parity fine print encoded here:
    - conditionals/selects never bump edge counts themselves; every
      traversal runs the successor's edge sequence, so fused jumps cannot
@@ -42,7 +48,6 @@
 module Ast = S89_frontend.Ast
 module Ir = S89_frontend.Ir
 module Program = S89_frontend.Program
-module Intrinsics = S89_frontend.Intrinsics
 module Sema = S89_frontend.Sema
 module B = Bytecode
 open S89_cfg
@@ -421,8 +426,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   let node_start = Array.make n (-1) in
   (* forward references to node starts: the operand holds the node id
      until the end, when each recorded position is patched to the node's
-     start.  There is one per edge sequence, plus the entry's JMP. *)
-  let fixups = Array.make (edge_base.(n) + 1) 0 and n_fixups = ref 0 in
+     start.  There is one per edge sequence, plus the entry's JMP, plus
+     one per LATCH (two references in place of its node's edge). *)
+  let fixups = Array.make (edge_base.(n) + n + 1) 0 and n_fixups = ref 0 in
   let emit_node_ref nid =
     emit nid;
     fixups.(!n_fixups) <- pos () - 1;
@@ -454,20 +460,12 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   in
   let fallbacks = ref [] and n_fallbacks = ref 0 in
 
-  (* a user procedure shadowing an intrinsic name keeps the generic path *)
-  let shadowing =
-    List.exists (fun (f, _) -> Hashtbl.mem prog.Program.by_name f) Intrinsics.table
-  in
-  let is_native_intrinsic f =
-    not (shadowing && Hashtbl.mem prog.Program.by_name f)
-  in
-
   (* Static numeric typing: the type the generic evaluation of [e] is
      guaranteed to yield (raising exactly where the native code below
      raises); None = unknown, LOGICAL, or involves user calls or untyped
      dummy arguments.  Intrinsic calls are typed when their native
-     lowering is exact; a user procedure shadowing an intrinsic name keeps
-     the generic path. *)
+     lowering is exact (sema rejects a user procedure named like an
+     intrinsic, so an intrinsic's name always means the intrinsic). *)
   let rec xstatic_num (e : Ast.expr) : Ast.typ option =
     match e with
     | Ast.Int _ -> Some Ast.Tint
@@ -487,7 +485,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         | Some (Ast.Tint | Ast.Treal), Some (Ast.Tint | Ast.Treal) ->
             Some Ast.Treal
         | _ -> None)
-    | Ast.Call (f, args) when is_native_intrinsic f -> (
+    | Ast.Call (f, args) -> (
         let num1 t =
           match args with
           | [ a ] -> ( match xstatic_num a with Some _ -> Some t | None -> None)
@@ -689,7 +687,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             emit ra;
             emit rb;
             d)
-    | Ast.Call (f, args) when is_native_intrinsic f -> (
+    | Ast.Call (f, args) -> (
         (* exact counterparts of the Builtins closures: same coercions,
            same error points/messages, same PRNG draws *)
         match (f, args) with
@@ -898,7 +896,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             emit ra;
             emit rb;
             d)
-    | Ast.Call (f, args) when is_native_intrinsic f -> (
+    | Ast.Call (f, args) -> (
         (* unary real intrinsics take to_float of their argument, which
            is exactly emit_num's promotion *)
         let un opc a =
@@ -1118,6 +1116,56 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         emit_node_ref d);
     pc
   in
+  (* The LATCH shape (Bytecode.op_latch): node [i] is [I = I + k] with I
+     a promoted INTEGER and k a literal; its one successor [d] is
+     [T = T - 1] with T in a float register; [d]'s one successor [h] is
+     the DO header testing T.  No probe may sit on the edges i->d and
+     d->h or on the nodes d and h: then [h]'s code is exactly its JTRIP,
+     whose pcT/pcF LATCH reads, and [d]'s is the decrement and its edge,
+     where LATCH goes on when a sample falls due at [d]. *)
+  let latch_of i (ir : Ir.node) =
+    let single j = edge_base.(j + 1) - edge_base.(j) = 1 in
+    let edge_free j =
+      match pi with
+      | None -> true
+      | Some pi -> edge_acts succ_labels.(j).(0) pi.Probe.on_edge.(j) = []
+    in
+    let node_free j = match pi with None -> true | Some pi -> pi.Probe.on_node.(j) = [] in
+    match ir with
+    | Ir.Assign (Ast.Lvar v, Ast.Binop (Ast.Add, Ast.Var v', Ast.Int k))
+      when v = v' && single i && slot_ireg.(Env.slot lay v) >= 0 -> (
+        let d = edge_dst.(edge_base.(i)) in
+        match (Cfg.info cfg d).Ir.ir with
+        | Ir.Assign (Ast.Lvar t, Ast.Binop (Ast.Sub, Ast.Var t', Ast.Int 1))
+          when t = t' && single d && slot_freg.(Env.slot lay t) >= 0 -> (
+            let h = edge_dst.(edge_base.(d)) in
+            match (Cfg.info cfg h).Ir.ir with
+            | Ir.Do_test dt
+              when dt.Ir.trip_var = t
+                   && find_idx succ_labels.(h) Label.T >= 0
+                   && find_idx succ_labels.(h) Label.F >= 0
+                   && edge_free i && edge_free d && node_free d && node_free h ->
+                Some (slot_ireg.(Env.slot lay v), k, d, slot_freg.(Env.slot lay t), h)
+            | _ -> None)
+        | _ -> None)
+    | _ -> None
+  in
+  let latches = ref 0 in
+  let emit_latch i (ri, k, d, ft, h) =
+    incr latches;
+    emit B.op_latch;
+    emit ri;
+    emit k;
+    emit edge_base.(i);
+    emit d;
+    emit node_cost.(d);
+    emit_node_ref d;
+    emit ft;
+    emit edge_base.(d);
+    emit h;
+    emit node_cost.(h);
+    emit_node_ref h
+  in
   let emit_native i (ir : Ir.node) =
     let succ = succ_labels.(i) in
     let u = find_idx succ Label.U in
@@ -1323,15 +1371,18 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     | None -> ());
     if all_fallback then emit_fallback i ir
     else
-      let mark = pos () and saved_fixups = !n_fixups in
-      try emit_native i ir
-      with Unsupported ->
-        (* roll back everything a partial lowering may have touched, then
-           take the exact fallback path *)
-        len := mark;
-        n_fixups := saved_fixups;
-        reset_temps ();
-        emit_fallback i ir
+      match latch_of i ir with
+      | Some l -> emit_latch i l
+      | None -> (
+          let mark = pos () and saved_fixups = !n_fixups in
+          try emit_native i ir
+          with Unsupported ->
+            (* roll back everything a partial lowering may have touched,
+               then take the exact fallback path *)
+            len := mark;
+            n_fixups := saved_fixups;
+            reset_temps ();
+            emit_fallback i ir)
   done;
 
   for f = 0 to !n_fixups - 1 do
@@ -1352,4 +1403,5 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     groups = Array.of_list (List.rev !groups);
     edge_base;
     succ_labels;
+    latches = !latches;
   }

@@ -265,26 +265,16 @@ let layout_salt (p : Program.proc) () =
   | None -> "layout"
 
 (* What [Emit.emit_proc] reads beyond the layout: the cost model, the
-   lowering mode, the dummies' call-site types, the procedure's probe
-   actions (counter ids included) and which names the program's user
-   procedures take.  Emit asks that only of the names a body calls, and
-   sema resolves each of those to a user procedure unless it names an
-   intrinsic, so the user procedures named like intrinsics stand for
-   the whole name set: a rename or an added procedure re-emits only the
-   bodies it edits.  All are data, so their marshaled bytes stand for
-   them. *)
-let code_salt config ~all_fallback prog =
+   lowering mode, the dummies' call-site types and the procedure's probe
+   actions (counter ids included).  Emit also asks which names the
+   program's user procedures take, but only of the names a body calls,
+   and sema has resolved each of those to a user procedure or an
+   intrinsic, never both: a rename or an added procedure re-emits only
+   the bodies it edits.  All are data, so their marshaled bytes stand
+   for them. *)
+let code_salt config ~all_fallback =
   let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ])) in
-  let common =
-    lazy
-      (let shadowing =
-         List.filter_map
-           (fun (f, _) -> if Hashtbl.mem prog.Program.by_name f then Some f else None)
-           S89_frontend.Intrinsics.table
-       in
-       Printf.sprintf "%s %b %s" (digest config.cost_model) all_fallback
-         (String.concat "," (List.sort compare shadowing)))
-  in
+  let common = lazy (Printf.sprintf "%s %b" (digest config.cost_model) all_fallback) in
   fun (p : Program.proc) (dummies : S89_frontend.Ast.typ option array) () ->
     String.concat " "
       [ Lazy.force common; layout_salt p (); digest dummies;
@@ -312,7 +302,7 @@ let create ?cache ?(config = default_config) (prog : Program.t) : t =
       (* [Compiled] is the same bytecode with every node a FALLBACK *)
       let all_fallback = config.backend = Compiled in
       let dummies = Emit.dummy_types prog lays in
-      let salt = code_salt config ~all_fallback prog in
+      let salt = code_salt config ~all_fallback in
       Hashtbl.iter
         (fun name (lay : Env.layout) ->
           let p = lay.Env.lproc and dummies = Hashtbl.find dummies name in

@@ -449,6 +449,30 @@ let vm_code_layer_equals_cold () =
   | Error d -> check cs "a unit named ABS is a SEM001" "SEM001" d.Diag.code
   | Ok _ -> Alcotest.fail "a program unit named like an intrinsic was accepted"
 
+(* [Optimize.program] rewrites every CFG and keeps every unit's [env]:
+   a memo primed on the source form must not hand the optimized form
+   its analyses, plans or code.  Through one memo, each form of LOOPS
+   runs exactly what it runs without one. *)
+let optimized_form_keyed_apart () =
+  let prog = Program.of_source S89_workloads.Livermore.source in
+  let opt = S89_vm.Optimize.program prog in
+  let memo = Memo.create () in
+  let run ?memo p =
+    let vm = Pipeline.run_once (Pipeline.create ?memo p) in
+    (Interp.steps vm, Interp.cycles vm)
+  in
+  let source = (632_502, 4_650_152) and optimized = (553_302, 4_518_409) in
+  let cpair = Alcotest.(pair int int) in
+  check cpair "source form, without a memo" source (run prog);
+  check cpair "optimized form, without a memo" optimized (run opt);
+  check cpair "source form primes the memo" source (run ~memo prog);
+  Memo.reset_stats memo;
+  check cpair "optimized form through the primed memo" optimized (run ~memo opt);
+  let st = Memo.stats memo and n = Array.length opt.Program.procs in
+  check ci "every optimized body is analyzed afresh" n st.Memo.analysis_misses;
+  check ci "and emitted afresh" n st.Memo.code_misses;
+  check cpair "source form again" source (run ~memo prog)
+
 (* ---------------- one body version per procedure ---------------- *)
 
 (* Four blocks of `ptranc analyze` edits, each block changing every
@@ -557,4 +581,6 @@ let suite =
       memo_size_is_flat_across_edit_blocks;
     Alcotest.test_case "totals fingerprints keep their values" `Quick
       totals_fp_values_unchanged;
+    Alcotest.test_case "optimized form is keyed apart from its source" `Quick
+      optimized_form_keyed_apart;
   ]

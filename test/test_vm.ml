@@ -551,42 +551,59 @@ let run_backend ~instr ~seed backend prog =
   let outcome = Interp.run vm in
   (vm, outcome)
 
-let check_backends_agree ?(instr = Probe.empty) ?(seed = 42) what prog =
-  let t, ot = run_backend ~instr ~seed Interp.Tree prog in
-  let against tag backend =
-    let what = Printf.sprintf "%s [%s]" what tag in
-    let c, oc = run_backend ~instr ~seed backend prog in
-    check cb (what ^ ": outcome") true (ot = oc);
-    check ci (what ^ ": cycles") (Interp.cycles t) (Interp.cycles c);
-    check ci (what ^ ": steps") (Interp.steps t) (Interp.steps c);
-    check Alcotest.string (what ^ ": output") (Interp.output t)
-      (Interp.output c);
-    check (Alcotest.array ci) (what ^ ": counters") (Interp.counters t)
-      (Interp.counters c);
-    List.iter
-      (fun (p : Program.proc) ->
-        let name = p.Program.name in
-        check ci (what ^ ": invocations " ^ name) (Interp.invocations t name)
-          (Interp.invocations c name);
-        let cfg = p.Program.cfg in
-        for node = 0 to Cfg.num_nodes cfg - 1 do
-          check ci
-            (Printf.sprintf "%s: execs %s/%d" what name node)
-            (Interp.node_execs t name node)
-            (Interp.node_execs c name node);
-          List.iter
-            (fun l ->
-              check ci
-                (Printf.sprintf "%s: edge %s/%d/%s" what name node
-                   (Label.to_string l))
-                (Interp.edge_count t name node l)
-                (Interp.edge_count c name node l))
-            (S89_cfg.Cfg.out_labels cfg node)
-        done)
-      (Program.procs prog)
+(* everything one run shows: how it ended (an error as its code and
+   message), its output, steps, cycles and counters, each procedure's
+   invocations, and every node's execs and samples and every edge's
+   traversals *)
+let observe config backend prog =
+  let vm = Interp.create ~config:{ config with Interp.backend } prog in
+  let ended =
+    match Interp.run_result vm with
+    | Ok Interp.Normal_stop -> "STOP"
+    | Ok Interp.Fell_off_end -> "END"
+    | Error d -> d.S89_diag.Diag.code ^ " " ^ d.S89_diag.Diag.message
   in
-  against "compiled" Interp.Compiled;
-  against "bytecode" Interp.Bytecode
+  let counts = ref [] in
+  let add k v = counts := (k, v) :: !counts in
+  add "steps" (Interp.steps vm);
+  add "cycles" (Interp.cycles vm);
+  Array.iteri (fun i c -> add (Printf.sprintf "counter %d" i) c) (Interp.counters vm);
+  List.iter
+    (fun (p : Program.proc) ->
+      let name = p.Program.name and cfg = p.Program.cfg in
+      add ("invocations " ^ name) (Interp.invocations vm name);
+      for node = 0 to Cfg.num_nodes cfg - 1 do
+        add (Printf.sprintf "execs %s/%d" name node) (Interp.node_execs vm name node);
+        add (Printf.sprintf "samples %s/%d" name node) (Interp.node_samples vm name node);
+        List.iter
+          (fun l ->
+            add
+              (Printf.sprintf "edge %s/%d/%s" name node (Label.to_string l))
+              (Interp.edge_count vm name node l))
+          (S89_cfg.Cfg.out_labels cfg node)
+      done)
+    (Program.procs prog);
+  (ended, Interp.output vm, List.rev !counts)
+
+(* Compiled and Bytecode observe what Tree does under [config];
+   [~complete] also requires Tree's run to end normally, since a program
+   that fails alike on every backend (out of fuel, say) would compare
+   only a prefix of its run *)
+let agree ?(complete = false) what config prog =
+  let ended, output, counts = observe config Interp.Tree prog in
+  if complete && ended <> "STOP" && ended <> "END" then
+    Alcotest.failf "%s: Tree did not complete: %s" what ended;
+  List.iter
+    (fun (tag, backend) ->
+      let what = Printf.sprintf "%s [%s]" what tag in
+      let ended', output', counts' = observe config backend prog in
+      check Alcotest.string (what ^ ": ended") ended ended';
+      check Alcotest.string (what ^ ": output") output output';
+      List.iter2 (fun (k, v) (_, v') -> check ci (what ^ ": " ^ k) v v') counts counts')
+    [ ("compiled", Interp.Compiled); ("bytecode", Interp.Bytecode) ]
+
+let check_backends_agree ?(instr = Probe.empty) ?(seed = 42) what prog =
+  agree ~complete:true what { Interp.default_config with instr; seed } prog
 
 let diff_generated () =
   for seed = 0 to 59 do
@@ -796,11 +813,9 @@ let generic_minmax_src =
       END
 |}
 
-(* Sema refuses a unit named like an intrinsic and a subroutine called as
-   a function, but the VM must still run such programs exactly: build
-   them by rewriting call sites (and unit names) after lowering.  (A
-   user MAX0 would also capture the trip counts lowering gives DO loops,
-   so the shadowing program loops with GOTO.) *)
+(* Sema refuses a subroutine called as a function, but the VM must
+   still fail on such a program exactly: build it by rewriting call
+   sites (and unit names) after lowering. *)
 let rewrite_calls ~from ~to_ (prog : Program.t) =
   let rec ex (e : Ast.expr) : Ast.expr =
     match e with
@@ -836,24 +851,6 @@ let rewrite_calls ~from ~to_ (prog : Program.t) =
     procs;
   { prog with Program.procs; by_name; index }
 
-let shadow_max0_src =
-  {|      PROGRAM SHADOW
-      INTEGER I, K
-      K = 0
-      I = 1
-   10 K = K + MAXZ(I, 3, K)
-      IF (MAXZ(I, K, 1) .GT. 100) K = K - 1
-      I = I + 1
-      IF (I .LE. 5) GOTO 10
-      PRINT *, K
-      END
-
-      INTEGER FUNCTION MAXZ(A, B, C)
-      INTEGER A, B, C
-      MAXZ = A * 10 + B - MOD(C, 7)
-      END
-|}
-
 let diff_generic_path () =
   List.iter
     (fun (what, prog) ->
@@ -862,16 +859,7 @@ let diff_generic_path () =
     [
       ("arrays/**/logic", Program.of_source generic_arrays_src);
       ("MAX0/MIN0", Program.of_source generic_minmax_src);
-      ( "user FUNCTION MAX0",
-        rewrite_calls ~from:"MAXZ" ~to_:"MAX0" (Program.of_source shadow_max0_src) );
-    ];
-  (* the user FUNCTION, not the intrinsic, answers every MAX0 call *)
-  let prog = rewrite_calls ~from:"MAXZ" ~to_:"MAX0" (Program.of_source shadow_max0_src) in
-  List.iter
-    (fun backend ->
-      let vm, _ = run_backend ~instr:Probe.empty ~seed:42 backend prog in
-      check ci "MAX0 invocations" 10 (Interp.invocations vm "MAX0"))
-    [ Interp.Tree; Interp.Compiled; Interp.Bytecode ]
+    ]
 
 (* A runtime error is part of the observable behaviour: every backend must
    fail with the same message after the same steps and cycles. *)
@@ -1520,4 +1508,175 @@ let suite =
         (fun () -> on_demos_and_table1 compiled_matches_tree);
       Alcotest.test_case "optimize: keeps call actuals' passing mode" `Quick
         optimize_keeps_call_actuals;
+    ]
+
+(* ---------------- fused DO latches and the array fast paths ----------------
+
+   LATCH runs a DO loop's increment, trip decrement and header test in
+   one dispatch, and the array and cell ops run a fast path with one
+   range branch beside a generic cold path.  Every guard trip point,
+   sample and bounds error must still match the Tree engine exactly. *)
+
+module Bytecode = S89_vm.Bytecode
+
+(* LATCH instructions in the code Emit produces for [prog], through a
+   cache that records every procedure's code *)
+let latch_count ?(backend = Interp.Bytecode) ?(instr = Probe.empty) prog =
+  let n = ref 0 in
+  let cache =
+    {
+      Interp.layouts = (fun ~salt:_ _ f -> f ());
+      codes =
+        (fun ~salt:_ _ f ->
+          let c = f () in
+          n := !n + c.Bytecode.latches;
+          c);
+    }
+  in
+  ignore (Interp.create ~cache ~config:{ Interp.default_config with backend; instr } prog);
+  !n
+
+let spin_src =
+  "PROGRAM SPIN\n  DO I = 1, 100000\n    X = X + 1.0\n  ENDDO\nEND\n"
+
+let nest_src =
+  {|      PROGRAM NEST
+      REAL G(3, 4)
+      INTEGER I, J, K
+      K = 0
+      DO J = 1, 4
+        DO I = 1, 3
+          G(I, J) = G(I, J) + REAL(I * J)
+          K = K + I
+        ENDDO
+      ENDDO
+      PRINT *, K, G(3, 4)
+      END
+|}
+
+(* How many LATCHes Emit makes, pinned: a change that silently stops
+   fusing fails here without a wall-clock gate.  LOOPS and SIMPLE,
+   opt-ON and opt-OFF, without and with smart probes. *)
+let latch_coverage_pinned () =
+  let open S89_workloads in
+  let counts =
+    List.concat_map
+      (fun (name, src) ->
+        let base = Program.of_source src in
+        List.concat_map
+          (fun (opt, prog) ->
+            [ (Printf.sprintf "%s %s unprobed" name opt, latch_count prog);
+              ( Printf.sprintf "%s %s smart" name opt,
+                latch_count ~instr:(placement_probes prog) prog ) ])
+          [ ("opt-ON", Optimize.program base); ("opt-OFF", base) ])
+      [ ("LOOPS", Livermore.source); ("SIMPLE", Simple_code.source ());
+        ("SPIN", spin_src); ("NEST", nest_src) ]
+  in
+  check
+    Alcotest.(list (pair string int))
+    "LATCH count per program, form and probes"
+    [ ("LOOPS opt-ON unprobed", 87); ("LOOPS opt-ON smart", 87);
+      ("LOOPS opt-OFF unprobed", 86); ("LOOPS opt-OFF smart", 86);
+      ("SIMPLE opt-ON unprobed", 17); ("SIMPLE opt-ON smart", 17);
+      ("SIMPLE opt-OFF unprobed", 17); ("SIMPLE opt-OFF smart", 17);
+      ("SPIN opt-ON unprobed", 1); ("SPIN opt-ON smart", 1);
+      ("SPIN opt-OFF unprobed", 1); ("SPIN opt-OFF smart", 1);
+      ("NEST opt-ON unprobed", 2); ("NEST opt-ON smart", 2);
+      ("NEST opt-OFF unprobed", 2); ("NEST opt-OFF smart", 2) ]
+    counts;
+  (* [Compiled] lowers every node to a FALLBACK: no LATCH *)
+  check ci "Compiled LOOPS: no LATCH" 0
+    (latch_count ~backend:Interp.Compiled (Program.of_source Livermore.source))
+
+(* Every step budget over a window of whole loop iterations, and every
+   cycle budget over the cycles that window takes: a guard may trip at
+   any node a LATCH accounts for, and must trip there with Tree's steps,
+   cycles, execs and edge counts.  NEST's window is its whole run. *)
+let guard_sweeps () =
+  List.iter
+    (fun (name, src, window) ->
+      let prog = Program.of_source src in
+      List.iter
+        (fun (ptag, instr) ->
+          let base = { Interp.default_config with instr } in
+          let lo, hi = window base prog in
+          for s = lo to hi do
+            agree (Printf.sprintf "%s %s max_steps=%d" name ptag s) { base with max_steps = s } prog
+          done;
+          let cycles_at s =
+            let vm = Interp.create ~config:{ base with max_steps = s } prog in
+            ignore (Interp.run_result vm);
+            Interp.cycles vm
+          in
+          for c = cycles_at lo to cycles_at hi do
+            agree (Printf.sprintf "%s %s max_cycles=%d" name ptag c) { base with max_cycles = c } prog
+          done)
+        [ ("unprobed", Probe.empty); ("smart", placement_probes prog) ])
+    [
+      (* two whole iterations are 8 steps *)
+      ("SPIN", spin_src, fun _ _ -> (20, 40));
+      ( "NEST",
+        nest_src,
+        fun config prog ->
+          let vm = Interp.create ~config prog in
+          ignore (Interp.run vm);
+          (1, Interp.steps vm + 1) );
+    ]
+
+(* every sample interval from 1 to 7 lands each sample on the node
+   Tree charges it to *)
+let sampling_parity () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Program.of_source src in
+      for k = 1 to 7 do
+        agree
+          (Printf.sprintf "%s sample_interval=%d" name k)
+          { Interp.default_config with sample_interval = Some k }
+          prog
+      done)
+    [ ("SPIN 50", "PROGRAM SPIN\n  DO I = 1, 50\n    X = X + 1.0\n  ENDDO\nEND\n");
+      ("NEST", nest_src) ]
+
+(* A subscript below or above each dimension, on a 1-D and a 2-D array,
+   INTEGER and REAL, loaded and stored: the generic cold path raises
+   Tree's RUN001 message after Tree's steps and cycles (the access runs
+   inside a DO loop, after a LATCH) *)
+let bounds_errors_agree () =
+  List.iter
+    (fun (ty, arr, rhs) ->
+      List.iter
+        (fun (dims, subs, bad) ->
+          let decl = Printf.sprintf "%s %s(%s)" ty arr dims in
+          List.iter
+            (fun (what, stmt) ->
+              let src =
+                Printf.sprintf
+                  "      PROGRAM B\n      %s\n      INTEGER I, J, K, M\n      REAL X\n\
+                  \      K = 0\n      X = 0.0\n      DO M = 1, 2\n      I = 2\n      J = 2\n\
+                  \      K = K + M\n      ENDDO\n      I = %d\n      J = %d\n      %s\n      END\n"
+                  decl (fst bad) (snd bad) stmt
+              in
+              let prog = Program.of_source src in
+              let what = Printf.sprintf "%s %s(%s) %s" ty arr subs what in
+              let config = Interp.default_config in
+              let ended, _, _ = observe config Interp.Tree prog in
+              check cb (what ^ ": Tree raises RUN001") true
+                (String.starts_with ~prefix:"RUN001 " ended);
+              agree what config prog)
+            [ ("load", Printf.sprintf "%s = %s(%s)" rhs arr subs);
+              ("store", Printf.sprintf "%s(%s) = %s" arr subs rhs) ])
+        [ ("3", "I", (0, 1)); ("3", "I", (4, 1));
+          ("3, 4", "I, J", (0, 2)); ("3, 4", "I, J", (4, 2));
+          ("3, 4", "I, J", (2, 0)); ("3, 4", "I, J", (2, 5));
+          ("3, 4", "I, J", (0, 5)); ("3", "I + 1", (3, 1)) ])
+    [ ("INTEGER", "IA", "K"); ("REAL", "RA", "X") ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "emit: LATCH coverage pinned" `Quick latch_coverage_pinned;
+      Alcotest.test_case "backends: guard sweeps over fused latches" `Quick guard_sweeps;
+      Alcotest.test_case "backends: samples agree, intervals 1-7" `Quick sampling_parity;
+      Alcotest.test_case "backends: array bounds errors agree" `Quick bounds_errors_agree;
     ]
