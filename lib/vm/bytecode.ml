@@ -2,18 +2,24 @@
    [Compiled] backends.
 
    Each procedure is compiled (by Emit) to one contiguous [int array] of
-   int-coded instructions plus a float constant pool.  Execution is a
-   single tail-recursive dispatch loop over the pre-resolved code array:
-   no closure calls on the hot path, no Value boxing for statically-typed
-   scalar traffic (promoted scalars live in unboxed int/float register
-   files), fused compare-and-branch superinstructions, a DO-latch
-   superinstruction (LATCH: increment, trip decrement and header test
-   in one dispatch), and dedicated probe opcodes that update an
+   int-coded instructions plus a float constant pool.  Execution is one
+   tail-recursive dispatch loop over the pre-resolved code array, in two
+   levels: a leaf loop that runs every op making no call, and [slow],
+   which runs the ops that call out, so that nothing returns into the
+   leaf loop and it spills nothing.  No Value boxing for
+   statically-typed scalar traffic (promoted scalars live in unboxed
+   int/float register files), fused compare-and-branch
+   superinstructions, a DO-latch superinstruction (LATCH: increment,
+   trip decrement and header test in one dispatch; LATCHT also takes the
+   header's T edge), fused pairs for the hot array shapes (a store that
+   takes its edge, a 2-D element as a float op's right operand, an
+   in-place update's load, a float op stored straight to an element),
+   and dedicated probe opcodes that update an
    instrumentation counter with one array bump instead of a closure
    wrapper.  Each array and cell op has a fast path for the binding Emit
    expects, with one range branch for all its subscripts; everything
-   else goes to a never-inlined cold helper that returns the next pc,
-   so a fast path keeps nothing live across a call.
+   else goes through [slow] to a never-inlined cold helper that returns
+   the next pc.
 
    Anything the emitter cannot prove statically falls back, per node, to
    the reference evaluator {!Eval} (the [FALLBACK] opcode), which walks
@@ -134,7 +140,6 @@ type code = {
      flat edge index [edge_base.(nid) + k] *)
   edge_base : int array;
   succ_labels : Label.t array array;
-  latches : int; (* LATCH instructions in [code] *)
 }
 
 (* [code] bound into one VM: its layout (frames, and slot names for
@@ -287,12 +292,84 @@ let op_imin = 85 (* rd ra rb *)
    1] (the trip temp in a float register) and whose successor's
    successor is the header testing it, when neither edge has probes and
    neither successor has node probes.  It runs the increment; EDGEA's
-   accounting for edge e1 into the decrement node n1 (pc d1); the
-   decrement; the same for edge e2 into the header n2; then the header's
-   JTRIP at hpc, jumping to its pcT or pcF.  When the sample clock falls
-   due at n1 it takes the samples and goes on at d1, the decrement
-   node's own code.  (86 is unused.) *)
-let op_latch = 87 (* ri k e1 n1 c1 d1 ft e2 n2 c2 hpc *)
+   accounting for edge e1 into the decrement node n1; the decrement; the
+   same for edge e2 into the header n2; then the header's JTRIP at hpc,
+   jumping to its pcT or pcF.  Samples due at n1 or n2 are taken there,
+   in line, as EDGEA takes them.  (86 is unused.) *)
+let op_latch = 87 (* ri k e1 n1 c1 ft e2 n2 c2 hpc *)
+
+(* Fused pairs.  Each is its first instruction with a new opcode, and
+   the second instruction stays in place right after it (or, for
+   LATCHT, at the header's T-edge sequence): the fused op runs both in
+   one dispatch, and its cold path runs the first one alone and goes on
+   at the second.  Emit fuses only where the second is an EDGEA (no
+   probes on the edge) or works on the first's result or element. *)
+let op_staie = 88 (* slot ro ra, then the node's EDGEA *)
+let op_stafe = 89 (* slot ro fa, then the node's EDGEA *)
+(* an LDA2F into the temp the next FADD/FSUB/FMUL reads as its right
+   operand: fd <- fa op element, without the temp *)
+let op_a2fadd = 90 (* LDA2F's operands, then FADD fd fa t *)
+let op_a2fsub = 91 (* LDA2F's operands, then FSUB fd fa t *)
+let op_a2fmul = 92 (* LDA2F's operands, then FMUL fd fa t *)
+(* LATCH that also takes the header's T edge, when that edge's sequence
+   is an EDGEA and the loop body's first node has no probes: it runs the
+   EDGEA at the header's pcT in line. *)
+let op_latcht = 93 (* LATCH's operands *)
+(* an AOFF2 followed by the LDA2F of the same element (same slot,
+   subscript registers and displacements), as in [A(I,J) = A(I,J) + x]:
+   one range branch for both, and the offset and the element written *)
+let op_aoff2l = 94 (* AOFF2's operands, then LDA2F fd ... *)
+(* a FADD/FSUB/FMUL into the temp the next STAFE stores, as in
+   [A(I,J) = x + y]: the result goes straight to the element *)
+let op_faddst = 95 (* FADD's operands, then STAFE slot ro fd *)
+let op_fsubst = 96 (* FSUB's operands, then STAFE slot ro fd *)
+let op_fmulst = 97 (* FMUL's operands, then STAFE slot ro fd *)
+
+let n_opcodes = 98
+
+(* operand words per opcode; -1: not an opcode.  SELECT's count is
+   [n + 3] for its [n] arms (see [census]). *)
+let operands =
+  let w = Array.make n_opcodes (-1) in
+  let set ops k = List.iter (fun op -> w.(op) <- k) ops in
+  set [ op_ret; op_stop ] 0;
+  set [ op_edge; op_charge; op_jmp; op_fallback; op_probe; op_rand ] 1;
+  set
+    [ op_acct; op_probe_add; op_ldki; op_movi; op_ineg; op_ldkf; op_movf; op_fneg;
+      op_itof; op_ftoi; op_ldci; op_ldcf; op_stci; op_stcf; op_fsqrt; op_fexp; op_flog;
+      op_fsin; op_fcos; op_ftan; op_fatan; op_fabs; op_iabs; op_irand ]
+    2;
+  set
+    [ op_iadd; op_isub; op_imul; op_idiv; op_iaddk; op_imulk; op_irsubk; op_fadd; op_fsub;
+      op_fmul; op_fdiv; op_faddk; op_fsubk; op_fmulk; op_frsubk; op_stai; op_staf;
+      op_jtrip; op_imod; op_imax; op_imin; op_staie; op_stafe; op_faddst; op_fsubst;
+      op_fmulst ]
+    3;
+  for op = op_jlt_ii to op_jne_fk do
+    w.(op) <- 4
+  done;
+  set [ op_edgea ] 4;
+  set [ op_lda1i; op_lda1f; op_aoff1; op_edgepa ] 5;
+  set [ op_lda2i; op_lda2f; op_aoff2; op_a2fadd; op_a2fsub; op_a2fmul; op_aoff2l ] 8;
+  set [ op_latch; op_latcht ] 10;
+  w.(op_select) <- 0;
+  w
+
+(* How many instructions of each opcode [c.code] holds, walking it from
+   its first word by operand count: a static census, the same for every
+   run of the code. *)
+let census (c : code) : int array =
+  let n = Array.make n_opcodes 0 in
+  let code = c.code in
+  let rec walk pc =
+    if pc < Array.length code then begin
+      let op = code.(pc) in
+      n.(op) <- n.(op) + 1;
+      walk (pc + 1 + if op = op_select then code.(pc + 2) + 3 else operands.(op))
+    end
+  in
+  walk 0;
+  n
 
 (* ---- runtime helpers ---- *)
 
@@ -302,17 +379,15 @@ let check_dim name k d i =
 
 (* ---- cold paths ----
 
-   Every array and cell op has a fast path in the loop: it matches the
-   binding Emit expects (an [Arr] of the op's element type, a [Cell]
+   Every array and cell op has a fast path in the leaf loop: it finds
+   the binding Emit expects (an [Arr] of the op's element type, a [Cell]
    holding the op's value type) and tests all its subscripts' ranges in
    one branch.  Anything else lands in one of these helpers, which runs
    the op's generic code in its one order: the binding first (through
    Env, which raises the binding errors), then dimension 1's bounds, then
    dimension 2's, then the element or cell access through Env's coercing
    accessors.  A helper writes its own destination, so a float result is
-   never boxed, and returns the op's next pc: the loop calls it as
-   [loop (helper ...)], so the fast path keeps nothing live across a
-   call and no cold call returns into it. *)
+   never boxed, and returns the op's next pc to [slow]. *)
 
 (* the rest of an array op once its offset is checked: LDA*'s read or
    AOFF*'s offset *)
@@ -320,8 +395,8 @@ let finish_array (arr : Env.array_obj) off (code : int array) (ireg : int array)
     (freg : float array) pc =
   let op = code.(pc) and rd = code.(pc + 1) in
   if op = op_lda1i || op = op_lda2i then ireg.(rd) <- Env.get_int arr off
-  else if op = op_lda1f || op = op_lda2f then freg.(rd) <- Env.get_float arr off
-  else ireg.(rd) <- off
+  else if op = op_aoff1 || op = op_aoff2 || op = op_aoff2l then ireg.(rd) <- off
+  else freg.(rd) <- Env.get_float arr off
 
 (* LDA1I/LDA1F/AOFF1 rd slot d0 ra ka *)
 let[@inline never] array1_cold names (venv : Env.slots) code ireg freg pc =
@@ -332,7 +407,9 @@ let[@inline never] array1_cold names (venv : Env.slots) code ireg freg pc =
   finish_array arr (i - 1) code ireg freg pc;
   pc + 6
 
-(* LDA2I/LDA2F/AOFF2 rd slot d0 d1 ra rb ka kb *)
+(* LDA2I/LDA2F/AOFF2 rd slot d0 d1 ra rb ka kb, and A2FADD/A2FSUB/A2FMUL
+   and AOFF2L as the LDA2F or AOFF2 they start with: the op after them
+   does the rest *)
 let[@inline never] array2_cold names (venv : Env.slots) code ireg freg pc =
   let s = code.(pc + 2) in
   let arr = Env.get_arr names s venv in
@@ -344,13 +421,15 @@ let[@inline never] array2_cold names (venv : Env.slots) code ireg freg pc =
   finish_array arr (i0 - 1 + ((i1 - 1) * d0)) code ireg freg pc;
   pc + 9
 
-(* STAI/STAF slot ro ra *)
+(* STAI/STAF slot ro ra, and STAIE/STAFE as the store they start with:
+   their EDGEA follows *)
 let[@inline never] store_array_cold names (venv : Env.slots) (code : int array)
     (ireg : int array) (freg : float array) pc =
   let arr = Env.get_arr names code.(pc + 1) venv in
   let r = code.(pc + 3) in
+  let op = code.(pc) in
   Env.set arr ireg.(code.(pc + 2))
-    (if code.(pc) = op_stai then Value.Int ireg.(r) else Value.Real freg.(r));
+    (if op = op_stai || op = op_staie then Value.Int ireg.(r) else Value.Real freg.(r));
   pc + 4
 
 (* LDCI/LDCF rd slot *)
@@ -403,17 +482,45 @@ let load_regs (s : sync) (venv : Env.slots) (ireg : int array)
     | _ -> ()
   done
 
-let take_samples (a : acct) (samples : int array) nid =
+(* The accounting every node execution does, in its one order: the step
+   and the node's cycles, the budget check, the exec count, then the
+   samples now due, charged to the node.  Both are inlined into the leaf
+   loop below, so a sample costs no call there. *)
+let[@inline] take_samples (a : acct) (samples : int array) nid =
   while a.cycles >= a.next_sample do
-    samples.(nid) <- samples.(nid) + 1;
+    Array.unsafe_set samples nid (Array.unsafe_get samples nid + 1);
     a.next_sample <- a.next_sample + a.sample_interval
   done
 
-(* the sample clock is due: charge [nid] its samples, then go on at
-   [next] (called as [loop (sample_at ...)], like the cold paths) *)
-let[@inline never] sample_at (a : acct) samples nid next =
-  take_samples a samples nid;
-  next
+let[@inline] account (a : acct) (execs : int array) (samples : int array) nid cost =
+  let steps = a.steps + 1 in
+  a.steps <- steps;
+  let cycles = a.cycles + cost in
+  a.cycles <- cycles;
+  (* both budget checks share one branch: the remaining budgets are both
+     non-negative iff neither limit is exceeded *)
+  if (a.max_steps - steps) lor (a.max_cycles - cycles) < 0 then
+    if steps > a.max_steps then raise Out_of_fuel else raise Out_of_cycles;
+  Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
+  if cycles >= a.next_sample then take_samples a samples nid
+
+(* EDGEA eidx nid cost dst at [q]: the edge bump, then the destination's
+   accounting; returns [dst] *)
+let[@inline] edgea (a : acct) (code : int array) edge_counts execs samples q =
+  let e = Array.unsafe_get code (q + 1) in
+  Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
+  account a execs samples (Array.unsafe_get code (q + 2)) (Array.unsafe_get code (q + 3));
+  Array.unsafe_get code (q + 4)
+
+(* A frame's REAL and INTEGER array data by slot, [||] for every other
+   binding: resolved once per activation, since no slot is rebound while
+   its frame lives.  A declared array has at least one element, so a
+   non-empty entry is the binding Emit expects. *)
+let reals_of (venv : Env.slots) =
+  Array.map (function Env.Arr { Env.data = Env.Reals d; _ } -> d | _ -> [||]) venv
+
+let ints_of (venv : Env.slots) =
+  Array.map (function Env.Arr { Env.data = Env.Ints d; _ } -> d | _ -> [||]) venv
 
 (* [Float.compare]-faithful three-way comparison with a native fast path:
    when either operand is NaN all three native tests fail and we defer to
@@ -422,7 +529,16 @@ let[@inline never] sample_at (a : acct) samples nid next =
 let[@inline] fcmp3 (x : float) (y : float) =
   if x < y then -1 else if x > y then 1 else if x = y then 0 else Float.compare x y
 
-(* ---- the dispatch loop ---- *)
+(* ---- the dispatch loop ----
+
+   Two levels.  The leaf loop runs every op that makes no call, each arm
+   a tail call to the next op; an op that must call out (FALLBACK, RET,
+   the counter helpers, the PRNG and libm intrinsics, a runtime error, a
+   binding the fast path does not expect) makes it return that op's pc.
+   [run] hands that pc to [slow], which runs the op and gives back the
+   next pc (-1 when the activation returns), and re-enters the leaf.
+   Since nothing returns into the leaf loop, its state stays in
+   registers: no spill ahead of its jump table. *)
 
 let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
   let c = p.c in
@@ -432,191 +548,172 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
   let ireg = Array.make (max c.n_iregs 1) 0 in
   let freg = Array.make (max c.n_fregs 1) 0.0 in
   load_regs c.all_promoted venv ireg freg;
-  let max_steps = a.max_steps in
-  let max_cycles = a.max_cycles in
   let execs = p.execs in
+  let samples = p.samples in
   let edge_counts = p.edge_counts in
   let counters = a.counters in
-  let rec loop pc =
+  let reals = reals_of venv and ints = ints_of venv in
+  let rec leaf pc =
     match Array.unsafe_get code pc with
     | 0 (* ACCT nid cost *) ->
-        let nid = Array.unsafe_get code (pc + 1) in
-        let steps = a.steps + 1 in
-        a.steps <- steps;
-        let cycles = a.cycles + Array.unsafe_get code (pc + 2) in
-        a.cycles <- cycles;
-        (* both budget checks share one branch, as in the compiled
-           backend: remaining budgets are both non-negative iff neither
-           limit is exceeded *)
-        if (max_steps - steps) lor (max_cycles - cycles) < 0 then
-          if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
-        Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        if cycles >= a.next_sample then loop (sample_at a p.samples nid (pc + 3))
-        else loop (pc + 3)
+        account a execs samples (Array.unsafe_get code (pc + 1)) (Array.unsafe_get code (pc + 2));
+        leaf (pc + 3)
     | 1 (* EDGE eidx *) ->
         let e = Array.unsafe_get code (pc + 1) in
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
-        loop (pc + 2)
+        leaf (pc + 2)
     | 2 (* CHARGE k *) ->
         a.cycles <- a.cycles + Array.unsafe_get code (pc + 1);
-        loop (pc + 2)
-    | 3 (* JMP dst *) -> loop (Array.unsafe_get code (pc + 1))
-    | 4 (* RET *) -> store_regs c.all_promoted venv ireg freg
+        leaf (pc + 2)
+    | 3 (* JMP dst *) -> leaf (Array.unsafe_get code (pc + 1))
     | 5 (* STOP *) -> raise Eval.Stopped
-    | 6 (* FALLBACK fi *) -> (
-        p.fb_execs <- p.fb_execs + 1;
-        let fb = c.fallbacks.(Array.unsafe_get code (pc + 1)) in
-        store_regs fb.fb_sync venv ireg freg;
-        let next = Eval.step p.rt p.layout venv fb.fb_ir in
-        load_regs fb.fb_sync venv ireg freg;
-        match next with
-        | Some l ->
-            loop fb.fb_edges.(Eval.successor fb.fb_dispatch l ~node:fb.fb_node p.layout)
-        | None -> store_regs c.all_promoted venv ireg freg)
     | 7 (* PROBE counter *) ->
-        a.cycles <- a.cycles + a.c_counter;
         let c = Array.unsafe_get code (pc + 1) in
         let old = counters.(c) in
-        if old = max_int then record_overflow a c
-        else Array.unsafe_set counters c (old + 1);
-        loop (pc + 2)
-    | 8 (* PROBE_ADD counter ra *) ->
-        counter_add a (Array.unsafe_get code (pc + 1))
-          (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
-        loop (pc + 3)
+        (* a saturated counter is [slow]'s *)
+        if old = max_int then pc
+        else begin
+          a.cycles <- a.cycles + a.c_counter;
+          Array.unsafe_set counters c (old + 1);
+          leaf (pc + 2)
+        end
     | 9 (* LDKI rd k *) ->
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get code (pc + 2));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 10 (* MOVI rd ra *) ->
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 11 (* IADD rd ra rb *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x + y);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 12 (* ISUB rd ra rb *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x - y);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 13 (* IMUL rd ra rb *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x * y);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 14 (* IDIV rd ra rb *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
-        if y = 0 then Value.err "INTEGER division by zero";
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x / y);
-        loop (pc + 4)
+        if y = 0 then pc
+        else begin
+          Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x / y);
+          leaf (pc + 4)
+        end
     | 15 (* INEG rd ra *) ->
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (-Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 16 (* IADDK rd ra k *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (x + Array.unsafe_get code (pc + 3));
-        loop (pc + 4)
+        leaf (pc + 4)
     | 17 (* IMULK rd ra k *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (x * Array.unsafe_get code (pc + 3));
-        loop (pc + 4)
+        leaf (pc + 4)
     | 18 (* IRSUBK rd ra k *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get code (pc + 3) - x);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 19 (* LDKF fd k *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 20 (* MOVF fd fa *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get freg (Array.unsafe_get code (pc + 2)));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 21 (* FADD fd fa fb *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (x +. y);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 22 (* FSUB fd fa fb *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (x -. y);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 23 (* FMUL fd fa fb *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (x *. y);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 24 (* FDIV fd fa fb *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
-        if y = 0.0 then Value.err "REAL division by zero";
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (x /. y);
-        loop (pc + 4)
+        if y = 0.0 then pc
+        else begin
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (x /. y);
+          leaf (pc + 4)
+        end
     | 25 (* FNEG fd fa *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (-.Array.unsafe_get freg (Array.unsafe_get code (pc + 2)));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 26 (* FADDK fd fa k *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (x +. Array.unsafe_get fpool (Array.unsafe_get code (pc + 3)));
-        loop (pc + 4)
+        leaf (pc + 4)
     | 27 (* FSUBK fd fa k *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (x -. Array.unsafe_get fpool (Array.unsafe_get code (pc + 3)));
-        loop (pc + 4)
+        leaf (pc + 4)
     | 28 (* FMULK fd fa k *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (x *. Array.unsafe_get fpool (Array.unsafe_get code (pc + 3)));
-        loop (pc + 4)
+        leaf (pc + 4)
     | 29 (* FRSUBK fd fa k *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (Array.unsafe_get fpool (Array.unsafe_get code (pc + 3)) -. x);
-        loop (pc + 4)
+        leaf (pc + 4)
     | 30 (* ITOF fd ra *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
           (float_of_int (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 31 (* FTOI rd fa *) ->
         Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
           (int_of_float (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
+        leaf (pc + 3)
     | 32 (* LDCI rd slot *) -> (
         match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
         | Env.Cell { v = Value.Int x; _ } ->
             Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) x;
-            loop (pc + 3)
-        | _ -> loop (load_cell_cold names venv code ireg freg pc))
+            leaf (pc + 3)
+        | _ -> pc)
     | 33 (* LDCF fd slot *) -> (
         match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
         | Env.Cell { v = Value.Real x; _ } ->
             Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) x;
-            loop (pc + 3)
-        | _ -> loop (load_cell_cold names venv code ireg freg pc))
+            leaf (pc + 3)
+        | _ -> pc)
     | 34 (* STCI slot ra *) -> (
         match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
         | Env.Cell c ->
             c.v <- Value.Int (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
-            loop (pc + 3)
-        | _ -> loop (store_cell_cold names venv code ireg freg pc))
+            leaf (pc + 3)
+        | _ -> pc)
     | 35 (* STCF slot fa *) -> (
         match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
         | Env.Cell c ->
             c.v <- Value.Real (Array.unsafe_get freg (Array.unsafe_get code (pc + 2)));
-            loop (pc + 3)
-        | _ -> loop (store_cell_cold names venv code ireg freg pc))
+            leaf (pc + 3)
+        | _ -> pc)
     (* one range branch per access: i is in [1,d] iff (i-1) lor (d-i) is
        non-negative, since sema keeps every declared bound >= 1 *)
     | 36 (* LDA1I rd slot d0 ra ka *) -> (
@@ -624,23 +721,23 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 4))
           + Array.unsafe_get code (pc + 5)
         in
-        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
-        | Env.Arr { Env.data = Env.Ints d; _ }
-          when (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 ->
-            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (Array.unsafe_get d (i - 1));
-            loop (pc + 6)
-        | _ -> loop (array1_cold names venv code ireg freg pc))
+        let d = Array.unsafe_get ints (Array.unsafe_get code (pc + 2)) in
+        if Array.length d > 0 && (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 then begin
+          Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (Array.unsafe_get d (i - 1));
+          leaf (pc + 6)
+        end
+        else pc)
     | 37 (* LDA1F fd slot d0 ra ka *) -> (
         let i =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 4))
           + Array.unsafe_get code (pc + 5)
         in
-        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
-        | Env.Arr { Env.data = Env.Reals d; _ }
-          when (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 ->
-            Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (Array.unsafe_get d (i - 1));
-            loop (pc + 6)
-        | _ -> loop (array1_cold names venv code ireg freg pc))
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 2)) in
+        if Array.length d > 0 && (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 then begin
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (Array.unsafe_get d (i - 1));
+          leaf (pc + 6)
+        end
+        else pc)
     | 38 (* LDA2I rd slot d0 d1 ra rb ka kb *) -> (
         let d0 = Array.unsafe_get code (pc + 3) in
         let i0 =
@@ -651,14 +748,16 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
           + Array.unsafe_get code (pc + 8)
         in
-        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
-        | Env.Arr { Env.data = Env.Ints d; _ }
-          when (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1)
-               >= 0 ->
-            Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-              (Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)));
-            loop (pc + 9)
-        | _ -> loop (array2_cold names venv code ireg freg pc))
+        let d = Array.unsafe_get ints (Array.unsafe_get code (pc + 2)) in
+        if
+          Array.length d > 0
+          && (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1) >= 0
+        then begin
+          Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
+            (Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)));
+          leaf (pc + 9)
+        end
+        else pc)
     | 39 (* LDA2F fd slot d0 d1 ra rb ka kb *) -> (
         let d0 = Array.unsafe_get code (pc + 3) in
         let i0 =
@@ -669,14 +768,16 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
           + Array.unsafe_get code (pc + 8)
         in
-        match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
-        | Env.Arr { Env.data = Env.Reals d; _ }
-          when (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1)
-               >= 0 ->
-            Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-              (Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)));
-            loop (pc + 9)
-        | _ -> loop (array2_cold names venv code ireg freg pc))
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 2)) in
+        if
+          Array.length d > 0
+          && (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1) >= 0
+        then begin
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
+            (Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)));
+          leaf (pc + 9)
+        end
+        else pc)
     | 40 (* AOFF1 rd slot d0 ra ka *) -> (
         let i =
           Array.unsafe_get ireg (Array.unsafe_get code (pc + 4))
@@ -685,8 +786,8 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
         match Array.unsafe_get venv (Array.unsafe_get code (pc + 2)) with
         | Env.Arr _ when (i - 1) lor (Array.unsafe_get code (pc + 3) - i) >= 0 ->
             Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (i - 1);
-            loop (pc + 6)
-        | _ -> loop (array1_cold names venv code ireg freg pc))
+            leaf (pc + 6)
+        | _ -> pc)
     | 41 (* AOFF2 rd slot d0 d1 ra rb ka kb *) -> (
         let d0 = Array.unsafe_get code (pc + 3) in
         let i0 =
@@ -702,140 +803,356 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           when (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1)
                >= 0 ->
             Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (i0 - 1 + ((i1 - 1) * d0));
-            loop (pc + 9)
-        | _ -> loop (array2_cold names venv code ireg freg pc))
+            leaf (pc + 9)
+        | _ -> pc)
     (* the offset comes from this access's AOFF, so it is in range *)
     | 42 (* STAI slot ro ra *) -> (
-        match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
-        | Env.Arr { Env.data = Env.Ints d; _ } ->
-            d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
-              Array.unsafe_get ireg (Array.unsafe_get code (pc + 3));
-            loop (pc + 4)
-        | _ -> loop (store_array_cold names venv code ireg freg pc))
+        let d = Array.unsafe_get ints (Array.unsafe_get code (pc + 1)) in
+        if Array.length d > 0 then begin
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
+            Array.unsafe_get ireg (Array.unsafe_get code (pc + 3));
+          leaf (pc + 4)
+        end
+        else pc)
     | 43 (* STAF slot ro fa *) -> (
-        match Array.unsafe_get venv (Array.unsafe_get code (pc + 1)) with
-        | Env.Arr { Env.data = Env.Reals d; _ } ->
-            d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
-              Array.unsafe_get freg (Array.unsafe_get code (pc + 3));
-            loop (pc + 4)
-        | _ -> loop (store_array_cold names venv code ireg freg pc))
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 1)) in
+        if Array.length d > 0 then begin
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
+            Array.unsafe_get freg (Array.unsafe_get code (pc + 3));
+          leaf (pc + 4)
+        end
+        else pc)
     | 44 (* JLT_II ra rb pcT pcF *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if x < y then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x < y then pc + 3 else pc + 4))
     | 45 (* JLE_II *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if x <= y then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x <= y then pc + 3 else pc + 4))
     | 46 (* JGT_II *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if x > y then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x > y then pc + 3 else pc + 4))
     | 47 (* JGE_II *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if x >= y then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x >= y then pc + 3 else pc + 4))
     | 48 (* JEQ_II *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if x = y then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x = y then pc + 3 else pc + 4))
     | 49 (* JNE_II *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if x <> y then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x <> y then pc + 3 else pc + 4))
     | 50 (* JLT_IK ra k pcT pcF *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get code (pc + 2) in
-        loop (Array.unsafe_get code (if x < k then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x < k then pc + 3 else pc + 4))
     | 51 (* JLE_IK *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get code (pc + 2) in
-        loop (Array.unsafe_get code (if x <= k then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x <= k then pc + 3 else pc + 4))
     | 52 (* JGT_IK *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get code (pc + 2) in
-        loop (Array.unsafe_get code (if x > k then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x > k then pc + 3 else pc + 4))
     | 53 (* JGE_IK *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get code (pc + 2) in
-        loop (Array.unsafe_get code (if x >= k then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x >= k then pc + 3 else pc + 4))
     | 54 (* JEQ_IK *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get code (pc + 2) in
-        loop (Array.unsafe_get code (if x = k then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x = k then pc + 3 else pc + 4))
     | 55 (* JNE_IK *) ->
         let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get code (pc + 2) in
-        loop (Array.unsafe_get code (if x <> k then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if x <> k then pc + 3 else pc + 4))
     | 56 (* JLT_FF fa fb pcT pcF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x y < 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x y < 0 then pc + 3 else pc + 4))
     | 57 (* JLE_FF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x y <= 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x y <= 0 then pc + 3 else pc + 4))
     | 58 (* JGT_FF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x y > 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x y > 0 then pc + 3 else pc + 4))
     | 59 (* JGE_FF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x y >= 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x y >= 0 then pc + 3 else pc + 4))
     | 60 (* JEQ_FF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x y = 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x y = 0 then pc + 3 else pc + 4))
     | 61 (* JNE_FF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x y <> 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x y <> 0 then pc + 3 else pc + 4))
     | 62 (* JLT_FK fa k pcT pcF *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x k < 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x k < 0 then pc + 3 else pc + 4))
     | 63 (* JLE_FK *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x k <= 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x k <= 0 then pc + 3 else pc + 4))
     | 64 (* JGT_FK *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x k > 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x k > 0 then pc + 3 else pc + 4))
     | 65 (* JGE_FK *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x k >= 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x k >= 0 then pc + 3 else pc + 4))
     | 66 (* JEQ_FK *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x k = 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x k = 0 then pc + 3 else pc + 4))
     | 67 (* JNE_FK *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
         let k = Array.unsafe_get fpool (Array.unsafe_get code (pc + 2)) in
-        loop (Array.unsafe_get code (if fcmp3 x k <> 0 then pc + 3 else pc + 4))
+        leaf (Array.unsafe_get code (if fcmp3 x k <> 0 then pc + 3 else pc + 4))
     | 68 (* JTRIP fa pcT pcF *) ->
         let t = Array.unsafe_get freg (Array.unsafe_get code (pc + 1)) in
-        loop (Array.unsafe_get code (if int_of_float t > 0 then pc + 2 else pc + 3))
+        leaf (Array.unsafe_get code (if int_of_float t > 0 then pc + 2 else pc + 3))
     | 69 (* SELECT ra n pc1..pcn pcF *) ->
         let i = Array.unsafe_get ireg (Array.unsafe_get code (pc + 1)) in
         let n = Array.unsafe_get code (pc + 2) in
-        if i >= 1 && i <= n then loop (Array.unsafe_get code (pc + 2 + i))
-        else loop (Array.unsafe_get code (pc + 3 + n))
+        if i >= 1 && i <= n then leaf (Array.unsafe_get code (pc + 2 + i))
+        else leaf (Array.unsafe_get code (pc + 3 + n))
     | 70 (* EDGEA eidx nid cost dst *) ->
-        let e = Array.unsafe_get code (pc + 1) in
+        leaf (edgea a code edge_counts execs samples pc)
+    | 72 (* FSQRT fd fa *) ->
+        let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
+        if x < 0.0 then pc
+        else begin
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (sqrt x);
+          leaf (pc + 3)
+        end
+    | 79 (* FABS fd fa *) ->
+        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
+          (Float.abs (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
+        leaf (pc + 3)
+    | 80 (* IABS rd ra *) ->
+        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
+          (abs (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))));
+        leaf (pc + 3)
+    | 83 (* IMOD rd ra rb *) ->
+        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
+        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
+        if y = 0 then pc
+        else begin
+          Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x mod y);
+          leaf (pc + 4)
+        end
+    | 84 (* IMAX rd ra rb *) ->
+        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
+        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
+        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y > x then y else x);
+        leaf (pc + 4)
+    | 85 (* IMIN rd ra rb *) ->
+        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
+        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
+        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y < x then y else x);
+        leaf (pc + 4)
+    | (87 | 93) as op (* LATCH/LATCHT ri k e1 n1 c1 ft e2 n2 c2 hpc *) ->
+        let ri = Array.unsafe_get code (pc + 1) in
+        Array.unsafe_set ireg ri (Array.unsafe_get ireg ri + Array.unsafe_get code (pc + 2));
+        let e = Array.unsafe_get code (pc + 3) in
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
-        let nid = Array.unsafe_get code (pc + 2) in
-        let steps = a.steps + 1 in
-        a.steps <- steps;
-        let cycles = a.cycles + Array.unsafe_get code (pc + 3) in
-        a.cycles <- cycles;
-        if (max_steps - steps) lor (max_cycles - cycles) < 0 then
-          if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
-        Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        let dst = Array.unsafe_get code (pc + 4) in
-        if cycles >= a.next_sample then loop (sample_at a p.samples nid dst) else loop dst
+        account a execs samples (Array.unsafe_get code (pc + 4)) (Array.unsafe_get code (pc + 5));
+        let ft = Array.unsafe_get code (pc + 6) in
+        let t = Array.unsafe_get freg ft -. 1.0 in
+        Array.unsafe_set freg ft t;
+        let e = Array.unsafe_get code (pc + 7) in
+        Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
+        account a execs samples (Array.unsafe_get code (pc + 8)) (Array.unsafe_get code (pc + 9));
+        let hpc = Array.unsafe_get code (pc + 10) in
+        if int_of_float t <= 0 then leaf (Array.unsafe_get code (hpc + 3))
+        else if op = op_latch then leaf (Array.unsafe_get code (hpc + 2))
+        else leaf (edgea a code edge_counts execs samples (Array.unsafe_get code (hpc + 2)))
+    | 88 (* STAIE slot ro ra, EDGEA *) -> (
+        let d = Array.unsafe_get ints (Array.unsafe_get code (pc + 1)) in
+        if Array.length d > 0 then begin
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
+            Array.unsafe_get ireg (Array.unsafe_get code (pc + 3));
+          leaf (edgea a code edge_counts execs samples (pc + 4))
+        end
+        else pc)
+    | 89 (* STAFE slot ro fa, EDGEA *) -> (
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 1)) in
+        if Array.length d > 0 then begin
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))) <-
+            Array.unsafe_get freg (Array.unsafe_get code (pc + 3));
+          leaf (edgea a code edge_counts execs samples (pc + 4))
+        end
+        else pc)
+    (* one arm per fused float op: an arm shared by the three, branching
+       on the opcode, cost about 4% of a Table-1 run *)
+    | 90 (* A2FADD: LDA2F's operands, then FADD fd fa t *) -> (
+        let d0 = Array.unsafe_get code (pc + 3) in
+        let i0 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
+          + Array.unsafe_get code (pc + 7)
+        in
+        let i1 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
+          + Array.unsafe_get code (pc + 8)
+        in
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 2)) in
+        if
+          Array.length d > 0
+          && (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1) >= 0
+        then begin
+          let y = Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)) in
+          let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 11)) in
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 10))
+            (x +. y);
+          leaf (pc + 13)
+        end
+        else pc)
+    | 91 (* A2FSUB: LDA2F's operands, then FSUB fd fa t *) -> (
+        let d0 = Array.unsafe_get code (pc + 3) in
+        let i0 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
+          + Array.unsafe_get code (pc + 7)
+        in
+        let i1 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
+          + Array.unsafe_get code (pc + 8)
+        in
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 2)) in
+        if
+          Array.length d > 0
+          && (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1) >= 0
+        then begin
+          let y = Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)) in
+          let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 11)) in
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 10))
+            (x -. y);
+          leaf (pc + 13)
+        end
+        else pc)
+    | 92 (* A2FMUL: LDA2F's operands, then FMUL fd fa t *) -> (
+        let d0 = Array.unsafe_get code (pc + 3) in
+        let i0 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
+          + Array.unsafe_get code (pc + 7)
+        in
+        let i1 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
+          + Array.unsafe_get code (pc + 8)
+        in
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 2)) in
+        if
+          Array.length d > 0
+          && (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1) >= 0
+        then begin
+          let y = Array.unsafe_get d (i0 - 1 + ((i1 - 1) * d0)) in
+          let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 11)) in
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 10))
+            (x *. y);
+          leaf (pc + 13)
+        end
+        else pc)
+    | 94 (* AOFF2L rd slot d0 d1 ra rb ka kb, then LDA2F fd ... *) ->
+        let d0 = Array.unsafe_get code (pc + 3) in
+        let i0 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 5))
+          + Array.unsafe_get code (pc + 7)
+        in
+        let i1 =
+          Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))
+          + Array.unsafe_get code (pc + 8)
+        in
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 2)) in
+        if
+          Array.length d > 0
+          && (i0 - 1) lor (d0 - i0) lor (i1 - 1) lor (Array.unsafe_get code (pc + 4) - i1) >= 0
+        then begin
+          let off = i0 - 1 + ((i1 - 1) * d0) in
+          Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) off;
+          Array.unsafe_set freg (Array.unsafe_get code (pc + 10)) (Array.unsafe_get d off);
+          leaf (pc + 18)
+        end
+        else pc
+    | 95 (* FADDST: FADD's operands, then STAFE slot ro fd *) ->
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 5)) in
+        if Array.length d > 0 then begin
+          let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
+          let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))) <- x +. y;
+          leaf (edgea a code edge_counts execs samples (pc + 8))
+        end
+        else pc
+    | 96 (* FSUBST: FSUB's operands, then STAFE slot ro fd *) ->
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 5)) in
+        if Array.length d > 0 then begin
+          let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
+          let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))) <- x -. y;
+          leaf (edgea a code edge_counts execs samples (pc + 8))
+        end
+        else pc
+    | 97 (* FMULST: FMUL's operands, then STAFE slot ro fd *) ->
+        let d = Array.unsafe_get reals (Array.unsafe_get code (pc + 5)) in
+        if Array.length d > 0 then begin
+          let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
+          let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
+          d.(Array.unsafe_get ireg (Array.unsafe_get code (pc + 6))) <- x *. y;
+          leaf (edgea a code edge_counts execs samples (pc + 8))
+        end
+        else pc
+    | _ -> pc
+  in
+  (* the ops the leaf loop leaves: each returns its next pc, or -1 when
+     the activation returns.  IDIV, FDIV, IMOD and FSQRT come here only
+     when their operand fails, so their arms raise. *)
+  let slow pc =
+    match Array.unsafe_get code pc with
+    | 4 (* RET *) ->
+        store_regs c.all_promoted venv ireg freg;
+        -1
+    | 6 (* FALLBACK fi *) -> (
+        p.fb_execs <- p.fb_execs + 1;
+        let fb = c.fallbacks.(Array.unsafe_get code (pc + 1)) in
+        store_regs fb.fb_sync venv ireg freg;
+        let next = Eval.step p.rt p.layout venv fb.fb_ir in
+        load_regs fb.fb_sync venv ireg freg;
+        match next with
+        | Some l -> fb.fb_edges.(Eval.successor fb.fb_dispatch l ~node:fb.fb_node p.layout)
+        | None ->
+            store_regs c.all_promoted venv ireg freg;
+            -1)
+    | 7 (* PROBE counter, saturated *) ->
+        a.cycles <- a.cycles + a.c_counter;
+        counter_incr a (Array.unsafe_get code (pc + 1));
+        pc + 2
+    | 8 (* PROBE_ADD counter ra *) ->
+        counter_add a (Array.unsafe_get code (pc + 1))
+          (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)));
+        pc + 3
+    | (95 | 96 | 97) as op (* FADDST/FSUBST/FMULST: the ALU op alone, then its STAFE *) ->
+        let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
+        let y = Array.unsafe_get freg (Array.unsafe_get code (pc + 3)) in
+        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
+          (if op = op_faddst then x +. y else if op = op_fsubst then x -. y else x *. y);
+        pc + 4
+    | 14 (* IDIV *) -> Value.err "INTEGER division by zero"
+    | 24 (* FDIV *) -> Value.err "REAL division by zero"
+    | 32 | 33 (* LDCI/LDCF *) -> load_cell_cold names venv code ireg freg pc
+    | 34 | 35 (* STCI/STCF *) -> store_cell_cold names venv code ireg freg pc
+    | 36 | 37 | 40 (* LDA1I/LDA1F/AOFF1 *) -> array1_cold names venv code ireg freg pc
+    | 38 | 39 | 41 | 90 | 91 | 92 | 94 (* LDA2I/LDA2F/AOFF2, A2FADD/A2FSUB/A2FMUL, AOFF2L *) ->
+        array2_cold names venv code ireg freg pc
+    | 42 | 43 | 88 | 89 (* STAI/STAF/STAIE/STAFE *) ->
+        store_array_cold names venv code ireg freg pc
     | 71 (* EDGEPA eidx gid nid cost dst *) ->
         let e = Array.unsafe_get code (pc + 1) in
         Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
@@ -844,114 +1161,38 @@ let exec (a : acct) (p : proc) (venv : Env.slots) : unit =
           a.cycles <- a.cycles + a.c_counter;
           counter_incr a g.(i)
         done;
-        let nid = Array.unsafe_get code (pc + 3) in
-        let steps = a.steps + 1 in
-        a.steps <- steps;
-        let cycles = a.cycles + Array.unsafe_get code (pc + 4) in
-        a.cycles <- cycles;
-        if (max_steps - steps) lor (max_cycles - cycles) < 0 then
-          if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
-        Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        let dst = Array.unsafe_get code (pc + 5) in
-        if cycles >= a.next_sample then loop (sample_at a p.samples nid dst) else loop dst
-    | 72 (* FSQRT fd fa *) ->
+        account a execs samples (Array.unsafe_get code (pc + 3)) (Array.unsafe_get code (pc + 4));
+        Array.unsafe_get code (pc + 5)
+    | 72 (* FSQRT *) ->
+        Value.err "SQRT of negative value %g"
+          (Array.unsafe_get freg (Array.unsafe_get code (pc + 2)))
+    | (73 | 75 | 76 | 77 | 78) as op (* FEXP/FSIN/FCOS/FTAN/FATAN fd fa *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
-        if x < 0.0 then Value.err "SQRT of negative value %g" x;
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (sqrt x);
-        loop (pc + 3)
-    | 73 (* FEXP fd fa *) ->
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (exp (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
+          (if op = op_fexp then exp x
+           else if op = op_fsin then sin x
+           else if op = op_fcos then cos x
+           else if op = op_ftan then tan x
+           else atan x);
+        pc + 3
     | 74 (* FLOG fd fa *) ->
         let x = Array.unsafe_get freg (Array.unsafe_get code (pc + 2)) in
         if x <= 0.0 then Value.err "LOG of non-positive value %g" x;
         Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (log x);
-        loop (pc + 3)
-    | 75 (* FSIN fd fa *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (sin (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
-    | 76 (* FCOS fd fa *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (cos (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
-    | 77 (* FTAN fd fa *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (tan (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
-    | 78 (* FATAN fd fa *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (atan (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
-    | 79 (* FABS fd fa *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (Float.abs (Array.unsafe_get freg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
-    | 80 (* IABS rd ra *) ->
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (abs (Array.unsafe_get ireg (Array.unsafe_get code (pc + 2))));
-        loop (pc + 3)
+        pc + 3
     | 81 (* RAND fd *) ->
-        Array.unsafe_set freg (Array.unsafe_get code (pc + 1))
-          (S89_util.Prng.float p.rt.Eval.rng);
-        loop (pc + 2)
+        Array.unsafe_set freg (Array.unsafe_get code (pc + 1)) (S89_util.Prng.float p.rt.Eval.rng);
+        pc + 2
     | 82 (* IRAND rd ra *) ->
         let n = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
         if n <= 0 then Value.err "IRAND bound must be positive";
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1))
-          (1 + S89_util.Prng.int p.rt.Eval.rng n);
-        loop (pc + 3)
-    | 83 (* IMOD rd ra rb *) ->
-        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
-        if y = 0 then Value.err "MOD by zero";
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (x mod y);
-        loop (pc + 4)
-    | 84 (* IMAX rd ra rb *) ->
-        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y > x then y else x);
-        loop (pc + 4)
-    | 85 (* IMIN rd ra rb *) ->
-        let x = Array.unsafe_get ireg (Array.unsafe_get code (pc + 2)) in
-        let y = Array.unsafe_get ireg (Array.unsafe_get code (pc + 3)) in
-        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (if y < x then y else x);
-        loop (pc + 4)
-    | 87 (* LATCH ri k e1 n1 c1 d1 ft e2 n2 c2 hpc *) ->
-        let ri = Array.unsafe_get code (pc + 1) in
-        Array.unsafe_set ireg ri (Array.unsafe_get ireg ri + Array.unsafe_get code (pc + 2));
-        let e = Array.unsafe_get code (pc + 3) in
-        Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
-        let nid = Array.unsafe_get code (pc + 4) in
-        let steps = a.steps + 1 in
-        a.steps <- steps;
-        let cycles = a.cycles + Array.unsafe_get code (pc + 5) in
-        a.cycles <- cycles;
-        if (max_steps - steps) lor (max_cycles - cycles) < 0 then
-          if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
-        Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-        if cycles >= a.next_sample then
-          (* the decrement node's own code does the rest *)
-          loop (sample_at a p.samples nid (Array.unsafe_get code (pc + 6)))
-        else begin
-          let ft = Array.unsafe_get code (pc + 7) in
-          let t = Array.unsafe_get freg ft -. 1.0 in
-          Array.unsafe_set freg ft t;
-          let e = Array.unsafe_get code (pc + 8) in
-          Array.unsafe_set edge_counts e (Array.unsafe_get edge_counts e + 1);
-          let nid = Array.unsafe_get code (pc + 9) in
-          let steps = steps + 1 in
-          a.steps <- steps;
-          let cycles = cycles + Array.unsafe_get code (pc + 10) in
-          a.cycles <- cycles;
-          if (max_steps - steps) lor (max_cycles - cycles) < 0 then
-            if steps > max_steps then raise Out_of_fuel else raise Out_of_cycles;
-          Array.unsafe_set execs nid (Array.unsafe_get execs nid + 1);
-          let hpc = Array.unsafe_get code (pc + 11) in
-          let dst = Array.unsafe_get code (if int_of_float t > 0 then hpc + 2 else hpc + 3) in
-          if cycles >= a.next_sample then loop (sample_at a p.samples nid dst) else loop dst
-        end
+        Array.unsafe_set ireg (Array.unsafe_get code (pc + 1)) (1 + S89_util.Prng.int p.rt.Eval.rng n);
+        pc + 3
+    | 83 (* IMOD *) -> Value.err "MOD by zero"
     | op -> Value.err "corrupt bytecode: opcode %d at pc %d" op pc
   in
-  loop c.entry_pc
+  let rec run pc =
+    let next = slow (leaf pc) in
+    if next >= 0 then run next
+  in
+  run c.entry_pc

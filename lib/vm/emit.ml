@@ -27,9 +27,21 @@
 
    A DO loop's latch, [I = I + k] followed by its trip decrement and
    header, becomes one LATCH when no probe sits on those nodes and
-   edges ([latch_of]); the decrement and header nodes keep their own
-   code too, which LATCH reads (the header's branch targets) or resumes
-   (the decrement, when a sample falls due there).
+   edges ([latch_of]), and a LATCHT when the header's T edge and the
+   body's first node are probe-free too; the decrement and header nodes
+   keep their own code, whose branch targets LATCH reads.  Four more
+   pairs fuse by patching the first instruction's opcode once the
+   second is emitted after it: an array store followed by its node's
+   EDGEA (STAIE/STAFE), an LDA2F whose temp the next FADD/FSUB/FMUL
+   reads as its right operand (A2FADD/A2FSUB/A2FMUL), a store's AOFF2
+   followed by the LDA2F of the same element (AOFF2L), and a
+   FADD/FSUB/FMUL whose temp the next STAFE stores (FADDST/FSUBST/
+   FMULST).  A fused edge is always a probe-free one: only those are a
+   single EDGEA.
+
+   A DO loop's trip count [%TRIPk = MAX0((hi - I + step) / step, 0)]
+   is emitted natively only when its step is a non-zero literal;
+   otherwise it is a FALLBACK, so that Eval names a zero step.
 
    Parity fine print encoded here:
    - conditionals/selects never bump edge counts themselves; every
@@ -426,9 +438,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   let node_start = Array.make n (-1) in
   (* forward references to node starts: the operand holds the node id
      until the end, when each recorded position is patched to the node's
-     start.  There is one per edge sequence, plus the entry's JMP, plus
-     one per LATCH (two references in place of its node's edge). *)
-  let fixups = Array.make (edge_base.(n) + n + 1) 0 and n_fixups = ref 0 in
+     start.  There is one per edge sequence, plus the entry's JMP (a
+     LATCH's reference to its header stands in for its node's edge). *)
+  let fixups = Array.make (edge_base.(n) + 1) 0 and n_fixups = ref 0 in
   let emit_node_ref nid =
     emit nid;
     fixups.(!n_fixups) <- pos () - 1;
@@ -535,6 +547,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
      float).  Results go to [dst] when given (safe: every op reads its
      sources before writing its destination), else to a fresh temp — or,
      for a promoted variable leaf, its own register. *)
+  (* where the last LDA2F, AOFF2 and two-register FADD/FSUB/FMUL of the
+     current node start, or -1 *)
+  let last_lda2f = ref (-1) and last_aoff2 = ref (-1) and last_falu = ref (-1) in
   let idest = function Some d -> d | None -> itemp () in
   let fdest = function Some d -> d | None -> ftemp () in
   let rec emit_int ?dst (e : Ast.expr) : int =
@@ -822,6 +837,15 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             let r0 = emit_int e0 in
             let r1 = emit_int e1 in
             let d = fdest dst in
+            (* the store's AOFF2 just emitted for this element runs fused
+               with this load ([A(I,J) = A(I,J) ...]) *)
+            let q = !last_aoff2 in
+            if
+              q = pos () - 9
+              && !buf.(q + 2) = s && !buf.(q + 5) = r0 && !buf.(q + 6) = r1
+              && !buf.(q + 7) = k0 && !buf.(q + 8) = k1
+            then patch q B.op_aoff2l;
+            last_lda2f := pos ();
             emit B.op_lda2f;
             emit d;
             emit s;
@@ -883,14 +907,23 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         | _ ->
             let ra = emit_num a in
             let rb = emit_num b in
-            let opc =
+            let opc, fused =
               match op with
-              | Ast.Add -> B.op_fadd
-              | Ast.Sub -> B.op_fsub
-              | Ast.Mul -> B.op_fmul
-              | _ -> B.op_fdiv
+              | Ast.Add -> (B.op_fadd, B.op_a2fadd)
+              | Ast.Sub -> (B.op_fsub, B.op_a2fsub)
+              | Ast.Mul -> (B.op_fmul, B.op_a2fmul)
+              | _ -> (B.op_fdiv, -1)
             in
+            (* the right operand's LDA2F, just emitted into rb, runs
+               fused with this op *)
+            let q = !last_lda2f in
+            if fused >= 0 && q = pos () - 9 && !buf.(q + 1) = rb && rb >= tf_base then begin
+              patch q fused;
+              (* AOFF2L reads its follower as a plain LDA2F *)
+              if !last_aoff2 = q - 9 then patch (q - 9) B.op_aoff2
+            end;
             let d = fdest dst in
+            if fused >= 0 then last_falu := pos ();
             emit opc;
             emit d;
             emit ra;
@@ -1121,16 +1154,15 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
      [T = T - 1] with T in a float register; [d]'s one successor [h] is
      the DO header testing T.  No probe may sit on the edges i->d and
      d->h or on the nodes d and h: then [h]'s code is exactly its JTRIP,
-     whose pcT/pcF LATCH reads, and [d]'s is the decrement and its edge,
-     where LATCH goes on when a sample falls due at [d]. *)
+     whose pcT/pcF LATCH reads. *)
+  let edge_free j k =
+    match pi with
+    | None -> true
+    | Some pi -> edge_acts succ_labels.(j).(k) pi.Probe.on_edge.(j) = []
+  in
+  let node_free j = match pi with None -> true | Some pi -> pi.Probe.on_node.(j) = [] in
   let latch_of i (ir : Ir.node) =
     let single j = edge_base.(j + 1) - edge_base.(j) = 1 in
-    let edge_free j =
-      match pi with
-      | None -> true
-      | Some pi -> edge_acts succ_labels.(j).(0) pi.Probe.on_edge.(j) = []
-    in
-    let node_free j = match pi with None -> true | Some pi -> pi.Probe.on_node.(j) = [] in
     match ir with
     | Ir.Assign (Ast.Lvar v, Ast.Binop (Ast.Add, Ast.Var v', Ast.Int k))
       when v = v' && single i && slot_ireg.(Env.slot lay v) >= 0 -> (
@@ -1144,22 +1176,24 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               when dt.Ir.trip_var = t
                    && find_idx succ_labels.(h) Label.T >= 0
                    && find_idx succ_labels.(h) Label.F >= 0
-                   && edge_free i && edge_free d && node_free d && node_free h ->
+                   && edge_free i 0 && edge_free d 0 && node_free d && node_free h ->
                 Some (slot_ireg.(Env.slot lay v), k, d, slot_freg.(Env.slot lay t), h)
             | _ -> None)
         | _ -> None)
     | _ -> None
   in
-  let latches = ref 0 in
+  (* LATCHT when the header's T edge would be an EDGEA into a node
+     without probes *)
   let emit_latch i (ri, k, d, ft, h) =
-    incr latches;
-    emit B.op_latch;
+    let t = find_idx succ_labels.(h) Label.T in
+    emit
+      (if edge_free h t && node_free edge_dst.(edge_base.(h) + t) then B.op_latcht
+       else B.op_latch);
     emit ri;
     emit k;
     emit edge_base.(i);
     emit d;
     emit node_cost.(d);
-    emit_node_ref d;
     emit ft;
     emit edge_base.(d);
     emit h;
@@ -1177,6 +1211,12 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
         ignore (emit_edge_seq i u)
     | Ir.Assign (Ast.Lvar v, e) ->
         require (u >= 0);
+        (* a trip count whose step may be zero goes to Eval, which names
+           the step when it is *)
+        (match Eval.trip_step v e with
+        | Some (Ast.Int k) -> require (k <> 0)
+        | Some _ -> raise Unsupported
+        | None -> ());
         let s = Env.slot lay v in
         (match (static_scalar_ty lay dummies s, xstatic_num e) with
         | Some Ast.Tint, Some Ast.Tint ->
@@ -1238,6 +1278,7 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
               let r0 = emit_int e0 in
               let r1 = emit_int e1 in
               let t = itemp () in
+              last_aoff2 := pos ();
               emit B.op_aoff2;
               emit t;
               emit s;
@@ -1274,7 +1315,24 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
             emit off;
             emit r
         | _ -> raise Unsupported);
-        ignore (emit_edge_seq i u)
+        (* the store takes its edge when that is one EDGEA *)
+        let q = pos () - 4 in
+        let e = emit_edge_seq i u in
+        if !buf.(e) = B.op_edgea then begin
+          patch q (if !buf.(q) = B.op_stai then B.op_staie else B.op_stafe);
+          (* and a STAFE of the temp the FADD/FSUB/FMUL just before it
+             wrote takes that op *)
+          let f = !last_falu in
+          if
+            f = q - 4 && !buf.(q) = B.op_stafe && !buf.(f + 1) = !buf.(q + 3)
+            && !buf.(f + 1) >= tf_base
+          then
+            patch f
+              (let op = !buf.(f) in
+               if op = B.op_fadd then B.op_faddst
+               else if op = B.op_fsub then B.op_fsubst
+               else B.op_fmulst)
+        end
     | Ir.Branch e ->
         require (t_idx >= 0 && f_idx >= 0);
         let pt, pf = emit_cond_jump ~neg:false e in
@@ -1365,6 +1423,9 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
   for i = 0 to n - 1 do
     node_start.(i) <- pos ();
     reset_temps ();
+    last_lda2f := -1;
+    last_aoff2 := -1;
+    last_falu := -1;
     let ir = (Cfg.info cfg i).Ir.ir in
     (match pi with
     | Some pi -> List.iter emit_probe pi.Probe.on_node.(i)
@@ -1403,5 +1464,4 @@ let emit_proc ~(cost_model : Cost_model.t) ~(instr : Probe.t)
     groups = Array.of_list (List.rev !groups);
     edge_base;
     succ_labels;
-    latches = !latches;
   }

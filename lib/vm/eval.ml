@@ -85,9 +85,43 @@ and arg_binding rt lay venv (e : Ast.expr) : Env.binding =
 
 (* ---- nodes ---- *)
 
+(* The step of [%TRIPk = MAX0((hi - I + step) / step, 0)], the trip count
+   lowering assigns at a DO loop's entry (also once optimized, when the
+   division is left): lowering's temporaries alone start with '%'. *)
+let trip_step v (e : Ast.expr) =
+  match e with
+  | Ast.Call ("MAX0", [ Ast.Binop (Ast.Div, _, s); _ ]) when v.[0] = '%' -> Some s
+  | _ -> None
+
+(* the DO variable of the loop whose header tests [trip] *)
+let do_var_of (lay : Env.layout) trip =
+  let cfg = lay.Env.lproc.Program.cfg in
+  let rec go i =
+    if i = Cfg.num_nodes cfg then trip
+    else
+      match (Cfg.info cfg i).Ir.ir with
+      | Ir.Do_test d when d.Ir.trip_var = trip -> d.Ir.do_var
+      | _ -> go (i + 1)
+  in
+  go 0
+
 let step rt (lay : Env.layout) venv (ir : Ir.node) : Label.t option =
   match ir with
   | Ir.Entry | Ir.Nop _ -> Some Label.U
+  | Ir.Assign (Ast.Lvar v, (Ast.Call (f, [ Ast.Binop (Ast.Div, a, b); k ]) as e))
+    when trip_step v e <> None ->
+      (* the generic evaluation of [e], except that the division a zero
+         step fails names the step *)
+      let x = eval rt lay venv a in
+      let y = eval rt lay venv b in
+      (match (x, y) with
+      | (Value.Int _ | Value.Real _), (Value.Int 0 | Value.Real 0.0) ->
+          Value.err "%s: DO %s has a zero step" lay.Env.lproc.Program.name (do_var_of lay v)
+      | _ -> ());
+      let q = Value.div x y in
+      Env.write lay.Env.names (Env.slot lay v) venv
+        (Builtins.apply rt.rng f [ q; eval rt lay venv k ]);
+      Some Label.U
   | Ir.Assign (Ast.Lvar v, e) ->
       let x = eval rt lay venv e in
       Env.write lay.Env.names (Env.slot lay v) venv x;

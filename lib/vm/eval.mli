@@ -28,6 +28,13 @@ val make_rt : prog:Program.t -> rng:Prng.t -> out:Buffer.t -> rt
     @raise Value.Runtime_error at the first failing operation *)
 val eval : rt -> Env.layout -> Env.slots -> Ast.expr -> Value.t
 
+(** [trip_step v e] is [Some step] when [v = e] is the trip count that
+    lowering assigns at a DO loop's entry, [%TRIPk = MAX0((hi - I +
+    step) / step, 0)] (optimized too, while the division stands).  There
+    {!step} reports a zero step as ["P: DO I has a zero step"] at the
+    point where the division would fail. *)
+val trip_step : string -> Ast.expr -> Ast.expr option
+
 (** Execute one node: the label of the edge to take, [None] after
     RETURN.
     @raise Stopped after STOP *)

@@ -98,6 +98,7 @@ type t = {
       (* cycles, steps, call depth, sampling clock and instrumentation
          counters, shared by all backends *)
   rt : Eval.rt;
+  mutable main_frame : (Env.layout * Env.slots) option; (* once bound *)
 }
 
 (* checked counter arithmetic: saturate at max_int with a diagnostic,
@@ -161,6 +162,7 @@ let invoke st (lay : Env.layout) run args : Value.t option =
   if a.Bytecode.depth > a.Bytecode.max_depth then
     raise (Call_depth_exceeded a.Bytecode.depth);
   let venv = Env.bind_frame lay args in
+  if a.Bytecode.depth = 1 then st.main_frame <- Some (lay, venv);
   (try run venv
    with e ->
      a.Bytecode.depth <- a.Bytecode.depth - 1;
@@ -320,7 +322,7 @@ let create ?cache ?(config = default_config) (prog : Program.t) : t =
       ~c_counter:config.cost_model.Cost_model.c_counter
       ~n_counters:config.instr.Probe.n_counters
   in
-  let st = { config; cprocs; bprocs; acct; rt } in
+  let st = { config; cprocs; bprocs; acct; rt; main_frame = None } in
   let call = driver config.backend in
   rt.Eval.call <- (fun callee args -> call st callee args);
   st
@@ -338,6 +340,18 @@ let run (st : t) : outcome =
 let cycles st = st.acct.Bytecode.cycles
 let steps st = st.acct.Bytecode.steps
 let output st = Buffer.contents st.rt.Eval.out
+
+let main_arrays st =
+  match st.main_frame with
+  | None -> []
+  | Some (lay, venv) ->
+      List.filter_map
+        (fun s ->
+          match venv.(s) with
+          | Env.Arr arr -> Some (lay.Env.names.(s), Array.init (Env.size arr) (Env.get arr))
+          | _ -> None)
+        (List.init (Array.length venv) Fun.id)
+
 let counters st = Array.copy st.acct.Bytecode.counters
 
 let cproc st name =

@@ -87,6 +87,11 @@ val steps : t -> int
 (** Accumulated PRINT output. *)
 val output : t -> string
 
+(** The main program's arrays, by name in slot order, as they stand when
+    its run ended, normally or not ([[]] before {!run}).  Arrays are
+    never held in registers, so every engine shows the same values. *)
+val main_arrays : t -> (string * Value.t array) list
+
 (** Snapshot of the instrumentation counters. *)
 val counters : t -> int array
 

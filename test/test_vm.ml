@@ -551,10 +551,27 @@ let run_backend ~instr ~seed backend prog =
   let outcome = Interp.run vm in
   (vm, outcome)
 
+(* the main program's arrays, exactly: a guard that trips between a
+   store and its edge's accounting shows here *)
+let render_arrays vm =
+  String.concat "\n"
+    (List.map
+       (fun (name, vs) ->
+         name ^ " ="
+         ^ String.concat ""
+             (Array.to_list
+                (Array.map
+                   (function
+                     | S89_vm.Value.Int i -> " " ^ string_of_int i
+                     | S89_vm.Value.Real r -> Printf.sprintf " %h" r
+                     | S89_vm.Value.Bool b -> " " ^ string_of_bool b)
+                   vs)))
+       (Interp.main_arrays vm))
+
 (* everything one run shows: how it ended (an error as its code and
-   message), its output, steps, cycles and counters, each procedure's
-   invocations, and every node's execs and samples and every edge's
-   traversals *)
+   message), its output and the main program's arrays, steps, cycles
+   and counters, each procedure's invocations, and every node's execs
+   and samples and every edge's traversals *)
 let observe config backend prog =
   let vm = Interp.create ~config:{ config with Interp.backend } prog in
   let ended =
@@ -583,7 +600,7 @@ let observe config backend prog =
           (S89_cfg.Cfg.out_labels cfg node)
       done)
     (Program.procs prog);
-  (ended, Interp.output vm, List.rev !counts)
+  (ended, Interp.output vm ^ "\n" ^ render_arrays vm, List.rev !counts)
 
 (* Compiled and Bytecode observe what Tree does under [config];
    [~complete] also requires Tree's run to end normally, since a program
@@ -598,7 +615,7 @@ let agree ?(complete = false) what config prog =
       let what = Printf.sprintf "%s [%s]" what tag in
       let ended', output', counts' = observe config backend prog in
       check Alcotest.string (what ^ ": ended") ended ended';
-      check Alcotest.string (what ^ ": output") output output';
+      check Alcotest.string (what ^ ": output and arrays") output output';
       List.iter2 (fun (k, v) (_, v') -> check ci (what ^ ": " ^ k) v v') counts counts')
     [ ("compiled", Interp.Compiled); ("bytecode", Interp.Bytecode) ]
 
@@ -1519,22 +1536,31 @@ let suite =
 
 module Bytecode = S89_vm.Bytecode
 
-(* LATCH instructions in the code Emit produces for [prog], through a
-   cache that records every procedure's code *)
-let latch_count ?(backend = Interp.Bytecode) ?(instr = Probe.empty) prog =
-  let n = ref 0 in
+(* the fused opcodes the census pins *)
+let fused_ops =
+  Bytecode.
+    [ ("LATCH", op_latch); ("LATCHT", op_latcht); ("STAIE", op_staie); ("STAFE", op_stafe);
+      ("A2FADD", op_a2fadd); ("A2FSUB", op_a2fsub); ("A2FMUL", op_a2fmul);
+      ("AOFF2L", op_aoff2l); ("FADDST", op_faddst); ("FSUBST", op_fsubst);
+      ("FMULST", op_fmulst) ]
+
+(* How many of each fused opcode the code Emit produces for [prog] holds,
+   summed over its procedures' [Bytecode.census] through a cache that
+   records every procedure's code *)
+let fused_census ?(backend = Interp.Bytecode) ?(instr = Probe.empty) prog =
+  let n = Array.make Bytecode.n_opcodes 0 in
   let cache =
     {
       Interp.layouts = (fun ~salt:_ _ f -> f ());
       codes =
         (fun ~salt:_ _ f ->
           let c = f () in
-          n := !n + c.Bytecode.latches;
+          Array.iteri (fun op k -> n.(op) <- n.(op) + k) (Bytecode.census c);
           c);
     }
   in
   ignore (Interp.create ~cache ~config:{ Interp.default_config with backend; instr } prog);
-  !n
+  List.map (fun (name, op) -> (name, n.(op))) fused_ops
 
 let spin_src =
   "PROGRAM SPIN\n  DO I = 1, 100000\n    X = X + 1.0\n  ENDDO\nEND\n"
@@ -1554,9 +1580,63 @@ let nest_src =
       END
 |}
 
-(* How many LATCHes Emit makes, pinned: a change that silently stops
-   fusing fails here without a wall-clock gate.  LOOPS and SIMPLE,
-   opt-ON and opt-OFF, without and with smart probes. *)
+(* An Incr on every DO header's T edge: each DO latch is then a plain
+   LATCH, and each loop entry an EDGEPA *)
+let header_t_probes prog =
+  let t = Probe.make ~n_counters:1 in
+  List.iter
+    (fun (p : Program.proc) ->
+      let cfg = p.Program.cfg in
+      let num_nodes = Cfg.num_nodes cfg in
+      for node = 0 to num_nodes - 1 do
+        match (Cfg.info cfg node).Ir.ir with
+        | Ir.Do_test _ ->
+            Probe.add_edge_action t ~proc:p.Program.name ~num_nodes ~node ~label:Label.T
+              (Probe.Incr 0)
+        | _ -> ()
+      done)
+    (Program.procs prog);
+  t
+
+(* Every fused opcode in one small program: the inner DO loop's body
+   stores through STAFE, updates G(I, J) in place through AOFF2L, reads
+   it through A2FADD, A2FSUB and A2FMUL and stores sums, differences and
+   products through FADDST, FSUBST and FMULST (the last update is all
+   three: AOFF2, then A2FADD, whose FADD is an FADDST, so the AOFF2 stays
+   unfused); the outer loop's body
+   stores through STAIE, and both latches are LATCHT; PRINT is a
+   FALLBACK that reads the arrays back. *)
+let fuse_src =
+  {|      PROGRAM FUSE
+      REAL G(3, 4), H(3, 4), X, Y, Z
+      INTEGER IA(4), I, J, K
+      K = 0
+      X = 0.0
+      Y = 1.0
+      Z = 1.0
+      DO J = 1, 4
+        DO I = 1, 3
+          G(I, J) = REAL(I + J)
+          G(I, J) = G(I, J) * 2.0
+          X = X + G(I, J)
+          Y = Y - G(I, J)
+          Z = 0.5 * G(I, J)
+          H(I, J) = X + Y
+          H(I, J) = H(I, J) - Z
+          H(I, J) = H(I, J) * Y
+          G(I, J) = Y + G(I, J)
+        ENDDO
+        IA(J) = K + J
+        K = K + 1
+      ENDDO
+      PRINT *, X, Y, Z, K, IA(1), IA(4), G(3, 4), H(3, 4)
+      END
+|}
+
+(* How many of each fused opcode Emit makes, pinned: a change that
+   silently stops fusing fails here without a wall-clock gate.  LOOPS
+   and SIMPLE, opt-ON and opt-OFF, without and with smart probes, and
+   the small programs the guard, sampling and bounds tests run. *)
 let latch_coverage_pinned () =
   let open S89_workloads in
   let counts =
@@ -1565,33 +1645,61 @@ let latch_coverage_pinned () =
         let base = Program.of_source src in
         List.concat_map
           (fun (opt, prog) ->
-            [ (Printf.sprintf "%s %s unprobed" name opt, latch_count prog);
+            [ (Printf.sprintf "%s %s unprobed" name opt, fused_census prog);
               ( Printf.sprintf "%s %s smart" name opt,
-                latch_count ~instr:(placement_probes prog) prog ) ])
+                fused_census ~instr:(placement_probes prog) prog ) ])
           [ ("opt-ON", Optimize.program base); ("opt-OFF", base) ])
       [ ("LOOPS", Livermore.source); ("SIMPLE", Simple_code.source ());
-        ("SPIN", spin_src); ("NEST", nest_src) ]
+        ("SPIN", spin_src); ("NEST", nest_src); ("FUSE", fuse_src) ]
   in
+  let fuse = Program.of_source fuse_src in
+  let counts = counts @ [ ("FUSE T-edge probes", fused_census ~instr:(header_t_probes fuse) fuse) ] in
+  let row l = List.map (fun (_, n) -> n) l in
   check
-    Alcotest.(list (pair string int))
-    "LATCH count per program, form and probes"
-    [ ("LOOPS opt-ON unprobed", 87); ("LOOPS opt-ON smart", 87);
-      ("LOOPS opt-OFF unprobed", 86); ("LOOPS opt-OFF smart", 86);
-      ("SIMPLE opt-ON unprobed", 17); ("SIMPLE opt-ON smart", 17);
-      ("SIMPLE opt-OFF unprobed", 17); ("SIMPLE opt-OFF smart", 17);
-      ("SPIN opt-ON unprobed", 1); ("SPIN opt-ON smart", 1);
-      ("SPIN opt-OFF unprobed", 1); ("SPIN opt-OFF smart", 1);
-      ("NEST opt-ON unprobed", 2); ("NEST opt-ON smart", 2);
-      ("NEST opt-OFF unprobed", 2); ("NEST opt-OFF smart", 2) ]
-    counts;
-  (* [Compiled] lowers every node to a FALLBACK: no LATCH *)
-  check ci "Compiled LOOPS: no LATCH" 0
-    (latch_count ~backend:Interp.Compiled (Program.of_source Livermore.source))
+    Alcotest.(list (pair string (list int)))
+    "LATCH LATCHT STAIE STAFE A2FADD A2FSUB A2FMUL AOFF2L FADDST FSUBST FMULST per \
+     program, form and probes"
+    [ ("LOOPS opt-ON unprobed", [ 0; 87; 0; 111; 9; 9; 12; 4; 21; 3; 1 ]);
+      ("LOOPS opt-ON smart", [ 0; 87; 0; 111; 9; 9; 12; 4; 21; 3; 1 ]);
+      ("LOOPS opt-OFF unprobed", [ 0; 86; 0; 111; 9; 9; 12; 4; 21; 3; 1 ]);
+      ("LOOPS opt-OFF smart", [ 0; 86; 0; 111; 9; 9; 12; 4; 21; 3; 1 ]);
+      ("SIMPLE opt-ON unprobed", [ 0; 17; 0; 26; 7; 6; 4; 6; 7; 3; 2 ]);
+      ("SIMPLE opt-ON smart", [ 0; 17; 0; 26; 7; 6; 4; 6; 7; 3; 2 ]);
+      ("SIMPLE opt-OFF unprobed", [ 0; 17; 0; 26; 7; 6; 4; 6; 7; 3; 2 ]);
+      ("SIMPLE opt-OFF smart", [ 0; 17; 0; 26; 7; 6; 4; 6; 7; 3; 2 ]);
+      ("SPIN opt-ON unprobed", [ 0; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("SPIN opt-ON smart", [ 0; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("SPIN opt-OFF unprobed", [ 0; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("SPIN opt-OFF smart", [ 0; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+      ("NEST opt-ON unprobed", [ 0; 2; 0; 1; 0; 0; 0; 1; 1; 0; 0 ]);
+      ("NEST opt-ON smart", [ 0; 2; 0; 1; 0; 0; 0; 1; 1; 0; 0 ]);
+      ("NEST opt-OFF unprobed", [ 0; 2; 0; 1; 0; 0; 0; 1; 1; 0; 0 ]);
+      ("NEST opt-OFF smart", [ 0; 2; 0; 1; 0; 0; 0; 1; 1; 0; 0 ]);
+      ("FUSE opt-ON unprobed", [ 0; 2; 1; 6; 2; 1; 1; 3; 2; 1; 1 ]);
+      ("FUSE opt-ON smart", [ 0; 2; 1; 6; 2; 1; 1; 3; 2; 1; 1 ]);
+      ("FUSE opt-OFF unprobed", [ 0; 2; 1; 6; 2; 1; 1; 3; 2; 1; 1 ]);
+      ("FUSE opt-OFF smart", [ 0; 2; 1; 6; 2; 1; 1; 3; 2; 1; 1 ]);
+      ("FUSE T-edge probes", [ 2; 0; 1; 6; 2; 1; 1; 3; 2; 1; 1 ]) ]
+    (List.map (fun (what, l) -> (what, row l)) counts);
+  (* [Compiled] lowers every node to a FALLBACK: no fused opcode *)
+  List.iter
+    (fun (name, src) ->
+      let base = Program.of_source src in
+      List.iter
+        (fun prog ->
+          List.iter
+            (fun (op, n) -> check ci (Printf.sprintf "Compiled %s: no %s" name op) 0 n)
+            (fused_census ~backend:Interp.Compiled ~instr:(placement_probes prog) prog
+            @ fused_census ~backend:Interp.Compiled prog))
+        [ Optimize.program base; base ])
+    [ ("LOOPS", Livermore.source); ("SIMPLE", Simple_code.source ()) ]
 
 (* Every step budget over a window of whole loop iterations, and every
    cycle budget over the cycles that window takes: a guard may trip at
-   any node a LATCH accounts for, and must trip there with Tree's steps,
-   cycles, execs and edge counts.  NEST's window is its whole run. *)
+   any node a fused op accounts for (LATCH's or LATCHT's three, STAIE's
+   and STAFE's edge), and must trip there with Tree's steps, cycles,
+   execs, edge counts and arrays.  NEST's and FUSE's windows are their
+   whole runs; T-edge probes turn their latches into plain LATCHes. *)
 let guard_sweeps () =
   List.iter
     (fun (name, src, window) ->
@@ -1611,32 +1719,35 @@ let guard_sweeps () =
           for c = cycles_at lo to cycles_at hi do
             agree (Printf.sprintf "%s %s max_cycles=%d" name ptag c) { base with max_cycles = c } prog
           done)
-        [ ("unprobed", Probe.empty); ("smart", placement_probes prog) ])
-    [
-      (* two whole iterations are 8 steps *)
-      ("SPIN", spin_src, fun _ _ -> (20, 40));
-      ( "NEST",
-        nest_src,
-        fun config prog ->
-          let vm = Interp.create ~config prog in
-          ignore (Interp.run vm);
-          (1, Interp.steps vm + 1) );
-    ]
+        [ ("unprobed", Probe.empty); ("smart", placement_probes prog);
+          ("T-edge probes", header_t_probes prog) ])
+    (let whole config prog =
+       let vm = Interp.create ~config prog in
+       ignore (Interp.run vm);
+       (1, Interp.steps vm + 1)
+     in
+     [ (* two whole iterations are 8 steps *)
+       ("SPIN", spin_src, fun _ _ -> (20, 40));
+       ("NEST", nest_src, whole); ("FUSE", fuse_src, whole) ])
 
 (* every sample interval from 1 to 7 lands each sample on the node
-   Tree charges it to *)
+   Tree charges it to, among them samples due at each of LATCHT's three
+   nodes (its header among them) and at STAIE's and STAFE's edge *)
 let sampling_parity () =
   List.iter
     (fun (name, src) ->
       let prog = Program.of_source src in
-      for k = 1 to 7 do
-        agree
-          (Printf.sprintf "%s sample_interval=%d" name k)
-          { Interp.default_config with sample_interval = Some k }
-          prog
-      done)
+      List.iter
+        (fun (ptag, instr) ->
+          for k = 1 to 7 do
+            agree
+              (Printf.sprintf "%s %s sample_interval=%d" name ptag k)
+              { Interp.default_config with sample_interval = Some k; instr }
+              prog
+          done)
+        [ ("unprobed", Probe.empty); ("T-edge probes", header_t_probes prog) ])
     [ ("SPIN 50", "PROGRAM SPIN\n  DO I = 1, 50\n    X = X + 1.0\n  ENDDO\nEND\n");
-      ("NEST", nest_src) ]
+      ("NEST", nest_src); ("FUSE", fuse_src) ]
 
 (* A subscript below or above each dimension, on a 1-D and a 2-D array,
    INTEGER and REAL, loaded and stored: the generic cold path raises
@@ -1649,7 +1760,7 @@ let bounds_errors_agree () =
         (fun (dims, subs, bad) ->
           let decl = Printf.sprintf "%s %s(%s)" ty arr dims in
           List.iter
-            (fun (what, stmt) ->
+            (fun (what, stmt, fused) ->
               let src =
                 Printf.sprintf
                   "      PROGRAM B\n      %s\n      INTEGER I, J, K, M\n      REAL X\n\
@@ -1663,18 +1774,67 @@ let bounds_errors_agree () =
               let ended, _, _ = observe config Interp.Tree prog in
               check cb (what ^ ": Tree raises RUN001") true
                 (String.starts_with ~prefix:"RUN001 " ended);
+              (match fused with
+              | Some op -> check ci (what ^ ": one " ^ op) 1 (List.assoc op (fused_census prog))
+              | None -> ());
               agree what config prog)
-            [ ("load", Printf.sprintf "%s = %s(%s)" rhs arr subs);
-              ("store", Printf.sprintf "%s(%s) = %s" arr subs rhs) ])
+            ([ ("load", Printf.sprintf "%s = %s(%s)" rhs arr subs, None);
+               ("store", Printf.sprintf "%s(%s) = %s" arr subs rhs, None) ]
+            @
+            (* a 2-D REAL element as a float op's right operand: the
+               fused op's range branch and cold path *)
+            if ty = "REAL" && String.contains dims ',' then
+              [ ("fused +", Printf.sprintf "X = X + %s(%s)" arr subs, Some "A2FADD");
+                ("fused -", Printf.sprintf "X = X - %s(%s)" arr subs, Some "A2FSUB");
+                ("fused *", Printf.sprintf "X = 2.0 * %s(%s)" arr subs, Some "A2FMUL") ]
+            else []))
         [ ("3", "I", (0, 1)); ("3", "I", (4, 1));
           ("3, 4", "I, J", (0, 2)); ("3, 4", "I, J", (4, 2));
           ("3, 4", "I, J", (2, 0)); ("3, 4", "I, J", (2, 5));
           ("3, 4", "I, J", (0, 5)); ("3", "I + 1", (3, 1)) ])
     [ ("INTEGER", "IA", "K"); ("REAL", "RA", "X") ]
 
+(* A DO step that is zero at run time is named, by every engine, in the
+   source form and optimized, where the trip count's division would
+   fail: after the upper bound's evaluation (KF prints first), with
+   Tree's steps and cycles.  The step is read once, at loop entry: a
+   step variable set to 0 inside the loop changes nothing. *)
+let zero_step_named () =
+  let src step_decl step =
+    Printf.sprintf
+      "      PROGRAM Z\n      %s\n      DO 10 I = 1, KF(3), %s\n      X = X + 1.0\n\
+      \   10 CONTINUE\n      END\n\n      INTEGER FUNCTION KF(N)\n      PRINT *, N\n\
+      \      KF = N\n      END\n"
+      step_decl step
+  in
+  List.iter
+    (fun (what, src, prints) ->
+      let base = Program.of_source src in
+      List.iter
+        (fun (form, prog) ->
+          let what = what ^ " " ^ form in
+          let ended, output, _ = observe Interp.default_config Interp.Tree prog in
+          check Alcotest.string (what ^ ": Tree's error") "RUN001 Z: DO I has a zero step" ended;
+          (* observe's output ends with the main program's (no) arrays *)
+          check Alcotest.string (what ^ ": output before the error") (prints ^ "\n") output;
+          agree what Interp.default_config prog)
+        [ ("opt-OFF", base); ("opt-ON", Optimize.program base) ])
+    [ ("variable step", src "K = 0" "K", "3 \n");
+      ("expression step", src "J = 5" "J - J", "3 \n");
+      (* optimized, the trip count is MAX0(9 / 0, 0): all INTEGER *)
+      ( "literal bounds",
+        "      PROGRAM Z\n      K = 0\n      DO 10 I = 1, 10, K\n      X = X + 1.0\n\
+        \   10 CONTINUE\n      END\n",
+        "" ) ];
+  check_backends_agree "step set to 0 inside its loop"
+    (Program.of_source
+       "      PROGRAM Z\n      K = 1\n      DO 10 I = 1, 3, K\n      K = 0\n\
+       \   10 CONTINUE\n      PRINT *, I, K\n      END\n")
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "backends: a zero DO step is named" `Quick zero_step_named;
       Alcotest.test_case "emit: LATCH coverage pinned" `Quick latch_coverage_pinned;
       Alcotest.test_case "backends: guard sweeps over fused latches" `Quick guard_sweeps;
       Alcotest.test_case "backends: samples agree, intervals 1-7" `Quick sampling_parity;
